@@ -1,8 +1,8 @@
 //! Benchmarks of the storage layer: columnar encode/decode/round-trip of
 //! D2, and the cached-vs-cold `mmx`-style path (decode stored datasets and
-//! render vs simulate and render). The report also attaches the
-//! columnar-vs-JSONL size ratio so `--smoke` runs record the compression
-//! claim of DESIGN.md §9.
+//! render vs simulate and render). The report also attaches the D2 row
+//! count and columnar size so `--smoke` runs record the bytes-per-sample
+//! figure of DESIGN.md §9.
 
 use mm_bench::{bench_ctx, black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mm_json::Json;
@@ -15,8 +15,6 @@ fn bench_store(c: &mut Criterion) {
     let d2 = ctx.d2();
     let mut store_bytes = Vec::new();
     d2.write_store(&mut store_bytes).expect("write store");
-    let mut json_bytes = Vec::new();
-    mmlab::export_d2(&mut json_bytes, d2).expect("export jsonl");
 
     c.attach(
         "store_sizes",
@@ -25,14 +23,6 @@ fn bench_store(c: &mut Criterion) {
             (
                 "columnar_bytes".to_string(),
                 Json::Num(store_bytes.len() as f64),
-            ),
-            (
-                "jsonl_bytes".to_string(),
-                Json::Num(json_bytes.len() as f64),
-            ),
-            (
-                "jsonl_over_columnar".to_string(),
-                Json::Num(json_bytes.len() as f64 / store_bytes.len() as f64),
             ),
         ]),
     );

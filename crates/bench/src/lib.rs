@@ -1,6 +1,6 @@
 //! # mm-bench — in-tree micro-benchmark harness + shared fixtures
 //!
-//! The six `harness = false` benches in `benches/` were written against the
+//! The 13 `harness = false` benches in `benches/` were written against the
 //! criterion API. This crate now provides the small slice of that surface
 //! they actually use — [`Criterion`], [`Bencher`], [`BenchmarkGroup`],
 //! [`Throughput`], [`BatchSize`], [`black_box`], [`criterion_group!`] and

@@ -5,8 +5,7 @@
 //! country. Cities used to travel through the workspace as `&'static str`
 //! labels re-interned by ad-hoc `match` blocks in `mmlab`; this enum is the
 //! single typed vocabulary, and its [`as_str`](City::as_str) codes are the
-//! exact strings the JSONL exports always carried — the serialized form is
-//! unchanged.
+//! exact strings the store's string dictionary carries.
 
 use std::fmt;
 use std::str::FromStr;

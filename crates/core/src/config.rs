@@ -214,7 +214,6 @@ impl CellConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventKind, ReportConfig};
 
     #[test]
     fn srxlev_matches_paper_example() {
@@ -269,22 +268,5 @@ mod tests {
             ..NeighborFreqConfig::lte(0, 1)
         });
         assert_eq!(cfg.known_rats(), vec![Rat::Lte, Rat::Umts]);
-    }
-
-    #[test]
-    fn config_serializes_round_trip() {
-        let mut cfg = CellConfig::minimal(CellId(9), ChannelNumber::earfcn(1975));
-        cfg.report_configs.push(ReportConfig {
-            event: EventKind::A3 { offset_db: 3.0 },
-            quantity: Quantity::Rsrp,
-            hysteresis_db: 1.0,
-            time_to_trigger_ms: 320,
-            report_interval_ms: 480,
-            report_amount: 1,
-        });
-        use mm_json::{FromJson, ToJson};
-        let js = cfg.to_json_string();
-        let back = CellConfig::from_json_str(&js).unwrap();
-        assert_eq!(back, cfg);
     }
 }

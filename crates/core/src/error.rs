@@ -235,12 +235,6 @@ impl From<StoreError> for MmError {
     }
 }
 
-impl From<mm_json::JsonError> for MmError {
-    fn from(e: mm_json::JsonError) -> Self {
-        MmError::Json(e.0)
-    }
-}
-
 impl From<mm_json::ParseError> for MmError {
     fn from(e: mm_json::ParseError) -> Self {
         MmError::Json(format!("parse error at byte {}: {}", e.at, e.msg))
@@ -267,8 +261,6 @@ mod tests {
 
     #[test]
     fn conversions_preserve_the_message() {
-        let e: MmError = mm_json::JsonError::new("missing field").into();
-        assert!(matches!(&e, MmError::Json(m) if m.contains("missing field")));
         let parse_err = mm_json::Json::parse("{").unwrap_err();
         let e: MmError = parse_err.into();
         assert!(matches!(&e, MmError::Json(m) if m.contains("parse error")));

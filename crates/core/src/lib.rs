@@ -32,7 +32,6 @@ pub mod config;
 pub mod error;
 pub mod events;
 pub mod handoff;
-pub mod json;
 pub mod kernel;
 pub mod measurement;
 pub mod params;

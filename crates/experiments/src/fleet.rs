@@ -12,6 +12,7 @@
 //! `tests/fleet.rs` and `scripts/verify.sh` gate on.
 
 use mm_exec::Executor;
+use mm_rng::sub_seed;
 use mmcarriers::city::City;
 use mmcarriers::world::{World, CITY_SIZE_M};
 use mmcore::events::DecisiveEvent;
@@ -20,7 +21,6 @@ use mmlab::campaign::city_network;
 use mmnetsim::mobility::CITY_SPEED_MPS;
 use mmnetsim::sched::{record_engine_stats, CollectMode, Engine, EngineStats, UeOutcome, UeTally};
 use mmnetsim::{DriveConfig, Mobility, Traffic};
-use mmradio::rng::sub_seed;
 use std::fmt::Write as _;
 
 /// Parameters of one fleet run.

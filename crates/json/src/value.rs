@@ -5,8 +5,8 @@ use core::fmt;
 /// A parsed JSON document.
 ///
 /// Objects preserve insertion order (they are a `Vec` of pairs, not a map):
-/// the workspace's documents are tiny and field order stability makes the
-/// JSONL exports diffable.
+/// the workspace's documents are tiny and field order stability keeps the
+/// written documents diffable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,

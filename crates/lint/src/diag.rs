@@ -131,7 +131,6 @@ impl ToJson for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_json::FromJson;
 
     fn diag() -> Diagnostic {
         Diagnostic {
@@ -163,7 +162,7 @@ mod tests {
             cache_hits: 1,
         };
         let text = report.to_json_string();
-        let v = Json::from_json_str(&text).expect("valid mm-json");
+        let v = Json::parse(&text).expect("valid mm-json");
         assert_eq!(v.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("errors").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("suppressed").and_then(Json::as_u64), Some(1));

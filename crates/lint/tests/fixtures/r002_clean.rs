@@ -1,7 +1,7 @@
 //! R002 clean: each task derives its own stream from the master seed and
 //! the task index — draw order is per-task, independent of interleaving.
 use mm_exec::Executor;
-use mmradio::rng::stream_rng;
+use mm_rng::stream_rng;
 
 pub fn drive(exec: &Executor, master: u64, items: Vec<u64>) -> Vec<u64> {
     exec.scatter_gather(items, move |i, it| {

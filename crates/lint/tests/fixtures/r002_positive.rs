@@ -1,7 +1,7 @@
 //! R002 positive: one RNG created outside the scatter and dragged into the
 //! task closure — its draw order then depends on task interleaving.
 use mm_exec::Executor;
-use mmradio::rng::stream_rng;
+use mm_rng::stream_rng;
 
 pub fn drive(exec: &Executor, master: u64, items: Vec<u64>) -> Vec<u64> {
     let mut rng = stream_rng(master, 0x7a11);

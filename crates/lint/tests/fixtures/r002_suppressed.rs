@@ -1,7 +1,7 @@
 //! R002 suppressed: the shared RNG is justified (e.g. the closure only
 //! reads it immutably to re-derive per-task seeds).
 use mm_exec::Executor;
-use mmradio::rng::stream_rng;
+use mm_rng::stream_rng;
 
 pub fn drive(exec: &Executor, master: u64, items: Vec<u64>) -> Vec<u64> {
     // mm-allow(R002): closure reads the seed only; no draws cross tasks

@@ -12,7 +12,7 @@
 
 use crate::dataset::{HandoffInstance, D1};
 use mm_exec::{Executor, RunStats};
-use mm_rng::Rng;
+use mm_rng::{stream_rng, sub_seed, Rng};
 use mmcarriers::city::City;
 use mmcarriers::world::{World, CITY_SIZE_M};
 use mmcore::config::CellConfig;
@@ -23,7 +23,6 @@ use mmnetsim::sched::{record_engine_stats, Engine};
 use mmradio::band::Rat;
 use mmradio::cell::{CellId, Deployment, PhyCell};
 use mmradio::propagation::{Environment, PropagationModel};
-use mmradio::rng::{stream_rng, sub_seed};
 use mmradio::signal::Dbm;
 use std::collections::BTreeMap;
 

@@ -44,9 +44,9 @@ pub struct ConfigSample {
 /// Dataset D2: configuration samples.
 ///
 /// The sample store is private: all access goes through the typed query
-/// accessors ([`iter`](D2::iter), [`filter_carrier`](D2::filter_carrier),
-/// [`by_city`](D2::by_city), …) so the internal representation can later be
-/// sharded without touching the figure code.
+/// accessors ([`iter`](D2::iter), [`filter`](D2::filter), …) so the
+/// internal representation can later be sharded without touching the
+/// figure code.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct D2 {
     /// All samples in crawl order.
@@ -130,20 +130,6 @@ impl D2 {
         self.samples.iter()
     }
 
-    /// Samples of one carrier.
-    #[deprecated(note = "use `filter(&Predicate::any().carrier(..))` — the shared predicate view")]
-    pub fn filter_carrier<'a>(
-        &'a self,
-        carrier: &'a str,
-    ) -> impl Iterator<Item = &'a ConfigSample> + 'a {
-        self.samples.iter().filter(move |s| s.carrier == carrier)
-    }
-
-    /// Samples observed in one city.
-    pub fn by_city(&self, city: City) -> impl Iterator<Item = &ConfigSample> + '_ {
-        self.samples.iter().filter(move |s| s.city == city)
-    }
-
     /// Number of samples of one carrier (Fig 12's per-carrier series).
     pub fn sample_count(&self, carrier: &str) -> usize {
         self.filter(&Predicate::any().carrier(carrier)).count()
@@ -169,8 +155,8 @@ impl D2 {
     }
 
     /// The filtered view: samples matching a [`Predicate`], in crawl
-    /// order. This is the one filter surface mmq, figures, exports, and
-    /// diversity slices share.
+    /// order. This is the one filter surface mmq, figures and diversity
+    /// slices share.
     pub fn filter<'a>(
         &'a self,
         pred: &'a Predicate,
@@ -279,15 +265,6 @@ impl D1 {
         self.instances.is_empty()
     }
 
-    /// Instances of one carrier.
-    #[deprecated(note = "use `filter(&Predicate::any().carrier(..))` — the shared predicate view")]
-    pub fn filter_carrier<'a>(
-        &'a self,
-        carrier: &'a str,
-    ) -> impl Iterator<Item = &'a HandoffInstance> + 'a {
-        self.instances.iter().filter(move |i| i.carrier == carrier)
-    }
-
     /// The filtered view: instances matching a [`Predicate`] (carrier and
     /// city constraints; D1 rows have no parameter/RAT/round fields).
     pub fn filter<'a>(
@@ -295,11 +272,6 @@ impl D1 {
         pred: &'a Predicate,
     ) -> impl Iterator<Item = &'a HandoffInstance> + 'a {
         self.instances.iter().filter(move |i| pred.matches_d1(i))
-    }
-
-    /// Instances collected in one city.
-    pub fn by_city(&self, city: City) -> impl Iterator<Item = &HandoffInstance> + '_ {
-        self.instances.iter().filter(move |i| i.city == city)
     }
 
     /// Merge another dataset in.
@@ -323,36 +295,6 @@ impl<'a> IntoIterator for &'a D2 {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
-    }
-}
-
-use mm_json::{Json, ToJson};
-
-impl ToJson for ConfigSample {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", self.cell.to_json()),
-            ("carrier", self.carrier.to_json()),
-            // The city's wire form is its code string — exports are
-            // byte-identical to the pre-`City` schema.
-            ("city", self.city.as_str().to_json()),
-            ("rat", self.rat.to_json()),
-            ("channel", self.channel.to_json()),
-            ("pos", self.pos.to_json()),
-            ("round", self.round.to_json()),
-            ("param", self.param.to_json()),
-            ("value", self.value.to_json()),
-        ])
-    }
-}
-
-impl ToJson for HandoffInstance {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("carrier", self.carrier.to_json()),
-            ("city", self.city.as_str().to_json()),
-            ("record", self.record.to_json()),
-        ])
     }
 }
 
@@ -443,17 +385,12 @@ mod tests {
         assert_eq!(d2.filter(&Predicate::any().carrier("A")).count(), 2);
         assert_eq!(d2.filter(&Predicate::any().carrier("B")).count(), 1);
         assert_eq!(d2.sample_count("A"), 2);
-        assert_eq!(d2.by_city(City::C3).count(), 1);
+        assert_eq!(d2.filter(&Predicate::any().city(City::C3)).count(), 1);
         assert_eq!(
             d2.filter(&Predicate::any().carrier("B").city(City::C3))
                 .count(),
             1
         );
-        // The deprecated accessor still answers identically while callers
-        // migrate onto the predicate view.
-        #[allow(deprecated)]
-        let legacy = d2.filter_carrier("A").count();
-        assert_eq!(legacy, 2);
         assert_eq!(d2.iter().count(), d2.len());
         assert_eq!((&d2).into_iter().count(), 3);
     }
@@ -465,15 +402,12 @@ mod tests {
         d1.append(vec![instance("V", City::C5)]);
         assert_eq!(d1.len(), 4);
         assert_eq!(d1.filter(&Predicate::any().carrier("A")).count(), 2);
-        assert_eq!(d1.by_city(City::C3).count(), 2);
+        assert_eq!(d1.filter(&Predicate::any().city(City::C3)).count(), 2);
         assert_eq!(
             d1.filter(&Predicate::any().carrier("A").city(City::C3))
                 .count(),
             1
         );
-        #[allow(deprecated)]
-        let legacy = d1.filter_carrier("A").count();
-        assert_eq!(legacy, 2);
         assert_eq!(d1.iter_handoffs().count(), 4);
         let mut other = D1::default();
         other.push(instance("T", City::C1));

@@ -1,10 +1,9 @@
 //! The shared dataset predicate — one filter vocabulary for queries,
-//! figures, exports, and diversity slices.
+//! figures, store scans and diversity slices.
 //!
 //! A [`Predicate`] is a conjunction of optional per-field constraints
 //! (carrier, city, parameter name, RAT, round ceiling). Every consumer —
-//! `D2::filter`/`D1::filter`, the filtered JSONL exports, the store
-//! readers' block-skipping pushdown, and the `mmq` query planner — shares
+//! `D2::filter`/`D1::filter`, the store readers' block-skipping pushdown, and the `mmq` query planner — shares
 //! this one type, so "carrier A in city C3" means exactly the same rows
 //! everywhere. The builder is chainable, mirroring `Ctx::builder()`:
 //!

@@ -37,7 +37,7 @@ use mmradio::geom::Point;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
-/// Dataset kind stamped in D2 store headers (same id the JSONL export uses).
+/// Dataset kind stamped in D2 store headers.
 pub const KIND_D2: &str = "d2-config-samples";
 /// Dataset kind stamped in D1 store headers.
 pub const KIND_D1: &str = "d1-handoff-instances";

@@ -12,12 +12,10 @@
 //!
 //! Everything is deterministic in the run seed; no wall-clock, no threads.
 
-pub mod json;
 pub mod link;
 pub mod mobility;
 pub mod network;
 pub mod run;
-pub mod scenario;
 pub mod sched;
 pub mod traffic;
 
@@ -25,7 +23,6 @@ pub use link::LinkModel;
 pub use mobility::Mobility;
 pub use network::Network;
 pub use run::{drive, DriveConfig, DriveResult, HandoffKind, HandoffRecord};
-pub use scenario::{DriveOutcome, Scenario, ScenarioBuilder};
 pub use sched::{
     record_engine_stats, CollectMode, DriveRun, Engine, EngineOutcome, EngineStats, UeOutcome,
     UeTally,

@@ -299,12 +299,10 @@ pub(crate) fn log_broadcast(log: &mut SignalingLog, t_ms: u64, network: &Network
 /// the full policy loop. Returns `None` if no cell is detectable at the
 /// start.
 ///
-/// Deprecated: this is the single-UE special case of the discrete-event
-/// [`crate::sched::Engine`] — new code should build a
-/// [`crate::scenario::Scenario`] (which returns typed errors instead of
-/// `None`) or drive the engine directly for multi-UE work. The shim is kept
-/// so the artifacts and examples compile unchanged, and its output is
-/// byte-identical to the historical per-tick loop.
+/// This is the single-UE call: it runs the discrete-event
+/// [`crate::sched::Engine`] with one full-collection UE, and its output is
+/// byte-identical to the historical per-tick loop. Multi-UE and tally-mode
+/// runs drive the engine directly.
 pub fn drive(network: &Network, cfg: &DriveConfig) -> Option<DriveResult> {
     let _span = mm_telemetry::global().span("netsim", "drive");
     let outcome = crate::sched::Engine::new(network).run(std::slice::from_ref(cfg));
@@ -458,6 +456,15 @@ mod tests {
         let r = drive(&network, &corridor_drive(3)).unwrap();
         assert!(r.log.sibs(1).count() >= 2, "SIB1 of both serving cells");
         assert!(r.log.measurement_reports().count() >= 1);
+    }
+
+    #[test]
+    fn route_without_a_detectable_cell_does_not_attach() {
+        // A route far outside the deployment: nothing detectable.
+        let network = corridor(3.0);
+        let cfg =
+            DriveConfig::active_speedtest(Mobility::straight_line(9.0e7, 9.0e7, 1.0), 1_000, 0);
+        assert!(drive(&network, &cfg).is_none());
     }
 
     #[test]

@@ -36,14 +36,13 @@ use crate::run::{
     find, log_broadcast, measure, min_binned, record_drive_telemetry, DriveConfig, DriveResult,
     HandoffKind, HandoffRecord, RlfEvent,
 };
-use mm_rng::SmallRng;
+use mm_rng::{stream_rng, SmallRng};
 use mmcore::config::Quantity;
 use mmcore::events::EventKind;
 use mmcore::handoff::decide;
 use mmcore::ue::{CellMeasurement, ConnectedUe, IdleUe};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
-use mmradio::rng::stream_rng;
 use mmsignaling::log::{Direction, LogEntry, SignalingLog};
 use mmsignaling::messages::RrcMessage;
 use std::cmp::Reverse;
@@ -880,7 +879,7 @@ mod tests {
         let whole = shard_total(0..5);
         // Seeded property: derive split points from a fixed-seed stream and
         // check every grouping/association folds to the same totals.
-        let mut rng = mmradio::rng::stream_rng(0x5eed, 0x7e57);
+        let mut rng = mm_rng::stream_rng(0x5eed, 0x7e57);
         for _ in 0..4 {
             let a = 1 + (rng.gen::<u64>() % 3) as usize; // 1..=3
             let b = a + 1 + (rng.gen::<u64>() % (4 - a) as u64) as usize; // a+1..=4

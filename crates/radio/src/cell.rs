@@ -8,7 +8,6 @@
 use crate::band::{ChannelNumber, Rat};
 use crate::geom::Point;
 use crate::propagation::{PropagationModel, RadioSample};
-use crate::rng;
 use crate::signal::{noise_floor_dbm, rsrq_from_rssi, Dbm, Rsrp, Sinr};
 use mm_rng::Rng;
 
@@ -139,7 +138,7 @@ impl Deployment {
                 continue;
             }
             let cell = &self.cells[i];
-            let noise = rng::normal(rng, 0.0, self.model.measurement_noise_db);
+            let noise = mm_rng::normal(rng, 0.0, self.model.measurement_noise_db);
             let rsrp = Rsrp::new(median_dbm + noise);
 
             // RSSI over the measurement bandwidth: serving RS power scaled to

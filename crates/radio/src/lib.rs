@@ -18,9 +18,7 @@
 pub mod band;
 pub mod cell;
 pub mod geom;
-pub mod json;
 pub mod propagation;
-pub mod rng;
 pub mod signal;
 
 pub use band::{ChannelNumber, FrequencyBand, Rat};

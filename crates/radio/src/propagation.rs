@@ -11,7 +11,6 @@
 
 use crate::band::ChannelNumber;
 use crate::geom::Point;
-use crate::rng;
 use crate::signal::{Dbm, Rsrp, Rsrq};
 
 /// Deployment environment, controlling path-loss exponent and shadowing.
@@ -119,10 +118,10 @@ impl PropagationModel {
         let iy = gy.floor() as i64;
         let fx = gx - gx.floor();
         let fy = gy - gy.floor();
-        let v00 = rng::lattice_normal(self.seed, cell_label, ix, iy);
-        let v10 = rng::lattice_normal(self.seed, cell_label, ix + 1, iy);
-        let v01 = rng::lattice_normal(self.seed, cell_label, ix, iy + 1);
-        let v11 = rng::lattice_normal(self.seed, cell_label, ix + 1, iy + 1);
+        let v00 = mm_rng::lattice_normal(self.seed, cell_label, ix, iy);
+        let v10 = mm_rng::lattice_normal(self.seed, cell_label, ix + 1, iy);
+        let v01 = mm_rng::lattice_normal(self.seed, cell_label, ix, iy + 1);
+        let v11 = mm_rng::lattice_normal(self.seed, cell_label, ix + 1, iy + 1);
         let v0 = v00 + (v10 - v00) * fx;
         let v1 = v01 + (v11 - v01) * fx;
         let v = v0 + (v1 - v0) * fy;

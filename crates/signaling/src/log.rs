@@ -164,13 +164,4 @@ mod tests {
         assert!(d.contains("SIB Type3"));
         assert!(d.contains("Measurement Report"));
     }
-
-    #[test]
-    fn log_json_round_trips() {
-        use mm_json::{FromJson, ToJson};
-        let log = sample_log();
-        let js = log.to_json_string();
-        let back = SignalingLog::from_json_str(&js).unwrap();
-        assert_eq!(back, log);
-    }
 }

@@ -60,14 +60,10 @@ fn main() {
         );
     }
 
-    // Export the dataset as JSON lines, like the paper's released data.
-    let out = std::env::temp_dir().join("mobility_mm_d1.jsonl");
-    let mut body = String::new();
-    for i in d1.iter_handoffs() {
-        use mm_json::ToJson;
-        body.push_str(&i.to_json_string());
-        body.push('\n');
-    }
-    std::fs::write(&out, body).expect("write dataset");
-    println!("D1 exported to {}", out.display());
+    // Persist the dataset in the columnar store format `mmx --load` reads.
+    let out = std::env::temp_dir().join("mobility_mm_d1.mmst");
+    let mut bytes = Vec::new();
+    d1.write_store(&mut bytes).expect("encode dataset");
+    std::fs::write(&out, bytes).expect("write dataset");
+    println!("D1 written to {}", out.display());
 }

@@ -11,8 +11,7 @@ use mmcore::events::{DecisiveEvent, EventKind, ReportConfig};
 use mmcore::kernel::sum_f64;
 use mmcore::reselect::PriorityRelation;
 use mmcore::ue::CellMeasurement;
-use mmradio::cell::CellId;
-use mmradio::geom::Point;
+use mmradio::cell::{CellId, Survey};
 use mmsignaling::log::{Direction, LogEntry, SignalingLog};
 
 /// How a handoff came about.
@@ -210,31 +209,21 @@ pub fn min_binned(series: &[(u64, f64)], start_ms: u64, end_ms: u64, bin_ms: u64
         .min_by(|a, b| a.total_cmp(b))
 }
 
-/// Strongest detectable cells at `pos`, as UE measurements (top `max`).
+/// Strongest detectable cells of `survey`, as UE measurements (top `max`).
 pub(crate) fn measure(
-    network: &Network,
-    pos: Point,
+    survey: &Survey,
     rng: &mut impl mm_rng::Rng,
     max: usize,
 ) -> Vec<CellMeasurement> {
-    network
-        .deployment
-        .measure_all(pos, rng)
+    survey
+        .measure(rng)
         .into_iter()
         .take(max)
-        .map(|m| {
-            let channel = network
-                .deployment
-                .cell(m.cell)
-                // mm-allow(E001): measure_all only reports cells that exist in the deployment
-                .expect("measured cell exists")
-                .channel;
-            CellMeasurement {
-                cell: m.cell,
-                channel,
-                rsrp_dbm: m.sample.rsrp.dbm(),
-                rsrq_db: m.sample.rsrq.db(),
-            }
+        .map(|m| CellMeasurement {
+            cell: m.cell,
+            channel: m.channel,
+            rsrp_dbm: m.sample.rsrp.dbm(),
+            rsrq_db: m.sample.rsrq.db(),
         })
         .collect()
 }

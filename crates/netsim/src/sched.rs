@@ -6,8 +6,9 @@
 //! command delays, RLF timers) and traffic ticks. Each simulated epoch of a
 //! UE is a chain of three events at the same timestamp:
 //!
-//! 1. [`Phase::Measure`] — move along the route, sample the top-16 cells
-//!    (this is the UE's only RNG draw site besides handoff-delay jitter);
+//! 1. [`Phase::Measure`] — move along the route, take one radio survey and
+//!    sample the top-16 cells from it (this is the UE's only RNG draw site
+//!    besides handoff-delay jitter), plus the serving cell's SINR;
 //! 2. [`Phase::Control`] — radio-link monitoring, pending-command
 //!    execution, measurement reporting and the network's handoff decision
 //!    (active UEs), or reselection (idle UEs);
@@ -43,6 +44,7 @@ use mmcore::handoff::decide;
 use mmcore::ue::{CellMeasurement, ConnectedUe, IdleUe};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
+use mmradio::signal::Sinr;
 use mmsignaling::log::{Direction, LogEntry, SignalingLog};
 use mmsignaling::messages::RrcMessage;
 use std::cmp::Reverse;
@@ -272,6 +274,9 @@ struct UeState {
     idle: Option<IdleUe>,
     pos: Point,
     batch: Vec<CellMeasurement>,
+    /// A connected UE's serving cell and its SINR at `pos`, from the
+    /// epoch's survey (see [`serving_sinr`]).
+    sinr: Option<(CellId, Sinr)>,
     /// Pending network handoff command: `(exec_t, target, decisive,
     /// quantity, report_t, delay)`.
     pending: Option<(u64, CellId, EventKind, Quantity, u64, u64)>,
@@ -312,6 +317,7 @@ impl UeState {
             idle,
             pos: start,
             batch: Vec::new(),
+            sinr: None,
             pending: None,
             interruption_until: 0,
             last_handoff_t: None,
@@ -414,7 +420,12 @@ impl<'n> Engine<'n> {
             match ev.phase {
                 Phase::Measure => {
                     st.pos = cfg.mobility.position(ev.t_ms as f64 / 1000.0);
-                    st.batch = measure(self.network, st.pos, &mut st.rng, 16);
+                    let survey = self.network.deployment.survey(st.pos);
+                    st.batch = measure(&survey, &mut st.rng, 16);
+                    st.sinr = st.connected.as_ref().and_then(|ue| {
+                        let serving = ue.serving();
+                        survey.sinr(serving).map(|sinr| (serving, sinr))
+                    });
                     queue.push(ev.t_ms, ev.ue, Phase::Control);
                 }
                 Phase::Control => {
@@ -458,11 +469,7 @@ impl<'n> Engine<'n> {
             // drops any pending command, and re-establishes on the
             // strongest cell after an outage.
             if t >= st.interruption_until {
-                let sinr = network
-                    .deployment
-                    .sinr(ue.serving(), st.pos)
-                    // mm-allow(E001): the serving cell was handed off from this same deployment
-                    .expect("serving deployed");
+                let sinr = serving_sinr(&mut st.sinr, network, ue.serving(), st.pos);
                 if sinr.0 < network.policy.rlf_qout_sinr_db {
                     let since = *st.out_of_sync_since.get_or_insert(t);
                     if t.saturating_sub(since) >= network.policy.rlf_t310_ms {
@@ -643,11 +650,7 @@ impl<'n> Engine<'n> {
         } else {
             // mm-allow(E001): the serving cell was handed off from this same deployment
             let cell = network.deployment.cell(serving).expect("serving deployed");
-            let sinr = network
-                .deployment
-                .sinr(serving, st.pos)
-                // mm-allow(E001): the serving cell was handed off from this same deployment
-                .expect("serving deployed");
+            let sinr = serving_sinr(&mut st.sinr, network, serving, st.pos);
             let link = LinkModel::for_rat(cell.rat());
             cfg.traffic
                 .goodput_bps(link.throughput_bps(sinr, cell.load))
@@ -662,11 +665,7 @@ impl<'n> Engine<'n> {
         if cfg.traffic.ping_due(t, cfg.epoch_ms) && !in_interruption {
             // mm-allow(E001): the serving cell was handed off from this same deployment
             let cell = network.deployment.cell(serving).expect("serving deployed");
-            let sinr = network
-                .deployment
-                .sinr(serving, st.pos)
-                // mm-allow(E001): the serving cell was handed off from this same deployment
-                .expect("serving deployed");
+            let sinr = serving_sinr(&mut st.sinr, network, serving, st.pos);
             if let Some(rtt) = LinkModel::for_rat(cell.rat()).rtt_ms(sinr) {
                 match self.mode {
                     CollectMode::Full => st.ping_rtts.push((t, rtt)),
@@ -676,6 +675,29 @@ impl<'n> Engine<'n> {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The SINR of `serving` at the epoch's position `pos`: the pair Measure
+/// stored in `stored`, unless a handoff or RLF has changed the serving cell
+/// since, in which case it is computed afresh and stored in its place.
+fn serving_sinr(
+    stored: &mut Option<(CellId, Sinr)>,
+    network: &Network,
+    serving: CellId,
+    pos: Point,
+) -> Sinr {
+    match *stored {
+        Some((cell, sinr)) if cell == serving => sinr,
+        _ => {
+            let sinr = network
+                .deployment
+                .sinr(serving, pos)
+                // mm-allow(E001): the serving cell was handed off from this same deployment
+                .expect("serving deployed");
+            *stored = Some((serving, sinr));
+            sinr
         }
     }
 }

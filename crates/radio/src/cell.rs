@@ -4,12 +4,15 @@
 //! power. A [`Deployment`] is the set of cells a UE can possibly hear, plus
 //! the propagation model; it answers the only question the upper layers ask:
 //! *"standing at point P, what do I measure for each detectable cell?"*
+//! A [`Survey`] is that answer's shared part — every audible cell's median
+//! power at P — from which both the measurement and the SINR derive.
 
 use crate::band::{ChannelNumber, Rat};
 use crate::geom::Point;
-use crate::propagation::{PropagationModel, RadioSample};
+use crate::propagation::{PropagationModel, RadioSample, ShadowingPoint};
 use crate::signal::{noise_floor_dbm, rsrq_from_rssi, Dbm, Rsrp, Sinr};
 use mm_rng::Rng;
+use std::collections::BTreeMap;
 
 /// Globally unique cell identifier (the ECGI analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -49,8 +52,12 @@ impl PhyCell {
 /// RSRP below which a cell is undetectable and never reported.
 pub const DETECTION_FLOOR_DBM: f64 = -135.0;
 
-/// Sites farther than this cannot exceed the detection floor even with the
-/// most favourable shadowing draw, so measurement skips them outright.
+/// Measurement and SINR ignore sites farther than this: neither measured
+/// nor counted as interference. It is a modelling cut-off, not a physical
+/// bound. At 15 km a 46 dBm site on 739 MHz has a median RSRP of about
+/// −129.5 dBm in `Urban`, above [`DETECTION_FLOOR_DBM`], and about
+/// −142.1 dBm in `DenseUrban`, where 8 dB shadowing σ can still lift it over
+/// the floor. Every recorded trajectory depends on the value.
 pub const MAX_AUDIBLE_DISTANCE_M: f64 = 15_000.0;
 
 /// Measurement bandwidth (in PRB) used for the RSSI/RSRQ computation.
@@ -62,6 +69,12 @@ pub struct Deployment {
     cells: Vec<PhyCell>,
     /// The propagation model computing what a UE hears.
     pub model: PropagationModel,
+    /// Cell indices grouped by channel, each group in `cells` order: the
+    /// co-channel interferers of every cell on that channel. Built once
+    /// from `cells`, which never change afterwards.
+    co_channel: Vec<Vec<usize>>,
+    /// Each cell's group in `co_channel`.
+    channel_group: Vec<usize>,
 }
 
 /// What a UE measures for one cell at one instant.
@@ -69,6 +82,8 @@ pub struct Deployment {
 pub struct Measurement {
     /// Which cell.
     pub cell: CellId,
+    /// The cell's downlink channel.
+    pub channel: ChannelNumber,
     /// RSRP/RSRQ pair.
     pub sample: RadioSample,
 }
@@ -76,7 +91,23 @@ pub struct Measurement {
 impl Deployment {
     /// Build a deployment from cells and a propagation model.
     pub fn new(cells: Vec<PhyCell>, model: PropagationModel) -> Self {
-        Deployment { cells, model }
+        let mut groups: BTreeMap<ChannelNumber, usize> = BTreeMap::new();
+        let mut co_channel: Vec<Vec<usize>> = Vec::new();
+        let mut channel_group = Vec::with_capacity(cells.len());
+        for (i, c) in cells.iter().enumerate() {
+            let g = *groups.entry(c.channel).or_insert_with(|| {
+                co_channel.push(Vec::new());
+                co_channel.len() - 1
+            });
+            co_channel[g].push(i);
+            channel_group.push(g);
+        }
+        Deployment {
+            cells,
+            model,
+            co_channel,
+            channel_group,
+        }
     }
 
     /// All cells.
@@ -99,65 +130,133 @@ impl Deployment {
         self.cells.is_empty()
     }
 
-    /// Add a cell.
-    pub fn push(&mut self, cell: PhyCell) {
-        self.cells.push(cell);
-    }
-
     /// Median RSRP (path loss + shadowing, no measurement noise) of one cell
     /// at `pos`.
     pub fn median_rsrp(&self, cell: &PhyCell, pos: Point) -> Rsrp {
-        let d = cell.pos.distance(pos);
+        self.median_at(
+            cell,
+            cell.pos.distance(pos),
+            &self.model.shadowing_point(pos),
+        )
+    }
+
+    /// [`Deployment::median_rsrp`] with the distance and the position's
+    /// shadowing part already known.
+    fn median_at(&self, cell: &PhyCell, d_m: f64, shadowing: &ShadowingPoint) -> Rsrp {
         let p = self.model.received_power(
             u64::from(cell.id.0),
             cell.tx_power_dbm,
-            d,
+            d_m,
             cell.channel,
-            pos,
+            shadowing,
         );
         Rsrp::new(p.0)
     }
 
-    /// Measure every detectable cell at `pos`. Measurement noise is drawn
-    /// from `rng`; RSRQ accounts for co-channel interference and per-cell
-    /// load. Results are sorted by descending RSRP.
-    pub fn measure_all<R: Rng + ?Sized>(&self, pos: Point, rng: &mut R) -> Vec<Measurement> {
-        // First pass: median powers per cell (needed for co-channel RSSI).
-        let medians: Vec<(usize, f64)> = self
+    /// The radio environment at `pos`: the median power of every cell
+    /// within [`MAX_AUDIBLE_DISTANCE_M`], computed once for any number of
+    /// [`Survey::measure`] and [`Survey::sinr`] calls at that position.
+    pub fn survey(&self, pos: Point) -> Survey<'_> {
+        let shadowing = self.model.shadowing_point(pos);
+        let medians = self
             .cells
             .iter()
-            .enumerate()
-            .filter(|(_, c)| c.pos.distance(pos) <= MAX_AUDIBLE_DISTANCE_M)
-            .map(|(i, c)| (i, self.median_rsrp(c, pos).dbm()))
+            .map(|c| {
+                let d = c.pos.distance(pos);
+                (d <= MAX_AUDIBLE_DISTANCE_M).then(|| {
+                    let dbm = self.median_at(c, d, &shadowing).dbm();
+                    Median {
+                        dbm,
+                        mw: Dbm(dbm).to_mw(),
+                    }
+                })
+            })
             .collect();
+        Survey {
+            deployment: self,
+            pos,
+            shadowing,
+            medians,
+        }
+    }
 
+    /// Measure every detectable cell at `pos`: [`Survey::measure`] on a
+    /// fresh survey.
+    pub fn measure_all<R: Rng + ?Sized>(&self, pos: Point, rng: &mut R) -> Vec<Measurement> {
+        self.survey(pos).measure(rng)
+    }
+
+    /// Downlink SINR of `cell` at `pos`: [`Survey::sinr`] on a fresh survey.
+    pub fn sinr(&self, cell_id: CellId, pos: Point) -> Option<Sinr> {
+        self.survey(pos).sinr(cell_id)
+    }
+
+    /// The strongest detectable cell at `pos` by median RSRP, optionally
+    /// restricted to one RAT.
+    pub fn strongest(&self, pos: Point, rat: Option<Rat>) -> Option<(CellId, Rsrp)> {
+        self.cells
+            .iter()
+            .filter(|c| rat.is_none_or(|r| c.rat() == r))
+            .map(|c| (c.id, self.median_rsrp(c, pos)))
+            .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
+            .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
+    }
+}
+
+/// The radio environment at one position (see [`Deployment::survey`]).
+#[derive(Debug, Clone)]
+pub struct Survey<'d> {
+    deployment: &'d Deployment,
+    pos: Point,
+    shadowing: ShadowingPoint,
+    /// Per cell, in `cells` order: its median power, or `None` beyond
+    /// [`MAX_AUDIBLE_DISTANCE_M`]. Cells below the detection floor keep
+    /// theirs, because they still interfere.
+    medians: Vec<Option<Median>>,
+}
+
+/// One audible cell's median power.
+#[derive(Debug, Clone, Copy)]
+struct Median {
+    /// Median RSRP, dBm.
+    dbm: f64,
+    /// The same power in mW.
+    mw: f64,
+}
+
+impl Survey<'_> {
+    /// Measure every detectable cell. Measurement noise is drawn from `rng`
+    /// in `cells` order; RSRQ accounts for co-channel interference and
+    /// per-cell load. Results are sorted by descending RSRP.
+    pub fn measure<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Measurement> {
+        let d = self.deployment;
+        let n = f64::from(MEAS_BANDWIDTH_PRB);
         let noise_mw = noise_floor_dbm(9e6).to_mw();
         let mut out = Vec::new();
-        for &(i, median_dbm) in &medians {
-            if median_dbm < DETECTION_FLOOR_DBM {
+        for (i, (cell, median)) in d.cells.iter().zip(&self.medians).enumerate() {
+            let Some(median) = median else { continue };
+            if median.dbm < DETECTION_FLOOR_DBM {
                 continue;
             }
-            let cell = &self.cells[i];
-            let noise = mm_rng::normal(rng, 0.0, self.model.measurement_noise_db);
-            let rsrp = Rsrp::new(median_dbm + noise);
+            let noise = mm_rng::normal(rng, 0.0, d.model.measurement_noise_db);
+            let rsrp = Rsrp::new(median.dbm + noise);
 
             // RSSI over the measurement bandwidth: serving RS power scaled to
             // full band + co-channel interferers weighted by their load.
-            let n = f64::from(MEAS_BANDWIDTH_PRB);
             let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
             let mut interf_mw = 0.0;
-            for &(j, other_dbm) in &medians {
-                if j == i || self.cells[j].channel != cell.channel {
+            for &j in &d.co_channel[d.channel_group[i]] {
+                let Some(other) = self.medians[j].filter(|_| j != i) else {
                     continue;
-                }
-                let other = &self.cells[j];
+                };
                 // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
-                interf_mw += Dbm(other_dbm).to_mw() * n * (1.0 + 11.0 * other.load);
+                interf_mw += other.mw * n * (1.0 + 11.0 * d.cells[j].load);
             }
             let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
             let rsrq = rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB);
             out.push(Measurement {
                 cell: cell.id,
+                channel: cell.channel,
                 sample: RadioSample { rsrp, rsrq },
             });
         }
@@ -171,45 +270,32 @@ impl Deployment {
         out
     }
 
-    /// Downlink SINR of `cell` at `pos` given median powers (used by the
-    /// throughput model).
-    pub fn sinr(&self, cell_id: CellId, pos: Point) -> Option<Sinr> {
-        let cell = self.cell(cell_id)?;
-        let own = self.median_rsrp(cell, pos).dbm();
-        let mut interf_mw = 0.0;
-        for other in &self.cells {
-            if other.id == cell_id
-                || other.channel != cell.channel
-                || other.pos.distance(pos) > MAX_AUDIBLE_DISTANCE_M
-            {
-                continue;
+    /// Downlink SINR of `cell_id` from median powers (used by the
+    /// throughput model); `None` if the cell is not deployed. A serving
+    /// cell beyond [`MAX_AUDIBLE_DISTANCE_M`] still gets its own median.
+    pub fn sinr(&self, cell_id: CellId) -> Option<Sinr> {
+        let d = self.deployment;
+        let i = d.cells.iter().position(|c| c.id == cell_id)?;
+        let own_mw = match self.medians[i] {
+            Some(own) => own.mw,
+            None => {
+                let cell = &d.cells[i];
+                let own = d.median_at(cell, cell.pos.distance(self.pos), &self.shadowing);
+                Dbm(own.dbm()).to_mw()
             }
-            let p = self.median_rsrp(other, pos).dbm();
+        };
+        let mut interf_mw = 0.0;
+        for &j in &d.co_channel[d.channel_group[i]] {
+            let other = &d.cells[j];
+            let Some(median) = self.medians[j].filter(|_| other.id != cell_id) else {
+                continue;
+            };
             // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
-            interf_mw += Dbm(p).to_mw() * other.load.max(0.05);
+            interf_mw += median.mw * other.load.max(0.05);
         }
         // Per-RE noise: thermal over one 15 kHz subcarrier.
         let noise_mw = noise_floor_dbm(15e3).to_mw();
-        Some(Sinr::from_linear(Dbm(own).to_mw() / (interf_mw + noise_mw)))
-    }
-
-    /// Cells whose site lies within `radius_m` of `pos`.
-    pub fn cells_within(&self, pos: Point, radius_m: f64) -> Vec<&PhyCell> {
-        self.cells
-            .iter()
-            .filter(|c| c.pos.distance(pos) <= radius_m)
-            .collect()
-    }
-
-    /// The strongest detectable cell at `pos` by median RSRP, optionally
-    /// restricted to one RAT.
-    pub fn strongest(&self, pos: Point, rat: Option<Rat>) -> Option<(CellId, Rsrp)> {
-        self.cells
-            .iter()
-            .filter(|c| rat.is_none_or(|r| c.rat() == r))
-            .map(|c| (c.id, self.median_rsrp(c, pos)))
-            .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
-            .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
+        Some(Sinr::from_linear(own_mw / (interf_mw + noise_mw)))
     }
 }
 
@@ -277,11 +363,13 @@ mod tests {
     #[test]
     fn strongest_respects_rat_filter() {
         let model = PropagationModel::new(Environment::Urban, 3);
-        let mut d = Deployment::new(
-            vec![cell(1, 0.0, 0.0, ChannelNumber::earfcn(850), 46.0)],
+        let d = Deployment::new(
+            vec![
+                cell(1, 0.0, 0.0, ChannelNumber::earfcn(850), 46.0),
+                cell(9, 50.0, 0.0, ChannelNumber::uarfcn(4435), 43.0),
+            ],
             model,
         );
-        d.push(cell(9, 50.0, 0.0, ChannelNumber::uarfcn(4435), 43.0));
         let p = Point::new(40.0, 0.0);
         let (id, _) = d.strongest(p, Some(Rat::Umts)).unwrap();
         assert_eq!(id, CellId(9));
@@ -330,13 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_within_radius() {
-        let d = two_cell_deployment();
-        assert_eq!(d.cells_within(Point::new(0.0, 0.0), 100.0).len(), 1);
-        assert_eq!(d.cells_within(Point::new(1000.0, 0.0), 1500.0).len(), 2);
-    }
-
-    #[test]
     fn measurement_noise_is_bounded_but_present() {
         let d = two_cell_deployment();
         let p = Point::new(300.0, 0.0);
@@ -358,5 +439,151 @@ mod tests {
             }
         }
         assert!(saw_diff);
+    }
+
+    /// The pre-survey `measure_all`: medians of the audible cells, then one
+    /// `powf` per detected × co-channel pair.
+    fn reference_measure_all(d: &Deployment, pos: Point, rng: &mut SmallRng) -> Vec<Measurement> {
+        let medians: Vec<(usize, f64)> = d
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.pos.distance(pos) <= MAX_AUDIBLE_DISTANCE_M)
+            .map(|(i, c)| (i, d.median_rsrp(c, pos).dbm()))
+            .collect();
+        let noise_mw = noise_floor_dbm(9e6).to_mw();
+        let mut out = Vec::new();
+        for &(i, median_dbm) in &medians {
+            if median_dbm < DETECTION_FLOOR_DBM {
+                continue;
+            }
+            let cell = &d.cells[i];
+            let noise = mm_rng::normal(rng, 0.0, d.model.measurement_noise_db);
+            let rsrp = Rsrp::new(median_dbm + noise);
+            let n = f64::from(MEAS_BANDWIDTH_PRB);
+            let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
+            let mut interf_mw = 0.0;
+            for &(j, other_dbm) in &medians {
+                if j == i || d.cells[j].channel != cell.channel {
+                    continue;
+                }
+                interf_mw += Dbm(other_dbm).to_mw() * n * (1.0 + 11.0 * d.cells[j].load);
+            }
+            let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
+            let rsrq = rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB);
+            out.push(Measurement {
+                cell: cell.id,
+                channel: cell.channel,
+                sample: RadioSample { rsrp, rsrq },
+            });
+        }
+        out.sort_by(|a, b| {
+            b.sample
+                .rsrp
+                .dbm()
+                .total_cmp(&a.sample.rsrp.dbm())
+                .then(a.cell.cmp(&b.cell))
+        });
+        out
+    }
+
+    /// The pre-survey `sinr`: a median per co-channel audible cell.
+    fn reference_sinr(d: &Deployment, cell_id: CellId, pos: Point) -> Option<Sinr> {
+        let cell = d.cell(cell_id)?;
+        let own = d.median_rsrp(cell, pos).dbm();
+        let mut interf_mw = 0.0;
+        for other in &d.cells {
+            if other.id == cell_id
+                || other.channel != cell.channel
+                || other.pos.distance(pos) > MAX_AUDIBLE_DISTANCE_M
+            {
+                continue;
+            }
+            let p = d.median_rsrp(other, pos).dbm();
+            interf_mw += Dbm(p).to_mw() * other.load.max(0.05);
+        }
+        let noise_mw = noise_floor_dbm(15e3).to_mw();
+        Some(Sinr::from_linear(Dbm(own).to_mw() / (interf_mw + noise_mw)))
+    }
+
+    /// 40 seeded cells over a 12 km square on three LTE channels and one
+    /// UMTS channel, with seeded powers and loads, plus cell 99 on a shared
+    /// channel more than 15 km from every probe position below.
+    fn mixed_deployment(env: Environment) -> Deployment {
+        let mut rng = SmallRng::seed_from_u64(0xce11);
+        let chans = [
+            ChannelNumber::earfcn(850),
+            ChannelNumber::earfcn(5110),
+            ChannelNumber::earfcn(9820),
+            ChannelNumber::uarfcn(4435),
+        ];
+        let mut cells: Vec<PhyCell> = (1..=40)
+            .map(|id| {
+                let (x, y) = (rng.gen_range(0.0..12_000.0), rng.gen_range(0.0..12_000.0));
+                let chan = chans[rng.gen_range(0..chans.len())];
+                let mut c = cell(id, x, y, chan, rng.gen_range(40.0..49.0));
+                c.load = rng.gen_range(0.0..1.0);
+                c
+            })
+            .collect();
+        cells.push(cell(99, 34_000.0, 6_000.0, chans[0], 46.0));
+        Deployment::new(cells, PropagationModel::new(env, 2024))
+    }
+
+    #[test]
+    fn survey_is_bit_identical_to_the_per_call_loops() {
+        for env in [Environment::Urban, Environment::DenseUrban] {
+            let d = mixed_deployment(env);
+            let mut probe = SmallRng::seed_from_u64(0x9e7);
+            let mut points: Vec<Point> = (0..60)
+                .map(|_| {
+                    Point::new(
+                        probe.gen_range(-1_000.0..13_000.0),
+                        probe.gen_range(-1_000.0..13_000.0),
+                    )
+                })
+                .collect();
+            points.extend(d.cells().iter().take(3).map(|c| c.pos));
+            let (mut below_floor, mut inaudible) = (0, 0);
+            for (k, pos) in points.into_iter().enumerate() {
+                let survey = d.survey(pos);
+                let mut rng = SmallRng::seed_from_u64(k as u64);
+                let mut reference_rng = rng.clone();
+                let got = survey.measure(&mut rng);
+                let want = reference_measure_all(&d, pos, &mut reference_rng);
+                assert_eq!(got.len(), want.len(), "{env:?} at {pos:?}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.cell, g.channel), (w.cell, w.channel));
+                    assert_eq!(g.sample.rsrp.dbm().to_bits(), w.sample.rsrp.dbm().to_bits());
+                    assert_eq!(g.sample.rsrq.db().to_bits(), w.sample.rsrq.db().to_bits());
+                }
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    reference_rng.gen::<u64>(),
+                    "same noise draws"
+                );
+                for c in d.cells() {
+                    assert_eq!(
+                        survey.sinr(c.id).map(|s| s.0.to_bits()),
+                        reference_sinr(&d, c.id, pos).map(|s| s.0.to_bits()),
+                        "{env:?} SINR of {} at {pos:?}",
+                        c.id
+                    );
+                }
+                assert_eq!(survey.sinr(CellId(12_345)), None);
+                assert!(survey.medians.last().is_some_and(Option::is_none));
+                below_floor += survey
+                    .medians
+                    .iter()
+                    .flatten()
+                    .filter(|m| m.dbm < DETECTION_FLOOR_DBM)
+                    .count();
+                inaudible += survey.medians.iter().filter(|m| m.is_none()).count();
+            }
+            // Interferers below the floor and inaudible cells besides cell
+            // 99 both occur, so both skips above were exercised.
+            assert!(below_floor > 0, "{env:?}");
+            assert!(inaudible > 63, "{env:?}");
+        }
     }
 }

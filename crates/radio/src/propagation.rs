@@ -111,6 +111,14 @@ impl PropagationModel {
     /// scale, is independent across cells, and is reproducible from the
     /// seed alone.
     pub fn shadowing_db(&self, cell_label: u64, pos: Point) -> f64 {
+        self.shadowing_at(cell_label, &self.shadowing_point(pos))
+    }
+
+    /// The per-position part of [`PropagationModel::shadowing_db`]: which
+    /// lattice square `pos` falls in and its interpolation weights. It is
+    /// the same for every cell, so a UE measuring many cells at one
+    /// position computes it once.
+    pub fn shadowing_point(&self, pos: Point) -> ShadowingPoint {
         let dx = self.environment.decorrelation_distance_m();
         let gx = pos.x / dx;
         let gy = pos.y / dx;
@@ -118,13 +126,6 @@ impl PropagationModel {
         let iy = gy.floor() as i64;
         let fx = gx - gx.floor();
         let fy = gy - gy.floor();
-        let v00 = mm_rng::lattice_normal(self.seed, cell_label, ix, iy);
-        let v10 = mm_rng::lattice_normal(self.seed, cell_label, ix + 1, iy);
-        let v01 = mm_rng::lattice_normal(self.seed, cell_label, ix, iy + 1);
-        let v11 = mm_rng::lattice_normal(self.seed, cell_label, ix + 1, iy + 1);
-        let v0 = v00 + (v10 - v00) * fx;
-        let v1 = v01 + (v11 - v01) * fx;
-        let v = v0 + (v1 - v0) * fy;
         // Bilinear interpolation shrinks variance between lattice sites;
         // renormalize by the expected variance at the interpolation point so
         // sigma stays environment-accurate everywhere.
@@ -133,23 +134,67 @@ impl PropagationModel {
         let w01 = (1.0 - fx) * fy;
         let w11 = fx * fy;
         let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
-        self.environment.shadowing_sigma_db() * v / norm.max(1e-6)
+        ShadowingPoint {
+            x_labels: [ix as u64, (ix + 1) as u64].map(mm_rng::splitmix64),
+            y_labels: [iy as u64, (iy + 1) as u64].map(mm_rng::splitmix64),
+            fx,
+            fy,
+            norm: norm.max(1e-6),
+        }
+    }
+
+    /// The per-cell part of [`PropagationModel::shadowing_db`]: the cell's
+    /// four lattice normals at `point`, interpolated.
+    pub fn shadowing_at(&self, cell_label: u64, point: &ShadowingPoint) -> f64 {
+        // `sub_seed(k, l) = splitmix64(k ^ splitmix64(l))`, so with the
+        // lattice labels mixed once per position, each site hash below is
+        // exactly `sub_seed3(seed, cell_label, ix, iy)`.
+        let key = mm_rng::sub_seed(self.seed, cell_label);
+        let [kx0, kx1] = point.x_labels.map(|h| mm_rng::splitmix64(key ^ h));
+        let [hy0, hy1] = point.y_labels;
+        // Four calls, not a closure called four times: LLVM inlines these,
+        // so the four independent normals overlap in the pipeline.
+        let v00 = mm_rng::hash_normal(mm_rng::splitmix64(kx0 ^ hy0));
+        let v10 = mm_rng::hash_normal(mm_rng::splitmix64(kx1 ^ hy0));
+        let v01 = mm_rng::hash_normal(mm_rng::splitmix64(kx0 ^ hy1));
+        let v11 = mm_rng::hash_normal(mm_rng::splitmix64(kx1 ^ hy1));
+        let (fx, fy) = (point.fx, point.fy);
+        let v0 = v00 + (v10 - v00) * fx;
+        let v1 = v01 + (v11 - v01) * fx;
+        let v = v0 + (v1 - v0) * fy;
+        self.environment.shadowing_sigma_db() * v / point.norm
     }
 
     /// Median received power (no noise) for a transmitter of `tx_power_dbm`
-    /// at distance `d_m` on channel `chan`, including shadowing.
+    /// at distance `d_m` on channel `chan`, including the shadowing at
+    /// `point`.
     pub fn received_power(
         &self,
         cell_label: u64,
         tx_power_dbm: Dbm,
         d_m: f64,
         chan: ChannelNumber,
-        pos: Point,
+        point: &ShadowingPoint,
     ) -> Dbm {
         let pl = self.path_loss_db(d_m, chan);
-        let sh = self.shadowing_db(cell_label, pos);
+        let sh = self.shadowing_at(cell_label, point);
         Dbm(tx_power_dbm.0 - pl + sh)
     }
+}
+
+/// The position-only part of the shadowing field at one point (see
+/// [`PropagationModel::shadowing_point`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ShadowingPoint {
+    /// `splitmix64` of the lattice columns `ix` and `ix + 1`.
+    x_labels: [u64; 2],
+    /// `splitmix64` of the lattice rows `iy` and `iy + 1`.
+    y_labels: [u64; 2],
+    /// Fractional position inside the lattice square.
+    fx: f64,
+    fy: f64,
+    /// Interpolation variance normalizer, floored at `1e-6`.
+    norm: f64,
 }
 
 #[cfg(test)]
@@ -224,9 +269,75 @@ mod tests {
             Dbm(46.0),
             800.0,
             ChannelNumber::earfcn(850),
-            Point::new(800.0, 0.0),
+            &m.shadowing_point(Point::new(800.0, 0.0)),
         );
         assert!((-135.0..-70.0).contains(&p.0), "{}", p.0);
+    }
+
+    /// The pre-split `shadowing_db`: four independent `lattice_normal`
+    /// draws, interpolated.
+    fn reference_shadowing_db(m: &PropagationModel, cell_label: u64, pos: Point) -> f64 {
+        let dx = m.environment.decorrelation_distance_m();
+        let gx = pos.x / dx;
+        let gy = pos.y / dx;
+        let ix = gx.floor() as i64;
+        let iy = gy.floor() as i64;
+        let fx = gx - gx.floor();
+        let fy = gy - gy.floor();
+        let v00 = mm_rng::lattice_normal(m.seed, cell_label, ix, iy);
+        let v10 = mm_rng::lattice_normal(m.seed, cell_label, ix + 1, iy);
+        let v01 = mm_rng::lattice_normal(m.seed, cell_label, ix, iy + 1);
+        let v11 = mm_rng::lattice_normal(m.seed, cell_label, ix + 1, iy + 1);
+        let v0 = v00 + (v10 - v00) * fx;
+        let v1 = v01 + (v11 - v01) * fx;
+        let v = v0 + (v1 - v0) * fy;
+        let w00 = (1.0 - fx) * (1.0 - fy);
+        let w10 = fx * (1.0 - fy);
+        let w01 = (1.0 - fx) * fy;
+        let w11 = fx * fy;
+        let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
+        m.environment.shadowing_sigma_db() * v / norm.max(1e-6)
+    }
+
+    #[test]
+    fn split_shadowing_is_bit_identical_to_four_lattice_normals() {
+        use mm_rng::Rng;
+        let mut rng = mm_rng::SmallRng::seed_from_u64(0x5ad0);
+        let envs = [
+            Environment::DenseUrban,
+            Environment::Urban,
+            Environment::Suburban,
+            Environment::Highway,
+        ];
+        for (k, env) in envs.into_iter().enumerate() {
+            let m = PropagationModel::new(env, 1000 + k as u64);
+            let dx = env.decorrelation_distance_m();
+            let mut points: Vec<Point> = (0..200)
+                .map(|_| {
+                    Point::new(
+                        rng.gen_range(-25_000.0..25_000.0),
+                        rng.gen_range(-25_000.0..25_000.0),
+                    )
+                })
+                .collect();
+            // Exact lattice lines and corners, on both sides of the origin.
+            for i in [-3.0, -1.0, 0.0, 1.0, 7.0] {
+                points.push(Point::new(i * dx, 0.5 * dx));
+                points.push(Point::new(-0.25 * dx, i * dx));
+                points.push(Point::new(i * dx, -i * dx));
+            }
+            for pos in points {
+                for label in [0u64, 1, 77, u64::from(u32::MAX)] {
+                    let got = m.shadowing_db(label, pos);
+                    let want = reference_shadowing_db(&m, label, pos);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{env:?} cell {label} at {pos:?}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -215,8 +215,13 @@ impl_sample_range_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 // Sub-seeding: derive independent streams from a master seed.
 // ---------------------------------------------------------------------------
 
+// The hashing and lattice helpers below sit on the per-cell measurement hot
+// path of other crates; without LTO a non-generic function is only inlined
+// across crates when it is marked `#[inline]`.
+
 /// SplitMix64 step — a high-quality 64→64 bit mixer used to derive
 /// independent sub-seeds from a master seed plus a stream label.
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -225,11 +230,13 @@ pub fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// Derive a sub-seed from a master seed and an arbitrary stream label.
+#[inline]
 pub fn sub_seed(master: u64, label: u64) -> u64 {
     splitmix64(master ^ splitmix64(label))
 }
 
 /// Derive a sub-seed from a master seed and up to three stream labels.
+#[inline]
 pub fn sub_seed3(master: u64, a: u64, b: u64, c: u64) -> u64 {
     sub_seed(sub_seed(sub_seed(master, a), b), c)
 }
@@ -265,22 +272,35 @@ pub fn normal<R: RngCore + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
 /// spatially correlated shadowing fields (same site, same value, any order
 /// of evaluation).
 pub fn lattice_uniform(master: u64, cell: u64, ix: i64, iy: i64) -> f64 {
-    let h = sub_seed3(master, cell, ix as u64, iy as u64);
-    // 53-bit mantissa → [0, 1)
+    hash_uniform(sub_seed3(master, cell, ix as u64, iy as u64))
+}
+
+/// 53-bit mantissa of a site hash → `[0, 1)`.
+#[inline]
+fn hash_uniform(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Deterministic standard-normal value for an integer lattice site, via the
 /// inverse-CDF rational approximation of Acklam (max abs error ~1.15e-9).
+#[inline]
 pub fn lattice_normal(master: u64, cell: u64, ix: i64, iy: i64) -> f64 {
-    let p = lattice_uniform(master, cell, ix, iy).clamp(1e-12, 1.0 - 1e-12);
-    inverse_normal_cdf(p)
+    hash_normal(sub_seed3(master, cell, ix as u64, iy as u64))
+}
+
+/// The standard-normal value of a lattice-site hash: the tail of
+/// [`lattice_normal`] once `sub_seed3(master, cell, ix, iy)` is known, for
+/// callers that derive site hashes with shared intermediate seeds.
+#[inline]
+pub fn hash_normal(h: u64) -> f64 {
+    inverse_normal_cdf(hash_uniform(h).clamp(1e-12, 1.0 - 1e-12))
 }
 
 /// Acklam's inverse normal CDF approximation.
 // The coefficients are quoted exactly as published, including digits beyond
 // f64 round-trip precision.
 #[allow(clippy::excessive_precision)]
+#[inline]
 pub fn inverse_normal_cdf(p: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969683028665376e+01,

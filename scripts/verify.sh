@@ -20,6 +20,9 @@ cargo test -q --workspace
 # The scheduler determinism contract, explicitly (also part of the suite
 # above; kept separate so a violation is unmistakable in CI logs).
 cargo test -q --release --test determinism
+# The fleet golden hash and the 100k-UE run in the release build the
+# benchmark measures (the debug suite above skips the 100k run).
+cargo test -q --release --test fleet
 # The pipeline benchmark is its own workspace, so the builds above never
 # compile it: test it here so a public-API change cannot break it silently.
 cargo test -q --release --manifest-path benches/pipeline/Cargo.toml

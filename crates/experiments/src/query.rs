@@ -695,9 +695,7 @@ impl QueryEngine {
         let mut total = ScanStats::default();
         for (label, pred) in slices {
             let (text, scan, rows) = self.render_slice(&req.target, &pred)?;
-            total.groups_decoded += scan.groups_decoded;
-            total.groups_skipped += scan.groups_skipped;
-            total.rows_skipped += scan.rows_skipped;
+            total += scan;
             if rows == 0 {
                 continue;
             }
@@ -825,10 +823,7 @@ impl QueryEngine {
             for row in reader.by_ref() {
                 agg.push(&row?);
             }
-            let s = reader.scan_stats();
-            total.groups_decoded += s.groups_decoded;
-            total.groups_skipped += s.groups_skipped;
-            total.rows_skipped += s.rows_skipped;
+            total += reader.scan_stats();
         }
         Ok((agg, total))
     }

@@ -28,7 +28,7 @@ use crate::stream::D2Agg;
 use mm_store::{ArtifactCache, CacheKey, Cursor, StoreReader, StoreWriter};
 use mmcore::{MmError, StoreError};
 use mmlab::dataset::{D1, D2};
-use mmlab::store::D2StoreReader;
+use mmlab::store::{D2StoreReader, KIND_D2};
 use std::io::BufReader;
 use std::path::Path;
 
@@ -98,14 +98,7 @@ impl Manifest {
     }
 
     fn decode(bytes: &[u8]) -> Result<Manifest, MmError> {
-        let mut reader = StoreReader::new(bytes)?;
-        if reader.kind() != KIND_MANIFEST {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_MANIFEST:?}, found {:?}",
-                reader.kind()
-            ))
-            .into());
-        }
+        let mut reader = StoreReader::new(bytes, KIND_MANIFEST)?;
         let mut rounds = Vec::new();
         while let Some(block) = reader.next_block()? {
             if block.tag != TAG_ROUND {
@@ -270,13 +263,13 @@ impl RunStore {
             .write(&Self::manifest_key(ctx), &manifest.encode()?)
     }
 
-    /// The trailer-declared record count of a dataset entry, without
+    /// The trailer-declared record count of a D2 dataset entry, without
     /// decoding any rows.
     fn entry_records(&self, ctx: &Ctx, entry: &str) -> Result<Option<u64>, MmError> {
         let Some(file) = self.cache.open_entry(&Self::key(ctx, entry.to_string()))? else {
             return Ok(None);
         };
-        let mut reader = StoreReader::new(BufReader::new(file))?;
+        let mut reader = StoreReader::new(BufReader::new(file), KIND_D2)?;
         while reader.next_block()?.is_some() {}
         Ok(reader.records())
     }
@@ -341,14 +334,7 @@ impl RunStore {
         let Some(bytes) = self.cache.read(&Self::query_key(ctx, qhash))? else {
             return Ok(None);
         };
-        let mut reader = StoreReader::new(bytes.as_slice())?;
-        if reader.kind() != KIND_QUERY {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_QUERY:?}, found {:?}",
-                reader.kind()
-            ))
-            .into());
-        }
+        let mut reader = StoreReader::new(bytes.as_slice(), KIND_QUERY)?;
         let mut text: Option<String> = None;
         while let Some(block) = reader.next_block()? {
             match block.tag {
@@ -416,14 +402,7 @@ impl RunStore {
         let Some(bytes) = self.cache.read(&Self::run_key(ctx, ids))? else {
             return Ok(None);
         };
-        let mut reader = StoreReader::new(bytes.as_slice())?;
-        if reader.kind() != KIND_RUN {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_RUN:?}, found {:?}",
-                reader.kind()
-            ))
-            .into());
-        }
+        let mut reader = StoreReader::new(bytes.as_slice(), KIND_RUN)?;
         let mut outputs = Vec::new();
         let mut metrics_json: Option<String> = None;
         while let Some(block) = reader.next_block()? {

@@ -161,7 +161,7 @@ impl D2 {
         &'a self,
         pred: &'a Predicate,
     ) -> impl Iterator<Item = &'a ConfigSample> + 'a {
-        self.samples.iter().filter(move |s| pred.matches(s))
+        self.samples.iter().filter(move |s| pred.matches(*s))
     }
 
     /// Unique `(cell, value)` observations of one parameter for one carrier
@@ -271,7 +271,7 @@ impl D1 {
         &'a self,
         pred: &'a Predicate,
     ) -> impl Iterator<Item = &'a HandoffInstance> + 'a {
-        self.instances.iter().filter(move |i| pred.matches_d1(i))
+        self.instances.iter().filter(move |i| pred.matches(*i))
     }
 
     /// Merge another dataset in.

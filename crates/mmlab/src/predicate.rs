@@ -14,7 +14,7 @@
 //! assert!(!pred.is_any());
 //! ```
 
-use crate::dataset::{ConfigSample, HandoffInstance};
+use crate::store::RowSchema;
 use mmcarriers::city::City;
 use mmradio::band::Rat;
 
@@ -112,21 +112,11 @@ impl Predicate {
         }
     }
 
-    /// Whether a D2 row satisfies every set constraint.
-    pub fn matches(&self, s: &ConfigSample) -> bool {
-        self.carrier.as_deref().is_none_or(|c| c == s.carrier)
-            && self.city.is_none_or(|c| c == s.city)
-            && self.param.as_deref().is_none_or(|p| p == s.param)
-            && self.rat.is_none_or(|r| r == s.rat)
-            && self.round_max.is_none_or(|n| s.round <= n)
-    }
-
-    /// Whether a D1 row satisfies every set constraint. D1 instances have
-    /// no parameter/RAT/round fields, so only the carrier and city
-    /// constraints apply.
-    pub fn matches_d1(&self, i: &HandoffInstance) -> bool {
-        self.carrier.as_deref().is_none_or(|c| c == i.carrier)
-            && self.city.is_none_or(|c| c == i.city)
+    /// Whether a D2 or D1 row satisfies every set constraint its schema
+    /// has a field for. D1 instances have no parameter/RAT/round fields,
+    /// so only the carrier and city constraints apply to them.
+    pub fn matches<T: RowSchema>(&self, row: &T) -> bool {
+        T::matches(self, row)
     }
 
     /// Canonical textual form, stable across runs — the query cache keys
@@ -149,6 +139,7 @@ impl Predicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::ConfigSample;
     use mmradio::band::ChannelNumber;
     use mmradio::cell::CellId;
     use mmradio::geom::Point;

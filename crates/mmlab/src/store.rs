@@ -8,24 +8,28 @@
 //! `mm-store`'s job.
 //!
 //! A file is one dictionary block followed by row-group blocks of
-//! [`BLOCK_ROWS`] rows each; [`D2StoreReader`]/[`D1StoreReader`] stream
-//! rows block by block, never holding more than one group in memory.
+//! [`BLOCK_ROWS`] rows each. One generic codec serves both schemas: each
+//! row type implements a private schema trait (kind, columns, stats,
+//! pushdown filter, row match), and the single [`RowGroupReader`] — seen
+//! as [`D2StoreReader`]/[`D1StoreReader`] — streams rows block by block,
+//! never holding more than one group in memory.
 //!
 //! Format v2 row groups carry a small prefix before the columns: the
-//! declared column count (checked against the schema *before* any column
-//! is decoded, so a mismatched file fails fast with a typed error) and
-//! per-group vocabulary stats — the sorted dictionary ids of the carriers,
-//! cities, parameters (D2 also RAT tags) present in the group. A reader
-//! configured [`with_predicate`](D2StoreReader::with_predicate) consults
-//! the stats to *skip whole groups* whose vocabulary cannot satisfy the
-//! predicate, without touching their column bytes — predicate pushdown.
+//! declared row and column counts (checked against the payload size and
+//! the schema *before* any column is decoded, so a mismatched file fails
+//! fast with a typed error) and per-group vocabulary stats — the sorted
+//! dictionary ids of the carriers, cities, parameters (D2 also RAT tags)
+//! present in the group. A reader configured
+//! [`with_predicate`](RowGroupReader::with_predicate) consults the stats to
+//! *skip whole groups* whose vocabulary cannot satisfy the predicate,
+//! without touching their column bytes — predicate pushdown.
+
+mod rowgroup;
 
 use crate::dataset::{ConfigSample, HandoffInstance, D1, D2};
 use crate::predicate::Predicate;
-use mm_store::{
-    write_varint, Cursor, Dict, DictBuilder, F64Decoder, F64Encoder, StoreReader, StoreWriter,
-    UIntDecoder, UIntEncoder,
-};
+use mm_store::{DictBuilder, F64Decoder, F64Encoder, UIntDecoder, UIntEncoder};
+use mmcarriers::city::City;
 use mmcore::config::Quantity;
 use mmcore::events::{EventKind, ReportConfig};
 use mmcore::reselect::PriorityRelation;
@@ -34,6 +38,9 @@ use mmnetsim::run::{HandoffKind, HandoffRecord};
 use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
+pub(crate) use rowgroup::RowSchema;
+use rowgroup::{encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, ResolvedDict};
+pub use rowgroup::{RowGroupReader, ScanStats};
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
@@ -51,6 +58,14 @@ const TAG_ROWS: u8 = 2;
 /// working set stays bounded, large enough that per-block overhead (frame,
 /// column length prefixes) is noise.
 pub const BLOCK_ROWS: usize = 4096;
+
+/// Streaming D2 reader: yields one [`ConfigSample`] at a time.
+pub type D2StoreReader<R> = RowGroupReader<ConfigSample, R>;
+
+/// Streaming D1 reader: yields one [`HandoffInstance`] at a time. Its
+/// pushdown sees carrier and city only; D1 rows have no parameter or RAT
+/// columns.
+pub type D1StoreReader<R> = RowGroupReader<HandoffInstance, R>;
 
 // ---------------------------------------------------------------------------
 // Enum tags (stable wire values — append-only; never renumber)
@@ -177,461 +192,141 @@ fn push_event(e: &EventKind, tags: &mut UIntEncoder, params: &mut F64Encoder) {
 }
 
 // ---------------------------------------------------------------------------
-// Vocabulary interning
-// ---------------------------------------------------------------------------
-
-/// Re-intern a carrier code into the `&'static str` the carrier profiles
-/// own — dataset rows carry `&'static str`, so a decoded string must map
-/// back into the fixed vocabulary.
-fn intern_carrier(code: &str) -> Option<&'static str> {
-    mmcarriers::builtin::by_code(code).map(|p| p.code)
-}
-
-/// Parameter names the LTE crawler emits as string literals rather than
-/// through the core params tables (derived/pseudo-parameters of
-/// `crawler::extract_samples`). Reader-side interning falls back to this
-/// vocabulary after the per-RAT tables.
-const CRAWLER_PARAMS: &[&str] = &[
-    "cellReselectionPriority",
-    "q-Hyst",
-    "q-RxLevMin",
-    "s-IntraSearchP",
-    "s-NonIntraSearchP",
-    "threshServingLowP",
-    "t-ReselectionEUTRA",
-    "interFreqCellReselectionPriority",
-    "threshX-High",
-    "threshX-Low",
-    "a3-Offset",
-    "hysteresis",
-    "a5-Threshold1",
-    "a5-Threshold2",
-    "a5-TriggerQuantity",
-    "a2-Threshold",
-    "timeToTrigger",
-    "reportInterval",
-    "reportAmount",
-    "q-QualMin",
-    "q-OffsetCell",
-    "interFreq-q-RxLevMin",
-    "interFreq-q-OffsetFreq",
-    "t-ReselectionInterFreq",
-    "allowedMeasBandwidth",
-    "utra-CellReselectionPriority",
-    "utra-threshX-High",
-    "utra-threshX-Low",
-    "utra-q-RxLevMin",
-    "t-ReselectionUTRA",
-    "geran-CellReselectionPriority",
-    "geran-threshX-High",
-    "geran-threshX-Low",
-    "geran-q-RxLevMin",
-    "t-ReselectionGERAN",
-    "hrpd-CellReselectionPriority",
-    "threshX-HighHRPD",
-    "threshX-LowHRPD",
-    "1xrtt-CellReselectionPriority",
-    "threshX-High1XRTT",
-    "threshX-Low1XRTT",
-    "t-ReselectionCDMA2000",
-];
-
-/// Re-intern a parameter name (any RAT's table — SIB5/6/7/8 rows can
-/// reference neighbour-layer parameters — then the crawler's literal
-/// vocabulary). `&'static str` comparisons downstream are by value, so any
-/// static string with the right content is the right answer.
-fn intern_param(name: &str) -> Option<&'static str> {
-    for r in Rat::ALL {
-        if let Some(spec) = mmcore::params::lookup(r, name) {
-            return Some(spec.name);
-        }
-    }
-    CRAWLER_PARAMS.iter().find(|&&s| s == name).copied()
-}
-
-/// A decoded dictionary with its entries pre-resolved against the static
-/// vocabularies, once per file — carrier lookups rebuild every profile, so
-/// doing them per row would dominate decode time. An entry that resolves
-/// to nothing only becomes an error when a row actually references it in
-/// that role.
-struct ResolvedDict {
-    dict: Dict,
-    carriers: Vec<Option<&'static str>>,
-    params: Vec<Option<&'static str>>,
-}
-
-impl ResolvedDict {
-    fn new(dict: Dict) -> ResolvedDict {
-        let entries = 0..dict.len() as u64;
-        let carriers = entries
-            .clone()
-            .map(|i| dict.get(i).ok().and_then(intern_carrier))
-            .collect();
-        let params = entries
-            .map(|i| dict.get(i).ok().and_then(intern_param))
-            .collect();
-        ResolvedDict {
-            dict,
-            carriers,
-            params,
-        }
-    }
-
-    fn carrier(&self, id: u64) -> Result<&'static str, StoreError> {
-        let s = self.dict.get(id)?;
-        self.carriers
-            .get(id as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| StoreError::Schema(format!("unknown carrier code {s:?}")))
-    }
-
-    fn city(&self, id: u64) -> Result<mmcarriers::city::City, StoreError> {
-        Ok(mmcarriers::city::City::intern(self.dict.get(id)?))
-    }
-
-    fn param(&self, id: u64) -> Result<&'static str, StoreError> {
-        let s = self.dict.get(id)?;
-        self.params
-            .get(id as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| StoreError::Schema(format!("unknown parameter name {s:?}")))
-    }
-
-    /// The dictionary id of `s`, if this file's vocabulary contains it.
-    /// Dictionaries are small (a few hundred entries), so a linear probe
-    /// once per file is noise next to block decode.
-    fn find(&self, s: &str) -> Option<u64> {
-        (0..self.dict.len() as u64).find(|&i| self.dict.get(i).is_ok_and(|e| e == s))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Row-group plumbing (format v2: prefix + stats + columns)
-// ---------------------------------------------------------------------------
-
-/// Serialize a v2 row group: row count, column count, the per-group
-/// vocabulary stat lists (each a sorted run of varint ids), then the
-/// `len`-prefixed column byte strings.
-fn encode_group(n_rows: u64, stats: &[Vec<u64>], cols: Vec<Vec<u8>>) -> Vec<u8> {
-    let mut stats_buf = Vec::new();
-    for list in stats {
-        write_varint(&mut stats_buf, list.len() as u64);
-        for &id in list {
-            write_varint(&mut stats_buf, id);
-        }
-    }
-    let mut payload = Vec::new();
-    write_varint(&mut payload, n_rows);
-    write_varint(&mut payload, cols.len() as u64);
-    write_varint(&mut payload, stats_buf.len() as u64);
-    payload.extend_from_slice(&stats_buf);
-    for col in cols {
-        write_varint(&mut payload, col.len() as u64);
-        payload.extend_from_slice(&col);
-    }
-    payload
-}
-
-/// The decoded v2 group prefix: what a reader learns about a row group
-/// *before* committing to decode its columns.
-struct GroupPrefix<'a> {
-    n_rows: u64,
-    /// Sorted dictionary-id (or enum-tag) lists, one per stat dimension.
-    stats: Vec<Vec<u64>>,
-    /// Cursor positioned at the first column length.
-    cols: Cursor<'a>,
-}
-
-/// Parse a v2 group prefix. The declared column count is checked against
-/// the schema here — before any column byte is touched — so a file written
-/// under a different schema fails fast with a typed error instead of
-/// misdecoding columns.
-fn decode_group_prefix<'a>(
-    payload: &'a [u8],
-    expect_cols: usize,
-    n_stats: usize,
-) -> Result<GroupPrefix<'a>, MmError> {
-    let mut c = Cursor::new(payload);
-    let n_rows = c.read_varint().map_err(MmError::Store)?;
-    let n_cols = c.read_varint().map_err(MmError::Store)?;
-    if n_cols != expect_cols as u64 {
-        return Err(StoreError::Schema(format!(
-            "row group declares {n_cols} columns, schema expects {expect_cols}"
-        ))
-        .into());
-    }
-    let stats_len = c.read_varint().map_err(MmError::Store)?;
-    let stats_raw = c.read_bytes(stats_len as usize).map_err(MmError::Store)?;
-    let mut sc = Cursor::new(stats_raw);
-    let mut stats = Vec::with_capacity(n_stats);
-    for _ in 0..n_stats {
-        let n = sc.read_varint().map_err(MmError::Store)?;
-        if n > stats_len {
-            return Err(StoreError::Schema(format!(
-                "group stats list declares {n} ids in a {stats_len}-byte prefix"
-            ))
-            .into());
-        }
-        let mut list = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            list.push(sc.read_varint().map_err(MmError::Store)?);
-        }
-        stats.push(list);
-    }
-    if !sc.is_empty() {
-        return Err(StoreError::Schema("trailing bytes after group stats".to_string()).into());
-    }
-    Ok(GroupPrefix {
-        n_rows,
-        stats,
-        cols: c,
-    })
-}
-
-/// Read the column byte strings after a decoded prefix.
-fn read_columns<'a>(c: &mut Cursor<'a>, expect: usize) -> Result<Vec<&'a [u8]>, MmError> {
-    let mut cols = Vec::with_capacity(expect);
-    for _ in 0..expect {
-        let len = c.read_varint().map_err(MmError::Store)?;
-        cols.push(c.read_bytes(len as usize).map_err(MmError::Store)?);
-    }
-    if !c.is_empty() {
-        return Err(StoreError::Schema("trailing bytes after columns".to_string()).into());
-    }
-    Ok(cols)
-}
-
-// ---------------------------------------------------------------------------
-// Predicate pushdown
-// ---------------------------------------------------------------------------
-
-/// Per-scan accounting of what a pushdown reader did: how many row groups
-/// it decoded, how many it skipped on their stats alone, and how many rows
-/// those skipped groups held. Trailer accounting covers both paths —
-/// `declared == decoded + rows_skipped` — so a skip can never silently eat
-/// data.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Row groups whose columns were decoded.
-    pub groups_decoded: u64,
-    /// Row groups skipped via their vocabulary stats, columns untouched.
-    pub groups_skipped: u64,
-    /// Rows contained in the skipped groups.
-    pub rows_skipped: u64,
-}
-
-/// One resolved predicate dimension against a file's dictionary.
-#[derive(Debug, Clone, Copy)]
-enum IdSel {
-    /// Unconstrained: every group admits.
-    Any,
-    /// Constrained to a value the file's vocabulary does not contain:
-    /// no group can admit.
-    Absent,
-    /// Constrained to this dictionary id / enum tag.
-    One(u64),
-}
-
-impl IdSel {
-    fn admits(self, sorted_ids: &[u64]) -> bool {
-        match self {
-            IdSel::Any => true,
-            IdSel::Absent => false,
-            IdSel::One(id) => sorted_ids.binary_search(&id).is_ok(),
-        }
-    }
-}
-
-/// A predicate resolved into per-stat-dimension id selectors, aligned with
-/// the group stats lists.
-struct GroupFilter {
-    sels: Vec<IdSel>,
-}
-
-impl GroupFilter {
-    fn admits(&self, stats: &[Vec<u64>]) -> bool {
-        self.sels
-            .iter()
-            .zip(stats)
-            .all(|(sel, ids)| sel.admits(ids))
-    }
-}
-
-fn sel_str(want: Option<&str>, dict: &ResolvedDict) -> IdSel {
-    match want {
-        None => IdSel::Any,
-        Some(s) => dict.find(s).map_or(IdSel::Absent, IdSel::One),
-    }
-}
-
-/// Whether a predicate constrains any dimension the group stats cover
-/// (rounds are not in the stats — they are pruned at the campaign-manifest
-/// level, not per group).
-fn constrains_stats(pred: &Predicate) -> bool {
-    pred.carrier.is_some() || pred.city.is_some() || pred.param.is_some() || pred.rat.is_some()
-}
-
-/// Reject pre-v2 files whose row groups lack the column count and stats
-/// prefix — decoding them under the v2 layout would misparse columns; a
-/// clear schema error up front beats a garbled one mid-file.
-fn check_group_version<R: Read>(inner: &StoreReader<R>) -> Result<(), MmError> {
-    if inner.version() < 2 {
-        return Err(StoreError::Schema(format!(
-            "store format v{} predates per-group column stats; re-crawl to refresh the store",
-            inner.version()
-        ))
-        .into());
-    }
-    Ok(())
-}
-
-/// Publish one finished scan's group accounting to the `store` telemetry
-/// section (mirrors the blocks_read/bytes_read counters a layer down).
-fn publish_scan_stats(dataset: &str, stats: ScanStats) {
-    let t = mm_telemetry::global();
-    t.counter_scoped(
-        "store",
-        &format!("{dataset}_groups_decoded"),
-        mm_telemetry::Scope::Sim,
-    )
-    .add(stats.groups_decoded);
-    t.counter_scoped(
-        "store",
-        &format!("{dataset}_groups_skipped"),
-        mm_telemetry::Scope::Sim,
-    )
-    .add(stats.groups_skipped);
-}
-
-// ---------------------------------------------------------------------------
 // D2
 // ---------------------------------------------------------------------------
 
-/// Number of columns in a D2 row group.
-const D2_COLS: usize = 11;
-/// D2 group stat dimensions: carriers, cities, parameters, RAT tags.
-const D2_STATS: usize = 4;
+impl RowSchema for ConfigSample {
+    const KIND: &'static str = KIND_D2;
+    const LABEL: &'static str = "d2";
+    const COLS: usize = 11;
+    /// Carriers, cities, parameters, RAT tags.
+    const STATS: usize = 4;
 
-/// Resolve a predicate into D2 group-stat selectors (aligned with the
-/// [`D2_STATS`] list order of `d2_group_payload`).
-fn d2_filter(pred: &Predicate, dict: &ResolvedDict) -> GroupFilter {
-    GroupFilter {
-        sels: vec![
+    fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
+        // Rounds are not in the stats — they are pruned at the
+        // campaign-manifest level, not per group.
+        GroupFilter::new(vec![
             sel_str(pred.carrier.as_deref(), dict),
-            sel_str(pred.city.map(mmcarriers::city::City::as_str), dict),
+            sel_str(pred.city.map(City::as_str), dict),
             sel_str(pred.param.as_deref(), dict),
             pred.rat.map_or(IdSel::Any, |r| IdSel::One(rat_tag(r))),
-        ],
+        ])
     }
-}
 
-fn d2_group_payload(dict: &mut DictBuilder, rows: &[ConfigSample]) -> Vec<u8> {
-    let mut cell = UIntEncoder::new();
-    let mut carrier = UIntEncoder::new();
-    let mut city = UIntEncoder::new();
-    let mut rat = UIntEncoder::new();
-    let mut chan_rat = UIntEncoder::new();
-    let mut chan_num = UIntEncoder::new();
-    let mut pos_x = F64Encoder::new();
-    let mut pos_y = F64Encoder::new();
-    let mut round = UIntEncoder::new();
-    let mut param = UIntEncoder::new();
-    let mut value = F64Encoder::new();
-    let mut st_carrier = BTreeSet::new();
-    let mut st_city = BTreeSet::new();
-    let mut st_param = BTreeSet::new();
-    let mut st_rat = BTreeSet::new();
-    for s in rows {
-        cell.push(u64::from(s.cell.0));
-        let carrier_id = dict.intern(s.carrier);
-        carrier.push(carrier_id);
-        st_carrier.insert(carrier_id);
-        let city_id = dict.intern(s.city.as_str());
-        city.push(city_id);
-        st_city.insert(city_id);
-        let rat_v = rat_tag(s.rat);
-        rat.push(rat_v);
-        st_rat.insert(rat_v);
-        chan_rat.push(rat_tag(s.channel.rat));
-        chan_num.push(u64::from(s.channel.number));
-        pos_x.push(s.pos.x);
-        pos_y.push(s.pos.y);
-        round.push(u64::from(s.round));
-        let param_id = dict.intern(s.param);
-        param.push(param_id);
-        st_param.insert(param_id);
-        value.push(s.value);
+    fn encode(dict: &mut DictBuilder, rows: &[ConfigSample]) -> Result<Vec<u8>, MmError> {
+        let mut cell = UIntEncoder::new();
+        let mut carrier = UIntEncoder::new();
+        let mut city = UIntEncoder::new();
+        let mut rat = UIntEncoder::new();
+        let mut chan_rat = UIntEncoder::new();
+        let mut chan_num = UIntEncoder::new();
+        let mut pos_x = F64Encoder::new();
+        let mut pos_y = F64Encoder::new();
+        let mut round = UIntEncoder::new();
+        let mut param = UIntEncoder::new();
+        let mut value = F64Encoder::new();
+        let mut st_carrier = BTreeSet::new();
+        let mut st_city = BTreeSet::new();
+        let mut st_param = BTreeSet::new();
+        let mut st_rat = BTreeSet::new();
+        for s in rows {
+            // Enforce the ingest contract at the write boundary too, so a
+            // file can never be produced that the reader would reject.
+            s.check()?;
+            cell.push(u64::from(s.cell.0));
+            let carrier_id = dict.intern(s.carrier);
+            carrier.push(carrier_id);
+            st_carrier.insert(carrier_id);
+            let city_id = dict.intern(s.city.as_str());
+            city.push(city_id);
+            st_city.insert(city_id);
+            let rat_v = rat_tag(s.rat);
+            rat.push(rat_v);
+            st_rat.insert(rat_v);
+            chan_rat.push(rat_tag(s.channel.rat));
+            chan_num.push(u64::from(s.channel.number));
+            pos_x.push(s.pos.x);
+            pos_y.push(s.pos.y);
+            round.push(u64::from(s.round));
+            let param_id = dict.intern(s.param);
+            param.push(param_id);
+            st_param.insert(param_id);
+            value.push(s.value);
+        }
+        Ok(encode_group(
+            rows.len(),
+            &[st_carrier, st_city, st_param, st_rat],
+            &[
+                cell.finish(),
+                carrier.finish(),
+                city.finish(),
+                rat.finish(),
+                chan_rat.finish(),
+                chan_num.finish(),
+                pos_x.finish(),
+                pos_y.finish(),
+                round.finish(),
+                param.finish(),
+                value.finish(),
+            ],
+        ))
     }
-    let stats: Vec<Vec<u64>> = [st_carrier, st_city, st_param, st_rat]
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect();
-    encode_group(
-        rows.len() as u64,
-        &stats,
-        vec![
-            cell.finish(),
-            carrier.finish(),
-            city.finish(),
-            rat.finish(),
-            chan_rat.finish(),
-            chan_num.finish(),
-            pos_x.finish(),
-            pos_y.finish(),
-            round.finish(),
-            param.finish(),
-            value.finish(),
-        ],
-    )
-}
 
-fn d2_decode_group(
-    dict: &ResolvedDict,
-    prefix: GroupPrefix<'_>,
-) -> Result<Vec<ConfigSample>, MmError> {
-    let GroupPrefix {
-        n_rows, mut cols, ..
-    } = prefix;
-    let cols = read_columns(&mut cols, D2_COLS)?;
-    let mut cell = UIntDecoder::new(cols[0]);
-    let mut carrier = UIntDecoder::new(cols[1]);
-    let mut city = UIntDecoder::new(cols[2]);
-    let mut rat = UIntDecoder::new(cols[3]);
-    let mut chan_rat = UIntDecoder::new(cols[4]);
-    let mut chan_num = UIntDecoder::new(cols[5]);
-    let mut pos_x = F64Decoder::new(cols[6]);
-    let mut pos_y = F64Decoder::new(cols[7]);
-    let mut round = UIntDecoder::new(cols[8]);
-    let mut param = UIntDecoder::new(cols[9]);
-    let mut value = F64Decoder::new(cols[10]);
-    let mut out = Vec::with_capacity(n_rows as usize);
-    for _ in 0..n_rows {
-        let rat_v = rat_from(rat.read()?)?;
-        let carrier_v = dict.carrier(carrier.read()?)?;
-        let city_v = dict.city(city.read()?)?;
-        let param_v = dict.param(param.read()?)?;
-        let s = ConfigSample {
-            cell: CellId(cell.read_u32()?),
-            carrier: carrier_v,
-            city: city_v,
-            rat: rat_v,
-            channel: ChannelNumber {
-                rat: rat_from(chan_rat.read()?)?,
-                number: chan_num.read_u32()?,
-            },
-            pos: Point::new(pos_x.read()?, pos_y.read()?),
-            round: round.read_u32()?,
-            param: param_v,
-            value: value.read()?,
-        };
-        // A decoded value outside the ingest contract is a malformed file,
-        // not a usage error: surface it as a schema failure.
-        s.check().map_err(|e| StoreError::Schema(e.to_string()))?;
-        out.push(s);
+    fn decode(
+        dict: &ResolvedDict,
+        n_rows: u64,
+        cols: &[&[u8]],
+    ) -> Result<Vec<ConfigSample>, MmError> {
+        let mut cell = UIntDecoder::new(cols[0]);
+        let mut carrier = UIntDecoder::new(cols[1]);
+        let mut city = UIntDecoder::new(cols[2]);
+        let mut rat = UIntDecoder::new(cols[3]);
+        let mut chan_rat = UIntDecoder::new(cols[4]);
+        let mut chan_num = UIntDecoder::new(cols[5]);
+        let mut pos_x = F64Decoder::new(cols[6]);
+        let mut pos_y = F64Decoder::new(cols[7]);
+        let mut round = UIntDecoder::new(cols[8]);
+        let mut param = UIntDecoder::new(cols[9]);
+        let mut value = F64Decoder::new(cols[10]);
+        let mut out = Vec::with_capacity(n_rows as usize);
+        for _ in 0..n_rows {
+            let rat_v = rat_from(rat.read()?)?;
+            let carrier_v = dict.carrier(carrier.read()?)?;
+            let city_v = dict.city(city.read()?)?;
+            let param_v = dict.param(param.read()?)?;
+            let s = ConfigSample {
+                cell: CellId(cell.read_u32()?),
+                carrier: carrier_v,
+                city: city_v,
+                rat: rat_v,
+                channel: ChannelNumber {
+                    rat: rat_from(chan_rat.read()?)?,
+                    number: chan_num.read_u32()?,
+                },
+                pos: Point::new(pos_x.read()?, pos_y.read()?),
+                round: round.read_u32()?,
+                param: param_v,
+                value: value.read()?,
+            };
+            // A decoded value outside the ingest contract is a malformed
+            // file, not a usage error: surface it as a schema failure.
+            s.check().map_err(|e| StoreError::Schema(e.to_string()))?;
+            out.push(s);
+        }
+        Ok(out)
     }
-    Ok(out)
+
+    fn matches(pred: &Predicate, s: &ConfigSample) -> bool {
+        pred.carrier.as_deref().is_none_or(|c| c == s.carrier)
+            && pred.city.is_none_or(|c| c == s.city)
+            && pred.param.as_deref().is_none_or(|p| p == s.param)
+            && pred.rat.is_none_or(|r| r == s.rat)
+            && pred.round_max.is_none_or(|n| s.round <= n)
+    }
+
+    fn shift_round(&mut self, rounds: u32) {
+        self.round += rounds;
+    }
 }
 
 impl D2 {
@@ -642,233 +337,16 @@ impl D2 {
     }
 
     /// Write with an explicit row-group size (tests use small groups to
-    /// exercise multi-block streaming).
+    /// exercise multi-block streaming). Every row must pass
+    /// [`ConfigSample::check`].
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        let block_rows = block_rows.max(1);
-        // Enforce the ingest contract at the write boundary too, so a file
-        // can never be produced that the reader would reject.
-        for s in self.iter() {
-            s.check()?;
-        }
-        let samples: Vec<&ConfigSample> = self.iter().collect();
-        // The dictionary block must precede the row groups it describes, so
-        // intern every string first.
-        let mut dict = DictBuilder::new();
-        let mut groups = Vec::new();
-        for chunk in samples.chunks(block_rows) {
-            let rows: Vec<ConfigSample> = chunk.iter().map(|&s| s.clone()).collect();
-            groups.push(d2_group_payload(&mut dict, &rows));
-        }
-        let mut writer = StoreWriter::new(w, KIND_D2)?;
-        writer.write_block(TAG_DICT, &dict.encode())?;
-        for g in &groups {
-            writer.write_block(TAG_ROWS, g)?;
-        }
-        writer.finish(samples.len() as u64)
+        write_rows(self.iter().as_slice(), w, block_rows)
     }
 
     /// Read a dataset written by [`write_store`](D2::write_store),
     /// streaming block by block.
     pub fn read_store<R: Read>(r: R) -> Result<D2, MmError> {
-        let mut samples = Vec::new();
-        for row in D2StoreReader::new(r)? {
-            samples.push(row?);
-        }
-        Ok(D2::from_samples(samples))
-    }
-}
-
-/// Streaming D2 reader: yields one [`ConfigSample`] at a time, decoding one
-/// row group per block — the whole dataset is never materialized here.
-///
-/// Configure before iterating:
-/// [`with_predicate`](Self::with_predicate) skips whole row groups via
-/// their vocabulary stats and row-filters the rest;
-/// [`scan_with_predicate`](Self::scan_with_predicate) row-filters only
-/// (the full-scan baseline); [`with_round_offset`](Self::with_round_offset)
-/// shifts decoded rounds for appended campaign rounds.
-pub struct D2StoreReader<R: Read> {
-    inner: StoreReader<R>,
-    dict: Option<ResolvedDict>,
-    buf: std::vec::IntoIter<ConfigSample>,
-    decoded: u64,
-    done: bool,
-    pred: Predicate,
-    pushdown: bool,
-    filter: Option<GroupFilter>,
-    round_offset: u32,
-    stats: ScanStats,
-}
-
-impl<R: Read> D2StoreReader<R> {
-    /// Open a store stream and validate its header.
-    pub fn new(r: R) -> Result<Self, MmError> {
-        let inner = StoreReader::new(r)?;
-        if inner.kind() != KIND_D2 {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_D2:?}, found {:?}",
-                inner.kind()
-            ))
-            .into());
-        }
-        check_group_version(&inner)?;
-        Ok(D2StoreReader {
-            inner,
-            dict: None,
-            buf: Vec::new().into_iter(),
-            decoded: 0,
-            done: false,
-            pred: Predicate::any(),
-            pushdown: false,
-            filter: None,
-            round_offset: 0,
-            stats: ScanStats::default(),
-        })
-    }
-
-    /// Yield only rows matching `pred`, skipping whole row groups whose
-    /// vocabulary stats rule the predicate out — their column bytes are
-    /// never decoded, and (like any column store that prunes on page
-    /// stats) their checksums are not verified either; only groups that
-    /// contribute rows pay the CRC pass. Call before iterating.
-    pub fn with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = true;
-        self
-    }
-
-    /// Yield only rows matching `pred`, decoding *every* group (no block
-    /// skipping) — the full-scan baseline pushdown is measured against.
-    pub fn scan_with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = false;
-        self
-    }
-
-    /// Shift every decoded row's round by `rounds` — how appended campaign
-    /// rounds (stored with local rounds starting at 0) surface under the
-    /// global round index.
-    pub fn with_round_offset(mut self, rounds: u32) -> Self {
-        self.round_offset = rounds;
-        self
-    }
-
-    /// What this scan decoded vs skipped so far (complete once iteration
-    /// has finished).
-    pub fn scan_stats(&self) -> ScanStats {
-        self.stats
-    }
-
-    fn refill(&mut self) -> Result<bool, MmError> {
-        loop {
-            // With a pushdown filter armed, each row group's stats prefix
-            // is consulted before the checksum pass: a rejected group's
-            // column bytes and CRC are never touched. A prefix that fails
-            // to parse is admitted so the verified path below reports the
-            // real (typed) error.
-            let Self {
-                inner,
-                filter,
-                stats,
-                ..
-            } = self;
-            let next = if let Some(f) = filter.as_ref() {
-                inner.next_block_if(&mut |tag, payload| {
-                    if tag != TAG_ROWS {
-                        return true;
-                    }
-                    let Ok(prefix) = decode_group_prefix(payload, D2_COLS, D2_STATS) else {
-                        return true;
-                    };
-                    if f.admits(&prefix.stats) {
-                        return true;
-                    }
-                    stats.groups_skipped += 1;
-                    stats.rows_skipped += prefix.n_rows;
-                    false
-                })?
-            } else {
-                inner.next_block()?
-            };
-            let Some(block) = next else {
-                let declared = self.inner.records().unwrap_or(0);
-                let seen = self.decoded + self.stats.rows_skipped;
-                if declared != seen {
-                    return Err(StoreError::Schema(format!(
-                        "trailer declares {declared} rows, saw {seen}"
-                    ))
-                    .into());
-                }
-                publish_scan_stats("d2", self.stats);
-                return Ok(false);
-            };
-            match block.tag {
-                TAG_DICT => {
-                    let dict =
-                        ResolvedDict::new(Dict::decode(&block.payload).map_err(MmError::Store)?);
-                    if self.pushdown && constrains_stats(&self.pred) {
-                        self.filter = Some(d2_filter(&self.pred, &dict));
-                    }
-                    self.dict = Some(dict);
-                }
-                TAG_ROWS => {
-                    let dict = self.dict.as_ref().ok_or_else(|| {
-                        StoreError::Schema("row group before dictionary".to_string())
-                    })?;
-                    let prefix = decode_group_prefix(&block.payload, D2_COLS, D2_STATS)?;
-                    if let Some(f) = &self.filter {
-                        if !f.admits(&prefix.stats) {
-                            self.stats.groups_skipped += 1;
-                            self.stats.rows_skipped += prefix.n_rows;
-                            continue;
-                        }
-                    }
-                    let mut rows = d2_decode_group(dict, prefix)?;
-                    self.stats.groups_decoded += 1;
-                    self.decoded += rows.len() as u64;
-                    if self.round_offset != 0 {
-                        for s in &mut rows {
-                            s.round += self.round_offset;
-                        }
-                    }
-                    if !self.pred.is_any() {
-                        let pred = &self.pred;
-                        rows.retain(|s| pred.matches(s));
-                    }
-                    self.buf = rows.into_iter();
-                    return Ok(true);
-                }
-                t => {
-                    return Err(StoreError::Schema(format!("unknown block tag {t}")).into());
-                }
-            }
-        }
-    }
-}
-
-impl<R: Read> Iterator for D2StoreReader<R> {
-    type Item = Result<ConfigSample, MmError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(Ok(row));
-            }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        read_rows(r).map(D2::from_samples)
     }
 }
 
@@ -876,239 +354,240 @@ impl<R: Read> Iterator for D2StoreReader<R> {
 // D1
 // ---------------------------------------------------------------------------
 
-/// Number of columns in a D1 row group.
-const D1_COLS: usize = 26;
-/// D1 group stat dimensions: carriers, cities (handoff instances carry no
-/// parameter or RAT field).
-const D1_STATS: usize = 2;
+impl RowSchema for HandoffInstance {
+    const KIND: &'static str = KIND_D1;
+    const LABEL: &'static str = "d1";
+    const COLS: usize = 26;
+    /// Carriers, cities (handoff instances carry no parameter or RAT
+    /// field).
+    const STATS: usize = 2;
 
-/// Resolve a predicate into D1 group-stat selectors. Parameter/RAT
-/// constraints have no D1 column to match against, so (as in
-/// [`Predicate::matches_d1`]) they do not constrain the scan.
-fn d1_filter(pred: &Predicate, dict: &ResolvedDict) -> GroupFilter {
-    GroupFilter {
-        sels: vec![
+    fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
+        GroupFilter::new(vec![
             sel_str(pred.carrier.as_deref(), dict),
-            sel_str(pred.city.map(mmcarriers::city::City::as_str), dict),
-        ],
+            sel_str(pred.city.map(City::as_str), dict),
+        ])
     }
-}
 
-fn d1_group_payload(dict: &mut DictBuilder, rows: &[HandoffInstance]) -> Vec<u8> {
-    let mut carrier = UIntEncoder::new();
-    let mut city = UIntEncoder::new();
-    let mut t_ms = UIntEncoder::new();
-    let mut from = UIntEncoder::new();
-    let mut to = UIntEncoder::new();
-    let mut kind = UIntEncoder::new();
-    let mut idle_rel = UIntEncoder::new();
-    let mut evt_tag = UIntEncoder::new();
-    let mut evt_params = F64Encoder::new();
-    let mut quantity = UIntEncoder::new();
-    let mut has_rc = UIntEncoder::new();
-    let mut rc_evt_tag = UIntEncoder::new();
-    let mut rc_evt_params = F64Encoder::new();
-    let mut rc_quantity = UIntEncoder::new();
-    let mut rc_hyst = F64Encoder::new();
-    let mut rc_ttt = UIntEncoder::new();
-    let mut rc_interval = UIntEncoder::new();
-    let mut rc_amount = UIntEncoder::new();
-    let mut report_t = UIntEncoder::new();
-    let mut cmd_delay = UIntEncoder::new();
-    let mut rsrp_old = F64Encoder::new();
-    let mut rsrp_new = F64Encoder::new();
-    let mut rsrq_old = F64Encoder::new();
-    let mut rsrq_new = F64Encoder::new();
-    let mut has_thpt = UIntEncoder::new();
-    let mut thpt = F64Encoder::new();
-    let mut st_carrier = BTreeSet::new();
-    let mut st_city = BTreeSet::new();
-    for i in rows {
-        let r = &i.record;
-        let carrier_id = dict.intern(i.carrier);
-        carrier.push(carrier_id);
-        st_carrier.insert(carrier_id);
-        let city_id = dict.intern(i.city.as_str());
-        city.push(city_id);
-        st_city.insert(city_id);
-        t_ms.push(r.t_ms);
-        from.push(u64::from(r.from.0));
-        to.push(u64::from(r.to.0));
-        match &r.kind {
-            HandoffKind::Idle { relation } => {
-                kind.push(0);
-                idle_rel.push(relation_tag(*relation));
-            }
-            HandoffKind::Active {
-                decisive,
-                quantity: q,
-                report_config,
-                report_t_ms,
-                command_delay_ms,
-            } => {
-                kind.push(1);
-                push_event(decisive, &mut evt_tag, &mut evt_params);
-                quantity.push(quantity_tag(*q));
-                match report_config {
-                    None => has_rc.push(0),
-                    Some(rc) => {
-                        has_rc.push(1);
-                        push_event(&rc.event, &mut rc_evt_tag, &mut rc_evt_params);
-                        rc_quantity.push(quantity_tag(rc.quantity));
-                        rc_hyst.push(rc.hysteresis_db);
-                        rc_ttt.push(u64::from(rc.time_to_trigger_ms));
-                        rc_interval.push(u64::from(rc.report_interval_ms));
-                        rc_amount.push(u64::from(rc.report_amount));
-                    }
+    fn encode(dict: &mut DictBuilder, rows: &[HandoffInstance]) -> Result<Vec<u8>, MmError> {
+        let mut carrier = UIntEncoder::new();
+        let mut city = UIntEncoder::new();
+        let mut t_ms = UIntEncoder::new();
+        let mut from = UIntEncoder::new();
+        let mut to = UIntEncoder::new();
+        let mut kind = UIntEncoder::new();
+        let mut idle_rel = UIntEncoder::new();
+        let mut evt_tag = UIntEncoder::new();
+        let mut evt_params = F64Encoder::new();
+        let mut quantity = UIntEncoder::new();
+        let mut has_rc = UIntEncoder::new();
+        let mut rc_evt_tag = UIntEncoder::new();
+        let mut rc_evt_params = F64Encoder::new();
+        let mut rc_quantity = UIntEncoder::new();
+        let mut rc_hyst = F64Encoder::new();
+        let mut rc_ttt = UIntEncoder::new();
+        let mut rc_interval = UIntEncoder::new();
+        let mut rc_amount = UIntEncoder::new();
+        let mut report_t = UIntEncoder::new();
+        let mut cmd_delay = UIntEncoder::new();
+        let mut rsrp_old = F64Encoder::new();
+        let mut rsrp_new = F64Encoder::new();
+        let mut rsrq_old = F64Encoder::new();
+        let mut rsrq_new = F64Encoder::new();
+        let mut has_thpt = UIntEncoder::new();
+        let mut thpt = F64Encoder::new();
+        let mut st_carrier = BTreeSet::new();
+        let mut st_city = BTreeSet::new();
+        for i in rows {
+            let r = &i.record;
+            let carrier_id = dict.intern(i.carrier);
+            carrier.push(carrier_id);
+            st_carrier.insert(carrier_id);
+            let city_id = dict.intern(i.city.as_str());
+            city.push(city_id);
+            st_city.insert(city_id);
+            t_ms.push(r.t_ms);
+            from.push(u64::from(r.from.0));
+            to.push(u64::from(r.to.0));
+            match &r.kind {
+                HandoffKind::Idle { relation } => {
+                    kind.push(0);
+                    idle_rel.push(relation_tag(*relation));
                 }
-                report_t.push(*report_t_ms);
-                cmd_delay.push(*command_delay_ms);
-            }
-        }
-        rsrp_old.push(r.rsrp_old_dbm);
-        rsrp_new.push(r.rsrp_new_dbm);
-        rsrq_old.push(r.rsrq_old_db);
-        rsrq_new.push(r.rsrq_new_db);
-        match r.min_thpt_before_bps {
-            None => has_thpt.push(0),
-            Some(v) => {
-                has_thpt.push(1);
-                thpt.push(v);
-            }
-        }
-    }
-    let stats: Vec<Vec<u64>> = [st_carrier, st_city]
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect();
-    encode_group(
-        rows.len() as u64,
-        &stats,
-        vec![
-            carrier.finish(),
-            city.finish(),
-            t_ms.finish(),
-            from.finish(),
-            to.finish(),
-            kind.finish(),
-            idle_rel.finish(),
-            evt_tag.finish(),
-            evt_params.finish(),
-            quantity.finish(),
-            has_rc.finish(),
-            rc_evt_tag.finish(),
-            rc_evt_params.finish(),
-            rc_quantity.finish(),
-            rc_hyst.finish(),
-            rc_ttt.finish(),
-            rc_interval.finish(),
-            rc_amount.finish(),
-            report_t.finish(),
-            cmd_delay.finish(),
-            rsrp_old.finish(),
-            rsrp_new.finish(),
-            rsrq_old.finish(),
-            rsrq_new.finish(),
-            has_thpt.finish(),
-            thpt.finish(),
-        ],
-    )
-}
-
-fn d1_decode_group(
-    dict: &ResolvedDict,
-    prefix: GroupPrefix<'_>,
-) -> Result<Vec<HandoffInstance>, MmError> {
-    let GroupPrefix {
-        n_rows, mut cols, ..
-    } = prefix;
-    let cols = read_columns(&mut cols, D1_COLS)?;
-    let mut carrier = UIntDecoder::new(cols[0]);
-    let mut city = UIntDecoder::new(cols[1]);
-    let mut t_ms = UIntDecoder::new(cols[2]);
-    let mut from = UIntDecoder::new(cols[3]);
-    let mut to = UIntDecoder::new(cols[4]);
-    let mut kind = UIntDecoder::new(cols[5]);
-    let mut idle_rel = UIntDecoder::new(cols[6]);
-    let mut evt_tag = UIntDecoder::new(cols[7]);
-    let mut evt_params = F64Decoder::new(cols[8]);
-    let mut quantity = UIntDecoder::new(cols[9]);
-    let mut has_rc = UIntDecoder::new(cols[10]);
-    let mut rc_evt_tag = UIntDecoder::new(cols[11]);
-    let mut rc_evt_params = F64Decoder::new(cols[12]);
-    let mut rc_quantity = UIntDecoder::new(cols[13]);
-    let mut rc_hyst = F64Decoder::new(cols[14]);
-    let mut rc_ttt = UIntDecoder::new(cols[15]);
-    let mut rc_interval = UIntDecoder::new(cols[16]);
-    let mut rc_amount = UIntDecoder::new(cols[17]);
-    let mut report_t = UIntDecoder::new(cols[18]);
-    let mut cmd_delay = UIntDecoder::new(cols[19]);
-    let mut rsrp_old = F64Decoder::new(cols[20]);
-    let mut rsrp_new = F64Decoder::new(cols[21]);
-    let mut rsrq_old = F64Decoder::new(cols[22]);
-    let mut rsrq_new = F64Decoder::new(cols[23]);
-    let mut has_thpt = UIntDecoder::new(cols[24]);
-    let mut thpt = F64Decoder::new(cols[25]);
-    let mut out = Vec::with_capacity(n_rows as usize);
-    for _ in 0..n_rows {
-        let carrier_v = dict.carrier(carrier.read()?)?;
-        let city_v = dict.city(city.read()?)?;
-        let t = t_ms.read()?;
-        let from_v = CellId(from.read_u32()?);
-        let to_v = CellId(to.read_u32()?);
-        let kind_v = match kind.read()? {
-            0 => HandoffKind::Idle {
-                relation: relation_from(idle_rel.read()?)?,
-            },
-            1 => {
-                let decisive = event_from(evt_tag.read()?, &mut evt_params)?;
-                let q = quantity_from(quantity.read()?)?;
-                let report_config = match has_rc.read()? {
-                    0 => None,
-                    1 => Some(ReportConfig {
-                        event: event_from(rc_evt_tag.read()?, &mut rc_evt_params)?,
-                        quantity: quantity_from(rc_quantity.read()?)?,
-                        hysteresis_db: rc_hyst.read()?,
-                        time_to_trigger_ms: rc_ttt.read_u32()?,
-                        report_interval_ms: rc_interval.read_u32()?,
-                        report_amount: rc_amount.read_u8()?,
-                    }),
-                    t => {
-                        return Err(StoreError::Schema(format!("bad option flag {t}")).into());
-                    }
-                };
                 HandoffKind::Active {
                     decisive,
                     quantity: q,
                     report_config,
-                    report_t_ms: report_t.read()?,
-                    command_delay_ms: cmd_delay.read()?,
+                    report_t_ms,
+                    command_delay_ms,
+                } => {
+                    kind.push(1);
+                    push_event(decisive, &mut evt_tag, &mut evt_params);
+                    quantity.push(quantity_tag(*q));
+                    match report_config {
+                        None => has_rc.push(0),
+                        Some(rc) => {
+                            has_rc.push(1);
+                            push_event(&rc.event, &mut rc_evt_tag, &mut rc_evt_params);
+                            rc_quantity.push(quantity_tag(rc.quantity));
+                            rc_hyst.push(rc.hysteresis_db);
+                            rc_ttt.push(u64::from(rc.time_to_trigger_ms));
+                            rc_interval.push(u64::from(rc.report_interval_ms));
+                            rc_amount.push(u64::from(rc.report_amount));
+                        }
+                    }
+                    report_t.push(*report_t_ms);
+                    cmd_delay.push(*command_delay_ms);
                 }
             }
-            t => return Err(StoreError::Schema(format!("unknown handoff kind tag {t}")).into()),
-        };
-        let record = HandoffRecord {
-            t_ms: t,
-            from: from_v,
-            to: to_v,
-            kind: kind_v,
-            rsrp_old_dbm: rsrp_old.read()?,
-            rsrp_new_dbm: rsrp_new.read()?,
-            rsrq_old_db: rsrq_old.read()?,
-            rsrq_new_db: rsrq_new.read()?,
-            min_thpt_before_bps: match has_thpt.read()? {
-                0 => None,
-                1 => Some(thpt.read()?),
-                t => return Err(StoreError::Schema(format!("bad option flag {t}")).into()),
-            },
-        };
-        out.push(HandoffInstance {
-            carrier: carrier_v,
-            city: city_v,
-            record,
-        });
+            rsrp_old.push(r.rsrp_old_dbm);
+            rsrp_new.push(r.rsrp_new_dbm);
+            rsrq_old.push(r.rsrq_old_db);
+            rsrq_new.push(r.rsrq_new_db);
+            match r.min_thpt_before_bps {
+                None => has_thpt.push(0),
+                Some(v) => {
+                    has_thpt.push(1);
+                    thpt.push(v);
+                }
+            }
+        }
+        Ok(encode_group(
+            rows.len(),
+            &[st_carrier, st_city],
+            &[
+                carrier.finish(),
+                city.finish(),
+                t_ms.finish(),
+                from.finish(),
+                to.finish(),
+                kind.finish(),
+                idle_rel.finish(),
+                evt_tag.finish(),
+                evt_params.finish(),
+                quantity.finish(),
+                has_rc.finish(),
+                rc_evt_tag.finish(),
+                rc_evt_params.finish(),
+                rc_quantity.finish(),
+                rc_hyst.finish(),
+                rc_ttt.finish(),
+                rc_interval.finish(),
+                rc_amount.finish(),
+                report_t.finish(),
+                cmd_delay.finish(),
+                rsrp_old.finish(),
+                rsrp_new.finish(),
+                rsrq_old.finish(),
+                rsrq_new.finish(),
+                has_thpt.finish(),
+                thpt.finish(),
+            ],
+        ))
     }
-    Ok(out)
+
+    fn decode(
+        dict: &ResolvedDict,
+        n_rows: u64,
+        cols: &[&[u8]],
+    ) -> Result<Vec<HandoffInstance>, MmError> {
+        let mut carrier = UIntDecoder::new(cols[0]);
+        let mut city = UIntDecoder::new(cols[1]);
+        let mut t_ms = UIntDecoder::new(cols[2]);
+        let mut from = UIntDecoder::new(cols[3]);
+        let mut to = UIntDecoder::new(cols[4]);
+        let mut kind = UIntDecoder::new(cols[5]);
+        let mut idle_rel = UIntDecoder::new(cols[6]);
+        let mut evt_tag = UIntDecoder::new(cols[7]);
+        let mut evt_params = F64Decoder::new(cols[8]);
+        let mut quantity = UIntDecoder::new(cols[9]);
+        let mut has_rc = UIntDecoder::new(cols[10]);
+        let mut rc_evt_tag = UIntDecoder::new(cols[11]);
+        let mut rc_evt_params = F64Decoder::new(cols[12]);
+        let mut rc_quantity = UIntDecoder::new(cols[13]);
+        let mut rc_hyst = F64Decoder::new(cols[14]);
+        let mut rc_ttt = UIntDecoder::new(cols[15]);
+        let mut rc_interval = UIntDecoder::new(cols[16]);
+        let mut rc_amount = UIntDecoder::new(cols[17]);
+        let mut report_t = UIntDecoder::new(cols[18]);
+        let mut cmd_delay = UIntDecoder::new(cols[19]);
+        let mut rsrp_old = F64Decoder::new(cols[20]);
+        let mut rsrp_new = F64Decoder::new(cols[21]);
+        let mut rsrq_old = F64Decoder::new(cols[22]);
+        let mut rsrq_new = F64Decoder::new(cols[23]);
+        let mut has_thpt = UIntDecoder::new(cols[24]);
+        let mut thpt = F64Decoder::new(cols[25]);
+        let mut out = Vec::with_capacity(n_rows as usize);
+        for _ in 0..n_rows {
+            let carrier_v = dict.carrier(carrier.read()?)?;
+            let city_v = dict.city(city.read()?)?;
+            let t = t_ms.read()?;
+            let from_v = CellId(from.read_u32()?);
+            let to_v = CellId(to.read_u32()?);
+            let kind_v = match kind.read()? {
+                0 => HandoffKind::Idle {
+                    relation: relation_from(idle_rel.read()?)?,
+                },
+                1 => {
+                    let decisive = event_from(evt_tag.read()?, &mut evt_params)?;
+                    let q = quantity_from(quantity.read()?)?;
+                    let report_config = match has_rc.read()? {
+                        0 => None,
+                        1 => Some(ReportConfig {
+                            event: event_from(rc_evt_tag.read()?, &mut rc_evt_params)?,
+                            quantity: quantity_from(rc_quantity.read()?)?,
+                            hysteresis_db: rc_hyst.read()?,
+                            time_to_trigger_ms: rc_ttt.read_u32()?,
+                            report_interval_ms: rc_interval.read_u32()?,
+                            report_amount: rc_amount.read_u8()?,
+                        }),
+                        t => {
+                            return Err(StoreError::Schema(format!("bad option flag {t}")).into());
+                        }
+                    };
+                    HandoffKind::Active {
+                        decisive,
+                        quantity: q,
+                        report_config,
+                        report_t_ms: report_t.read()?,
+                        command_delay_ms: cmd_delay.read()?,
+                    }
+                }
+                t => return Err(StoreError::Schema(format!("unknown handoff kind tag {t}")).into()),
+            };
+            let record = HandoffRecord {
+                t_ms: t,
+                from: from_v,
+                to: to_v,
+                kind: kind_v,
+                rsrp_old_dbm: rsrp_old.read()?,
+                rsrp_new_dbm: rsrp_new.read()?,
+                rsrq_old_db: rsrq_old.read()?,
+                rsrq_new_db: rsrq_new.read()?,
+                min_thpt_before_bps: match has_thpt.read()? {
+                    0 => None,
+                    1 => Some(thpt.read()?),
+                    t => return Err(StoreError::Schema(format!("bad option flag {t}")).into()),
+                },
+            };
+            out.push(HandoffInstance {
+                carrier: carrier_v,
+                city: city_v,
+                record,
+            });
+        }
+        Ok(out)
+    }
+
+    /// Only the carrier and city constraints apply: handoff instances have
+    /// no parameter, RAT or round field.
+    fn matches(pred: &Predicate, i: &HandoffInstance) -> bool {
+        pred.carrier.as_deref().is_none_or(|c| c == i.carrier)
+            && pred.city.is_none_or(|c| c == i.city)
+    }
+
+    /// Handoff instances carry no crawl round.
+    fn shift_round(&mut self, _rounds: u32) {}
 }
 
 impl D1 {
@@ -1120,200 +599,12 @@ impl D1 {
 
     /// Write with an explicit row-group size.
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        let block_rows = block_rows.max(1);
-        let instances: Vec<&HandoffInstance> = self.iter_handoffs().collect();
-        let mut dict = DictBuilder::new();
-        let mut groups = Vec::new();
-        for chunk in instances.chunks(block_rows) {
-            let rows: Vec<HandoffInstance> = chunk.iter().map(|&i| i.clone()).collect();
-            groups.push(d1_group_payload(&mut dict, &rows));
-        }
-        let mut writer = StoreWriter::new(w, KIND_D1)?;
-        writer.write_block(TAG_DICT, &dict.encode())?;
-        for g in &groups {
-            writer.write_block(TAG_ROWS, g)?;
-        }
-        writer.finish(instances.len() as u64)
+        write_rows(self.iter_handoffs().as_slice(), w, block_rows)
     }
 
     /// Read a dataset written by [`write_store`](D1::write_store).
     pub fn read_store<R: Read>(r: R) -> Result<D1, MmError> {
-        let mut instances = Vec::new();
-        for row in D1StoreReader::new(r)? {
-            instances.push(row?);
-        }
-        Ok(D1::from_instances(instances))
-    }
-}
-
-/// Streaming D1 reader — the D1 twin of [`D2StoreReader`], with the same
-/// pushdown configuration surface (carrier/city constraints only; D1 rows
-/// have no parameter or RAT columns).
-pub struct D1StoreReader<R: Read> {
-    inner: StoreReader<R>,
-    dict: Option<ResolvedDict>,
-    buf: std::vec::IntoIter<HandoffInstance>,
-    decoded: u64,
-    done: bool,
-    pred: Predicate,
-    pushdown: bool,
-    filter: Option<GroupFilter>,
-    stats: ScanStats,
-}
-
-impl<R: Read> D1StoreReader<R> {
-    /// Open a store stream and validate its header.
-    pub fn new(r: R) -> Result<Self, MmError> {
-        let inner = StoreReader::new(r)?;
-        if inner.kind() != KIND_D1 {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_D1:?}, found {:?}",
-                inner.kind()
-            ))
-            .into());
-        }
-        check_group_version(&inner)?;
-        Ok(D1StoreReader {
-            inner,
-            dict: None,
-            buf: Vec::new().into_iter(),
-            decoded: 0,
-            done: false,
-            pred: Predicate::any(),
-            pushdown: false,
-            filter: None,
-            stats: ScanStats::default(),
-        })
-    }
-
-    /// Yield only rows matching `pred` (carrier/city constraints), skipping
-    /// whole row groups via their vocabulary stats — skipped groups are
-    /// neither decoded nor checksum-verified, as in
-    /// [`D2StoreReader::with_predicate`]. Call before iterating.
-    pub fn with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = true;
-        self
-    }
-
-    /// Yield only rows matching `pred`, decoding every group — the
-    /// full-scan baseline.
-    pub fn scan_with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = false;
-        self
-    }
-
-    /// What this scan decoded vs skipped so far (complete once iteration
-    /// has finished).
-    pub fn scan_stats(&self) -> ScanStats {
-        self.stats
-    }
-
-    fn refill(&mut self) -> Result<bool, MmError> {
-        loop {
-            // Same pushdown shape as the D2 reader: rejected groups are
-            // discarded on their (unverified) stats prefix, before the
-            // checksum pass; unparseable prefixes fall through to the
-            // verified path for a typed error.
-            let Self {
-                inner,
-                filter,
-                stats,
-                ..
-            } = self;
-            let next = if let Some(f) = filter.as_ref() {
-                inner.next_block_if(&mut |tag, payload| {
-                    if tag != TAG_ROWS {
-                        return true;
-                    }
-                    let Ok(prefix) = decode_group_prefix(payload, D1_COLS, D1_STATS) else {
-                        return true;
-                    };
-                    if f.admits(&prefix.stats) {
-                        return true;
-                    }
-                    stats.groups_skipped += 1;
-                    stats.rows_skipped += prefix.n_rows;
-                    false
-                })?
-            } else {
-                inner.next_block()?
-            };
-            let Some(block) = next else {
-                let declared = self.inner.records().unwrap_or(0);
-                let seen = self.decoded + self.stats.rows_skipped;
-                if declared != seen {
-                    return Err(StoreError::Schema(format!(
-                        "trailer declares {declared} rows, saw {seen}"
-                    ))
-                    .into());
-                }
-                publish_scan_stats("d1", self.stats);
-                return Ok(false);
-            };
-            match block.tag {
-                TAG_DICT => {
-                    let dict =
-                        ResolvedDict::new(Dict::decode(&block.payload).map_err(MmError::Store)?);
-                    if self.pushdown && (self.pred.carrier.is_some() || self.pred.city.is_some()) {
-                        self.filter = Some(d1_filter(&self.pred, &dict));
-                    }
-                    self.dict = Some(dict);
-                }
-                TAG_ROWS => {
-                    let dict = self.dict.as_ref().ok_or_else(|| {
-                        StoreError::Schema("row group before dictionary".to_string())
-                    })?;
-                    let prefix = decode_group_prefix(&block.payload, D1_COLS, D1_STATS)?;
-                    if let Some(f) = &self.filter {
-                        if !f.admits(&prefix.stats) {
-                            self.stats.groups_skipped += 1;
-                            self.stats.rows_skipped += prefix.n_rows;
-                            continue;
-                        }
-                    }
-                    let mut rows = d1_decode_group(dict, prefix)?;
-                    self.stats.groups_decoded += 1;
-                    self.decoded += rows.len() as u64;
-                    if !self.pred.is_any() {
-                        let pred = &self.pred;
-                        rows.retain(|i| pred.matches_d1(i));
-                    }
-                    self.buf = rows.into_iter();
-                    return Ok(true);
-                }
-                t => {
-                    return Err(StoreError::Schema(format!("unknown block tag {t}")).into());
-                }
-            }
-        }
-    }
-}
-
-impl<R: Read> Iterator for D1StoreReader<R> {
-    type Item = Result<HandoffInstance, MmError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(Ok(row));
-            }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        read_rows(r).map(D1::from_instances)
     }
 }
 
@@ -1322,7 +613,7 @@ mod tests {
     use super::*;
     use crate::campaign::{run_campaigns_parallel, CampaignConfig};
     use crate::crawler::crawl;
-    use mmcarriers::city::City;
+    use mm_store::{Dict, StoreReader, StoreWriter};
     use mmcarriers::world::World;
 
     fn small_d2() -> D2 {
@@ -1414,7 +705,7 @@ mod tests {
         assert_eq!(rows.len(), d2.len());
         assert_eq!(D2::from_samples(rows), d2);
         // More than one row group actually made it to disk.
-        let mut r = mm_store::StoreReader::new(buf.as_slice()).unwrap();
+        let mut r = StoreReader::new(buf.as_slice(), KIND_D2).unwrap();
         let mut blocks = 0;
         while r.next_block().unwrap().is_some() {
             blocks += 1;
@@ -1465,24 +756,52 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn truncation_and_corruption_are_typed_not_panics() {
-        let d2 = small_d2();
-        let mut buf = Vec::new();
-        d2.write_store_with(&mut buf, 50).unwrap();
+    /// A file whose one row group has a valid CRC but declares `1 << 60`
+    /// rows: the count must be refused before it sizes any allocation.
+    fn lying_row_count<T: RowSchema>() -> Vec<u8> {
+        let group = encode_group(
+            1 << 60,
+            &vec![BTreeSet::new(); T::STATS],
+            &vec![Vec::new(); T::COLS],
+        );
+        let mut out = Vec::new();
+        let mut w = StoreWriter::new(&mut out, T::KIND).unwrap();
+        w.write_block(TAG_DICT, &DictBuilder::new().encode())
+            .unwrap();
+        w.write_block(TAG_ROWS, &group).unwrap();
+        w.finish(1 << 60).unwrap();
+        out
+    }
+
+    fn assert_damage_is_typed<T: RowSchema + std::fmt::Debug>(buf: &[u8]) {
+        let read = |bytes: &[u8]| read_rows::<T, _>(bytes);
         // Truncate at many points through the file.
         for cut in [0, 3, 10, buf.len() / 2, buf.len() - 1] {
-            let got = D2::read_store(&buf[..cut]);
+            let got = read(&buf[..cut]);
             assert!(matches!(got, Err(MmError::Store(_))), "cut {cut}: {got:?}");
         }
         // Bit-flip in the middle (some payload byte).
-        let mut flipped = buf.clone();
+        let mut flipped = buf.to_vec();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
-        assert!(matches!(
-            D2::read_store(flipped.as_slice()),
-            Err(MmError::Store(_))
-        ));
+        assert!(matches!(read(&flipped), Err(MmError::Store(_))));
+        let got = read(&lying_row_count::<T>());
+        match got {
+            Err(MmError::Store(StoreError::Schema(msg))) => {
+                assert!(msg.contains("rows"), "unexpected message: {msg}");
+            }
+            other => panic!("expected schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncation_and_corruption_are_typed_not_panics() {
+        let mut buf = Vec::new();
+        small_d2().write_store_with(&mut buf, 50).unwrap();
+        assert_damage_is_typed::<ConfigSample>(&buf);
+        let mut buf = Vec::new();
+        small_d1().write_store_with(&mut buf, 16).unwrap();
+        assert_damage_is_typed::<HandoffInstance>(&buf);
     }
 
     #[test]
@@ -1576,11 +895,7 @@ mod tests {
         // touching column bytes.
         let mut dict = DictBuilder::new();
         dict.intern("A");
-        let group = encode_group(
-            1,
-            &[vec![0], vec![0], vec![0], vec![0]],
-            vec![vec![1, 2, 3]],
-        );
+        let group = encode_group(1, &vec![BTreeSet::from([0]); 4], &[vec![1, 2, 3]]);
         let mut out = Vec::new();
         let mut w = StoreWriter::new(&mut out, KIND_D2).unwrap();
         w.write_block(TAG_DICT, &dict.encode()).unwrap();
@@ -1607,7 +922,7 @@ mod tests {
         // The dictionary block is the first frame; its first entry is the
         // carrier code. Rewrite it through the framing layer to keep CRCs
         // valid.
-        let mut reader = mm_store::StoreReader::new(buf.as_slice()).unwrap();
+        let mut reader = StoreReader::new(buf.as_slice(), KIND_D2).unwrap();
         let dict_block = reader.next_block().unwrap().unwrap();
         let mut rest = Vec::new();
         while let Some(b) = reader.next_block().unwrap() {

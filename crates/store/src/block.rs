@@ -144,7 +144,6 @@ pub struct Block {
 /// block in memory.
 pub struct StoreReader<R: Read> {
     source: R,
-    kind: String,
     version: u32,
     next_index: u64,
     records: Option<u64>,
@@ -153,8 +152,10 @@ pub struct StoreReader<R: Read> {
 }
 
 impl<R: Read> StoreReader<R> {
-    /// Read and validate the header.
-    pub fn new(mut source: R) -> Result<Self, mmcore::MmError> {
+    /// Read and validate the header, which must name the dataset `kind`
+    /// the caller decodes: a file of any other kind is a typed `Schema`
+    /// error before a single block is read.
+    pub fn new(mut source: R, kind: &str) -> Result<Self, mmcore::MmError> {
         let mut magic = [0u8; 4];
         read_exact_or(&mut source, &mut magic, "header")?;
         if magic != MAGIC {
@@ -172,25 +173,24 @@ impl<R: Read> StoreReader<R> {
         }
         let mut kind_len = [0u8; 1];
         read_exact_or(&mut source, &mut kind_len, "header kind length")?;
-        let mut kind_raw = vec![0u8; usize::from(kind_len[0])];
-        read_exact_or(&mut source, &mut kind_raw, "header kind")?;
-        let kind = String::from_utf8(kind_raw)
-            .map_err(|_| StoreError::Schema("header kind is not UTF-8".to_string()))?;
-        let header_len = 9 + kind.len() as u64;
+        let mut found = vec![0u8; usize::from(kind_len[0])];
+        read_exact_or(&mut source, &mut found, "header kind")?;
+        if found != kind.as_bytes() {
+            return Err(StoreError::Schema(format!(
+                "expected kind {kind:?}, found {:?}",
+                String::from_utf8_lossy(&found)
+            ))
+            .into());
+        }
+        let header_len = 9 + found.len() as u64;
         Ok(StoreReader {
             source,
-            kind,
             version,
             next_index: 0,
             records: None,
             blocks_read: 0,
             bytes_read: header_len,
         })
-    }
-
-    /// The dataset kind string from the header.
-    pub fn kind(&self) -> &str {
-        &self.kind
     }
 
     /// The on-disk format version from the header (≤ [`FORMAT_VERSION`]).
@@ -364,9 +364,8 @@ mod tests {
         out
     }
 
-    fn read_all(bytes: &[u8]) -> Result<(String, Vec<Block>, u64), MmError> {
-        let mut r = StoreReader::new(bytes)?;
-        let kind = r.kind().to_string();
+    fn read_all(bytes: &[u8]) -> Result<(Vec<Block>, u64), MmError> {
+        let mut r = StoreReader::new(bytes, "test-kind")?;
         let mut blocks = Vec::new();
         while let Some(b) = r.next_block()? {
             blocks.push(b);
@@ -374,14 +373,13 @@ mod tests {
         let records = r.records().ok_or(MmError::Store(StoreError::Truncated {
             expected: "trailer",
         }))?;
-        Ok((kind, blocks, records))
+        Ok((blocks, records))
     }
 
     #[test]
     fn frames_round_trip() {
         let bytes = sample_file();
-        let (kind, blocks, records) = read_all(&bytes).unwrap();
-        assert_eq!(kind, "test-kind");
+        let (blocks, records) = read_all(&bytes).unwrap();
         assert_eq!(records, 2);
         assert_eq!(blocks.len(), 2);
         assert_eq!(
@@ -393,6 +391,18 @@ mod tests {
         );
         assert_eq!(blocks[1].tag, 2);
         assert_eq!(blocks[1].payload.len(), 100);
+    }
+
+    #[test]
+    fn wrong_kind_is_a_schema_error() {
+        let bytes = sample_file();
+        let got = StoreReader::new(bytes.as_slice(), "other-kind").map(|_| ());
+        match got {
+            Err(MmError::Store(StoreError::Schema(msg))) => {
+                assert_eq!(msg, r#"expected kind "other-kind", found "test-kind""#)
+            }
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -455,7 +465,7 @@ mod tests {
             assert!(
                 got.is_err(),
                 "flip at {pos} went unnoticed: {:?}",
-                got.map(|(_, b, _)| b.len())
+                got.map(|(b, _)| b.len())
             );
         }
     }
@@ -469,7 +479,7 @@ mod tests {
         let header = 9 + "test-kind".len();
         let frame1 = 1 + 4 + 5 + 4;
         bytes[header + frame1 + 7] ^= 1;
-        let mut r = StoreReader::new(bytes.as_slice()).unwrap();
+        let mut r = StoreReader::new(bytes.as_slice(), "test-kind").unwrap();
         let mut seen = Vec::new();
         while let Some(b) = r.next_block_if(&mut |tag, _| tag != 2).unwrap() {
             seen.push(b.tag);
@@ -479,7 +489,7 @@ mod tests {
 
         // The same corruption is still caught the moment the block is
         // admitted.
-        let mut r = StoreReader::new(bytes.as_slice()).unwrap();
+        let mut r = StoreReader::new(bytes.as_slice(), "test-kind").unwrap();
         let got = loop {
             match r.next_block_if(&mut |_, _| true) {
                 Ok(Some(_)) => {}
@@ -499,7 +509,7 @@ mod tests {
         // the varint payload just before them).
         let n = bytes.len();
         bytes[n - 5] ^= 1;
-        let mut r = StoreReader::new(bytes.as_slice()).unwrap();
+        let mut r = StoreReader::new(bytes.as_slice(), "test-kind").unwrap();
         let got = loop {
             match r.next_block_if(&mut |_, _| false) {
                 Ok(Some(_)) => {}

@@ -7,7 +7,8 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-cargo build --workspace --release
+# --locked: a stale lock file fails here instead of being rewritten.
+cargo build --workspace --release --locked
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Domain lints (determinism scopes, hermetic manifests, panic-free
@@ -25,7 +26,7 @@ cargo test -q --release --test determinism
 cargo test -q --release --test fleet
 # The pipeline benchmark is its own workspace, so the builds above never
 # compile it: test it here so a public-API change cannot break it silently.
-cargo test -q --release --manifest-path benches/pipeline/Cargo.toml
+cargo test -q --release --locked --manifest-path benches/pipeline/Cargo.toml
 cargo bench -p mm-bench -- --smoke
 cargo bench -p mm-bench --bench exec -- --smoke
 

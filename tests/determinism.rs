@@ -4,20 +4,11 @@
 //! verify.sh` runs before trusting a parallel artifact regeneration.
 
 use mm_exec::Executor;
+use mm_store::fnv1a64;
 use mmexperiments::{run, Artifact, Ctx};
 use mmlab::campaign::{run_campaign, run_campaigns, CampaignConfig};
 use mmlab::crawler::crawl_with;
 use mobility_mm::prelude::*;
-
-/// FNV-1a, the repo's reference content hash for golden outputs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 #[test]
 fn campaign_identical_for_any_thread_count() {
@@ -69,8 +60,8 @@ fn mmx_all_text_identical_under_parallel_scheduler() {
     let seq = render_all(&ctx, &Executor::sequential());
     for threads in [2, 8] {
         assert_eq!(
-            fnv1a(render_all(&ctx, &Executor::new(threads)).as_bytes()),
-            fnv1a(seq.as_bytes()),
+            fnv1a64(render_all(&ctx, &Executor::new(threads)).as_bytes()),
+            fnv1a64(seq.as_bytes()),
             "artifact text diverged at {threads} threads"
         );
     }
@@ -79,13 +70,13 @@ fn mmx_all_text_identical_under_parallel_scheduler() {
     // means the *content* of the reproduction changed — bump it only with a
     // figure-level review, never to paper over scheduler nondeterminism.
     assert_eq!(
-        fnv1a(seq.as_bytes()),
+        fnv1a64(seq.as_bytes()),
         GOLDEN_QUICK_2018,
         "golden artifact hash changed"
     );
 }
 
-/// `fnv1a` of `render_all` over `Ctx::quick(2018)`.
+/// FNV-1a of `render_all` over `Ctx::quick(2018)`.
 ///
 /// Last bump: the crawler's SIB extractor was extended to paper-scale
 /// yield (SIB4 q-OffsetCell lists, SIB6/7/8 inter-RAT layers, per-layer

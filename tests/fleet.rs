@@ -7,18 +7,9 @@
 
 use mm_exec::Executor;
 use mm_json::ToJson;
+use mm_store::fnv1a64;
 use mm_telemetry::global;
 use mmexperiments::{run_fleet_on, FleetConfig};
-
-/// FNV-1a, the repo's reference content hash for golden outputs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 fn small_fleet(shards: usize) -> FleetConfig {
     FleetConfig {
@@ -76,7 +67,7 @@ fn fleet_report_invariant_to_threads_and_shards() {
     // report format) — bump it only with a review of what moved, never to
     // paper over scheduler nondeterminism.
     assert_eq!(
-        fnv1a(reference.as_bytes()),
+        fnv1a64(reference.as_bytes()),
         GOLDEN_FLEET_2018,
         "golden fleet hash changed:\n{reference}"
     );
@@ -105,6 +96,6 @@ fn carries_100k_ues() {
     );
 }
 
-/// `fnv1a` of the 200-UE, 5 s, seed-2018 fleet report over carrier A in
+/// FNV-1a of the 200-UE, 5 s, seed-2018 fleet report over carrier A in
 /// C1 at scale 0.05.
 const GOLDEN_FLEET_2018: u64 = 14773048091601669795;

@@ -4,20 +4,11 @@
 //! exactly — the store is lossless for everything the analysis consumes.
 
 use mm_exec::Executor;
+use mm_store::fnv1a64;
 use mmexperiments::{run, Artifact, Ctx};
 use mmlab::dataset::{D1, D2};
 
-/// FNV-1a, the repo's reference content hash for golden outputs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// `fnv1a` of `render_all` over `Ctx::quick(2018)` — the same constant
+/// FNV-1a of `render_all` over `Ctx::quick(2018)` — the same constant
 /// `tests/determinism.rs` pins.
 const GOLDEN_QUICK_2018: u64 = 12619696888513922055;
 
@@ -57,11 +48,19 @@ fn datasets_recovered_from_the_store_reproduce_the_golden_hash() {
     assert!(warm.preload_d1_idle(D1::read_store(d1i_bytes.as_slice()).expect("read d1 idle")));
 
     assert_eq!(
-        fnv1a(render_all(&warm).as_bytes()),
+        fnv1a64(render_all(&warm).as_bytes()),
         GOLDEN_QUICK_2018,
         "artifacts rendered from stored datasets must match the golden hash"
     );
 }
+
+/// Length and FNV-1a of each `Ctx::quick(2018)` dataset in the store
+/// format: the on-disk bytes, pinned across commits.
+const GOLDEN_STORE_2018: [(&str, usize, u64); 3] = [
+    ("d2", 6_931_155, 2982754153472058832),
+    ("d1-active", 6_166, 10883253847833837151),
+    ("d1-idle", 6_769, 1632018561306669209),
+];
 
 #[test]
 fn store_encoding_is_deterministic() {
@@ -71,4 +70,16 @@ fn store_encoding_is_deterministic() {
     let mut b = Vec::new();
     ctx.d2().write_store(&mut b).expect("write");
     assert_eq!(a, b, "same dataset, same bytes");
+
+    let mut d1a = Vec::new();
+    ctx.d1_active().write_store(&mut d1a).expect("write");
+    let mut d1i = Vec::new();
+    ctx.d1_idle().write_store(&mut d1i).expect("write");
+    for ((entry, len, hash), bytes) in GOLDEN_STORE_2018.into_iter().zip([a, d1a, d1i]) {
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (len, hash),
+            "{entry} store bytes changed"
+        );
+    }
 }

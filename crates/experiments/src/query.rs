@@ -1008,6 +1008,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A store holding round 0 plus an appended round 1 revisits every
+    /// cell: the engine's fold over both files must render F11–F22 exactly
+    /// like the in-memory fold over round 0's rows followed by round 1's,
+    /// shifted by `ROUNDS` as the engine's reader shifts them, and agree
+    /// with the legacy helpers over those rows.
+    #[test]
+    fn appended_round_aggregate_renders_like_the_in_memory_fold() {
+        let (dir, eng) = engine("appended");
+        let ctx = eng.ctx();
+        let round1 = mmlab::crawl(ctx.world(), crate::store::round_seed(ctx.seed, 1));
+        RunStore::open(&dir)
+            .unwrap()
+            .append_round(ctx, &round1)
+            .unwrap();
+        let eng = QueryEngine::open(&dir, Ctx::builder().quick().scale(0.02).build()).unwrap();
+        let (streamed, _) = eng.aggregate(&Predicate::any()).unwrap();
+
+        let rows: Vec<_> = eng
+            .ctx()
+            .d2()
+            .iter()
+            .cloned()
+            .chain(round1.iter().map(|s| {
+                let mut s = s.clone();
+                s.round += mmcarriers::world::ROUNDS;
+                s
+            }))
+            .collect();
+        let both = mmlab::D2::from_samples(rows);
+        crate::stream::tests::assert_agg_matches_legacy(&streamed, &both);
+        let baseline = D2Agg::from_dataset(&both);
+        assert_eq!(streamed.len(), baseline.len());
+        let render = |agg: D2Agg| {
+            let sub = Ctx::builder().quick().scale(0.02).build();
+            sub.preload_d2_agg(agg);
+            Artifact::PAPER
+                .into_iter()
+                .filter(|a| a.needs_d2_agg())
+                .map(|a| crate::run(&sub, a).text)
+                .collect::<Vec<_>>()
+        };
+        let (got, want) = (render(streamed), render(baseline));
+        assert_eq!(got.len(), 12, "F11..F22");
+        assert_eq!(got, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn predicate_queries_skip_blocks_and_memoize() {
         let (dir, eng) = engine("pred");

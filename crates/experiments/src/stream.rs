@@ -11,6 +11,15 @@
 //! byte-identical to the materialized path regardless of how samples were
 //! batched into blocks.
 //!
+//! The fold is indexed by cell. Every dedupe key starts with the cell, so
+//! each cell's slot holds its own dedupe state, and the crawl writes a
+//! cell's rows as one run: the cell lookup runs once per run, and a row
+//! touches its cell's slot plus, only on first sight of an observation,
+//! the ordered output maps. Carriers and parameters get dense ids by
+//! content, in first-seen order; a per-parameter role table replaces the
+//! per-row string comparisons. No result depends on row order beyond what
+//! the legacy helpers' own first-observation rules define.
+//!
 //! State is bounded by `cells × parameters` (distinct observations), never
 //! by the sample count: at the paper's 8M-sample scale the accumulators
 //! stay two orders of magnitude smaller than the dataset.
@@ -27,11 +36,20 @@ use mmradio::geom::Point;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Read;
 
-/// Idle-state parameter tags for Fig 13b (mirrors `landscape`).
-const IDLE_PARAMS: [&str; 3] = ["threshServingLowP", "s-NonIntraSearchP", "q-RxLevMin"];
-/// Active-state parameter tags for Fig 13b (mirrors `landscape`).
-const ACTIVE_PARAMS: [&str; 3] = ["a3-Offset", "a5-Threshold1", "timeToTrigger"];
-
+/// Fig 13b parameter tags (mirrors `landscape`): idle-state parameters
+/// count from 0, active-state ones from 100.
+const TEMPORAL_TAGS: [(&str, u8); 6] = [
+    ("threshServingLowP", 0),
+    ("s-NonIntraSearchP", 1),
+    ("q-RxLevMin", 2),
+    ("a3-Offset", 100),
+    ("a5-Threshold1", 101),
+    ("timeToTrigger", 102),
+];
+/// Fig 11's threshold triple `(Θintra, Θnonintra, Θ(s)lower)`, in order.
+const TRIPLE_PARAMS: [&str; 3] = ["s-IntraSearchP", "s-NonIntraSearchP", "threshServingLowP"];
+/// The serving-priority parameter of Figs 13a, 20 and 21.
+const SERVING_PRIORITY: &str = "cellReselectionPriority";
 /// The two Fig 18 panels (AT&T serving / candidate priorities).
 const F18_PARAMS: [&str; 2] = [
     "cellReselectionPriority",
@@ -39,77 +57,152 @@ const F18_PARAMS: [&str; 2] = [
 ];
 /// The four US carriers of Figs 20–21.
 const US_CARRIERS: [&str; 4] = ["A", "T", "V", "S"];
+/// The carrier of Figs 18–19.
+const ATT: &str = "A";
 
-/// Unique `(cell, value)` observations of one `(carrier, rat, param)`
-/// group, plus their value counts — the streaming form of
-/// `D2::unique_values`.
-#[derive(Debug, Clone, Default)]
-struct UniqueAgg {
-    seen: BTreeSet<(CellId, i64)>,
-    counts: ValueCounts,
-}
+/// A dense carrier or parameter id, assigned by content in first-seen
+/// order. Two bytes keep a cell's dedupe tuples at 16 bytes; the
+/// vocabularies the crawler and the store reader produce hold 30 carriers
+/// and a few hundred parameter names.
+type VocabId = u16;
+
+/// Entries of the parameter-id memo. Static strings sit packed in the
+/// binary's read-only data, so the low address bits alone spread a
+/// vocabulary's names across the slots.
+const PARAM_MEMO: usize = 1024;
 
 /// A display-key histogram with its kept-value total: `key → count`, n.
 /// Display keys use the legacy `v as i64` truncation of the render path.
 pub type KeyCounts = (BTreeMap<i64, usize>, usize);
 
-/// One Fig 18 panel: per-channel priority counts, deduped on the *legacy
-/// truncated* key `(cell, channel, (v*2.0) as i64)`.
-#[derive(Debug, Clone, Default)]
-struct PanelAgg {
-    seen: BTreeSet<(CellId, u32, i64)>,
-    /// Channel → display-key counts.
-    chans: BTreeMap<u32, KeyCounts>,
-}
-
-/// Fig 19 state for one parameter: per-channel unique-value counts.
-#[derive(Debug, Clone, Default)]
-struct FreqAgg {
-    seen: BTreeSet<(CellId, i64)>,
-    chans: BTreeMap<u32, ValueCounts>,
-}
-
-/// Fig 21 state for one carrier: the per-cell Indianapolis priority field.
-#[derive(Debug, Clone, Default)]
-struct FieldAgg {
-    seen: BTreeSet<CellId>,
-    field: Vec<(Point, f64)>,
-}
-
 /// Per-round observed value sets for Fig 13b change detection.
 type RoundValues = BTreeMap<u32, BTreeSet<i64>>;
 
-/// Fig 11's per-cell `(threshServingLow, threshX-High, threshX-Low)` triple.
-type ThresholdTriple = (Option<f64>, Option<f64>, Option<f64>);
+/// Fig 11's per-cell threshold triple, in [`TRIPLE_PARAMS`] order.
+type ThresholdTriple = [Option<f64>; 3];
+
+/// One carrier's totals and roles.
+#[derive(Debug, Clone)]
+struct CarrierAgg {
+    code: &'static str,
+    /// Fig 12: cells and samples.
+    cells: usize,
+    samples: usize,
+    /// AT&T: feeds Figs 18–19.
+    att: bool,
+    /// One of the four US carriers: feeds Figs 20–21.
+    us: bool,
+}
+
+/// What one parameter feeds besides the per-group unique values; resolved
+/// once, when the parameter gets its id.
+#[derive(Debug, Clone, Copy)]
+struct ParamRole {
+    /// Figs 13a, 20 and 21.
+    serving_priority: bool,
+    /// Fig 13b tag.
+    temporal: Option<u8>,
+    /// Fig 11 triple position.
+    triple: Option<usize>,
+    /// Fig 18 panel.
+    panel: Option<u8>,
+}
+
+impl ParamRole {
+    fn of(name: &str) -> ParamRole {
+        ParamRole {
+            serving_priority: name == SERVING_PRIORITY,
+            temporal: TEMPORAL_TAGS
+                .iter()
+                .find(|(p, _)| *p == name)
+                .map(|&(_, tag)| tag),
+            triple: TRIPLE_PARAMS.iter().position(|p| *p == name),
+            panel: F18_PARAMS
+                .iter()
+                .zip(0u8..)
+                .find(|(p, _)| **p == name)
+                .map(|(_, i)| i),
+        }
+    }
+}
+
+/// Everything one cell contributes: its dedupe state, kept compactly as
+/// sorted vectors, and its per-cell outputs.
+#[derive(Debug, Clone, Default)]
+struct CellAgg {
+    /// Carriers the cell was sampled under (Fig 12).
+    carriers: Vec<VocabId>,
+    /// Fig 13a: `cellReselectionPriority` samples.
+    serving_priority_samples: usize,
+    /// Figs 14–17, 19, 22: the unique `(carrier, rat, param, value key)`
+    /// observations — the cell's share of the legacy `(cell, value)`
+    /// dedupe of every `(carrier, rat, param)` group.
+    unique: Vec<(VocabId, Rat, VocabId, i64)>,
+    /// Fig 18: `(panel, channel, (v*2.0) as i64)`, the legacy truncated key.
+    panel_seen: Vec<(u8, u32, i64)>,
+    /// Fig 20: value keys, one set shared across carriers exactly like the
+    /// legacy single-pass scan.
+    city_seen: Vec<i64>,
+    /// Fig 21: carriers whose Indianapolis field holds this cell.
+    field_seen: Vec<VocabId>,
+    /// Fig 13b: per parameter tag, per round, the observed value set, and
+    /// the rounds those were observed in.
+    temporal: BTreeMap<u8, RoundValues>,
+    rounds: BTreeSet<u32>,
+    /// Fig 11: first observation of each threshold wins.
+    triple: ThresholdTriple,
+}
+
+/// Insert `key` into the sorted `set`; whether it was new.
+fn insert_sorted<K: Ord>(set: &mut Vec<K>, key: K) -> bool {
+    match set.binary_search(&key) {
+        Ok(_) => false,
+        Err(at) => {
+            set.insert(at, key);
+            true
+        }
+    }
+}
+
+/// The next dense id of a vocabulary holding `len` names. Past
+/// `VocabId::MAX` names every further name shares the last id; neither
+/// the crawler nor the store reader can produce such a vocabulary.
+fn next_id(len: usize) -> VocabId {
+    VocabId::try_from(len).unwrap_or(VocabId::MAX)
+}
 
 /// Streaming aggregate over a D2 sample stream: everything Figures 11–22
 /// read, built in one pass and bounded by distinct observations.
 #[derive(Debug, Clone, Default)]
 pub struct D2Agg {
     n_samples: usize,
-    all_cells: BTreeSet<CellId>,
-    carrier_cells: BTreeMap<&'static str, BTreeSet<CellId>>,
-    carrier_samples: BTreeMap<&'static str, usize>,
-    /// Fig 13a: per-cell sample counts of `cellReselectionPriority`.
-    ps_per_cell: BTreeMap<CellId, usize>,
-    /// Fig 13b: per cell, per parameter tag, per round, the observed value
-    /// set (the legacy `temporal_dynamics` working state).
-    temporal: BTreeMap<CellId, BTreeMap<usize, RoundValues>>,
-    rounds_per_cell: BTreeMap<CellId, BTreeSet<u32>>,
-    /// Figs 14–17, 22: unique `(cell, value)` counts per group.
-    unique: BTreeMap<(&'static str, Rat, &'static str), UniqueAgg>,
-    /// Fig 18 panels (AT&T), keyed by parameter.
-    panels: BTreeMap<&'static str, PanelAgg>,
-    /// Fig 19 per-parameter frequency grouping (AT&T LTE).
-    freq: BTreeMap<&'static str, FreqAgg>,
-    /// Fig 20: city-level priority counts. One dedupe set shared across
-    /// carriers, exactly like the legacy single-pass scan.
-    city_seen: BTreeSet<(CellId, i64)>,
+    /// Carriers by id, and their ids by content.
+    carriers: Vec<CarrierAgg>,
+    carrier_ids: BTreeMap<&'static str, VocabId>,
+    /// The last row's carrier: a cell's rows share it.
+    last_carrier: Option<(&'static str, VocabId)>,
+    /// Parameters by id (name and role), and their ids by content.
+    params: Vec<(&'static str, ParamRole)>,
+    param_ids: BTreeMap<&'static str, VocabId>,
+    /// Direct-mapped memo in front of `param_ids`: `(address, length, id)`
+    /// of recently seen names. A static string's address and length pin
+    /// its content, so a hit is the content lookup's answer; ids never
+    /// depend on an address.
+    param_memo: Vec<(usize, usize, VocabId)>,
+    /// Cell slots by cell id, and the last row's cell.
+    cell_slots: BTreeMap<CellId, usize>,
+    cells: Vec<CellAgg>,
+    last_cell: Option<(CellId, usize)>,
+    /// Figs 14–17, 22: unique-value counts per `(carrier, rat, param)`.
+    unique: BTreeMap<(VocabId, Rat, VocabId), ValueCounts>,
+    /// Fig 18 panels (AT&T): channel → display-key counts.
+    panels: [BTreeMap<u32, KeyCounts>; 2],
+    /// Fig 19 (AT&T LTE): per parameter, per channel, unique-value counts.
+    freq: BTreeMap<VocabId, BTreeMap<u32, ValueCounts>>,
+    /// Fig 20: city-level priority counts.
     city_groups: BTreeMap<(&'static str, City), KeyCounts>,
-    /// Fig 21: per-carrier Indianapolis priority fields.
-    fields: BTreeMap<&'static str, FieldAgg>,
-    /// Fig 11: per-cell threshold triples (first observation wins).
-    triples: BTreeMap<CellId, ThresholdTriple>,
+    /// Fig 21: per-carrier Indianapolis priority fields, in crawl order.
+    fields: BTreeMap<&'static str, Vec<(Point, f64)>>,
 }
 
 impl D2Agg {
@@ -137,98 +230,162 @@ impl D2Agg {
         Ok(agg)
     }
 
-    /// Fold one sample in (samples must arrive in crawl order for the
-    /// order-sensitive accumulators — Fig 21's field vector — to match the
-    /// materialized path).
+    /// Fold one sample in. Rows may arrive in any order: the outputs that
+    /// keep a first observation (Fig 11's triples, Fig 20's shared dedupe,
+    /// Fig 21's field order) follow arrival order exactly as the legacy
+    /// helpers do over the same rows, and nothing else depends on order.
     pub fn push(&mut self, s: &ConfigSample) {
         self.n_samples += 1;
-        self.all_cells.insert(s.cell);
-        self.carrier_cells
-            .entry(s.carrier)
-            .or_default()
-            .insert(s.cell);
-        *self.carrier_samples.entry(s.carrier).or_default() += 1;
-
-        if s.param == "cellReselectionPriority" {
-            *self.ps_per_cell.entry(s.cell).or_default() += 1;
+        let carrier = self.carrier_id(s.carrier);
+        let param = self.param_id(s.param);
+        let slot = self.cell_slot(s.cell);
+        let key = value_key(s.value);
+        let Self {
+            carriers,
+            params,
+            cells,
+            unique,
+            panels,
+            freq,
+            city_groups,
+            fields,
+            ..
+        } = self;
+        // Ids and slots index their tables by construction.
+        let c = &mut carriers[usize::from(carrier)];
+        let role = params[usize::from(param)].1;
+        let cell = &mut cells[slot];
+        c.samples += 1;
+        if !cell.carriers.contains(&carrier) {
+            cell.carriers.push(carrier);
+            c.cells += 1;
         }
-
-        if s.rat == Rat::Lte {
-            self.push_temporal(s);
-            self.push_triple(s);
-            if s.carrier == "A" {
-                if F18_PARAMS.contains(&s.param) {
-                    let panel = self.panels.entry(s.param).or_default();
-                    if panel
-                        .seen
-                        .insert((s.cell, s.channel.number, (s.value * 2.0) as i64))
-                    {
-                        let (counts, n) = panel.chans.entry(s.channel.number).or_default();
+        if role.serving_priority {
+            cell.serving_priority_samples += 1;
+        }
+        let lte = s.rat == Rat::Lte;
+        if lte {
+            if let Some(tag) = role.temporal {
+                cell.temporal
+                    .entry(tag)
+                    .or_default()
+                    .entry(s.round)
+                    .or_default()
+                    .insert(key);
+                cell.rounds.insert(s.round);
+            }
+            if let Some(i) = role.triple {
+                cell.triple[i].get_or_insert(s.value);
+            }
+            if c.att {
+                if let Some(p) = role.panel {
+                    let chan = s.channel.number;
+                    if insert_sorted(&mut cell.panel_seen, (p, chan, (s.value * 2.0) as i64)) {
+                        let (counts, n) = panels[usize::from(p)].entry(chan).or_default();
                         *counts.entry(s.value as i64).or_default() += 1;
                         *n += 1;
                     }
                 }
-                let freq = self.freq.entry(s.param).or_default();
-                if freq.seen.insert((s.cell, value_key(s.value))) {
-                    freq.chans
-                        .entry(s.channel.number)
-                        .or_default()
-                        .push(s.value);
-                }
             }
-            if s.param == "cellReselectionPriority" && US_CARRIERS.contains(&s.carrier) {
-                if self.city_seen.insert((s.cell, value_key(s.value))) {
-                    let (counts, n) = self.city_groups.entry((s.carrier, s.city)).or_default();
+            if role.serving_priority && c.us {
+                if insert_sorted(&mut cell.city_seen, key) {
+                    let (counts, n) = city_groups.entry((c.code, s.city)).or_default();
                     *counts.entry(s.value as i64).or_default() += 1;
                     *n += 1;
                 }
-                if s.city == City::C3 {
-                    let f = self.fields.entry(s.carrier).or_default();
-                    if f.seen.insert(s.cell) {
-                        f.field.push((s.pos, s.value));
-                    }
+                if s.city == City::C3 && insert_sorted(&mut cell.field_seen, carrier) {
+                    fields.entry(c.code).or_default().push((s.pos, s.value));
                 }
             }
         }
-
-        let u = self.unique.entry((s.carrier, s.rat, s.param)).or_default();
-        if u.seen.insert((s.cell, value_key(s.value))) {
-            u.counts.push(s.value);
+        if insert_sorted(&mut cell.unique, (carrier, s.rat, param, key)) {
+            unique
+                .entry((carrier, s.rat, param))
+                .or_default()
+                .push_key(key);
+            // Fig 19 dedupes on the same `(cell, value)` key per parameter,
+            // so its first sights are exactly AT&T LTE's.
+            if c.att && lte {
+                freq.entry(param)
+                    .or_default()
+                    .entry(s.channel.number)
+                    .or_default()
+                    .push_key(key);
+            }
         }
     }
 
-    fn push_temporal(&mut self, s: &ConfigSample) {
-        let idle_idx = IDLE_PARAMS.iter().position(|p| *p == s.param);
-        let active_idx = ACTIVE_PARAMS.iter().position(|p| *p == s.param);
-        let Some(tag) = idle_idx.or_else(|| active_idx.map(|i| 100 + i)) else {
-            return;
+    fn carrier_id(&mut self, code: &'static str) -> VocabId {
+        if let Some((last, id)) = self.last_carrier {
+            if last == code {
+                return id;
+            }
+        }
+        let id = match self.carrier_ids.get(code) {
+            Some(&id) => id,
+            None => {
+                let id = next_id(self.carriers.len());
+                self.carrier_ids.insert(code, id);
+                self.carriers.push(CarrierAgg {
+                    code,
+                    cells: 0,
+                    samples: 0,
+                    att: code == ATT,
+                    us: US_CARRIERS.contains(&code),
+                });
+                id
+            }
         };
-        self.temporal
-            .entry(s.cell)
-            .or_default()
-            .entry(tag)
-            .or_default()
-            .entry(s.round)
-            .or_default()
-            .insert(value_key(s.value));
-        self.rounds_per_cell
-            .entry(s.cell)
-            .or_default()
-            .insert(s.round);
+        self.last_carrier = Some((code, id));
+        id
     }
 
-    fn push_triple(&mut self, s: &ConfigSample) {
-        match s.param {
-            "s-IntraSearchP" | "s-NonIntraSearchP" | "threshServingLowP" => {}
-            _ => return,
+    fn param_id(&mut self, name: &'static str) -> VocabId {
+        let addr = name.as_ptr().addr();
+        let at = addr % PARAM_MEMO;
+        if let Some(&(a, len, id)) = self.param_memo.get(at) {
+            if a == addr && len == name.len() {
+                return id;
+            }
         }
-        let e = self.triples.entry(s.cell).or_default();
-        match s.param {
-            "s-IntraSearchP" if e.0.is_none() => e.0 = Some(s.value),
-            "s-NonIntraSearchP" if e.1.is_none() => e.1 = Some(s.value),
-            "threshServingLowP" if e.2.is_none() => e.2 = Some(s.value),
-            _ => {}
+        let id = match self.param_ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = next_id(self.params.len());
+                self.param_ids.insert(name, id);
+                self.params.push((name, ParamRole::of(name)));
+                id
+            }
+        };
+        if self.param_memo.is_empty() {
+            self.param_memo = vec![(0, 0, 0); PARAM_MEMO];
         }
+        if let Some(entry) = self.param_memo.get_mut(at) {
+            *entry = (addr, name.len(), id);
+        }
+        id
+    }
+
+    fn cell_slot(&mut self, cell: CellId) -> usize {
+        if let Some((last, slot)) = self.last_cell {
+            if last == cell {
+                return slot;
+            }
+        }
+        let next = self.cells.len();
+        let slot = *self.cell_slots.entry(cell).or_insert(next);
+        if slot == next {
+            self.cells.push(CellAgg::default());
+        }
+        self.last_cell = Some((cell, slot));
+        slot
+    }
+
+    /// Cell states in cell-id order.
+    fn cells_in_order(&self) -> impl Iterator<Item = &CellAgg> {
+        self.cell_slots
+            .values()
+            .filter_map(|&slot| self.cells.get(slot))
     }
 
     // ------------------------------------------------------------ totals --
@@ -245,7 +402,7 @@ impl D2Agg {
 
     /// Number of unique cells observed.
     pub fn unique_cells(&self) -> usize {
-        self.all_cells.len()
+        self.cells.len()
     }
 
     // ------------------------------------------------------------ Fig 12 --
@@ -255,11 +412,11 @@ impl D2Agg {
         order
             .iter()
             .map(|&code| {
-                (
-                    code,
-                    self.carrier_cells.get(code).map_or(0, |s| s.len()),
-                    self.carrier_samples.get(code).copied().unwrap_or(0),
-                )
+                let c = self
+                    .carrier_ids
+                    .get(code)
+                    .and_then(|&id| self.carriers.get(usize::from(id)));
+                (code, c.map_or(0, |c| c.cells), c.map_or(0, |c| c.samples))
             })
             .collect()
     }
@@ -268,7 +425,10 @@ impl D2Agg {
 
     /// Per-cell `cellReselectionPriority` sample counts, in cell-id order.
     pub fn samples_per_cell(&self) -> Vec<usize> {
-        self.ps_per_cell.values().copied().collect()
+        self.cells_in_order()
+            .map(|c| c.serving_priority_samples)
+            .filter(|&n| n > 0)
+            .collect()
     }
 
     /// Fig 13b: among multi-sampled LTE cells, the share whose idle /
@@ -277,13 +437,13 @@ impl D2Agg {
         let mut multi = 0usize;
         let mut idle_changed = 0usize;
         let mut active_changed = 0usize;
-        for (cell, params) in &self.temporal {
-            if self.rounds_per_cell[cell].len() < 2 {
+        for cell in &self.cells {
+            if cell.rounds.len() < 2 {
                 continue;
             }
             multi += 1;
-            let changed = |base: usize| {
-                params.iter().any(|(tag, rounds)| {
+            let changed = |base: u8| {
+                cell.temporal.iter().any(|(tag, rounds)| {
                     *tag >= base
                         && *tag < base + 100
                         && rounds
@@ -318,7 +478,9 @@ impl D2Agg {
         rat: Rat,
         param: &'static str,
     ) -> Option<&ValueCounts> {
-        self.unique.get(&(carrier, rat, param)).map(|u| &u.counts)
+        let c = *self.carrier_ids.get(carrier)?;
+        let p = *self.param_ids.get(param)?;
+        self.unique.get(&(c, rat, p))
     }
 
     /// Distribution of one LTE parameter's unique values as `(value, %)`.
@@ -341,11 +503,17 @@ impl D2Agg {
 
     /// Distinct parameter names present for `(carrier, rat)`, sorted.
     pub fn param_names(&self, carrier: &str, rat: Rat) -> Vec<&'static str> {
-        self.unique
-            .keys()
-            .filter(|(c, r, _)| *c == carrier && *r == rat)
-            .map(|(_, _, p)| *p)
-            .collect()
+        let Some(&c) = self.carrier_ids.get(carrier) else {
+            return Vec::new();
+        };
+        let mut names: Vec<&'static str> = self
+            .unique
+            .range((c, rat, 0)..=(c, rat, VocabId::MAX))
+            .filter_map(|(&(_, _, p), _)| self.params.get(usize::from(p)))
+            .map(|&(name, _)| name)
+            .collect();
+        names.sort_unstable();
+        names
     }
 
     /// Diversity measures of every LTE parameter for one carrier, sorted by
@@ -375,7 +543,11 @@ impl D2Agg {
 
     /// One Fig 18 panel: channel → (display-key counts, n), AT&T.
     pub fn priority_panel(&self, param: &'static str) -> Option<&BTreeMap<u32, KeyCounts>> {
-        self.panels.get(param).map(|p| &p.chans)
+        F18_PARAMS
+            .iter()
+            .position(|p| *p == param)
+            .and_then(|i| self.panels.get(i))
+            .filter(|chans| !chans.is_empty())
     }
 
     // ------------------------------------------------------------ Fig 19 --
@@ -384,7 +556,11 @@ impl D2Agg {
     /// diversity measures.
     pub fn freq_dependence(&self, param: &'static str) -> (f64, f64) {
         let empty = BTreeMap::new();
-        let groups = self.freq.get(param).map_or(&empty, |f| &f.chans);
+        let groups = self
+            .param_ids
+            .get(param)
+            .and_then(|p| self.freq.get(p))
+            .unwrap_or(&empty);
         (
             dependence_counts(Measure::Simpson, groups),
             dependence_counts(Measure::Cv, groups),
@@ -404,7 +580,7 @@ impl D2Agg {
     /// Per-cell `(position, Ps)` field for one carrier in Indianapolis
     /// (C3), in crawl order.
     pub fn priority_field(&self, carrier: &'static str) -> &[(Point, f64)] {
-        self.fields.get(carrier).map_or(&[], |f| &f.field)
+        self.fields.get(carrier).map_or(&[], Vec::as_slice)
     }
 
     /// Fig 21's statistic: spatial diversity of Ps at each radius.
@@ -421,9 +597,11 @@ impl D2Agg {
     /// Per-cell threshold triples `(Θintra, Θnonintra, Θ(s)lower)`, first
     /// observation per cell, in cell-id order.
     pub fn threshold_triples(&self) -> Vec<(f64, f64, f64)> {
-        self.triples
-            .values()
-            .filter_map(|&(a, b, c)| Some((a?, b?, c?)))
+        self.cells_in_order()
+            .filter_map(|c| {
+                let [intra, nonintra, lower] = c.triple;
+                Some((intra?, nonintra?, lower?))
+            })
             .collect()
     }
 
@@ -438,7 +616,7 @@ impl D2Agg {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::context::Ctx;
     use crate::{factors, idle, landscape};
@@ -452,9 +630,33 @@ mod tests {
     #[test]
     fn streaming_agg_matches_legacy_helpers() {
         let c = ctx();
-        let d2 = c.d2();
-        let agg = D2Agg::from_dataset(d2);
+        assert_agg_matches_legacy(&D2Agg::from_dataset(c.d2()), c.d2());
+    }
 
+    /// The same rows in a seeded random order: the fold's fast paths are
+    /// tuned for rows grouped by cell, its results must not depend on it.
+    /// The legacy helpers see the same permuted rows, so the
+    /// order-sensitive outputs (Fig 21's field, Fig 11's first
+    /// observations) still compare exactly.
+    #[test]
+    fn streaming_agg_matches_legacy_helpers_on_shuffled_rows() {
+        let mut rows: Vec<ConfigSample> = ctx().d2().iter().cloned().collect();
+        // xorshift64 Fisher–Yates.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for i in (1..rows.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let j = usize::try_from(state % (i as u64 + 1)).unwrap();
+            rows.swap(i, j);
+        }
+        let shuffled = D2::from_samples(rows);
+        assert_agg_matches_legacy(&D2Agg::from_dataset(&shuffled), &shuffled);
+    }
+
+    /// Every accessor of `agg`, an aggregate of `d2`'s rows in order,
+    /// equals its legacy helper over `d2`.
+    pub(crate) fn assert_agg_matches_legacy(agg: &D2Agg, d2: &D2) {
         // Totals (Fig 12).
         assert_eq!(agg.len(), d2.len());
         assert_eq!(agg.unique_cells(), d2.unique_cells());

@@ -324,8 +324,14 @@ impl RowSchema for ConfigSample {
             && pred.round_max.is_none_or(|n| s.round <= n)
     }
 
-    fn shift_round(&mut self, rounds: u32) {
-        self.round += rounds;
+    fn shift_round(&mut self, rounds: u32) -> Result<(), StoreError> {
+        self.round = self.round.checked_add(rounds).ok_or_else(|| {
+            StoreError::Schema(format!(
+                "round {} shifted by {rounds} overflows u32",
+                self.round
+            ))
+        })?;
+        Ok(())
     }
 }
 
@@ -587,7 +593,9 @@ impl RowSchema for HandoffInstance {
     }
 
     /// Handoff instances carry no crawl round.
-    fn shift_round(&mut self, _rounds: u32) {}
+    fn shift_round(&mut self, _rounds: u32) -> Result<(), StoreError> {
+        Ok(())
+    }
 }
 
 impl D1 {
@@ -870,6 +878,33 @@ mod tests {
                 (want.cell, want.param, want.value.to_bits())
             });
         }
+    }
+
+    #[test]
+    fn round_offset_overflow_is_a_schema_error() {
+        let mut sample = small_d2().iter().next().cloned().unwrap();
+        sample.round = u32::MAX - 5;
+        let mut buf = Vec::new();
+        D2::from_samples(vec![sample])
+            .write_store(&mut buf)
+            .unwrap();
+        let got: Result<Vec<ConfigSample>, MmError> = D2StoreReader::new(buf.as_slice())
+            .unwrap()
+            .with_round_offset(20)
+            .collect();
+        match got {
+            Err(MmError::Store(StoreError::Schema(msg))) => {
+                assert!(msg.contains("overflows"), "unexpected message: {msg}");
+            }
+            other => panic!("expected schema error, got {other:?}"),
+        }
+        // An offset that still fits is applied.
+        let rows: Vec<ConfigSample> = D2StoreReader::new(buf.as_slice())
+            .unwrap()
+            .with_round_offset(5)
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(rows[0].round, u32::MAX);
     }
 
     #[test]

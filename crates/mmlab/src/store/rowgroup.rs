@@ -12,6 +12,7 @@ use super::{TAG_DICT, TAG_ROWS};
 use crate::dataset::ConfigSample;
 use crate::predicate::Predicate;
 use mm_store::{write_varint, Cursor, Dict, DictBuilder, StoreReader, StoreWriter};
+use mmcarriers::city::City;
 use mmcore::{MmError, StoreError};
 use mmradio::band::Rat;
 use std::collections::BTreeSet;
@@ -47,20 +48,13 @@ pub trait RowSchema: Sized {
     fn matches(pred: &Predicate, row: &Self) -> bool;
 
     /// Shift the row's crawl round by `rounds` (a no-op for rows without
-    /// one).
-    fn shift_round(&mut self, rounds: u32);
+    /// one); a shifted round beyond `u32` is a schema error.
+    fn shift_round(&mut self, rounds: u32) -> Result<(), StoreError>;
 }
 
 // ---------------------------------------------------------------------------
 // Vocabulary interning
 // ---------------------------------------------------------------------------
-
-/// Re-intern a carrier code into the `&'static str` the carrier profiles
-/// own — dataset rows carry `&'static str`, so a decoded string must map
-/// back into the fixed vocabulary.
-fn intern_carrier(code: &str) -> Option<&'static str> {
-    mmcarriers::builtin::by_code(code).map(|p| p.code)
-}
 
 /// Parameter names the LTE crawler emits as string literals rather than
 /// through the core params tables (derived/pseudo-parameters of
@@ -125,56 +119,76 @@ fn intern_param(name: &str) -> Option<&'static str> {
 }
 
 /// A decoded dictionary with its entries pre-resolved against the static
-/// vocabularies, once per file — carrier lookups rebuild every profile, so
-/// doing them per row would dominate decode time. An entry that resolves
-/// to nothing only becomes an error when a row actually references it in
-/// that role.
+/// vocabularies, once per file: carrier codes against one build of the
+/// carrier profiles, parameter names against the parameter tables, city
+/// codes against [`City`]. Rows then resolve by index alone. An entry that
+/// resolves to nothing only becomes an error when a row actually
+/// references it in that role.
 pub struct ResolvedDict {
     dict: Dict,
     carriers: Vec<Option<&'static str>>,
     params: Vec<Option<&'static str>>,
+    cities: Vec<City>,
 }
 
 impl ResolvedDict {
     fn new(dict: Dict) -> ResolvedDict {
-        let entries = 0..dict.len() as u64;
+        // Dataset rows carry `&'static str` codes, so a decoded carrier
+        // code must map back into the profiles' own strings. Building the
+        // profiles is the expensive part: do it once per dictionary.
+        let profiles = mmcarriers::builtin::profiles();
+        let entries: Vec<&str> = (0..dict.len() as u64)
+            .filter_map(|i| dict.get(i).ok())
+            .collect();
         let carriers = entries
-            .clone()
-            .map(|i| dict.get(i).ok().and_then(intern_carrier))
+            .iter()
+            .map(|&e| profiles.iter().find(|p| p.code == e).map(|p| p.code))
             .collect();
-        let params = entries
-            .map(|i| dict.get(i).ok().and_then(intern_param))
-            .collect();
+        let params = entries.iter().map(|&e| intern_param(e)).collect();
+        let cities = entries.iter().map(|&e| City::intern(e)).collect();
         ResolvedDict {
             dict,
             carriers,
             params,
+            cities,
         }
     }
 
     /// The carrier code behind dictionary id `id`.
+    #[inline]
     pub fn carrier(&self, id: u64) -> Result<&'static str, StoreError> {
-        let s = self.dict.get(id)?;
-        self.carriers
-            .get(id as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| StoreError::Schema(format!("unknown carrier code {s:?}")))
+        match self.carriers.get(index(id)) {
+            Some(&Some(code)) => Ok(code),
+            _ => Err(self.unresolved(id, "carrier code")),
+        }
     }
 
     /// The city behind dictionary id `id`.
-    pub fn city(&self, id: u64) -> Result<mmcarriers::city::City, StoreError> {
-        Ok(mmcarriers::city::City::intern(self.dict.get(id)?))
+    #[inline]
+    pub fn city(&self, id: u64) -> Result<City, StoreError> {
+        match self.cities.get(index(id)) {
+            Some(&city) => Ok(city),
+            None => Err(self.unresolved(id, "city")),
+        }
     }
 
     /// The parameter name behind dictionary id `id`.
+    #[inline]
     pub fn param(&self, id: u64) -> Result<&'static str, StoreError> {
-        let s = self.dict.get(id)?;
-        self.params
-            .get(id as usize)
-            .copied()
-            .flatten()
-            .ok_or_else(|| StoreError::Schema(format!("unknown parameter name {s:?}")))
+        match self.params.get(index(id)) {
+            Some(&Some(name)) => Ok(name),
+            _ => Err(self.unresolved(id, "parameter name")),
+        }
+    }
+
+    /// The error for an id out of the table's range, or one whose entry
+    /// names nothing in `role`'s vocabulary.
+    #[cold]
+    fn unresolved(&self, id: u64, role: &str) -> StoreError {
+        match self.dict.get(id) {
+            Ok(s) => StoreError::Schema(format!("unknown {role} {s:?}")),
+            Err(e) => e,
+        }
     }
 
     /// The dictionary id of `s`, if this file's vocabulary contains it.
@@ -183,6 +197,12 @@ impl ResolvedDict {
     fn find(&self, s: &str) -> Option<u64> {
         (0..self.dict.len() as u64).find(|&i| self.dict.get(i).is_ok_and(|e| e == s))
     }
+}
+
+/// A dictionary id as a table index; an id beyond `usize` indexes nothing.
+#[inline]
+fn index(id: u64) -> usize {
+    usize::try_from(id).unwrap_or(usize::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -528,7 +548,7 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
                     self.decoded += rows.len() as u64;
                     if self.round_offset != 0 {
                         for row in &mut rows {
-                            row.shift_round(self.round_offset);
+                            row.shift_round(self.round_offset)?;
                         }
                     }
                     if !self.pred.is_any() {

@@ -31,7 +31,36 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Reserved trailer tag: payload is the varint row/record count.
 pub const TAG_END: u8 = 0xff;
 
-/// CRC-32 (IEEE) over `bytes`, bitwise implementation seeded per frame.
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC state update for byte
+/// `b`, and `CRC_TABLES[k][b]` the update for `b` followed by `k` zero
+/// bytes, so eight input bytes fold in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut k = 0;
+        while k < 8 {
+            // Each table is the previous one advanced by one zero byte:
+            // eight more bitwise steps.
+            let mut bit = 0;
+            while bit < 8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            tables[k][b] = crc;
+            k += 1;
+        }
+        b += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE) over `bytes`, table-driven (slice-by-8) and seeded per
+/// frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_feed(!0u32, bytes)
 }
@@ -39,12 +68,22 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Streaming CRC-32 state update: fold `bytes` into `crc`. Seed with
 /// `!0u32`, finish with a final complement — `crc32` composed over slices.
 fn crc32_feed(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let t = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
+        crc = t[7][usize::from(a)]
+            ^ t[6][usize::from(b)]
+            ^ t[5][usize::from(c)]
+            ^ t[4][usize::from(d)]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &byte in words.remainder() {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ t[0][usize::from(low ^ byte)];
     }
     crc
 }
@@ -410,6 +449,45 @@ mod tests {
         // The classic zlib check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(!crc32_feed_bitwise(!0u32, b"123456789"), 0xcbf4_3926);
+    }
+
+    /// The bitwise CRC-32 the tables are checked against: 8 shift/xor
+    /// steps per byte.
+    fn crc32_feed_bitwise(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_reference_at_every_length_and_split() {
+        // xorshift64: seeded bytes without a dev-dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next_byte = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.to_le_bytes()[3]
+        };
+        for len in 0..=257usize {
+            let buf: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+            let want = crc32_feed_bitwise(!0u32, &buf);
+            assert_eq!(crc32(&buf), !want, "len {len}");
+            // Three pieces, as `verify_frame` feeds tag, length and payload.
+            for i in 0..=len {
+                let head = crc32_feed(!0u32, &buf[..i]);
+                for j in i..=len {
+                    let crc = crc32_feed(crc32_feed(head, &buf[i..j]), &buf[j..]);
+                    assert_eq!(crc, want, "len {len}, split at {i} and {j}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ impl UIntEncoder {
     }
 
     /// Append one value.
+    #[inline]
     pub fn push(&mut self, v: u64) {
         let delta = v.wrapping_sub(self.prev) as i64;
         write_varint(&mut self.buf, zigzag(delta));
@@ -60,6 +61,7 @@ pub struct UIntDecoder<'a> {
 
 impl<'a> UIntDecoder<'a> {
     /// Decode from the column's byte string.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         UIntDecoder {
             cursor: Cursor::new(bytes),
@@ -68,6 +70,7 @@ impl<'a> UIntDecoder<'a> {
     }
 
     /// The next value in write order.
+    #[inline]
     pub fn read(&mut self) -> Result<u64, StoreError> {
         let delta = unzigzag(self.cursor.read_varint()?);
         self.prev = self.prev.wrapping_add(delta as u64);
@@ -75,12 +78,14 @@ impl<'a> UIntDecoder<'a> {
     }
 
     /// The next value, checked to fit in `u32`.
+    #[inline]
     pub fn read_u32(&mut self) -> Result<u32, StoreError> {
         u32::try_from(self.read()?)
             .map_err(|_| StoreError::Schema("u32 column value out of range".to_string()))
     }
 
     /// The next value, checked to fit in `u8`.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, StoreError> {
         u8::try_from(self.read()?)
             .map_err(|_| StoreError::Schema("u8 column value out of range".to_string()))
@@ -114,6 +119,7 @@ impl F64Encoder {
     }
 
     /// Append one value.
+    #[inline]
     pub fn push(&mut self, v: f64) {
         let bits = v.to_bits();
         write_varint(&mut self.buf, bits ^ self.prev_bits);
@@ -145,6 +151,7 @@ pub struct F64Decoder<'a> {
 
 impl<'a> F64Decoder<'a> {
     /// Decode from the column's byte string.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         F64Decoder {
             cursor: Cursor::new(bytes),
@@ -153,6 +160,7 @@ impl<'a> F64Decoder<'a> {
     }
 
     /// The next value in write order.
+    #[inline]
     pub fn read(&mut self) -> Result<f64, StoreError> {
         self.prev_bits ^= self.cursor.read_varint()?;
         Ok(f64::from_bits(self.prev_bits))
@@ -248,6 +256,7 @@ impl Dict {
     }
 
     /// Look an id up.
+    #[inline]
     pub fn get(&self, id: u64) -> Result<&str, StoreError> {
         self.entries
             .get(usize::try_from(id).unwrap_or(usize::MAX))

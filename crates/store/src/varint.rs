@@ -9,6 +9,7 @@
 use mmcore::StoreError;
 
 /// Append `v` as a LEB128 varint.
+#[inline]
 pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8) | 0x80);
@@ -18,11 +19,13 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Map a signed value onto the unsigned varint domain.
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
@@ -38,21 +41,25 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Start reading at the beginning of `bytes`.
+    #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// Whether every byte has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Read one byte.
+    #[inline]
     pub fn read_u8(&mut self) -> Result<u8, StoreError> {
         let b = *self
             .bytes
@@ -63,6 +70,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read `n` bytes as a slice.
+    #[inline]
     pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         let end = self
             .pos
@@ -77,7 +85,20 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read a LEB128 varint.
+    #[inline]
     pub fn read_varint(&mut self) -> Result<u64, StoreError> {
+        // One byte is the common case: small deltas and dictionary ids.
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        self.read_varint_long()
+    }
+
+    /// The general path of [`read_varint`](Self::read_varint).
+    fn read_varint_long(&mut self) -> Result<u64, StoreError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {

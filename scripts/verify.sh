@@ -186,7 +186,8 @@ if [ -z "$n_samples" ] || [ "$n_samples" -lt 8000000 ]; then
     echo "verify.sh: FAIL — paper-scale crawl yielded ${n_samples:-0} samples (want >= 8,000,000)" >&2
     exit 1
 fi
-rss_ceiling_kb=409600   # 400 MB; the streamed render measures ~165 MB
+rss_ceiling_kb=409600   # 400 MB; the streamed render measures ~145 MB
+render_start="$(date +%s.%N)"
 ./target/release/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
     --scale paper --store "$paper_store" --load > "$tmpdir/paper-figs.txt" 2>/dev/null &
 mmx_pid=$!
@@ -200,6 +201,7 @@ if ! wait "$mmx_pid"; then
     echo "verify.sh: FAIL — paper-scale streamed figure render exited nonzero" >&2
     exit 1
 fi
+render_s="$(awk -v a="$render_start" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')"
 if [ "$peak_kb" -gt "$rss_ceiling_kb" ]; then
     echo "verify.sh: FAIL — paper-scale render peaked at ${peak_kb} kB RSS (ceiling ${rss_ceiling_kb} kB)" >&2
     exit 1
@@ -208,7 +210,14 @@ if [ "$(wc -l < "$tmpdir/paper-figs.txt")" -lt 100 ]; then
     echo "verify.sh: FAIL — paper-scale figure output is implausibly short" >&2
     exit 1
 fi
-echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB)"
+# Pin the paper-scale figures themselves; they are the same at any
+# MM_THREADS.
+paper_sum="$(cksum < "$tmpdir/paper-figs.txt")"
+if [ "$paper_sum" != "64495986 17300" ]; then
+    echo "verify.sh: FAIL — paper-scale figures cksum is '$paper_sum' (want '64495986 17300')" >&2
+    exit 1
+fi
+echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), cksum pinned"
 
 # Predicate pushdown at paper scale: a single-carrier query must skip at
 # least half of the row groups — the crawl clusters carriers, so the

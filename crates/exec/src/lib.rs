@@ -3,7 +3,8 @@
 //!
 //! A work-stealing scatter/gather pool for the workspace's three hot
 //! fan-outs (drive-test campaigns, the world crawl, and `mmx all` artifact
-//! regeneration). The engine's contract is **determinism**: tasks are
+//! regeneration), and an ordered two-stage pipeline for its fourth use,
+//! the cold store scan. The engine's contract is **determinism**: tasks are
 //! submitted with an index, run on however many workers the host offers,
 //! and are gathered *in submission order* — so as long as every task is
 //! independently seeded (each derives its own `mm-rng` stream from
@@ -33,6 +34,16 @@
 //! [`mm_telemetry::detached`], so spans a task opens root at the same
 //! paths whether it runs inline or on a pool worker.
 //!
+//! ## Pipelines
+//!
+//! [`Executor::pipeline`] overlaps two stages of one sequential stream: a
+//! scoped worker runs `produce` while the caller runs `consume` on the
+//! items already made, in production order, through a FIFO of
+//! [`PIPELINE_DEPTH`] items. The consumer sees exactly the sequence the
+//! sequential loop would, so a fold over a pipeline is byte-identical to
+//! the fold without one. The cold store scan uses it to decode the next
+//! row groups while the caller folds the current one.
+//!
 //! ## Sizing
 //!
 //! [`Executor::from_env`] sizes the pool from the `MM_THREADS` environment
@@ -42,11 +53,57 @@
 //! emulation of it.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Environment variable that overrides the worker count.
 pub const THREADS_ENV: &str = "MM_THREADS";
+
+/// Items a [`pipeline`](Executor::pipeline) producer may queue ahead of
+/// its consumer. With the one the producer is sending and the one the
+/// consumer holds, at most `PIPELINE_DEPTH + 2` items are produced but not
+/// yet consumed.
+pub const PIPELINE_DEPTH: usize = 2;
+
+/// How long a pipeline stage waits on a full or empty FIFO, yielding its
+/// core, before it parks. The other stage normally frees the slot well
+/// within this, and a parked thread gives its core away: on a virtualized
+/// host, getting it back can take longer than the item itself.
+const PIPELINE_SPIN: Duration = Duration::from_millis(1);
+
+/// Send `item`, waiting up to [`PIPELINE_SPIN`] on a full FIFO before
+/// blocking; `false` once the receiver is gone.
+fn send_spinning<T>(tx: &SyncSender<T>, mut item: T) -> bool {
+    let start = Instant::now();
+    loop {
+        match tx.try_send(item) {
+            Ok(()) => return true,
+            Err(TrySendError::Disconnected(_)) => return false,
+            Err(TrySendError::Full(back)) if start.elapsed() < PIPELINE_SPIN => {
+                item = back;
+                std::thread::yield_now();
+            }
+            Err(TrySendError::Full(back)) => return tx.send(back).is_ok(),
+        }
+    }
+}
+
+/// The next item, waiting up to [`PIPELINE_SPIN`] on an empty FIFO before
+/// blocking; `None` once the sender is gone and the FIFO is drained.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(item) => return Some(item),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() < PIPELINE_SPIN => {
+                std::thread::yield_now();
+            }
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+        }
+    }
+}
 
 /// Lift one run's stats into the shared telemetry registry.
 fn record_run(stats: &RunStats) {
@@ -336,6 +393,55 @@ impl Executor {
         record_run(&stats);
         (out, stats)
     }
+
+    /// Run `produce` until it returns `Ok(None)` and hand every item to
+    /// `consume`, in production order. With more than one thread,
+    /// `produce` runs on one scoped worker, at most [`PIPELINE_DEPTH`]
+    /// items ahead, while `consume` runs on the calling thread; with one,
+    /// the same closures alternate inline. `produce` always runs under
+    /// [`mm_telemetry::detached`], so its span paths do not depend on the
+    /// thread count. A stage that finds the FIFO full (producer) or empty
+    /// (consumer) yields its core for up to a millisecond before it parks.
+    ///
+    /// The first `Err` stops the producer and is returned once `consume`
+    /// has taken every earlier item. A panic on either side propagates to
+    /// the caller: a panicking consumer drops the queue's receiving end,
+    /// so a producer blocked on a full queue returns instead of hanging.
+    pub fn pipeline<T, E, P, C>(&self, mut produce: P, mut consume: C) -> Result<(), E>
+    where
+        T: Send,
+        E: Send,
+        P: FnMut() -> Result<Option<T>, E> + Send,
+        C: FnMut(T),
+    {
+        let mut next = move || mm_telemetry::detached(&mut produce);
+        if self.threads == 1 {
+            while let Some(item) = next()? {
+                consume(item);
+            }
+            return Ok(());
+        }
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::sync_channel(PIPELINE_DEPTH);
+            let worker = scope.spawn(move || {
+                while let Some(item) = next().transpose() {
+                    let last = item.is_err();
+                    // A failed send means the consumer is gone (it panicked).
+                    if !send_spinning(&tx, item) || last {
+                        break;
+                    }
+                }
+            });
+            // Ends at the first error, or when the worker drops its sender:
+            // after its last item, or when it panicked.
+            let result = std::iter::from_fn(|| recv_spinning(&rx))
+                .try_for_each(|item| item.map(&mut consume));
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+            result
+        })
+    }
 }
 
 #[cfg(test)]
@@ -429,6 +535,157 @@ mod tests {
         assert_eq!(a.wall_ns, wall + b.wall_ns);
         let executed: u64 = a.workers.iter().map(|w| w.executed).sum();
         assert_eq!(executed, 16);
+    }
+
+    /// A producer of `0..n`.
+    fn counter(n: u32) -> impl FnMut() -> Result<Option<u32>, String> + Send {
+        let mut next = 0;
+        move || {
+            let item = (next < n).then_some(next);
+            next += 1;
+            Ok(item)
+        }
+    }
+
+    /// Longer than a stage waits before it parks.
+    fn outlast_the_spin() {
+        std::thread::sleep(PIPELINE_SPIN * 2);
+    }
+
+    #[test]
+    fn pipeline_consumes_in_production_order() {
+        for threads in [1, 2, 3, 8] {
+            let mut seen = Vec::new();
+            let mut produce = counter(300);
+            Executor::new(threads)
+                .pipeline(
+                    || {
+                        let item = produce()?;
+                        // Now and then the consumer finds the FIFO empty
+                        // for longer than it spins, and parks.
+                        if item.is_some_and(|x| x % 100 == 50) {
+                            outlast_the_spin();
+                        }
+                        Ok::<_, String>(item)
+                    },
+                    |x| seen.push(x),
+                )
+                .unwrap();
+            assert_eq!(seen, (0..300).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn pipeline_stops_at_the_first_error() {
+        for threads in [1, 2, 8] {
+            let mut calls = 0u32;
+            let mut seen = Vec::new();
+            let result = Executor::new(threads).pipeline(
+                || {
+                    calls += 1;
+                    match calls {
+                        1..=5 => Ok(Some(calls)),
+                        6 => Err(format!("failed at call {calls}")),
+                        _ => Ok(Some(calls)),
+                    }
+                },
+                |x| seen.push(x),
+            );
+            assert_eq!(result, Err("failed at call 6".to_string()), "{threads}");
+            assert_eq!(seen, vec![1, 2, 3, 4, 5], "{threads} threads");
+            assert_eq!(calls, 6, "{threads} threads: produce ran past the error");
+        }
+    }
+
+    #[test]
+    fn pipeline_panics_propagate_without_hanging() {
+        for threads in [1, 2, 8] {
+            let exec = Executor::new(threads);
+            let producer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut produce = counter(100);
+                exec.pipeline(
+                    || match produce() {
+                        Ok(Some(7)) => panic!("producer failed"),
+                        item => item,
+                    },
+                    |_| {},
+                )
+            }));
+            assert!(producer.is_err(), "{threads} threads");
+            // An endless producer: only the dropped receiver can stop it.
+            let consumer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.pipeline(
+                    || Ok::<_, String>(Some(0u32)),
+                    |_| panic!("consumer failed"),
+                )
+            }));
+            assert!(consumer.is_err(), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn pipeline_bounds_items_in_flight() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 8] {
+            let produced = AtomicUsize::new(0);
+            let mut consumed = 0usize;
+            let mut most = 0usize;
+            Executor::new(threads)
+                .pipeline(
+                    || {
+                        let n = produced.fetch_add(1, Ordering::SeqCst);
+                        Ok::<_, String>((n < 200).then_some(n))
+                    },
+                    |_| {
+                        // Give the producer time to run as far ahead as it
+                        // can; now and then long enough that it parks.
+                        if consumed % 50 == 25 {
+                            outlast_the_spin();
+                        } else {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                        most = most.max(produced.load(Ordering::SeqCst) - consumed);
+                        consumed += 1;
+                    },
+                )
+                .unwrap();
+            assert_eq!(consumed, 200);
+            assert!(
+                most <= PIPELINE_DEPTH + 2,
+                "{threads} threads: {most} in flight"
+            );
+        }
+    }
+
+    #[test]
+    fn pipeline_span_paths_ignore_the_thread_count() {
+        let paths = |threads| {
+            let reg = mm_telemetry::Registry::new();
+            {
+                let _caller = reg.span("sec", "caller");
+                let mut produce = counter(3);
+                Executor::new(threads)
+                    .pipeline(
+                        || {
+                            let _span = reg.span("sec", "produce");
+                            produce()
+                        },
+                        |_| {},
+                    )
+                    .unwrap();
+            }
+            reg.snapshot()
+                .sections
+                .iter()
+                .flat_map(|s| s.spans.iter().map(|sp| (sp.path.clone(), sp.count)))
+                .collect::<Vec<_>>()
+        };
+        let inline = paths(1);
+        assert_eq!(
+            inline,
+            vec![("caller".to_string(), 1), ("produce".to_string(), 4)]
+        );
+        assert_eq!(paths(2), inline);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::context::Ctx;
 use crate::store::{Manifest, RunStore};
 use crate::stream::D2Agg;
 use crate::Artifact;
+use mm_exec::Executor;
 use mm_json::Json;
 use mm_store::fnv1a64;
 use mmcarriers::city::City;
@@ -802,6 +803,7 @@ impl QueryEngine {
     /// per-group vocabulary stats skip whole blocks.
     pub fn aggregate(&self, pred: &Predicate) -> Result<(D2Agg, ScanStats), MmError> {
         let row_pred = pred.without_rounds();
+        let exec = Executor::from_env();
         let mut agg = D2Agg::new();
         let mut total = ScanStats::default();
         for r in &self.manifest.rounds {
@@ -817,13 +819,10 @@ impl QueryEngine {
                         r.round, r.entry
                     ))
                 })?;
-            let mut reader = D2StoreReader::new(BufReader::new(file))?
+            let reader = D2StoreReader::new(BufReader::new(file))?
                 .with_predicate(&row_pred)
                 .with_round_offset(r.round * mmcarriers::world::ROUNDS);
-            for row in reader.by_ref() {
-                agg.push(&row?);
-            }
-            total += reader.scan_stats();
+            total += agg.fold_store(reader, &exec)?;
         }
         Ok((agg, total))
     }

@@ -24,12 +24,13 @@
 //! by the sample count: at the paper's 8M-sample scale the accumulators
 //! stay two orders of magnitude smaller than the dataset.
 
+use mm_exec::Executor;
 use mmcarriers::city::City;
 use mmcore::MmError;
 use mmlab::agg::ValueCounts;
 use mmlab::dataset::{value_key, ConfigSample, D2};
 use mmlab::diversity::{dependence_counts, Diversity, Measure};
-use mmlab::store::D2StoreReader;
+use mmlab::store::{D2StoreReader, ScanStats};
 use mmradio::band::Rat;
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
@@ -222,12 +223,32 @@ impl D2Agg {
 
     /// Aggregate directly from a columnar store reader, block by block —
     /// the whole dataset is never resident.
-    pub fn from_store<R: Read>(reader: D2StoreReader<R>) -> Result<D2Agg, MmError> {
+    pub fn from_store<R: Read + Send>(reader: D2StoreReader<R>) -> Result<D2Agg, MmError> {
         let mut agg = D2Agg::new();
-        for row in reader {
-            agg.push(&row?);
-        }
+        agg.fold_store(reader, &Executor::from_env())?;
         Ok(agg)
+    }
+
+    /// Fold every row `reader` admits, in file order, and return its scan
+    /// accounting. With more than one thread in `exec`, a worker reads,
+    /// checks and decodes the next row groups while this thread folds the
+    /// current one (`Executor::pipeline`); the rows and their order are
+    /// the same at any thread count, so is the aggregate. At most
+    /// `PIPELINE_DEPTH + 2` decoded groups are alive at once.
+    pub fn fold_store<R: Read + Send>(
+        &mut self,
+        mut reader: D2StoreReader<R>,
+        exec: &Executor,
+    ) -> Result<ScanStats, MmError> {
+        exec.pipeline(
+            || reader.next_group(),
+            |rows| {
+                for s in &rows {
+                    self.push(s);
+                }
+            },
+        )?;
+        Ok(reader.scan_stats())
     }
 
     /// Fold one sample in. Rows may arrive in any order: the outputs that
@@ -620,6 +641,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::context::Ctx;
     use crate::{factors, idle, landscape};
+    use mmcore::StoreError;
 
     /// One mid-size quick context shared by the agreement tests (crawl is
     /// the expensive part; the assertions differ per test).
@@ -727,6 +749,66 @@ pub(crate) mod tests {
         // Fig 11.
         assert_eq!(agg.threshold_triples(), idle::threshold_triples(d2));
         assert_eq!(agg.gap_series(), idle::gap_series(d2));
+    }
+
+    /// The pipelined fold over a many-group store: the same aggregate and
+    /// scan accounting at any thread count, each equal to the legacy
+    /// helpers over the in-memory rows.
+    #[test]
+    fn pipelined_fold_is_the_same_at_any_thread_count() {
+        let c = ctx();
+        let d2 = c.d2();
+        let mut buf = Vec::new();
+        d2.write_store_with(&mut buf, 512).unwrap();
+        let fold = |threads| {
+            let reader = D2StoreReader::new(buf.as_slice()).unwrap();
+            let mut agg = D2Agg::new();
+            let scan = agg.fold_store(reader, &Executor::new(threads)).unwrap();
+            (agg, scan)
+        };
+        let (reference, scan) = fold(1);
+        assert!(scan.groups_decoded > 50, "{scan:?}");
+        assert_eq!(scan.groups_skipped, 0);
+        assert_agg_matches_legacy(&reference, d2);
+        for threads in [2, 8] {
+            let (agg, got) = fold(threads);
+            assert_eq!(got, scan, "{threads} threads");
+            // The parameter memo is keyed by address, so `Debug` compares
+            // only folds over the same reader's strings.
+            assert_eq!(format!("{agg:?}"), format!("{reference:?}"), "{threads}");
+            assert_agg_matches_legacy(&agg, d2);
+        }
+    }
+
+    /// Damage mid-file surfaces as the same typed error at any thread
+    /// count, and the pipeline returns instead of hanging.
+    #[test]
+    fn pipelined_fold_reports_damage_alike_at_any_thread_count() {
+        let c = Ctx::builder().quick().scale(0.02).seed(5).build();
+        let mut buf = Vec::new();
+        c.d2().write_store_with(&mut buf, 512).unwrap();
+        let fold_err = |bytes: &[u8], threads| {
+            let reader = D2StoreReader::new(bytes).unwrap();
+            match D2Agg::new().fold_store(reader, &Executor::new(threads)) {
+                Err(MmError::Store(e)) => e,
+                other => panic!("{threads} threads: {other:?}"),
+            }
+        };
+        let mut flipped = buf.clone();
+        flipped[buf.len() / 2] ^= 0x10;
+        let truncated = &buf[..buf.len() * 2 / 3];
+        let reference = fold_err(&flipped, 1);
+        assert!(
+            matches!(reference, StoreError::Checksum { .. }),
+            "{reference:?}"
+        );
+        for threads in [1, 2, 8] {
+            assert_eq!(fold_err(&flipped, threads), reference);
+            assert!(
+                matches!(fold_err(truncated, threads), StoreError::Truncated { .. }),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

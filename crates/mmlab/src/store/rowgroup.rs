@@ -474,7 +474,25 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
         self.stats
     }
 
-    fn refill(&mut self) -> Result<bool, MmError> {
+    /// The next admitted row group's rows, with the predicate and the
+    /// round shift applied; `Ok(None)` once the trailer's row count has
+    /// been checked. Each call does the block work row iteration does:
+    /// pushdown, the CRC before any column decode, the schema's checks on
+    /// every row. After `Ok(None)` or an `Err` every call returns
+    /// `Ok(None)`. Rows of a group the iterator has started are not
+    /// returned again.
+    pub fn next_group(&mut self) -> Result<Option<Vec<T>>, MmError> {
+        if self.done {
+            return Ok(None);
+        }
+        let group = self.read_group();
+        if !matches!(group, Ok(Some(_))) {
+            self.done = true;
+        }
+        group
+    }
+
+    fn read_group(&mut self) -> Result<Option<Vec<T>>, MmError> {
         loop {
             // With a pushdown filter armed, each row group's stats prefix
             // is consulted before the checksum pass: a rejected group's
@@ -524,7 +542,7 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
                     t.counter_scoped("store", &name, mm_telemetry::Scope::Sim)
                         .add(n);
                 }
-                return Ok(false);
+                return Ok(None);
             };
             match block.tag {
                 TAG_DICT => {
@@ -555,8 +573,7 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
                         let pred = &self.pred;
                         rows.retain(|row| T::matches(pred, row));
                     }
-                    self.buf = rows.into_iter();
-                    return Ok(true);
+                    return Ok(Some(rows));
                 }
                 t => {
                     return Err(StoreError::Schema(format!("unknown block tag {t}")).into());
@@ -580,23 +597,14 @@ impl<T: RowSchema, R: Read> Iterator for RowGroupReader<T, R> {
     type Item = Result<T, MmError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
         loop {
             if let Some(row) = self.buf.next() {
                 return Some(Ok(row));
             }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+            match self.next_group() {
+                Ok(Some(rows)) => self.buf = rows.into_iter(),
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
     }

@@ -74,18 +74,19 @@ pub fn read_hello<R: Read>(r: &mut R) -> Result<u32, NetError> {
     Ok(version)
 }
 
-/// Write one frame: tag, length prefix, payload, payload CRC.
+/// Write one frame: tag, length prefix, payload, payload CRC — assembled
+/// first and handed to `w` in one `write_all`, so on a `TCP_NODELAY`
+/// socket a frame leaves as one segment, not three.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> Result<(), NetError> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         NetError::Protocol("frame payload exceeds the u32 length prefix".to_string())
     })?;
-    let mut header = [0u8; 5];
-    header[0] = tag;
-    header[1..].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&header).map_err(|e| io_to_net(e, "frame"))?;
-    w.write_all(payload).map_err(|e| io_to_net(e, "frame"))?;
-    w.write_all(&crc32(payload).to_le_bytes())
-        .map_err(|e| io_to_net(e, "frame"))?;
+    let mut frame = Vec::with_capacity(payload.len() + 9);
+    frame.push(tag);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&crc32(payload).to_le_bytes());
+    w.write_all(&frame).map_err(|e| io_to_net(e, "frame"))?;
     w.flush().map_err(|e| io_to_net(e, "frame"))?;
     Ok(())
 }
@@ -192,6 +193,37 @@ mod tests {
             read_frame(&mut bad.as_slice(), 64).unwrap_err(),
             NetError::Checksum
         );
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_the_documented_bytes() {
+        for payload in [&b""[..], b"{\"target\":\"f16\"}", &[0xAB; 3000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, TAG_OK, payload).unwrap();
+            assert_eq!(w.writes.len(), 1, "{} payload bytes", payload.len());
+            let mut want = vec![TAG_OK];
+            want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            want.extend_from_slice(payload);
+            want.extend_from_slice(&crc32(payload).to_le_bytes());
+            assert_eq!(w.writes[0], want);
+        }
     }
 
     #[test]

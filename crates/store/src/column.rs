@@ -9,6 +9,7 @@
 
 use crate::varint::{unzigzag, write_varint, zigzag, Cursor};
 use mmcore::StoreError;
+use std::collections::BTreeMap;
 
 /// Encoder for an unsigned integer column (`u64` and anything narrower).
 ///
@@ -178,6 +179,8 @@ impl<'a> F64Decoder<'a> {
 #[derive(Default)]
 pub struct DictBuilder {
     entries: Vec<String>,
+    /// Each entry's id, by content. Ids still come from `entries`' order.
+    ids: BTreeMap<String, u64>,
 }
 
 impl DictBuilder {
@@ -188,15 +191,17 @@ impl DictBuilder {
 
     /// The id for `s`, inserting it on first sight.
     ///
-    /// Dictionaries here hold carrier codes, parameter names and city codes
-    /// — a few hundred entries at most — so the linear probe is cheaper
-    /// than maintaining a side index.
+    /// Ingest interns three strings per row (carrier, parameter, city)
+    /// into a table of a few hundred entries, so the lookup goes through
+    /// an ordered index rather than a linear probe of `entries`.
     pub fn intern(&mut self, s: &str) -> u64 {
-        if let Some(i) = self.entries.iter().position(|e| e == s) {
-            return i as u64;
+        if let Some(&id) = self.ids.get(s) {
+            return id;
         }
+        let id = self.entries.len() as u64;
         self.entries.push(s.to_string());
-        (self.entries.len() - 1) as u64
+        self.ids.insert(s.to_string(), id);
+        id
     }
 
     /// Serialize the table.
@@ -365,6 +370,34 @@ mod tests {
         let bytes = enc.finish();
         let mut dec = UIntDecoder::new(&bytes);
         assert!(matches!(dec.read_u32(), Err(StoreError::Schema(_))));
+    }
+
+    #[test]
+    fn dict_ids_follow_first_sight_and_encode_in_that_order() {
+        let seq = [
+            "q-Hyst",
+            "A",
+            "q-Hyst",
+            "C1",
+            "A",
+            "a3-Offset",
+            "C1",
+            "",
+            "A",
+            "",
+        ];
+        let mut b = DictBuilder::new();
+        let ids: Vec<u64> = seq.iter().map(|s| b.intern(s)).collect();
+        assert_eq!(ids, [0, 1, 0, 2, 1, 3, 2, 4, 1, 4]);
+        assert_eq!(b.len(), 5);
+        // The table layout: count, then each entry length-prefixed, in id
+        // order.
+        let mut want = vec![5u8];
+        for e in ["q-Hyst", "A", "C1", "a3-Offset", ""] {
+            want.push(e.len() as u8);
+            want.extend_from_slice(e.as_bytes());
+        }
+        assert_eq!(b.encode(), want);
     }
 
     #[test]

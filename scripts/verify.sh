@@ -218,6 +218,19 @@ if [ "$paper_sum" != "64495986 17300" ]; then
     exit 1
 fi
 echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), cksum pinned"
+# The same render with one thread: the scan's decode stage then runs
+# inline instead of on a second core (DESIGN.md §6), and the figures must
+# not change.
+seq_start="$(date +%s.%N)"
+MM_THREADS=1 ./target/release/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
+    --scale paper --store "$paper_store" --load > "$tmpdir/paper-figs-1.txt" 2>/dev/null
+seq_s="$(awk -v a="$seq_start" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')"
+seq_sum="$(cksum < "$tmpdir/paper-figs-1.txt")"
+if [ "$seq_sum" != "64495986 17300" ]; then
+    echo "verify.sh: FAIL — paper-scale figures cksum at MM_THREADS=1 is '$seq_sum' (want '64495986 17300')" >&2
+    exit 1
+fi
+echo "verify.sh: paper-scale D2 render at MM_THREADS=1 matches the pinned cksum (${seq_s} s vs ${render_s} s at the default thread count)"
 
 # Predicate pushdown at paper scale: a single-carrier query must skip at
 # least half of the row groups — the crawl clusters carriers, so the

@@ -40,14 +40,19 @@
 //! control targets exist only in this mode: `stats` prints the server's
 //! Serve-scope telemetry snapshot, `shutdown` drains and stops it.
 //!
+//! `--scale` takes a fraction of the paper's deployment in (0, 1], or
+//! `paper` for all of it; with `--seed` it names the campaign as
+//! `mmx crawl` wrote it.
+//!
 //! Exit codes: 2 for usage errors (unknown artifacts, missing campaign,
 //! contradictory flags, server `bad-request` rejections), 3 for runtime
 //! failures (corrupt store entries, wire damage, server overload).
 
 use mm_json::ToJson;
 use mm_net::{Client, Request, Response};
+use mmexperiments::cli::{self, CtxFlags, MetricsSink};
 use mmexperiments::query::{store_servable, GroupBy, QueryFormat, QueryRequest};
-use mmexperiments::{Artifact, Ctx, MmError, QueryEngine, QueryResult};
+use mmexperiments::{Artifact, MmError, QueryEngine, QueryResult};
 use mmlab::predicate::rat_from_key;
 use mmradio::band::Rat;
 
@@ -77,15 +82,6 @@ fn usage() -> String {
     )
 }
 
-/// Where the `--metrics` snapshot goes.
-#[derive(Default)]
-enum MetricsSink {
-    #[default]
-    Off,
-    Stderr,
-    File(String),
-}
-
 /// One requested target, before the predicate flags are folded in.
 enum Target {
     Artifact(Artifact),
@@ -97,16 +93,6 @@ enum Target {
     Stats,
     /// `--connect` only: drain the server and stop it.
     Shutdown,
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
-}
-
-fn flag_value(flag: &str, value: Option<String>) -> Result<String, MmError> {
-    value.ok_or_else(|| MmError::Config(format!("{flag} expects a value")))
 }
 
 /// Print one answered query exactly as local mode always has: the scan
@@ -198,12 +184,7 @@ fn real_main() -> Result<(), MmError> {
     if args.is_empty() {
         return Err(MmError::Config(usage()));
     }
-    let mut seed = 2018u64;
-    let mut scale: Option<f64> = None;
-    let mut runs: Option<usize> = None;
-    let mut duration_s: Option<u64> = None;
-    let mut quick = false;
-    let mut store_dir: Option<String> = None;
+    let mut flags = CtxFlags::default();
     let mut carrier: Option<String> = None;
     let mut city: Option<mmcarriers::City> = None;
     let mut param: Option<String> = None;
@@ -216,47 +197,34 @@ fn real_main() -> Result<(), MmError> {
     let mut targets: Vec<Target> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if flags.take(&a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--version" => {
                 println!("mmq {}", env!("CARGO_PKG_VERSION"));
                 return Ok(());
             }
-            "--seed" => seed = parse_num("--seed", it.next())?,
-            "--scale" => {
-                scale = Some(match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                })
-            }
-            "--runs" => runs = Some(parse_num("--runs", it.next())?),
-            "--duration-s" => duration_s = Some(parse_num("--duration-s", it.next())?),
-            "--quick" => quick = true,
-            "--store" => {
-                store_dir = Some(
-                    it.next()
-                        .ok_or_else(|| MmError::Config("--store expects a directory".into()))?,
-                )
-            }
-            "--carrier" => carrier = Some(flag_value("--carrier", it.next())?),
+            "--carrier" => carrier = Some(cli::value("--carrier", "a value", it.next())?),
             "--city" => {
-                let code = flag_value("--city", it.next())?;
+                let code = cli::value("--city", "a value", it.next())?;
                 city = Some(
                     code.parse()
                         .map_err(|e| MmError::Config(format!("--city: {e}")))?,
                 );
             }
-            "--param" => param = Some(flag_value("--param", it.next())?),
+            "--param" => param = Some(cli::value("--param", "a value", it.next())?),
             "--rat" => {
-                let key = flag_value("--rat", it.next())?;
+                let key = cli::value("--rat", "a value", it.next())?;
                 rat = Some(rat_from_key(&key).ok_or_else(|| {
                     MmError::Config(format!(
                         "--rat: unknown RAT {key:?} (lte, umts, gsm, evdo, cdma1x)"
                     ))
                 })?);
             }
-            "--rounds" => rounds = Some(parse_num("--rounds", it.next())?),
+            "--rounds" => rounds = Some(cli::num("--rounds", it.next())?),
             "--group-by" => {
-                let dim = flag_value("--group-by", it.next())?;
+                let dim = cli::value("--group-by", "a value", it.next())?;
                 group_by = Some(match dim.as_str() {
                     "city" => GroupBy::City,
                     "carrier" => GroupBy::Carrier,
@@ -267,9 +235,8 @@ fn real_main() -> Result<(), MmError> {
                     }
                 });
             }
-            "--connect" => connect = Some(flag_value("--connect", it.next())?),
+            "--connect" => connect = Some(cli::value("--connect", "a value", it.next())?),
             "--json" => json = true,
-            "--metrics" => metrics = MetricsSink::Stderr,
             "list" => {
                 for id in servable_ids() {
                     println!("{id}");
@@ -285,8 +252,8 @@ fn real_main() -> Result<(), MmError> {
             "stats" => targets.push(Target::Stats),
             "shutdown" => targets.push(Target::Shutdown),
             other => {
-                if let Some(path) = other.strip_prefix("--metrics=") {
-                    metrics = MetricsSink::File(path.to_string());
+                if let Some(sink) = MetricsSink::parse(other) {
+                    metrics = sink;
                 } else if other.starts_with("--") {
                     return Err(MmError::Config(usage()));
                 } else {
@@ -298,12 +265,8 @@ fn real_main() -> Result<(), MmError> {
     if targets.is_empty() {
         return Err(MmError::Config(usage()));
     }
-    if quick && scale.is_some() {
-        return Err(MmError::Config(
-            "--quick and --scale conflict; --quick is the fixed small preset".into(),
-        ));
-    }
-    if connect.is_some() && store_dir.is_some() {
+    flags.check()?;
+    if connect.is_some() && flags.store.is_some() {
         return Err(MmError::Config(
             "--connect and --store conflict; the server owns the store".into(),
         ));
@@ -367,7 +330,7 @@ fn real_main() -> Result<(), MmError> {
         return run_connected(&addr, &targets, &build_request, json);
     }
 
-    let Some(dir) = store_dir else {
+    let Some(dir) = &flags.store else {
         return Err(MmError::Config(
             "mmq answers from a stored campaign; name it with --store DIR \
              (or ask a server with --connect HOST:PORT)"
@@ -380,27 +343,15 @@ fn real_main() -> Result<(), MmError> {
         .map(&build_request)
         .collect::<Result<_, _>>()?;
 
-    let mut builder = Ctx::builder().seed(seed);
-    builder = if quick {
-        builder.quick()
-    } else {
-        builder.scale(scale.unwrap_or(0.25))
-    };
-    if let Some(r) = runs {
-        builder = builder.runs(r);
-    }
-    if let Some(d) = duration_s {
-        builder = builder.duration_ms(d * 1000);
-    }
-    let ctx = builder.build();
+    let ctx = flags.build();
     eprintln!(
         "# mmq: seed={} scale={} ({} mode)",
         ctx.seed,
         ctx.scale,
-        if quick { "quick" } else { "standard" },
+        if flags.quick { "quick" } else { "standard" },
     );
 
-    let engine = QueryEngine::open(std::path::Path::new(&dir), ctx)?;
+    let engine = QueryEngine::open(std::path::Path::new(dir), ctx)?;
     eprintln!(
         "# mmq: campaign has {} round(s), {} samples, content {:016x}",
         engine.manifest().rounds.len(),
@@ -411,28 +362,11 @@ fn real_main() -> Result<(), MmError> {
         let result = engine.run(req)?;
         print_result(req, &result, json);
     }
-    match metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let snapshot = mm_telemetry::global().snapshot().deterministic().to_json();
-            eprintln!("{snapshot}");
-        }
-        MetricsSink::File(path) => {
-            let snapshot = mm_telemetry::global().snapshot().deterministic().to_json();
-            std::fs::write(&path, format!("{snapshot}\n"))?;
-        }
-    }
-    Ok(())
+    metrics.emit(|| mm_telemetry::global().snapshot().deterministic().to_json())
 }
 
 fn main() {
     if let Err(err) = real_main() {
-        // Usage errors carry the full usage text; runtime errors a prefix.
-        if err.is_usage() {
-            eprintln!("mmq: {err}");
-        } else {
-            eprintln!("mmq: error: {err}");
-        }
-        std::process::exit(err.exit_code());
+        std::process::exit(cli::report("mmq", &err));
     }
 }

@@ -21,10 +21,14 @@
 //! `shutdown` control request (`mmq --connect ADDR shutdown`), then
 //! drains in-flight work and exits 0.
 //!
+//! `--scale` takes a fraction of the paper's deployment in (0, 1], or
+//! `paper` for all of it, as in `mmq`.
+//!
 //! Exit codes: 2 for usage errors (bad flags, missing campaign), 3 for
 //! runtime failures (corrupt store, unbindable address).
 
-use mmexperiments::{serve, Ctx, MmError, QueryEngine, ServeConfig};
+use mmexperiments::cli::{self, CtxFlags};
+use mmexperiments::{serve, MmError, QueryEngine, ServeConfig};
 
 fn usage() -> String {
     "usage: mmqd --store DIR [--listen ADDR] [--seed N] [--scale X|paper] [--runs N] \
@@ -35,95 +39,49 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
-}
-
 fn real_main() -> Result<(), MmError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         return Err(MmError::Config(usage()));
     }
-    let mut seed = 2018u64;
-    let mut scale: Option<f64> = None;
-    let mut runs: Option<usize> = None;
-    let mut duration_s: Option<u64> = None;
-    let mut quick = false;
-    let mut store_dir: Option<String> = None;
+    let mut flags = CtxFlags::default();
     let mut listen = "127.0.0.1:0".to_string();
     let mut cfg = ServeConfig::default();
     let mut inflight_set = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
+        if flags.take(&a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--version" => {
                 println!("mmqd {}", env!("CARGO_PKG_VERSION"));
                 return Ok(());
             }
-            "--seed" => seed = parse_num("--seed", it.next())?,
-            "--scale" => {
-                scale = Some(match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                })
-            }
-            "--runs" => runs = Some(parse_num("--runs", it.next())?),
-            "--duration-s" => duration_s = Some(parse_num("--duration-s", it.next())?),
-            "--quick" => quick = true,
-            "--store" => {
-                store_dir = Some(
-                    it.next()
-                        .ok_or_else(|| MmError::Config("--store expects a directory".into()))?,
-                )
-            }
-            "--listen" => {
-                listen = it
-                    .next()
-                    .ok_or_else(|| MmError::Config("--listen expects HOST:PORT".into()))?
-            }
-            "--workers" => cfg.workers = parse_num("--workers", it.next())?,
+            "--listen" => listen = cli::value("--listen", "HOST:PORT", it.next())?,
+            "--workers" => cfg.workers = cli::num("--workers", it.next())?,
             "--max-inflight" => {
-                cfg.max_inflight = parse_num("--max-inflight", it.next())?;
+                cfg.max_inflight = cli::num("--max-inflight", it.next())?;
                 inflight_set = true;
             }
-            "--deadline-ms" => cfg.deadline_ms = parse_num("--deadline-ms", it.next())?,
-            "--max-frame" => cfg.max_frame = parse_num("--max-frame", it.next())?,
-            "--queue-cap" => cfg.queue_cap = parse_num("--queue-cap", it.next())?,
+            "--deadline-ms" => cfg.deadline_ms = cli::num("--deadline-ms", it.next())?,
+            "--max-frame" => cfg.max_frame = cli::num("--max-frame", it.next())?,
+            "--queue-cap" => cfg.queue_cap = cli::num("--queue-cap", it.next())?,
             _ => return Err(MmError::Config(usage())),
         }
     }
-    if quick && scale.is_some() {
-        return Err(MmError::Config(
-            "--quick and --scale conflict; --quick is the fixed small preset".into(),
-        ));
-    }
+    flags.check()?;
     // The in-flight cap tracks the pool size unless pinned explicitly.
     if !inflight_set {
         cfg.max_inflight = cfg.workers.max(1) * 2;
     }
-    let Some(dir) = store_dir else {
+    let Some(dir) = &flags.store else {
         return Err(MmError::Config(
             "mmqd serves a stored campaign; name it with --store DIR".into(),
         ));
     };
 
-    let mut builder = Ctx::builder().seed(seed);
-    builder = if quick {
-        builder.quick()
-    } else {
-        builder.scale(scale.unwrap_or(0.25))
-    };
-    if let Some(r) = runs {
-        builder = builder.runs(r);
-    }
-    if let Some(d) = duration_s {
-        builder = builder.duration_ms(d * 1000);
-    }
-    let ctx = builder.build();
-
-    let engine = QueryEngine::open(std::path::Path::new(&dir), ctx)?;
+    let engine = QueryEngine::open(std::path::Path::new(dir), flags.build())?;
     eprintln!(
         "# mmqd: campaign has {} round(s), {} samples, content {:016x}",
         engine.manifest().rounds.len(),
@@ -151,11 +109,6 @@ fn real_main() -> Result<(), MmError> {
 
 fn main() {
     if let Err(err) = real_main() {
-        if err.is_usage() {
-            eprintln!("mmqd: {err}");
-        } else {
-            eprintln!("mmqd: error: {err}");
-        }
-        std::process::exit(err.exit_code());
+        std::process::exit(cli::report("mmqd", &err));
     }
 }

@@ -14,8 +14,9 @@
 //! ```
 //!
 //! Artifacts: `t2 t3 t4 f5 f6 ... f22`. The default context uses a
-//! mid-size world (scale 0.25); pass `--scale 1` (or the `paper` alias)
-//! for the full ~32k-cell population the paper crawled.
+//! mid-size world (scale 0.25). `--scale` takes a fraction of the paper's
+//! deployment in (0, 1]: pass `--scale 1` (or the `paper` alias) for the
+//! full ~32k-cell population the paper crawled.
 //!
 //! Every invocation resolves its flags into one typed [`RunMode`] before
 //! anything runs: version/list, a cold crawl, an appended crawl round, or
@@ -61,10 +62,10 @@
 
 use mm_exec::Executor;
 use mm_json::ToJson;
+use mmexperiments::cli::{self, CtxFlags, MetricsSink};
 use mmexperiments::store::round_seed;
 use mmexperiments::{
-    run, run_fleet_on, Artifact, Ctx, FleetConfig, MmError, RunBundle, RunStore, ABLATIONS,
-    ARTIFACTS,
+    run, run_fleet_on, Artifact, FleetConfig, MmError, RunBundle, RunStore, ABLATIONS, ARTIFACTS,
 };
 
 fn usage() -> String {
@@ -76,15 +77,6 @@ fn usage() -> String {
         ARTIFACTS.join(" "),
         ABLATIONS.join(" ")
     )
-}
-
-/// Where the `--metrics` snapshot goes.
-#[derive(Default)]
-enum MetricsSink {
-    #[default]
-    Off,
-    Stderr,
-    File(String),
 }
 
 /// How a render interacts with the store.
@@ -124,14 +116,9 @@ enum RunMode {
 /// The flags exactly as parsed, before any cross-flag validation.
 #[derive(Default)]
 struct RawArgs {
-    seed: Option<u64>,
-    scale: Option<f64>,
-    runs: Option<usize>,
-    duration_s: Option<u64>,
-    quick: bool,
+    ctx: CtxFlags,
     timings: bool,
     metrics: MetricsSink,
-    store_dir: Option<String>,
     save: bool,
     load: bool,
     append: bool,
@@ -141,48 +128,27 @@ struct RawArgs {
     wanted: Vec<Artifact>,
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
-}
-
 impl RawArgs {
     fn parse(args: impl Iterator<Item = String>) -> Result<RawArgs, MmError> {
         let mut raw = RawArgs::default();
         let mut it = args;
         while let Some(a) = it.next() {
+            if raw.ctx.take(&a, &mut it)? {
+                continue;
+            }
             match a.as_str() {
                 "--version" => raw.version = true,
-                "--seed" => raw.seed = Some(parse_num("--seed", it.next())?),
-                "--scale" => {
-                    raw.scale = Some(match it.next() {
-                        // The paper's full crawl: ~32k cells, ~8M samples.
-                        Some(v) if v == "paper" => 1.0,
-                        v => parse_num("--scale", v)?,
-                    })
-                }
-                "--runs" => raw.runs = Some(parse_num("--runs", it.next())?),
-                "--duration-s" => raw.duration_s = Some(parse_num("--duration-s", it.next())?),
-                "--quick" => raw.quick = true,
                 "--timings" => raw.timings = true,
-                "--store" => {
-                    raw.store_dir = Some(
-                        it.next()
-                            .ok_or_else(|| MmError::Config("--store expects a directory".into()))?,
-                    )
-                }
                 "--save" => raw.save = true,
                 "--load" => raw.load = true,
                 "--append" => raw.append = true,
-                "--metrics" => raw.metrics = MetricsSink::Stderr,
                 "list" => raw.list = true,
                 "all" => raw.wanted.extend(Artifact::PAPER),
                 "ablations" => raw.wanted.extend(Artifact::ABLATIONS),
                 "crawl" => raw.crawl = true,
                 other => {
-                    if let Some(path) = other.strip_prefix("--metrics=") {
-                        raw.metrics = MetricsSink::File(path.to_string());
+                    if let Some(sink) = MetricsSink::parse(other) {
+                        raw.metrics = sink;
                     } else if other.starts_with("--") {
                         return Err(MmError::Config(usage()));
                     } else {
@@ -203,11 +169,7 @@ impl RawArgs {
         if self.list {
             return Ok(RunMode::List);
         }
-        if self.quick && self.scale.is_some() {
-            return Err(MmError::Config(
-                "--quick and --scale conflict; --quick is the fixed small preset".into(),
-            ));
-        }
+        self.ctx.check()?;
         if self.save && self.load {
             return Err(MmError::Config(
                 "--save and --load conflict; a run either writes the store or replays it".into(),
@@ -221,7 +183,7 @@ impl RawArgs {
                         .into(),
                 ));
             }
-            if self.store_dir.is_none() {
+            if self.ctx.store.is_none() {
                 return Err(MmError::Config(
                     "--append needs a cache directory (--store DIR)".into(),
                 ));
@@ -234,7 +196,7 @@ impl RawArgs {
                     "crawl persists the dataset itself; --save/--load conflict with it".into(),
                 ));
             }
-            if self.store_dir.is_none() {
+            if self.ctx.store.is_none() {
                 return Err(MmError::Config(
                     "crawl needs a cache directory (--store DIR)".into(),
                 ));
@@ -243,7 +205,7 @@ impl RawArgs {
                 wanted: self.wanted.clone(),
             });
         }
-        if (self.save || self.load) && self.store_dir.is_none() {
+        if (self.save || self.load) && self.ctx.store.is_none() {
             return Err(MmError::Config(
                 "--save/--load need a cache directory (--store DIR)".into(),
             ));
@@ -260,22 +222,6 @@ impl RawArgs {
             wanted: self.wanted.clone(),
             cache,
         })
-    }
-
-    fn ctx(&self) -> Ctx {
-        let mut builder = Ctx::builder().seed(self.seed.unwrap_or(2018));
-        builder = if self.quick {
-            builder.quick()
-        } else {
-            builder.scale(self.scale.unwrap_or(0.25))
-        };
-        if let Some(r) = self.runs {
-            builder = builder.runs(r);
-        }
-        if let Some(d) = self.duration_s {
-            builder = builder.duration_ms(d * 1000);
-        }
-        builder.build()
     }
 }
 
@@ -296,38 +242,22 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
     let mut it = args;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--ues" => cfg.ues = parse_num("--ues", it.next())?,
-            "--shards" => cfg.shards = parse_num("--shards", it.next())?,
-            "--seed" => cfg.seed = parse_num("--seed", it.next())?,
-            "--duration-s" => cfg.duration_ms = parse_num::<u64>("--duration-s", it.next())? * 1000,
-            "--epoch-ms" => cfg.epoch_ms = parse_num("--epoch-ms", it.next())?,
-            "--carrier" => {
-                cfg.carrier = it
-                    .next()
-                    .ok_or_else(|| MmError::Config("--carrier expects a code".into()))?
-            }
+            "--ues" => cfg.ues = cli::num("--ues", it.next())?,
+            "--shards" => cfg.shards = cli::num("--shards", it.next())?,
+            "--seed" => cfg.seed = cli::num("--seed", it.next())?,
+            "--duration-s" => cfg.duration_ms = cli::duration_ms(it.next())?,
+            "--epoch-ms" => cfg.epoch_ms = cli::num("--epoch-ms", it.next())?,
+            "--carrier" => cfg.carrier = cli::value("--carrier", "a code", it.next())?,
             "--city" => {
-                let code = it
-                    .next()
-                    .ok_or_else(|| MmError::Config("--city expects a code".into()))?;
-                cfg.city = code
+                cfg.city = cli::value("--city", "a code", it.next())?
                     .parse()
                     .map_err(|e| MmError::Config(format!("{e} (see `mmx f20` for codes)")))?;
             }
-            "--scale" => {
-                cfg.scale = match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                }
-            }
-            "--metrics" => metrics = MetricsSink::Stderr,
-            other => {
-                if let Some(path) = other.strip_prefix("--metrics=") {
-                    metrics = MetricsSink::File(path.to_string());
-                } else {
-                    return Err(MmError::Config(fleet_usage()));
-                }
-            }
+            "--scale" => cfg.scale = cli::scale(it.next())?,
+            other => match MetricsSink::parse(other) {
+                Some(sink) => metrics = sink,
+                None => return Err(MmError::Config(fleet_usage())),
+            },
         }
     }
     let exec = Executor::from_env();
@@ -347,26 +277,13 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
         report.stats.max_queue_depth,
     );
     print!("{}", report.render());
-    match metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let json = mm_telemetry::global()
-                .snapshot()
-                .deterministic()
-                .retain_sections(&["fleet", "sched"])
-                .to_json();
-            eprintln!("{json}");
-        }
-        MetricsSink::File(path) => {
-            let json = mm_telemetry::global()
-                .snapshot()
-                .deterministic()
-                .retain_sections(&["fleet", "sched"])
-                .to_json();
-            std::fs::write(&path, format!("{json}\n"))?;
-        }
-    }
-    Ok(())
+    metrics.emit(|| {
+        mm_telemetry::global()
+            .snapshot()
+            .deterministic()
+            .retain_sections(&["fleet", "sched"])
+            .to_json()
+    })
 }
 
 fn real_main() -> Result<(), MmError> {
@@ -393,17 +310,17 @@ fn real_main() -> Result<(), MmError> {
         _ => {}
     }
 
-    let store = match &raw.store_dir {
+    let store = match &raw.ctx.store {
         Some(dir) => Some(RunStore::open(std::path::Path::new(dir))?),
         None => None,
     };
-    let ctx = raw.ctx();
+    let ctx = raw.ctx.build();
     let exec = Executor::from_env();
     eprintln!(
         "# mmx: seed={} scale={} ({} mode), {} thread(s)",
         ctx.seed,
         ctx.scale,
-        if raw.quick { "quick" } else { "standard" },
+        if raw.ctx.quick { "quick" } else { "standard" },
         exec.threads(),
     );
 
@@ -479,14 +396,7 @@ fn real_main() -> Result<(), MmError> {
                 println!("########## {id} ##########");
                 println!("{text}");
             }
-            match raw.metrics {
-                MetricsSink::Off => {}
-                MetricsSink::Stderr => eprintln!("{}", bundle.metrics_json),
-                MetricsSink::File(path) => {
-                    std::fs::write(&path, format!("{}\n", bundle.metrics_json))?
-                }
-            }
-            return Ok(());
+            return raw.metrics.emit(|| &bundle.metrics_json);
         }
         let hits = s.load_datasets(&ctx)?;
         eprintln!("# mmx: store miss, preloaded {hits}/3 dataset(s)");
@@ -534,48 +444,26 @@ fn real_main() -> Result<(), MmError> {
     if cache == CachePolicy::Save {
         let s = store.as_ref().expect("--save resolved against --store");
         s.save_datasets(ctx)?;
-        let json = mm_telemetry::global()
-            .snapshot()
-            .deterministic()
-            .to_json()
-            .to_string();
         let bundle = RunBundle {
             outputs: outputs
                 .iter()
                 .map(|o| (o.artifact.id().to_string(), o.text.clone()))
                 .collect(),
-            metrics_json: json.clone(),
+            metrics_json: mm_telemetry::global()
+                .snapshot()
+                .deterministic()
+                .to_json()
+                .to_string(),
         };
         s.save_run(ctx, &ids, &bundle)?;
-        match raw.metrics {
-            MetricsSink::Off => {}
-            MetricsSink::Stderr => eprintln!("{json}"),
-            MetricsSink::File(path) => std::fs::write(&path, format!("{json}\n"))?,
-        }
-        return Ok(());
+        return raw.metrics.emit(|| &bundle.metrics_json);
     }
-    match raw.metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let json = mm_telemetry::global().snapshot().deterministic().to_json();
-            eprintln!("{json}");
-        }
-        MetricsSink::File(path) => {
-            let json = mm_telemetry::global().snapshot().deterministic().to_json();
-            std::fs::write(&path, format!("{json}\n"))?;
-        }
-    }
-    Ok(())
+    raw.metrics
+        .emit(|| mm_telemetry::global().snapshot().deterministic().to_json())
 }
 
 fn main() {
     if let Err(err) = real_main() {
-        // Usage errors carry the full usage text; runtime errors a prefix.
-        if err.is_usage() {
-            eprintln!("mmx: {err}");
-        } else {
-            eprintln!("mmx: error: {err}");
-        }
-        std::process::exit(err.exit_code());
+        std::process::exit(cli::report("mmx", &err));
     }
 }

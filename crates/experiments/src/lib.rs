@@ -6,11 +6,13 @@
 //! Figures 5–22, plus the repo's own ablations and the configuration audit.
 //! Dispatch is typed: [`Artifact`] enumerates every artifact, parses from
 //! its id (`"t2"`, `"f5"`, …) and [`run`] returns an [`ArtifactOutput`].
-//! The `mmx` binary fans independent artifacts out over `mm-exec`.
+//! The `mmx` binary fans independent artifacts out over `mm-exec`; it,
+//! `mmq` and `mmqd` share one flag layer, [`cli`].
 
 pub mod ablations;
 pub mod active;
 pub mod audit;
+pub mod cli;
 pub mod context;
 pub mod factors;
 pub mod fleet;

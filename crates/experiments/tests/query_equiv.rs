@@ -19,6 +19,7 @@ struct Run {
 fn exe(bin: &str, args: &[&str], store: Option<&Path>) -> Run {
     let mut cmd = Command::new(match bin {
         "mmx" => env!("CARGO_BIN_EXE_mmx"),
+        "mmqd" => env!("CARGO_BIN_EXE_mmqd"),
         _ => env!("CARGO_BIN_EXE_mmq"),
     });
     cmd.args(args).env("MM_THREADS", "2");
@@ -222,6 +223,21 @@ fn usage_errors_exit_2_with_a_hint() {
             &["crawl", "--quick", "--save", "--store", "X"],
             "conflict",
         ),
+        (
+            "mmx",
+            &["t2", "--duration-s", "18446744073709552"],
+            "--duration-s",
+        ),
+        ("mmx", &["fleet", "--scale", "inf"], "--scale"),
+        ("mmq", &["f12", "--scale", "nan", "--store", "X"], "--scale"),
+        // mmqd rejects each of these before it binds a socket.
+        (
+            "mmqd",
+            &["--quick", "--scale", "0.1", "--store", "X"],
+            "--quick and --scale",
+        ),
+        ("mmqd", &["--quick"], "--store"),
+        ("mmqd", &["--workers", "many"], "--workers"),
     ];
     for (bin, args, hint) in cases {
         let run = exe(bin, args, None);

@@ -8,14 +8,9 @@
 //! lossless and count-based arithmetic is *bit-identical* no matter what
 //! order samples arrived in — the property that makes the streaming
 //! columnar path byte-identical to the legacy materialized path.
-//!
-//! For genuinely unbounded streams whose figures need order statistics
-//! (boxplots/CDFs over raw per-sample series), [`Reservoir`] keeps a
-//! seeded, deterministic fixed-size sample.
 
 use crate::dataset::value_key;
 use crate::diversity::Diversity;
-use mm_rng::{stream_rng, Rng, SmallRng};
 use std::collections::BTreeMap;
 
 /// Below this |mean|, [`ValueCounts::cv`] treats the value set as
@@ -164,59 +159,11 @@ impl ValueCounts {
     }
 }
 
-/// Seeded, deterministic fixed-size reservoir sample (Algorithm R) for
-/// order statistics over streams too long to materialize. The kept sample
-/// depends only on the seed, the capacity, and the stream contents/order —
-/// never on thread count or wall clock.
-#[derive(Debug, Clone)]
-pub struct Reservoir {
-    cap: usize,
-    seen: u64,
-    items: Vec<f64>,
-    rng: SmallRng,
-}
-
-impl Reservoir {
-    /// A reservoir keeping at most `cap` values (cap ≥ 1).
-    pub fn new(seed: u64, cap: usize) -> Reservoir {
-        Reservoir {
-            cap: cap.max(1),
-            seen: 0,
-            items: Vec::new(),
-            rng: stream_rng(seed, 0x5e5e),
-        }
-    }
-
-    /// Offer one value to the reservoir.
-    pub fn push(&mut self, v: f64) {
-        self.seen += 1;
-        if self.items.len() < self.cap {
-            self.items.push(v);
-            return;
-        }
-        let j = self.rng.gen_range(0..self.seen);
-        // The reservoir is full here (`len == cap`), so the bounds check
-        // and the classic `j < cap` acceptance test are the same test.
-        if let Some(slot) = self.items.get_mut(j as usize) {
-            *slot = v;
-        }
-    }
-
-    /// Stream length observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The kept sample (at most `cap` values, insertion/replacement order).
-    pub fn values(&self) -> &[f64] {
-        &self.items
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diversity::{coefficient_of_variation, richness, simpson_index};
+    use mm_rng::{stream_rng, Rng};
 
     #[test]
     fn counts_match_slice_kernels_on_seeded_data() {
@@ -274,29 +221,5 @@ mod tests {
         let total: f64 = dist.iter().map(|(_, p)| p).sum();
         assert!((total - 100.0).abs() < 1e-9);
         assert!(ValueCounts::new().distribution().is_empty());
-    }
-
-    #[test]
-    fn reservoir_is_bounded_seeded_and_deterministic() {
-        let mut a = Reservoir::new(7, 32);
-        let mut b = Reservoir::new(7, 32);
-        for i in 0..10_000 {
-            a.push(f64::from(i));
-            b.push(f64::from(i));
-        }
-        assert_eq!(a.values(), b.values(), "same seed, same sample");
-        assert_eq!(a.values().len(), 32);
-        assert_eq!(a.seen(), 10_000);
-        let mut c = Reservoir::new(8, 32);
-        for i in 0..10_000 {
-            c.push(f64::from(i));
-        }
-        assert_ne!(a.values(), c.values(), "different seed, different sample");
-        // Short streams are kept verbatim.
-        let mut short = Reservoir::new(1, 8);
-        for i in 0..5 {
-            short.push(f64::from(i));
-        }
-        assert_eq!(short.values(), &[0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -14,7 +14,6 @@
 //! accumulators of `mmexperiments` produce bit-identical numbers.
 
 use crate::agg::ValueCounts;
-use crate::dataset::value_key;
 use mmcore::kernel::sum_f64;
 use std::collections::BTreeMap;
 
@@ -27,15 +26,6 @@ pub struct Diversity {
     pub cv: f64,
     /// Number of distinct values.
     pub richness: usize,
-}
-
-/// Count occurrences of each distinct (half-grid) value.
-pub fn value_counts(values: &[f64]) -> BTreeMap<i64, usize> {
-    let mut counts = BTreeMap::new();
-    for &v in values {
-        *counts.entry(value_key(v)).or_insert(0) += 1;
-    }
-    counts
 }
 
 /// Empirical Simpson index of diversity (Eq. 4 left).

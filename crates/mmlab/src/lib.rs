@@ -20,7 +20,7 @@ pub mod stats;
 pub mod store;
 pub mod typeii;
 
-pub use agg::{Reservoir, ValueCounts};
+pub use agg::ValueCounts;
 pub use campaign::{
     city_network, run_campaign, run_campaigns, run_campaigns_parallel, run_campaigns_stats,
     CampaignConfig, DRIVE_CITIES,

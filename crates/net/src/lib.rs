@@ -36,11 +36,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// A blocking protocol client: one TCP connection, hello exchanged,
-/// requests answered in order.
+/// requests answered in order, responses up to [`DEFAULT_MAX_FRAME`].
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    max_frame: u32,
 }
 
 impl Client {
@@ -67,23 +66,16 @@ impl Client {
         let mut client = Client {
             reader: BufReader::new(stream),
             writer,
-            max_frame: DEFAULT_MAX_FRAME,
         };
         write_hello(&mut client.writer)?;
         read_hello(&mut client.reader)?;
         Ok(client)
     }
 
-    /// Raise or lower the largest response frame this client accepts.
-    pub fn with_max_frame(mut self, max_frame: u32) -> Client {
-        self.max_frame = max_frame;
-        self
-    }
-
     /// Send one request and block for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response, NetError> {
         req.write_to(&mut self.writer)?;
-        Response::read_from(&mut self.reader, self.max_frame)
+        Response::read_from(&mut self.reader, DEFAULT_MAX_FRAME)
     }
 }
 

@@ -170,11 +170,6 @@ impl DriveResult {
         }
         sum_f64(self.throughput.iter().map(|&(_, b)| b)) / self.throughput.len() as f64
     }
-
-    /// Throughput re-binned to `bin_ms` averages: `(bin_start_ms, bit/s)`.
-    pub fn throughput_binned(&self, bin_ms: u64) -> Vec<(u64, f64)> {
-        bin_series(&self.throughput, bin_ms)
-    }
 }
 
 /// Average a `(t_ms, value)` series into `bin_ms` bins.

@@ -46,11 +46,6 @@ impl Traffic {
         }
     }
 
-    /// Whether the workload keeps the UE in RRC-connected state.
-    pub fn keeps_active(&self) -> bool {
-        true
-    }
-
     /// Is a ping probe due in the epoch `[t_ms, t_ms + epoch_ms)`?
     pub fn ping_due(&self, t_ms: u64, epoch_ms: u64) -> bool {
         match self {

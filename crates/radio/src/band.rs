@@ -283,11 +283,6 @@ impl FrequencyBand {
             .iter()
             .find(|b| (b.earfcn_lo..=b.earfcn_hi).contains(&earfcn))
     }
-
-    /// Look up a band row by band number.
-    pub fn by_number(band: u16) -> Option<&'static FrequencyBand> {
-        LTE_BANDS.iter().find(|b| b.band == band)
-    }
 }
 
 #[cfg(test)]

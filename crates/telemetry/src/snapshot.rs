@@ -87,15 +87,6 @@ impl Snapshot {
             .map(|c| c.value)
     }
 
-    /// Look up a span path's entry count.
-    pub fn span_count(&self, section: &str, path: &str) -> Option<u64> {
-        self.section(section)?
-            .spans
-            .iter()
-            .find(|s| s.path == path)
-            .map(|s| s.count)
-    }
-
     /// The scheduler-independent projection: [`Scope::Sim`] counters and
     /// histograms, span paths and counts with `total_ns` zeroed, empty
     /// sections dropped. Serializing this is byte-identical for any

@@ -119,46 +119,15 @@ if [ "$cold_out" != "$stream_out" ]; then
 fi
 echo "verify.sh: streamed D2 aggregate re-render byte-identical to the materialized run"
 
-# Query front-end (DESIGN.md §11): `mmq` must answer every store-served
-# artifact byte-identically to `mmx --load` streaming the same campaign,
-# replay warm answers from the query cache alone, and union appended
-# rounds without ever rewriting a prior round's file.
+# Query front-end (DESIGN.md §11): mmq's byte-identity with `mmx --load`
+# on every store-served artifact, its warm query-cache replay and the
+# append-only round union are the query_equiv tests; run them against the
+# release binaries too.
+cargo test -q --release -p mmexperiments --test query_equiv
 qstore="$tmpdir/qstore"
 ./target/release/mmx crawl --quick --store "$qstore" >/dev/null 2>&1
 served="t2 t3 t4 f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22"
-mmx_q="$(MM_THREADS=8 ./target/release/mmx $served --quick --store "$qstore" --load 2>/dev/null)"
-mmq_q="$(./target/release/mmq $served --quick --store "$qstore" 2>/dev/null)"
-if [ "$mmx_q" != "$mmq_q" ]; then
-    echo "verify.sh: FAIL — mmq output diverges from mmx --load on the same campaign" >&2
-    exit 1
-fi
-echo "verify.sh: mmq answers all 15 store-served artifacts byte-identically to mmx --load"
-
-warm_err="$(./target/release/mmq $served --quick --store "$qstore" 2>&1 >"$tmpdir/mmq-warm.txt")"
-if [ "$(cat "$tmpdir/mmq-warm.txt")" != "$mmq_q" ] || ! printf '%s' "$warm_err" | grep -q "query-cache hit"; then
-    echo "verify.sh: FAIL — warm mmq rerun is not a byte-identical query-cache replay" >&2
-    exit 1
-fi
-echo "verify.sh: warm mmq rerun replays the query cache byte-identically (no blocks opened)"
-
-# Append-only rounds: the prior round's file stays byte-identical, the
-# union covers more samples, and a --rounds 0 ceiling reproduces the
-# pre-append answer exactly.
-base_f12="$(./target/release/mmq f12 --quick --store "$qstore" 2>/dev/null)"
 round0="$(ls "$qstore"/d2-*.mmst | grep -v 'd2-round' | head -n1)"
-round0_sum="$(cksum "$round0")"
-./target/release/mmx --append --quick --store "$qstore" >/dev/null 2>&1
-if [ "$(cksum "$round0")" != "$round0_sum" ]; then
-    echo "verify.sh: FAIL — mmx --append rewrote the round-0 entry" >&2
-    exit 1
-fi
-union_f12="$(./target/release/mmq f12 --quick --store "$qstore" 2>/dev/null)"
-ceil_f12="$(./target/release/mmq f12 --rounds 0 --quick --store "$qstore" 2>/dev/null)"
-if [ "$union_f12" = "$base_f12" ] || [ "$ceil_f12" != "$base_f12" ]; then
-    echo "verify.sh: FAIL — appended round does not union (or --rounds 0 is not the round-0 answer)" >&2
-    exit 1
-fi
-echo "verify.sh: mmx --append left round 0 untouched; mmq unions it and --rounds 0 replays the old answer"
 
 # Schema fail-fast: a campaign entry of the wrong kind must be a typed
 # runtime error (exit 3) before any row decode is attempted.

@@ -26,9 +26,10 @@
 //! [`Executor::scatter_gather_stats`] returns a [`RunStats`] next to the
 //! results: per-task wall-clock (in submission order), per-worker
 //! executed/stolen counts, and the maximum queue depth observed. `mmx
-//! --timings` prints these and the `exec` bench records them in the
-//! `BENCH_*.json` reports. Every run also lifts its stats into the shared
-//! `mm-telemetry` registry (section `exec`): task/run counts are
+//! --timings` prints these and the `exec` bench records them in its
+//! `exec.json` report, under `target/mm-bench` or `MM_BENCH_OUT`. Every
+//! run also lifts its stats into the shared `mm-telemetry` registry
+//! (section `exec`): task/run counts are
 //! `Scope::Sim` (identical for any thread count), steal/depth/time
 //! counters are `Scope::Sched`. Tasks execute under
 //! [`mm_telemetry::detached`], so spans a task opens root at the same

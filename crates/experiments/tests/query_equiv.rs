@@ -4,8 +4,9 @@
 //! any data blocks — while a store whose manifest names entries missing
 //! from disk must fail fast at open (exit 3), cache or no cache;
 //! appended rounds must union in without touching round-0 files, with
-//! `--rounds 0` reproducing the pre-append answer; and contradictory
-//! flags must be usage errors (exit 2).
+//! `--rounds 0` reproducing the pre-append answer, and a campaign entry of
+//! the wrong kind must fail typed (exit 3); and contradictory flags must
+//! be usage errors (exit 2).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -181,6 +182,27 @@ fn append_unions_new_rounds_and_keeps_round_zero_immutable() {
     assert_eq!(
         ceiling.stdout, baseline.stdout,
         "round<=0 queries are byte-identical to the pre-append store"
+    );
+
+    // A campaign entry of the wrong kind fails typed (exit 3) before any
+    // row decode. F13 is not in the query cache, so mmq must read round 0.
+    let manifest = std::fs::read_dir(&dir)
+        .expect("readdir")
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().starts_with("manifest-"))
+        .expect("manifest exists");
+    std::fs::copy(manifest.path(), &round0).expect("overwrite round 0");
+    let wrong_kind = exe("mmq", &["f13", "--quick"], Some(&dir));
+    assert_eq!(
+        wrong_kind.status.code(),
+        Some(3),
+        "a wrong-kind campaign entry is a runtime store error: {}",
+        wrong_kind.stderr
+    );
+    assert!(
+        wrong_kind.stderr.contains("store error") && wrong_kind.stderr.contains("expected kind"),
+        "typed diagnosis names the kind: {}",
+        wrong_kind.stderr
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,8 @@
 //! End-to-end checks of the `mmx` store flags: a warm `--load` rerun must
 //! byte-identically reproduce the cold run's stdout and `--metrics`
-//! snapshot, corrupt entries must fail with the typed runtime exit code,
-//! and `--version` must report the crate version.
+//! snapshot, corrupt entries (bit flip, truncation, wrong magic, future
+//! version) must fail with the typed runtime exit code, and `--version`
+//! must report the crate version.
 
 use std::path::Path;
 use std::process::Command;
@@ -97,32 +98,44 @@ fn corrupt_store_entry_fails_typed_with_the_runtime_exit_code() {
     let cold = mmx(&cold_args, &dir, None);
     assert!(cold.status.success(), "{}", cold.stderr);
 
-    // Flip one byte in the run bundle.
     let bundle = std::fs::read_dir(&dir)
         .expect("readdir")
         .filter_map(|e| e.ok())
         .find(|e| e.file_name().to_string_lossy().starts_with("run-"))
         .expect("run bundle exists");
     let path = bundle.path();
-    let mut bytes = std::fs::read(&path).expect("read bundle");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    std::fs::write(&path, &bytes).expect("write corrupt bundle");
+    let good = std::fs::read(&path).expect("read bundle");
 
+    // Each damage class is applied to the good bundle on its own.
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage); 4] = [
+        ("bit flip", |b| {
+            let mid = b.len() / 2;
+            b[mid] ^= 0x20;
+        }),
+        ("truncation", |b| b.truncate(64)),
+        ("wrong magic", |b| b[..4].copy_from_slice(b"XXXX")),
+        ("future version", |b| b[4] = 0x63),
+    ];
     let mut warm_args = ARTS.to_vec();
     warm_args.push("--load");
-    let warm = mmx(&warm_args, &dir, None);
-    assert_eq!(
-        warm.status.code(),
-        Some(3),
-        "corruption is a runtime error, not a silent fallback: {}",
-        warm.stderr
-    );
-    assert!(
-        warm.stderr.contains("store error"),
-        "typed diagnosis: {}",
-        warm.stderr
-    );
+    for (class, damage) in damages {
+        let mut bytes = good.clone();
+        damage(&mut bytes);
+        std::fs::write(&path, &bytes).expect("write corrupt bundle");
+        let warm = mmx(&warm_args, &dir, None);
+        assert_eq!(
+            warm.status.code(),
+            Some(3),
+            "{class}: corruption is a runtime error, not a silent fallback: {}",
+            warm.stderr
+        );
+        assert!(
+            warm.stderr.contains("store error"),
+            "{class}: typed diagnosis: {}",
+            warm.stderr
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,7 +7,7 @@ use std::process::Command;
 
 fn run_mmx(threads: &str, metrics_path: &std::path::Path) -> (String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mmx"))
-        .args(["t4", "f5", "f10", "f12", "--quick"])
+        .args(["all", "ablations", "--quick"])
         .arg(format!("--metrics={}", metrics_path.display()))
         .env("MM_THREADS", threads)
         .output()

@@ -9,10 +9,10 @@
 //! campaign rounds. The graph phase always runs fresh (it is cheap and
 //! workspace-global), consuming the cached [`CachedFile`] summaries.
 //!
-//! Entries are small versioned tab-separated text files; anything that
-//! fails to parse — truncation, a concurrent writer, an unknown rule id
-//! after a registry change — is simply a miss and gets re-analyzed and
-//! rewritten. Corruption can cost time, never correctness.
+//! Entries are small versioned tab-separated text files closed by an `end`
+//! line; anything that fails to parse — truncation, a concurrent writer,
+//! an unknown rule id after a registry change — is simply a miss and gets
+//! re-analyzed and rewritten. Corruption can cost time, never correctness.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::items::{FileItems, FnItem, Hazard, HazardKind};
@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// Bump to invalidate every cache entry on a format change.
-const CACHE_VERSION: u32 = 1;
+const CACHE_VERSION: u32 = 2;
 
 /// Everything phase 1 produces for one file.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +87,7 @@ fn clean(s: &str) -> String {
 
 /// Serialize an entry. Line-oriented, tab-separated:
 /// `D` diagnostic, `G` graph suppression, `F` fn item (its `C` calls and
-/// `H` hazards follow), `L` loose hazard.
+/// `H` hazards follow), `L` loose hazard, then the `end` trailer.
 pub fn encode(entry: &CachedFile) -> String {
     let mut out = format!("mmlc {CACHE_VERSION}\n");
     for d in &entry.diags {
@@ -134,12 +134,15 @@ pub fn encode(entry: &CachedFile) -> String {
             hazard_line(&mut out, 'H', h);
         }
     }
+    out.push_str("end\n");
     out
 }
 
 /// Parse an entry; `None` on any anomaly.
 pub fn decode(text: &str) -> Option<CachedFile> {
-    let mut lines = text.lines();
+    // A torn write leaves a prefix that still ends at a line break, so
+    // only the trailer marks an entry as complete.
+    let mut lines = text.strip_suffix("\nend\n")?.lines();
     if lines.next()? != format!("mmlc {CACHE_VERSION}") {
         return None;
     }
@@ -276,8 +279,22 @@ mod tests {
         let good = encode(&entry);
         assert!(decode(&good).is_some());
         assert!(decode(&good.replace("F\t", "X\t")).is_none());
-        assert!(decode("mmlc 1\nD\tQ999\te\t1\t0\tmsg\n").is_none());
-        assert!(decode("mmlc 1\nC\torphan-call\n").is_none());
+        assert!(decode("mmlc 2\nD\tQ999\te\t1\t0\tmsg\nend\n").is_none());
+        assert!(decode("mmlc 2\nC\torphan-call\nend\n").is_none());
+    }
+
+    #[test]
+    fn truncated_entries_miss() {
+        // A torn write leaves a prefix that still ends at a line break; no
+        // such prefix may pass for a complete analysis.
+        let full = encode(&sample());
+        for (at, _) in full.match_indices('\n') {
+            let prefix = &full[..=at];
+            if prefix.len() < full.len() {
+                assert!(decode(prefix).is_none(), "prefix decoded: {prefix:?}");
+            }
+        }
+        assert!(decode(&format!("{full}C\tafter-trailer\n")).is_none());
     }
 
     #[test]

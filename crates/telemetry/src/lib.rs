@@ -26,7 +26,7 @@
 //! [`Snapshot::deterministic`] projects a snapshot down to the part that
 //! honours the contract: `Sim`-scoped metrics and span paths/counts with
 //! nanosecond timings zeroed. `mmx --metrics` emits exactly that view, and
-//! `scripts/verify.sh` diffs it across `MM_THREADS=1` vs `8`.
+//! the `telemetry` tests compare it across `MM_THREADS=1`, `2` and `8`.
 //!
 //! ## Span hierarchy
 //!

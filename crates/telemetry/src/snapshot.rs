@@ -90,7 +90,7 @@ impl Snapshot {
     /// The scheduler-independent projection: [`Scope::Sim`] counters and
     /// histograms, span paths and counts with `total_ns` zeroed, empty
     /// sections dropped. Serializing this is byte-identical for any
-    /// `MM_THREADS` — the property `scripts/verify.sh` gates on.
+    /// `MM_THREADS` — the property the `telemetry` tests check.
     pub fn deterministic(&self) -> Snapshot {
         Snapshot {
             sections: self

@@ -215,12 +215,16 @@ impl RunStore {
     /// records it as round 0.
     pub fn save_d2(&self, ctx: &Ctx) -> Result<(), MmError> {
         let key = Self::key(ctx, "d2".to_string());
-        if !self.cache.entry_path(&key).exists() {
+        let written = if self.cache.entry_path(&key).exists() {
+            None
+        } else {
+            let d2 = ctx.d2();
             let mut buf = Vec::new();
-            ctx.d2().write_store(&mut buf)?;
+            d2.write_store(&mut buf)?;
             self.cache.write(&key, &buf)?;
-        }
-        self.ensure_manifest(ctx)
+            Some(d2.len() as u64)
+        };
+        self.ensure_manifest(ctx, written)
     }
 
     fn manifest_key(ctx: &Ctx) -> CacheKey {
@@ -243,15 +247,18 @@ impl RunStore {
     }
 
     /// Write a round-0 manifest if none exists yet. The round-0 sample
-    /// count comes from the stored entry's own trailer, never from a
-    /// re-crawl.
-    fn ensure_manifest(&self, ctx: &Ctx) -> Result<(), MmError> {
+    /// count is `written`, the trailer count of the d2 entry just written,
+    /// or else the stored entry's own trailer; never a re-crawl.
+    fn ensure_manifest(&self, ctx: &Ctx, written: Option<u64>) -> Result<(), MmError> {
         if self.cache.entry_path(&Self::manifest_key(ctx)).exists() {
             return Ok(());
         }
-        let samples = self
-            .entry_records(ctx, "d2")?
-            .ok_or_else(|| StoreError::Schema("manifest without a d2 entry".to_string()))?;
+        let samples = match written {
+            Some(n) => n,
+            None => self
+                .entry_records(ctx, "d2")?
+                .ok_or_else(|| StoreError::Schema("manifest without a d2 entry".to_string()))?,
+        };
         let manifest = Manifest {
             rounds: vec![RoundEntry {
                 round: 0,
@@ -545,6 +552,39 @@ mod tests {
         store.save_datasets(&warm).unwrap();
         let after: Vec<_> = entries.iter().map(|p| stamp(p)).collect();
         assert_eq!(before, after, "existing entries untouched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_from_the_write_equals_one_from_the_trailer() {
+        let dir = tmp_dir("manifest");
+        let store = RunStore::open(&dir).unwrap();
+        let ctx = Ctx::builder().quick().scale(0.02).build();
+        // Written together with the entry: the count comes from the write.
+        store.save_d2(&ctx).unwrap();
+        let from_write = store.manifest_bytes(&ctx).unwrap().unwrap();
+        // Entry on disk, manifest gone: the count comes from the trailer.
+        std::fs::remove_file(store.cache.entry_path(&RunStore::manifest_key(&ctx))).unwrap();
+        store.save_d2(&ctx).unwrap();
+        let from_trailer = store.manifest_bytes(&ctx).unwrap().unwrap();
+        assert_eq!(from_trailer, from_write);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_entry_without_manifest_is_typed_and_writes_none() {
+        let dir = tmp_dir("truncated");
+        let store = RunStore::open(&dir).unwrap();
+        let ctx = Ctx::builder().quick().scale(0.02).build();
+        store.save_d2(&ctx).unwrap();
+        let manifest = store.cache.entry_path(&RunStore::manifest_key(&ctx));
+        std::fs::remove_file(&manifest).unwrap();
+        let entry = store.entry_path(&ctx, "d2");
+        let bytes = std::fs::read(&entry).unwrap();
+        std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+        let got = store.save_d2(&ctx);
+        assert!(matches!(got, Err(MmError::Store(_))), "{got:?}");
+        assert!(!manifest.exists(), "no manifest for a damaged entry");
         std::fs::remove_dir_all(&dir).ok();
     }
 

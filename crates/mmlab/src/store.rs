@@ -39,9 +39,10 @@ use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
 pub(crate) use rowgroup::RowSchema;
-use rowgroup::{encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, ResolvedDict};
+use rowgroup::{
+    encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict,
+};
 pub use rowgroup::{RowGroupReader, ScanStats};
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
 /// Dataset kind stamped in D2 store headers.
@@ -201,6 +202,7 @@ impl RowSchema for ConfigSample {
     const COLS: usize = 11;
     /// Carriers, cities, parameters, RAT tags.
     const STATS: usize = 4;
+    type Stats = [IdSet; Self::STATS];
 
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
         // Rounds are not in the stats — they are pruned at the
@@ -213,7 +215,11 @@ impl RowSchema for ConfigSample {
         ])
     }
 
-    fn encode(dict: &mut DictBuilder, rows: &[ConfigSample]) -> Result<Vec<u8>, MmError> {
+    fn encode(
+        dict: &mut DictBuilder,
+        stats: &mut Self::Stats,
+        rows: &[ConfigSample],
+    ) -> Result<Vec<u8>, MmError> {
         let mut cell = UIntEncoder::new();
         let mut carrier = UIntEncoder::new();
         let mut city = UIntEncoder::new();
@@ -225,19 +231,16 @@ impl RowSchema for ConfigSample {
         let mut round = UIntEncoder::new();
         let mut param = UIntEncoder::new();
         let mut value = F64Encoder::new();
-        let mut st_carrier = BTreeSet::new();
-        let mut st_city = BTreeSet::new();
-        let mut st_param = BTreeSet::new();
-        let mut st_rat = BTreeSet::new();
+        let [st_carrier, st_city, st_param, st_rat] = &mut *stats;
         for s in rows {
             // Enforce the ingest contract at the write boundary too, so a
             // file can never be produced that the reader would reject.
             s.check()?;
             cell.push(u64::from(s.cell.0));
-            let carrier_id = dict.intern(s.carrier);
+            let carrier_id = dict.intern_static(s.carrier);
             carrier.push(carrier_id);
             st_carrier.insert(carrier_id);
-            let city_id = dict.intern(s.city.as_str());
+            let city_id = dict.intern_static(s.city.as_str());
             city.push(city_id);
             st_city.insert(city_id);
             let rat_v = rat_tag(s.rat);
@@ -248,14 +251,14 @@ impl RowSchema for ConfigSample {
             pos_x.push(s.pos.x);
             pos_y.push(s.pos.y);
             round.push(u64::from(s.round));
-            let param_id = dict.intern(s.param);
+            let param_id = dict.intern_static(s.param);
             param.push(param_id);
             st_param.insert(param_id);
             value.push(s.value);
         }
         Ok(encode_group(
             rows.len(),
-            &[st_carrier, st_city, st_param, st_rat],
+            stats,
             &[
                 cell.finish(),
                 carrier.finish(),
@@ -367,6 +370,7 @@ impl RowSchema for HandoffInstance {
     /// Carriers, cities (handoff instances carry no parameter or RAT
     /// field).
     const STATS: usize = 2;
+    type Stats = [IdSet; Self::STATS];
 
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
         GroupFilter::new(vec![
@@ -375,7 +379,11 @@ impl RowSchema for HandoffInstance {
         ])
     }
 
-    fn encode(dict: &mut DictBuilder, rows: &[HandoffInstance]) -> Result<Vec<u8>, MmError> {
+    fn encode(
+        dict: &mut DictBuilder,
+        stats: &mut Self::Stats,
+        rows: &[HandoffInstance],
+    ) -> Result<Vec<u8>, MmError> {
         let mut carrier = UIntEncoder::new();
         let mut city = UIntEncoder::new();
         let mut t_ms = UIntEncoder::new();
@@ -402,14 +410,13 @@ impl RowSchema for HandoffInstance {
         let mut rsrq_new = F64Encoder::new();
         let mut has_thpt = UIntEncoder::new();
         let mut thpt = F64Encoder::new();
-        let mut st_carrier = BTreeSet::new();
-        let mut st_city = BTreeSet::new();
+        let [st_carrier, st_city] = &mut *stats;
         for i in rows {
             let r = &i.record;
-            let carrier_id = dict.intern(i.carrier);
+            let carrier_id = dict.intern_static(i.carrier);
             carrier.push(carrier_id);
             st_carrier.insert(carrier_id);
-            let city_id = dict.intern(i.city.as_str());
+            let city_id = dict.intern_static(i.city.as_str());
             city.push(city_id);
             st_city.insert(city_id);
             t_ms.push(r.t_ms);
@@ -460,7 +467,7 @@ impl RowSchema for HandoffInstance {
         }
         Ok(encode_group(
             rows.len(),
-            &[st_carrier, st_city],
+            stats,
             &[
                 carrier.finish(),
                 city.finish(),
@@ -744,6 +751,55 @@ mod tests {
         assert_eq!(D1::read_store(buf.as_slice()).unwrap(), d1);
     }
 
+    /// `s` at a fresh address: equal content, a pointer no literal has.
+    fn leaked(s: &str) -> &'static str {
+        Box::leak(s.to_string().into_boxed_str())
+    }
+
+    #[test]
+    fn dictionary_ids_follow_content_never_address() {
+        // Every other row's strings moved to leaked copies, interleaved
+        // with the literal-backed rows: the bytes must not change.
+        let d2 = small_d2();
+        let copied = d2
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut s = s.clone();
+                if i % 2 == 1 {
+                    s.carrier = leaked(s.carrier);
+                    s.param = leaked(s.param);
+                }
+                s
+            })
+            .collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        d2.write_store_with(&mut want, 50).unwrap();
+        D2::from_samples(copied)
+            .write_store_with(&mut got, 50)
+            .unwrap();
+        assert!(got == want, "D2 bytes depend on string addresses");
+
+        let d1 = small_d1();
+        let copied = d1
+            .iter_handoffs()
+            .enumerate()
+            .map(|(i, h)| {
+                let mut h = h.clone();
+                if i % 2 == 1 {
+                    h.carrier = leaked(h.carrier);
+                }
+                h
+            })
+            .collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        d1.write_store_with(&mut want, 16).unwrap();
+        D1::from_instances(copied)
+            .write_store_with(&mut got, 16)
+            .unwrap();
+        assert!(got == want, "D1 bytes depend on string addresses");
+    }
+
     #[test]
     fn empty_datasets_round_trip() {
         let mut buf = Vec::new();
@@ -769,7 +825,7 @@ mod tests {
     fn lying_row_count<T: RowSchema>() -> Vec<u8> {
         let group = encode_group(
             1 << 60,
-            &vec![BTreeSet::new(); T::STATS],
+            &mut vec![IdSet::default(); T::STATS],
             &vec![Vec::new(); T::COLS],
         );
         let mut out = Vec::new();
@@ -930,7 +986,9 @@ mod tests {
         // touching column bytes.
         let mut dict = DictBuilder::new();
         dict.intern("A");
-        let group = encode_group(1, &vec![BTreeSet::from([0]); 4], &[vec![1, 2, 3]]);
+        let mut zero = IdSet::default();
+        zero.insert(0);
+        let group = encode_group(1, &mut vec![zero; 4], &[vec![1, 2, 3]]);
         let mut out = Vec::new();
         let mut w = StoreWriter::new(&mut out, KIND_D2).unwrap();
         w.write_block(TAG_DICT, &dict.encode()).unwrap();

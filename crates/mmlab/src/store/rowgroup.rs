@@ -15,7 +15,6 @@ use mm_store::{write_varint, Cursor, Dict, DictBuilder, StoreReader, StoreWriter
 use mmcarriers::city::City;
 use mmcore::{MmError, StoreError};
 use mmradio::band::Rat;
-use std::collections::BTreeSet;
 use std::io::{Read, Write};
 
 /// What differs between the stored schemas. Everything else — framing,
@@ -30,14 +29,23 @@ pub trait RowSchema: Sized {
     const COLS: usize;
     /// Vocabulary stat lists in one row-group prefix.
     const STATS: usize;
+    /// The [`STATS`](Self::STATS) sets [`encode`](Self::encode) fills,
+    /// in prefix order. One value serves every group of a file:
+    /// [`encode_group`] leaves the sets empty.
+    type Stats: Default;
 
     /// Resolve `pred` into selectors aligned with the stat lists
     /// [`encode`](Self::encode) writes; `None` when `pred` constrains no
     /// stat dimension, so no group's stats need consulting.
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter>;
 
-    /// Encode one row group, interning its strings into `dict`.
-    fn encode(dict: &mut DictBuilder, rows: &[Self]) -> Result<Vec<u8>, MmError>;
+    /// Encode one row group, interning its strings into `dict` and
+    /// collecting its stats in `stats`, which arrive empty.
+    fn encode(
+        dict: &mut DictBuilder,
+        stats: &mut Self::Stats,
+        rows: &[Self],
+    ) -> Result<Vec<u8>, MmError>;
 
     /// Decode `n_rows` rows from a group's [`COLS`](Self::COLS) column
     /// byte strings.
@@ -209,14 +217,51 @@ fn index(id: u64) -> usize {
 // Row-group plumbing (format v2: prefix + stats + columns)
 // ---------------------------------------------------------------------------
 
+/// The distinct ids of one stat dimension in one row group: a bitmap over
+/// dictionary ids or enum tags, both dense and small, so the set stays a
+/// few words. [`take`](Self::take) hands the ids back ascending and
+/// empties the set for the next group.
+#[derive(Debug, Clone, Default)]
+pub struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    /// Add `id`.
+    #[inline]
+    pub fn insert(&mut self, id: u64) {
+        let word = index(id / 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        if let Some(w) = self.words.get_mut(word) {
+            *w |= 1 << (id % 64);
+        }
+    }
+
+    /// The ids in ascending order; the set is left empty.
+    pub fn take(&mut self) -> Vec<u64> {
+        let mut ids = Vec::new();
+        for (i, w) in (0u64..).zip(self.words.iter_mut()) {
+            let mut bits = std::mem::take(w);
+            while bits != 0 {
+                ids.push(i * 64 + u64::from(bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        ids
+    }
+}
+
 /// Serialize a v2 row group: row count, column count, the per-group
 /// vocabulary stat lists (each a sorted run of varint ids), then the
-/// `len`-prefixed column byte strings.
-pub fn encode_group(n_rows: usize, stats: &[BTreeSet<u64>], cols: &[Vec<u8>]) -> Vec<u8> {
+/// `len`-prefixed column byte strings. Every set in `stats` is left empty.
+pub fn encode_group(n_rows: usize, stats: &mut [IdSet], cols: &[Vec<u8>]) -> Vec<u8> {
     let mut stats_buf = Vec::new();
-    for list in stats {
-        write_varint(&mut stats_buf, list.len() as u64);
-        for &id in list {
+    for set in stats {
+        let ids = set.take();
+        write_varint(&mut stats_buf, ids.len() as u64);
+        for id in ids {
             write_varint(&mut stats_buf, id);
         }
     }
@@ -620,9 +665,10 @@ pub fn write_rows<T: RowSchema, W: Write>(
     // The dictionary block must precede the row groups it describes, so
     // intern every string first.
     let mut dict = DictBuilder::new();
+    let mut stats = T::Stats::default();
     let groups = rows
         .chunks(block_rows.max(1))
-        .map(|chunk| T::encode(&mut dict, chunk))
+        .map(|chunk| T::encode(&mut dict, &mut stats, chunk))
         .collect::<Result<Vec<_>, _>>()?;
     let mut writer = StoreWriter::new(w, T::KIND)?;
     writer.write_block(TAG_DICT, &dict.encode())?;
@@ -635,4 +681,68 @@ pub fn write_rows<T: RowSchema, W: Write>(
 /// Read every row of a store stream of `T`'s kind.
 pub fn read_rows<T: RowSchema, R: Read>(r: R) -> Result<Vec<T>, MmError> {
     RowGroupReader::new(r)?.collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{rat_tag, KIND_D2};
+    use super::*;
+    use crate::crawler::crawl;
+    use mmcarriers::world::World;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[test]
+    fn id_set_matches_a_btree_set_and_empties_between_groups() {
+        let mut set = IdSet::default();
+        // (ids drawn, id range) per group, reusing one set: wide groups
+        // (ids past 64 and far past it), an empty one, then narrow ones
+        // that a leaked high id would show up in.
+        for (g, (n, range)) in [(500, 300), (40, 64), (0, 1), (3000, 1000), (7, 5), (2, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let ids: Vec<u64> = (0..n)
+                .map(|i| mm_rng::splitmix64((g as u64) << 32 | i) % range)
+                .collect();
+            let want: Vec<u64> = BTreeSet::from_iter(ids.iter().copied())
+                .into_iter()
+                .collect();
+            for &id in &ids {
+                set.insert(id);
+            }
+            assert_eq!(set.take(), want, "group {g}");
+        }
+        assert!(set.take().is_empty(), "take leaves the set empty");
+    }
+
+    #[test]
+    fn written_group_stats_are_each_groups_own_ids() {
+        let d2 = crawl(&World::generate(3, 0.01), 1);
+        let rows = d2.iter().as_slice();
+        let mut buf = Vec::new();
+        write_rows(rows, &mut buf, 7).unwrap();
+        let mut reader = StoreReader::new(buf.as_slice(), KIND_D2).unwrap();
+        let dict = Dict::decode(&reader.next_block().unwrap().unwrap().payload).unwrap();
+        let ids: BTreeMap<&str, u64> = (0..dict.len() as u64)
+            .map(|i| (dict.get(i).unwrap(), i))
+            .collect();
+        let mut chunks = rows.chunks(7);
+        while let Some(block) = reader.next_block().unwrap() {
+            let chunk = chunks.next().unwrap();
+            let prefix = decode_group_prefix(&block.payload, ConfigSample::COLS, 4).unwrap();
+            let distinct = |id: &dyn Fn(&ConfigSample) -> u64| -> Vec<u64> {
+                BTreeSet::from_iter(chunk.iter().map(id))
+                    .into_iter()
+                    .collect()
+            };
+            let want = [
+                distinct(&|s| ids[s.carrier]),
+                distinct(&|s| ids[s.city.as_str()]),
+                distinct(&|s| ids[s.param]),
+                distinct(&|s| rat_tag(s.rat)),
+            ];
+            assert_eq!(prefix.stats, want);
+        }
+        assert!(chunks.next().is_none(), "one group per chunk");
+    }
 }

@@ -141,7 +141,8 @@ impl ArtifactCache {
     /// The temp name carries a process-wide sequence number so concurrent
     /// writers of the *same* key (e.g. two mmqd workers caching the same
     /// freshly rendered answer) never truncate each other's in-progress
-    /// file — each renames its own complete copy into place.
+    /// file — each renames its own complete copy into place. A write that
+    /// fails removes its temp file and returns the original error.
     pub fn write(&self, key: &CacheKey, bytes: &[u8]) -> Result<(), MmError> {
         static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         // relaxed-ok: the counter only disambiguates temp file names; any
@@ -149,13 +150,18 @@ impl ArtifactCache {
         let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let final_path = self.entry_path(key);
         let tmp_path = self.dir.join(format!(".tmp-{:016x}-{seq}", key.hash()));
-        {
-            let mut f = std::fs::File::create(&tmp_path)?;
-            f.write_all(bytes)?;
-            f.flush()?;
-        }
-        std::fs::rename(&tmp_path, &final_path)?;
-        Ok(())
+        let written = std::fs::File::create(&tmp_path)
+            .and_then(|mut f| {
+                f.write_all(bytes)?;
+                f.flush()
+            })
+            .and_then(|()| std::fs::rename(&tmp_path, &final_path));
+        written.map_err(|e| {
+            // The temp file may not exist (create failed); either way the
+            // error to report is the write's own.
+            std::fs::remove_file(&tmp_path).ok();
+            e.into()
+        })
     }
 }
 
@@ -232,6 +238,26 @@ mod tests {
             None,
             "different artifact, different address"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("mm-store-cache-rename-{}", std::process::id()));
+        let cache = ArtifactCache::open(&dir).unwrap();
+        let k = key("d2");
+        // A directory at the entry's path: the final rename cannot replace
+        // it, after the temp file was created and written.
+        std::fs::create_dir_all(cache.entry_path(&k)).unwrap();
+        let got = cache.write(&k, b"payload");
+        assert!(matches!(got, Err(MmError::Io(_))), "{got:?}");
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| !n.starts_with(".tmp-")), "{names:?}");
+        assert!(cache.entry_path(&k).is_dir(), "the directory is untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -173,6 +173,11 @@ impl<'a> F64Decoder<'a> {
     }
 }
 
+/// Slots of [`DictBuilder`]'s static-string memo. Static strings sit packed
+/// in the binary's read-only data, so the low address bits alone spread a
+/// vocabulary across the slots.
+const MEMO_SLOTS: usize = 1024;
+
 /// An order-preserving string dictionary: strings are assigned dense ids in
 /// first-seen order, columns store the ids, and the table serializes as
 /// `count` followed by length-prefixed UTF-8 entries.
@@ -181,6 +186,12 @@ pub struct DictBuilder {
     entries: Vec<String>,
     /// Each entry's id, by content. Ids still come from `entries`' order.
     ids: BTreeMap<String, u64>,
+    /// Direct-mapped memo in front of `ids` for static strings: the
+    /// `(address, length, id)` of a recently interned one per slot. A
+    /// static string's address and length pin its content, so a hit is the
+    /// content lookup's answer; one string may sit at many addresses, and
+    /// each of them is simply its own memo key.
+    memo: Vec<(usize, usize, u64)>,
 }
 
 impl DictBuilder {
@@ -191,9 +202,8 @@ impl DictBuilder {
 
     /// The id for `s`, inserting it on first sight.
     ///
-    /// Ingest interns three strings per row (carrier, parameter, city)
-    /// into a table of a few hundred entries, so the lookup goes through
-    /// an ordered index rather than a linear probe of `entries`.
+    /// The lookup goes through an ordered index of the entries rather than
+    /// a linear probe of the table.
     pub fn intern(&mut self, s: &str) -> u64 {
         if let Some(&id) = self.ids.get(s) {
             return id;
@@ -201,6 +211,31 @@ impl DictBuilder {
         let id = self.entries.len() as u64;
         self.entries.push(s.to_string());
         self.ids.insert(s.to_string(), id);
+        id
+    }
+
+    /// The id for a static string: the same id [`intern`](Self::intern)
+    /// gives its content, found by address when the memo holds it.
+    ///
+    /// Ingest interns three strings per row (carrier, parameter, city),
+    /// nearly always the same few hundred literals, so most rows skip the
+    /// string comparisons of the content index.
+    #[inline]
+    pub fn intern_static(&mut self, s: &'static str) -> u64 {
+        let addr = s.as_ptr().addr();
+        let at = addr % MEMO_SLOTS;
+        if let Some(&(a, len, id)) = self.memo.get(at) {
+            if a == addr && len == s.len() {
+                return id;
+            }
+        }
+        let id = self.intern(s);
+        if self.memo.is_empty() {
+            self.memo = vec![(0, 0, 0); MEMO_SLOTS];
+        }
+        if let Some(slot) = self.memo.get_mut(at) {
+            *slot = (addr, s.len(), id);
+        }
         id
     }
 
@@ -424,5 +459,42 @@ mod tests {
         write_varint(&mut bad, 1);
         bad.push(0xff);
         assert!(matches!(Dict::decode(&bad), Err(StoreError::Schema(_))));
+    }
+
+    #[test]
+    fn static_interning_follows_content_never_address() {
+        // Literals plus forty names leaked sixty times each: every content
+        // sits at many addresses, more than the memo has slots, so slots
+        // collide and are overwritten.
+        let mut copies: Vec<&'static str> = vec!["q-Hyst", "A", "", "C1"];
+        for _ in 0..60 {
+            for i in 0..40 {
+                copies.push(Box::leak(format!("param-{i}").into_boxed_str()));
+            }
+        }
+        assert!(copies.len() > MEMO_SLOTS);
+        assert_ne!(
+            copies[4].as_ptr(),
+            copies[44].as_ptr(),
+            "distinct addresses"
+        );
+        assert_eq!(copies[4], copies[44], "equal content");
+        let mut by_address = DictBuilder::new();
+        let mut by_content = DictBuilder::new();
+        // The reference: ids by content, in first-seen order.
+        let mut reference: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let s = copies[(x % copies.len() as u64) as usize];
+            let next = reference.len() as u64;
+            let want = *reference.entry(s).or_insert(next);
+            assert_eq!(by_address.intern_static(s), want, "{s:?} at {:p}", s);
+            assert_eq!(by_content.intern(s), want, "{s:?}");
+        }
+        assert_eq!(by_address.len(), 44);
+        assert_eq!(by_address.encode(), by_content.encode());
     }
 }

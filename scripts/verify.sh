@@ -102,6 +102,14 @@ if [ "$(wc -l < "$tmpdir/paper-figs.txt")" -lt 100 ]; then
     echo "verify.sh: FAIL — paper-scale figure output is implausibly short" >&2
     exit 1
 fi
+# Pin the paper-scale store bytes: cksum (CRC and size) of the d2 entry
+# the crawl wrote. A change to the column encodings, the dictionary's id
+# order or the group stats must update it on purpose.
+store_sum="$(cksum < "$paper_store"/d2-*.mmst)"
+if [ "$store_sum" != "2553311804 143336572" ]; then
+    echo "verify.sh: FAIL — paper-scale d2 entry cksum is '$store_sum' (want '2553311804 143336572')" >&2
+    exit 1
+fi
 # Pin the paper-scale figures themselves; they are the same at any
 # MM_THREADS.
 paper_sum="$(cksum < "$tmpdir/paper-figs.txt")"
@@ -109,7 +117,7 @@ if [ "$paper_sum" != "64495986 17300" ]; then
     echo "verify.sh: FAIL — paper-scale figures cksum is '$paper_sum' (want '64495986 17300')" >&2
     exit 1
 fi
-echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), cksum pinned"
+echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), store and figures cksums pinned"
 # The same render with one thread: the scan's decode stage then runs
 # inline instead of on a second core (DESIGN.md §6), and the figures must
 # not change.

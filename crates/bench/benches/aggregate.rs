@@ -5,8 +5,8 @@
 //! Besides the timed group (bench-sized fixture), the report attaches an
 //! `aggregate_rate` section with sustained samples/sec over a large
 //! fixture — the full ~8M-sample paper-scale crawl in a normal run, a
-//! small one under `--smoke` — which is the number the paper-scale
-//! acceptance gate in `scripts/verify.sh` reads.
+//! small one under `--smoke`. The rates are recorded; nothing gates on
+//! them.
 
 use mm_bench::{bench_ctx, black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mm_exec::Executor;
@@ -31,7 +31,6 @@ fn bench_aggregate(c: &mut Criterion) {
             D2Agg::from_store(reader).expect("stream").len()
         })
     });
-    g.finish();
 }
 
 /// One timed pass over a crawl at scale: crawl rate, aggregation rate from

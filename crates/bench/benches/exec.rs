@@ -22,7 +22,6 @@ fn bench_overhead(c: &mut Criterion) {
             black_box(exec.scatter_gather(items, |i, x| x.wrapping_mul(i as u64 + 1)))
         })
     });
-    g.finish();
 }
 
 fn bench_campaign(c: &mut Criterion) {
@@ -45,7 +44,6 @@ fn bench_campaign(c: &mut Criterion) {
     g.bench_function("parallel", |b| {
         b.iter(|| run_campaigns(&world, &carriers, &cfg, &par))
     });
-    g.finish();
     // What the benchmarked workload did, not just how long it took: the
     // telemetry delta over every timed + warmup iteration of this group.
     let delta = mm_telemetry::global().snapshot().diff(&before);
@@ -61,7 +59,6 @@ fn bench_crawl(c: &mut Criterion) {
     g.bench_function("sequential", |b| b.iter(|| crawl_with(&world, 5, &seq)));
     let par = Executor::from_env();
     g.bench_function("parallel", |b| b.iter(|| crawl_with(&world, 5, &par)));
-    g.finish();
 }
 
 criterion_group!(benches, bench_overhead, bench_campaign, bench_crawl);

@@ -50,7 +50,6 @@ fn bench_store(c: &mut Criterion) {
             D2::read_store(buf.as_slice()).expect("read").len()
         })
     });
-    g.finish();
 }
 
 /// Cold vs warm artifact regeneration, in-process: the cold path simulates
@@ -92,7 +91,6 @@ fn bench_cached_vs_cold(c: &mut Criterion) {
             arts.iter().map(|&a| run(&ctx, a).text.len()).sum::<usize>()
         })
     });
-    g.finish();
 }
 
 criterion_group!(benches, bench_store, bench_cached_vs_cold);

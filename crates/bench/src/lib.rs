@@ -1,9 +1,9 @@
 //! # mm-bench — in-tree micro-benchmark harness + shared fixtures
 //!
-//! The 13 `harness = false` benches in `benches/` were written against the
-//! criterion API. This crate now provides the small slice of that surface
+//! The seven `harness = false` benches in `benches/` were written against
+//! the criterion API. This crate provides the small slice of that surface
 //! they actually use — [`Criterion`], [`Bencher`], [`BenchmarkGroup`],
-//! [`Throughput`], [`BatchSize`], [`black_box`], [`criterion_group!`] and
+//! [`Throughput`], [`black_box`], [`criterion_group!`] and
 //! [`criterion_main!`] — implemented on plain `std::time::Instant`
 //! wall-clock timing, so `cargo bench` works offline with zero external
 //! dependencies.
@@ -27,38 +27,14 @@
 use std::time::{Duration, Instant};
 
 use mm_json::{Json, ToJson};
-use mmcore::config::CellConfig;
-use mmcore::events::ReportConfig;
 use mmexperiments::Ctx;
-use mmnetsim::network::Network;
-use mmradio::band::ChannelNumber;
-use mmradio::cell::{cell, CellId, Deployment};
-use mmradio::propagation::{Environment, PropagationModel};
-use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Shared fixtures
 // ---------------------------------------------------------------------------
 
-/// A five-cell corridor network with A3(3 dB) everywhere.
-pub fn corridor() -> Network {
-    let chan = ChannelNumber::earfcn(850);
-    let mut cells = Vec::new();
-    let mut configs = BTreeMap::new();
-    for i in 0..5u32 {
-        cells.push(cell(i + 1, f64::from(i) * 2200.0, 0.0, chan, 46.0));
-        let mut cfg = CellConfig::minimal(CellId(i + 1), chan);
-        cfg.report_configs.push(ReportConfig::a3(3.0));
-        configs.insert(CellId(i + 1), cfg);
-    }
-    Network::new(
-        Deployment::new(cells, PropagationModel::new(Environment::Urban, 5)),
-        configs,
-    )
-}
-
-/// The tiny experiment context used by the per-figure benches: small world,
-/// one short run per (carrier, city).
+/// The tiny experiment context used by the store and aggregate benches:
+/// small world, one short run per (carrier, city).
 pub fn bench_ctx() -> Ctx {
     Ctx::builder()
         .seed(7)
@@ -85,19 +61,6 @@ pub enum Throughput {
     Elements(u64),
     /// Bytes processed per iteration.
     Bytes(u64),
-}
-
-/// Batch-size hint for [`Bencher::iter_batched`]. The in-tree harness runs
-/// one setup per timed invocation regardless, so this is accepted only for
-/// criterion source compatibility.
-#[derive(Clone, Copy, Debug)]
-pub enum BatchSize {
-    /// Small per-iteration inputs (criterion's common default).
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One setup per iteration.
-    PerIteration,
 }
 
 /// One finished benchmark: name, sampling parameters and summary statistics
@@ -201,7 +164,7 @@ struct SampleConfig {
 }
 
 /// Times a single benchmark routine. Handed to the closure passed to
-/// [`Criterion::bench_function`]; call [`iter`](Bencher::iter) or
+/// [`BenchmarkGroup::bench_function`]; call [`iter`](Bencher::iter) or
 /// [`iter_batched`](Bencher::iter_batched) exactly once.
 pub struct Bencher {
     cfg: SampleConfig,
@@ -252,9 +215,9 @@ impl Bencher {
             .collect();
     }
 
-    /// Time `routine` on fresh inputs from `setup`; only the routine is
-    /// inside the timed region.
-    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
+    /// Time `routine` on fresh inputs from `setup`, one setup per timed
+    /// invocation; only the routine is inside the timed region.
+    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F)
     where
         S: FnMut() -> I,
         F: FnMut(I) -> O,
@@ -295,29 +258,19 @@ impl Bencher {
     }
 }
 
+/// Timed samples per benchmark unless its group sets its own count.
+const DEFAULT_SAMPLE_SIZE: usize = 20;
+
 /// The bench driver: registers results, applies the `--smoke` flag and name
 /// filter, and writes the JSON report when [`finalize`](Criterion::finalize)
 /// runs (`criterion_main!` calls it).
+#[derive(Default)]
 pub struct Criterion {
     smoke: bool,
     filter: Option<String>,
-    sample_size: usize,
     bench_name: String,
     reports: Vec<BenchReport>,
     attachments: Vec<(String, Json)>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            smoke: false,
-            filter: None,
-            sample_size: 20,
-            bench_name: "bench".to_string(),
-            reports: Vec::new(),
-            attachments: Vec::new(),
-        }
-    }
 }
 
 impl Criterion {
@@ -336,9 +289,6 @@ impl Criterion {
             }
             // Other flags (--bench, --color, ...) come from cargo; ignore.
         }
-        if c.smoke {
-            c.sample_size = 1;
-        }
         c
     }
 
@@ -348,21 +298,6 @@ impl Criterion {
         self.smoke
     }
 
-    /// Override the default sample count (smoke mode pins it to 1).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        if !self.smoke {
-            self.sample_size = n.max(1);
-        }
-        self
-    }
-
-    /// Run one benchmark. The closure receives a [`Bencher`] and must call
-    /// `iter` or `iter_batched`.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        self.run_one(name.to_string(), None, None, f);
-        self
-    }
-
     /// Open a named group; benches inside report as `group/name` and may
     /// carry shared throughput / sample-size settings.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
@@ -370,31 +305,8 @@ impl Criterion {
             criterion: self,
             name: name.to_string(),
             throughput: None,
-            sample_size: None,
+            sample_size: DEFAULT_SAMPLE_SIZE,
         }
-    }
-
-    fn run_one<F: FnMut(&mut Bencher)>(
-        &mut self,
-        name: String,
-        throughput: Option<Throughput>,
-        sample_size: Option<usize>,
-        mut f: F,
-    ) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
-        }
-        let cfg = SampleConfig {
-            sample_size: sample_size.unwrap_or(self.sample_size),
-            smoke: self.smoke,
-        };
-        let mut b = Bencher::new(cfg);
-        f(&mut b);
-        let report = BenchReport::from_samples(name, b.iters_per_sample, b.samples_ns, throughput);
-        print_report(&report, self.smoke);
-        self.reports.push(report);
     }
 
     /// Finished benchmark results so far (ordered by execution).
@@ -440,7 +352,7 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     throughput: Option<Throughput>,
-    sample_size: Option<usize>,
+    sample_size: usize,
 }
 
 impl BenchmarkGroup<'_> {
@@ -452,25 +364,33 @@ impl BenchmarkGroup<'_> {
 
     /// Override the sample count for this group (ignored in smoke mode).
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = Some(n.max(1));
+        self.sample_size = n.max(1);
         self
     }
 
-    /// Run one benchmark inside the group (reported as `group/name`).
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        let full = format!("{}/{}", self.name, name);
-        let sample_size = if self.criterion.smoke {
-            Some(1)
-        } else {
-            self.sample_size
-        };
-        self.criterion
-            .run_one(full, self.throughput, sample_size, f);
+    /// Run one benchmark inside the group (reported as `group/name`). The
+    /// closure receives a [`Bencher`] and must call `iter` or
+    /// `iter_batched`.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
+        let name = format!("{}/{}", self.name, name);
+        let c = &mut *self.criterion;
+        if c.filter
+            .as_ref()
+            .is_some_and(|keep| !name.contains(keep.as_str()))
+        {
+            return self;
+        }
+        let mut b = Bencher::new(SampleConfig {
+            sample_size: self.sample_size,
+            smoke: c.smoke,
+        });
+        f(&mut b);
+        let report =
+            BenchReport::from_samples(name, b.iters_per_sample, b.samples_ns, self.throughput);
+        print_report(&report, c.smoke);
+        c.reports.push(report);
         self
     }
-
-    /// Close the group (kept for criterion API parity).
-    pub fn finish(self) {}
 }
 
 fn print_report(r: &BenchReport, smoke: bool) {
@@ -573,7 +493,6 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        assert_eq!(corridor().len(), 5);
         let ctx = bench_ctx();
         assert_eq!(ctx.runs, 1);
     }
@@ -581,7 +500,6 @@ mod tests {
     fn smoke_criterion() -> Criterion {
         Criterion {
             smoke: true,
-            sample_size: 1,
             ..Criterion::default()
         }
     }
@@ -590,21 +508,21 @@ mod tests {
     fn smoke_mode_runs_each_routine_once() {
         let mut c = smoke_criterion();
         let mut calls = 0u32;
-        c.bench_function("counted", |b| b.iter(|| calls += 1));
+        c.benchmark_group("grp")
+            .sample_size(10)
+            .bench_function("counted", |b| b.iter(|| calls += 1));
         assert_eq!(calls, 1);
         assert_eq!(c.reports().len(), 1);
+        assert_eq!(c.reports()[0].samples, 1);
         assert_eq!(c.reports()[0].iters_per_sample, 1);
     }
 
     #[test]
     fn groups_prefix_names_and_carry_throughput() {
         let mut c = smoke_criterion();
-        {
-            let mut g = c.benchmark_group("grp");
-            g.throughput(Throughput::Bytes(1_000));
-            g.bench_function("inner", |b| b.iter(|| black_box(2 + 2)));
-            g.finish();
-        }
+        c.benchmark_group("grp")
+            .throughput(Throughput::Bytes(1_000))
+            .bench_function("inner", |b| b.iter(|| black_box(2 + 2)));
         let r = &c.reports()[0];
         assert_eq!(r.name, "grp/inner");
         assert!(matches!(r.throughput, Some(Throughput::Bytes(1_000))));
@@ -615,24 +533,26 @@ mod tests {
     fn filter_skips_non_matching_benches() {
         let mut c = smoke_criterion();
         c.filter = Some("keep".to_string());
-        c.bench_function("keep_me", |b| b.iter(|| 1));
-        c.bench_function("drop_me", |b| b.iter(|| 1));
+        let mut calls = 0u32;
+        c.benchmark_group("grp")
+            .bench_function("keep_me", |b| b.iter(|| 1))
+            .bench_function("drop_me", |b| b.iter(|| calls += 1));
+        assert_eq!(calls, 0);
         assert_eq!(c.reports().len(), 1);
-        assert_eq!(c.reports()[0].name, "keep_me");
+        assert_eq!(c.reports()[0].name, "grp/keep_me");
     }
 
     #[test]
     fn iter_batched_times_routine_only() {
         let mut c = smoke_criterion();
         let mut setups = 0u32;
-        c.bench_function("batched", |b| {
+        c.benchmark_group("grp").bench_function("batched", |b| {
             b.iter_batched(
                 || {
                     setups += 1;
                     vec![1u8; 64]
                 },
                 |v| v.len(),
-                BatchSize::SmallInput,
             )
         });
         assert_eq!(setups, 1);

@@ -1064,8 +1064,11 @@ mod tests {
             .unwrap();
         let cold = eng.run(&req).unwrap();
         assert!(!cold.cached);
+        // The crawl clusters carriers, so one carrier's slice decodes at
+        // most half of the row groups (9 of 39 at this scale).
+        let total = cold.scan.groups_decoded + cold.scan.groups_skipped;
         assert!(
-            cold.scan.groups_skipped > 0,
+            cold.scan.groups_decoded > 0 && 2 * cold.scan.groups_decoded <= total,
             "carrier predicate skips other carriers' blocks: {:?}",
             cold.scan
         );

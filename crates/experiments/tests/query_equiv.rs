@@ -98,6 +98,36 @@ fn warm_mmq_replays_from_cache_and_a_gutted_store_fails_at_open() {
         warm.stderr
     );
 
+    // Zero every D2 data entry in place, same length. A cached answer
+    // opens no data block, so the warm run cannot tell; an uncached
+    // query decodes the zeros and fails typed (exit 3).
+    let mut zeroed = 0;
+    for entry in std::fs::read_dir(&dir).expect("readdir") {
+        let path = entry.expect("entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if name.starts_with("d2-") && name.ends_with(".mmst") {
+            let len = std::fs::metadata(&path).expect("stat data entry").len();
+            std::fs::write(&path, vec![0u8; len as usize]).expect("zero data entry");
+            zeroed += 1;
+        }
+    }
+    assert!(zeroed > 0, "the crawl wrote a d2 entry");
+    let blind = exe("mmq", &["f16", "f12", "--quick"], Some(&dir));
+    assert!(blind.status.success(), "{}", blind.stderr);
+    assert_eq!(cold.stdout, blind.stdout, "cached answers read no block");
+    let uncached = exe("mmq", &["f13", "--quick"], Some(&dir));
+    assert_eq!(
+        uncached.status.code(),
+        Some(3),
+        "an uncached query reads the zeroed entry: {}",
+        uncached.stderr
+    );
+    assert!(
+        uncached.stderr.contains("store error"),
+        "the zeroed entry is a typed store error: {}",
+        uncached.stderr
+    );
+
     // Remove every D2 data entry; keep the manifest and the q- cache.
     // The engine refuses the incomplete store at open — a typed store
     // error (exit 3), not a cache-served answer over missing data.

@@ -633,7 +633,7 @@ mod tests {
         assert_eq!((name.as_str(), kind), ("mobility-mm", FileKind::Test));
         let (_, _, kind) = classify("examples/quickstart.rs");
         assert_eq!(kind, FileKind::Example);
-        let (_, scope, kind) = classify("crates/bench/benches/analysis.rs");
+        let (_, scope, kind) = classify("crates/bench/benches/lint.rs");
         assert_eq!((scope, kind), (Scope::Sched, FileKind::Bench));
         // The storage layer is library code under the full deterministic
         // discipline (no HashMap iteration order, no wall clock).

@@ -3,7 +3,7 @@
 # smoke-bench with no network and no registry crates. The byte-identity
 # checks are Rust tests; this script adds only the gates that need a whole
 # process: paper-scale volume and memory, the 100k-UE fleet, mmqd serving
-# and the bench reports.
+# and the bench reports' sections. No gate compares wall-clock timings.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,26 +27,17 @@ peak_rss() {
     wait "$pid"
 }
 
-# Fail unless the JSON report REPORT carries every KEY section.
+# Fail unless the JSON report REPORT carries every KEY, matched as a
+# whole quoted key (`speedup_x` is not satisfied by `warm_speedup_x`).
 require_keys() {
     local report="$1" key
     shift
     for key in "$@"; do
-        if ! grep -q "$key" "$report"; then
+        if ! grep -q "\"$key\"" "$report"; then
             echo "verify.sh: FAIL — $report lacks the $key section" >&2
             exit 1
         fi
     done
-}
-
-# Read the number KEY from REPORT into value; fail unless it is >= MIN.
-at_least() {
-    local report="$1" key="$2" min="$3"
-    value="$(sed -n "s/.*\"$key\":\([0-9.]*\).*/\1/p" "$report")"
-    if ! awk -v s="${value:-0}" -v m="$min" 'BEGIN { exit !(s >= m) }'; then
-        echo "verify.sh: FAIL — $key ${value:-?}x in $report is below the ${min}x gate" >&2
-        exit 1
-    fi
 }
 
 # --locked: a stale lock file fails here instead of being rewritten.
@@ -270,32 +261,19 @@ for threads in 1 8; do
     echo "verify.sh: mmqd served 8 concurrent clients byte-identically, warm-cached, and drained clean (MM_THREADS=$threads)"
 done
 
-# One smoke pass runs every bench routine once and writes the reports the
-# gates below read; MM_BENCH_OUT keeps them apart from any earlier run's.
-# They must publish the rates README.md cites.
+# One smoke pass runs every bench routine once and writes its reports;
+# MM_BENCH_OUT keeps them apart from any earlier run's. They must publish
+# the rates README.md cites. The ratios in them are recorded, not gated:
+# the facts they stand for are counted by `cargo test` above (a carrier
+# slice decodes at most half of the row groups, a cached answer reads no
+# data block, a warm mmlint run re-analyzes no file).
 export MM_BENCH_OUT="$tmpdir/bench"
 cargo bench -p mm-bench -- --smoke
 require_keys "$MM_BENCH_OUT/aggregate.json" aggregate_rate crawl_samples_per_s agg_from_store_samples_per_s
 require_keys "$MM_BENCH_OUT/query.json" query_pushdown full_scan_rows_per_s pushdown_rows_per_s speedup_x query_latency warm_speedup_x
 require_keys "$MM_BENCH_OUT/fleet.json" fleet_rate ue_events_per_sec
 require_keys "$MM_BENCH_OUT/serve.json" serve_rate warm_qps cold_process_qps speedup_x
-echo "verify.sh: aggregate, query, fleet and serve bench JSON carry their rate sections"
-# Pushdown must beat the full scan by at least 2x on the same carrier slice.
-at_least "$MM_BENCH_OUT/query.json" speedup_x 2.0
-echo "verify.sh: query bench pushdown speedup ${value}x (gate: >= 2x) with both JSON sections"
-# The resident warm path must beat spawning a fresh mmq per query by at
-# least 100x.
-at_least "$MM_BENCH_OUT/serve.json" speedup_x 100.0
-echo "verify.sh: serve bench warm qps ${value}x the cold-process path (gate: >= 100x)"
-# The lint bench must publish cold-vs-warm files/sec, and the warm
-# (cache-served) run must be at least 3x faster than the cold run — the
-# number that makes incremental `mmlint` worth its cache. Full sampling
-# (not --smoke): the gate reads a median, not a single timing. The smoke
-# pass's report goes first, so a failed write cannot pass the gate.
-rm "$MM_BENCH_OUT/lint.json"
-cargo bench -p mm-bench --bench lint
 require_keys "$MM_BENCH_OUT/lint.json" lint_cache cold_files_per_s warm_files_per_s warm_speedup_x
-at_least "$MM_BENCH_OUT/lint.json" warm_speedup_x 3.0
-echo "verify.sh: lint bench warm-cache speedup ${value}x (gate: >= 3x) with cold/warm files/sec sections"
+echo "verify.sh: aggregate, query, fleet, serve and lint bench JSON carry their rate sections"
 
-echo "verify.sh: build + fmt + clippy + mmlint strict + tests (debug and release) + paper-scale + fleet + serving + bench smoke + pushdown + serve + lint-cache gates all green (offline)"
+echo "verify.sh: build + fmt + clippy + mmlint strict + tests (debug and release) + paper-scale + fleet + serving + bench smoke sections all green (offline)"

@@ -403,6 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn observed_config_changes_only_with_the_version() {
+        // The crawler observes each version once and copies its rows to the
+        // version's later rounds; this is the fact it relies on.
+        let w = World::generate(29, 0.05);
+        let lte: Vec<_> = w.cells().iter().filter(|c| c.rat == Rat::Lte).collect();
+        assert!(lte.iter().any(|c| c.active_update_round.is_some()));
+        assert!(lte.iter().any(|c| c.idle_update_round.is_some()));
+        for cell in lte {
+            // The version and its configuration at the version's first round.
+            let (mut version, mut config) = (w.version_at(cell, 0), w.observed_config(cell, 0));
+            for r in 1..ROUNDS {
+                let v = w.version_at(cell, r);
+                assert!(
+                    v >= version,
+                    "cell {} version falls at round {r}",
+                    cell.id.0
+                );
+                if v == version {
+                    assert!(
+                        w.observed_config(cell, r) == config,
+                        "cell {} round {r}",
+                        cell.id.0
+                    );
+                } else {
+                    (version, config) = (v, w.observed_config(cell, r));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn active_update_changes_reporting_not_sib() {
         let w = World::generate(17, 0.1);
         let mut checked = 0;

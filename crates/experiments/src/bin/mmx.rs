@@ -62,11 +62,13 @@
 
 use mm_exec::Executor;
 use mm_json::ToJson;
+use mmcarriers::world::World;
 use mmexperiments::cli::{self, CtxFlags, MetricsSink};
 use mmexperiments::store::round_seed;
 use mmexperiments::{
     run, run_fleet_on, Artifact, FleetConfig, MmError, RunBundle, RunStore, ABLATIONS, ARTIFACTS,
 };
+use mmlab::D2;
 
 fn usage() -> String {
     format!(
@@ -286,6 +288,25 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
     })
 }
 
+/// Crawl `world` under `seed`. Also returns the seconds the whole call
+/// took — the shards' scatter, the gather and the ingest check — as the
+/// `crawl` span recorded them, and the threads the scatter used. Call it
+/// with no span open on this thread: a nested span reaches the registry
+/// only when its root span exits.
+fn timed_crawl(world: &World, seed: u64, exec: &Executor) -> (D2, f64, usize) {
+    let crawl_ns = || {
+        mm_telemetry::global()
+            .snapshot()
+            .section("crawl")
+            .and_then(|s| s.spans.iter().find(|span| span.path == "crawl"))
+            .map_or(0, |span| span.total_ns)
+    };
+    let before = crawl_ns();
+    let (d2, stats) = mmlab::crawl_with_stats(world, seed, exec);
+    let secs = (crawl_ns() - before).max(1) as f64 / 1e9;
+    (d2, secs, stats.threads)
+}
+
 fn real_main() -> Result<(), MmError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -331,15 +352,14 @@ fn real_main() -> Result<(), MmError> {
         // afterwards against the fresh dataset.
         RunMode::Crawl { wanted } => {
             let s = store.as_ref().expect("crawl resolved against --store");
-            let (d2, stats) = mmlab::crawl_with_stats(ctx.world(), ctx.seed ^ 0xD2, &exec);
-            let secs = (stats.wall_ns.max(1)) as f64 / 1e9;
+            let (d2, secs, threads) = timed_crawl(ctx.world(), ctx.seed ^ 0xD2, &exec);
             eprintln!(
                 "# mmx crawl: {} samples over {} cells in {:.1}s ({:.0} samples/s, {} thread(s))",
                 d2.len(),
                 d2.unique_cells(),
                 secs,
                 d2.len() as f64 / secs,
-                stats.threads,
+                threads,
             );
             ctx.preload_d2(d2);
             s.save_d2(&ctx)?;
@@ -359,9 +379,7 @@ fn real_main() -> Result<(), MmError> {
                 )
             })?;
             let round = manifest.next_round();
-            let (d2, stats) =
-                mmlab::crawl_with_stats(ctx.world(), round_seed(ctx.seed, round), &exec);
-            let secs = (stats.wall_ns.max(1)) as f64 / 1e9;
+            let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, round), &exec);
             eprintln!(
                 "# mmx append: round {round}: {} samples over {} cells in {:.1}s \
                  ({:.0} samples/s, {} thread(s))",
@@ -369,7 +387,7 @@ fn real_main() -> Result<(), MmError> {
                 d2.unique_cells(),
                 secs,
                 d2.len() as f64 / secs,
-                stats.threads,
+                threads,
             );
             let appended = s.append_round(&ctx, &d2)?;
             eprintln!(

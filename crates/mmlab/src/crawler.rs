@@ -1,9 +1,11 @@
 //! The device-centric configuration crawler — MMLab's Type-I measurement.
 //!
-//! The crawler never touches `CellConfig` structs: for every observation it
-//! takes the byte-level SIB broadcast of the cell (as `mmnetsim` would put
-//! on the air), decodes it with `mmsignaling`, reassembles the
-//! configuration, and extracts `(parameter, value)` samples. This enforces
+//! The crawler never touches `CellConfig` structs: for every distinct
+//! broadcast it takes the byte-level SIB messages of the cell (as
+//! `mmnetsim` would put on the air), decodes them with `mmsignaling`,
+//! reassembles the configuration, and extracts `(parameter, value)`
+//! samples; later rounds of the same version copy its rows, since a phone
+//! that hears the same SIB bytes again learns nothing new. This enforces
 //! the paper's core claim — everything in the study is learnable from a
 //! phone.
 //!
@@ -12,8 +14,11 @@
 //!
 //! The crawl of the ~32k-cell world is sharded over [`mm_exec::Executor`]:
 //! each shard covers a contiguous cell range and every cell derives its own
-//! RNG stream from its id, so the gathered (submission-ordered) sample list
-//! is byte-identical to the sequential scan for any thread count.
+//! RNG stream from its id. Each shard returns each run's rows once with the
+//! rounds that saw them, and the gather expands them into one exactly sized
+//! sample list, in shard → cell → round order. Every row is written once,
+//! and the list is byte-identical to the sequential scan for any thread
+//! count.
 
 use crate::dataset::{ConfigSample, D2};
 use mm_exec::Executor;
@@ -229,23 +234,73 @@ fn observe_legacy(world: &World, cell: &GeneratedCell, round: u32, out: &mut Vec
     }
 }
 
-/// Crawl one cell: draw its round set and observe it at each round.
-fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Vec<ConfigSample>) {
+/// The rounds at which a cell is crawled: a Fig 13a-distributed count of
+/// distinct rounds, ascending (volunteers return to areas).
+fn drawn_rounds(cell: &GeneratedCell, crawl_seed: u64) -> Vec<u32> {
     let mut rng = stream_rng(crawl_seed, sub_seed(8, u64::from(cell.id.0)));
     let n_rounds = draw_rounds(&mut rng).min(ROUNDS);
-    // Choose distinct rounds, sorted (volunteers return to areas).
     let mut rounds: Vec<u32> = (0..ROUNDS).collect();
     for i in (1..rounds.len()).rev() {
         rounds.swap(i, rng.gen_range(0..=i));
     }
     rounds.truncate(n_rounds as usize);
     rounds.sort_unstable();
-    for round in rounds {
-        if cell.rat == Rat::Lte {
-            observe_lte(world, cell, round, out);
-        } else {
-            observe_legacy(world, cell, round, out);
+    rounds
+}
+
+/// One shard's crawl before expansion. A run is the drawn rounds of one
+/// cell that see the same broadcast; its rows are observed once, at its
+/// first round, and stand for every round of the run.
+#[derive(Debug, Default)]
+struct Observed {
+    /// The runs' rows, run after run, as observed at each run's first round.
+    rows: Vec<ConfigSample>,
+    /// The runs' rounds, run after run, each run's ascending.
+    rounds: Vec<u32>,
+    /// Per run, in cell order: how many of `rows` and of `rounds` it owns.
+    runs: Vec<(usize, usize)>,
+}
+
+impl Observed {
+    /// Samples the shard expands to: each run's rows at each of its rounds.
+    fn samples(&self) -> usize {
+        self.runs.iter().map(|&(rows, rounds)| rows * rounds).sum()
+    }
+
+    /// Append the shard's samples to `out` in cell → round order: each
+    /// run's rows once per round, with `round` restamped.
+    fn expand_into(&self, out: &mut Vec<ConfigSample>) {
+        let (mut rows, mut rounds) = (&self.rows[..], &self.rounds[..]);
+        for &(n_rows, n_rounds) in &self.runs {
+            let (run_rows, rest) = rows.split_at(n_rows);
+            rows = rest;
+            let (run_rounds, rest) = rounds.split_at(n_rounds);
+            rounds = rest;
+            for &round in run_rounds {
+                out.extend(run_rows.iter().map(|s| ConfigSample { round, ..s.clone() }));
+            }
         }
+    }
+}
+
+/// Crawl one cell: draw its round set and observe it once per run of
+/// rounds that see the same broadcast. An LTE cell's configuration depends
+/// on the round only through its version, which never decreases, so each
+/// version's rounds are consecutive; a legacy cell's parameters do not
+/// depend on the round at all.
+fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Observed) {
+    let rounds = drawn_rounds(cell, crawl_seed);
+    let lte = cell.rat == Rat::Lte;
+    let same = |a: &u32, b: &u32| !lte || world.version_at(cell, *a) == world.version_at(cell, *b);
+    for run in rounds.chunk_by(same) {
+        let before = out.rows.len();
+        if lte {
+            observe_lte(world, cell, run[0], &mut out.rows);
+        } else {
+            observe_legacy(world, cell, run[0], &mut out.rows);
+        }
+        out.rounds.extend_from_slice(run);
+        out.runs.push((out.rows.len() - before, run.len()));
     }
 }
 
@@ -262,9 +317,11 @@ pub fn crawl_with(world: &World, crawl_seed: u64, exec: &Executor) -> D2 {
     crawl_with_stats(world, crawl_seed, exec).0
 }
 
-/// Like [`crawl_with`], also returning the executor's run statistics
-/// (wall time, worker utilization) — what `mmx crawl` reports as its
-/// samples/sec line without touching a wall clock itself.
+/// Like [`crawl_with`], also returning the statistics of the shards'
+/// scatter (per-task time, worker utilization). The scatter is not the
+/// whole call: the gather and the ingest check follow it. The `crawl`
+/// span of mm-telemetry's `crawl` section times all three; `mmx crawl`
+/// reports its samples/sec line from that span.
 pub fn crawl_with_stats(
     world: &World,
     crawl_seed: u64,
@@ -273,21 +330,24 @@ pub fn crawl_with_stats(
     let reg = mm_telemetry::global();
     let _stage = reg.span("crawl", "crawl");
     let cells_crawled = reg.counter("crawl", "cells_crawled");
+    let rounds_observed = reg.counter("crawl", "rounds_observed");
+    let configs_drawn = reg.counter("crawl", "configs_drawn");
     let samples_emitted = reg.counter("crawl", "samples_emitted");
-    let cells = world.cells();
-    let shards: Vec<&[GeneratedCell]> = cells.chunks(CRAWL_SHARD).collect();
-    let (shard_samples, stats) = exec.scatter_gather_stats(shards, |_, shard| {
-        let mut out = Vec::new();
+    let shards: Vec<&[GeneratedCell]> = world.cells().chunks(CRAWL_SHARD).collect();
+    let (observed, stats) = exec.scatter_gather_stats(shards, |_, shard| {
+        let mut out = Observed::default();
         for cell in shard {
             crawl_cell(world, cell, crawl_seed, &mut out);
         }
         cells_crawled.add(shard.len() as u64);
-        samples_emitted.add(out.len() as u64);
+        rounds_observed.add(out.rounds.len() as u64);
+        configs_drawn.add(out.runs.len() as u64);
+        samples_emitted.add(out.samples() as u64);
         out
     });
-    let mut samples = Vec::with_capacity(shard_samples.iter().map(Vec::len).sum());
-    for mut shard in shard_samples {
-        samples.append(&mut shard);
+    let mut samples = Vec::with_capacity(observed.iter().map(Observed::samples).sum());
+    for shard in &observed {
+        shard.expand_into(&mut samples);
     }
     // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
     let d2 = D2::try_from_samples(samples).expect("crawler emitted an off-contract value");
@@ -324,16 +384,46 @@ mod tests {
         assert_ne!(crawl(&world, 77), crawl(&world, 78));
     }
 
+    /// The crawl observed the old way: every drawn round crosses the whole
+    /// device-centric path, into one `Vec`.
+    fn crawl_every_round(world: &World, crawl_seed: u64) -> D2 {
+        let mut out = Vec::new();
+        for cell in world.cells() {
+            for round in drawn_rounds(cell, crawl_seed) {
+                if cell.rat == Rat::Lte {
+                    observe_lte(world, cell, round, &mut out);
+                } else {
+                    observe_legacy(world, cell, round, &mut out);
+                }
+            }
+        }
+        D2::try_from_samples(out).unwrap()
+    }
+
     #[test]
-    fn sharded_crawl_matches_sequential() {
-        let world = World::generate(6, 0.02);
-        let seq = crawl_with(&world, 21, &Executor::sequential());
-        for threads in [2, 8] {
-            assert_eq!(
-                crawl_with(&world, 21, &Executor::new(threads)),
-                seq,
-                "{threads}"
-            );
+    fn run_crawl_matches_observing_every_round_at_any_thread_count() {
+        for (world_seed, scale, crawl_seed) in [(6, 0.02, 21), (13, 0.03, 5)] {
+            let world = World::generate(world_seed, scale);
+            // Cells whose drawn rounds see two versions, so a run keyed
+            // on the cell alone would copy a stale broadcast.
+            let straddling = world
+                .cells()
+                .iter()
+                .filter(|c| {
+                    let rounds = drawn_rounds(c, crawl_seed);
+                    c.rat == Rat::Lte
+                        && world.version_at(c, rounds[0])
+                            != world.version_at(c, rounds[rounds.len() - 1])
+                })
+                .count();
+            assert!(straddling >= 5, "world {world_seed}: {straddling}");
+            let reference = crawl_every_round(&world, crawl_seed);
+            for threads in [1, 2, 8] {
+                assert!(
+                    crawl_with(&world, crawl_seed, &Executor::new(threads)) == reference,
+                    "world {world_seed}, {threads} thread(s)"
+                );
+            }
         }
     }
 

@@ -101,6 +101,15 @@ if [ "$store_sum" != "2553311804 143336572" ]; then
     echo "verify.sh: FAIL — paper-scale d2 entry cksum is '$store_sum' (want '2553311804 143336572')" >&2
     exit 1
 fi
+# The crawl's gather must not depend on the thread count at paper scale
+# either (31,623 cells in 248 shards): one thread writes the same entry.
+MM_THREADS=1 "$bin"/mmx crawl --scale paper --store "$tmpdir/paper-store-1" 2>/dev/null
+seq_store_sum="$(cksum < "$tmpdir"/paper-store-1/d2-*.mmst)"
+rm -rf "$tmpdir/paper-store-1"
+if [ "$seq_store_sum" != "2553311804 143336572" ]; then
+    echo "verify.sh: FAIL — paper-scale d2 entry cksum at MM_THREADS=1 is '$seq_store_sum' (want '2553311804 143336572')" >&2
+    exit 1
+fi
 # Pin the paper-scale figures themselves; they are the same at any
 # MM_THREADS.
 paper_sum="$(cksum < "$tmpdir/paper-figs.txt")"
@@ -108,7 +117,7 @@ if [ "$paper_sum" != "64495986 17300" ]; then
     echo "verify.sh: FAIL — paper-scale figures cksum is '$paper_sum' (want '64495986 17300')" >&2
     exit 1
 fi
-echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), store and figures cksums pinned"
+echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), store cksum pinned at the default and at MM_THREADS=1, figures cksum pinned"
 # The same render with one thread: the scan's decode stage then runs
 # inline instead of on a second core (DESIGN.md §6), and the figures must
 # not change.

@@ -21,7 +21,12 @@ fn run_workload(threads: usize) -> Snapshot {
     assert!(!d1.is_empty());
     let d2 = crawl_with(&world, 9, &exec);
     assert!(!d2.is_empty());
-    global().snapshot()
+    let snap = global().snapshot();
+    assert_eq!(
+        snap.counter("crawl", "samples_emitted"),
+        Some(d2.len() as u64)
+    );
+    snap
 }
 
 /// One test fn (not several) so no other telemetry test races the global
@@ -34,6 +39,14 @@ fn deterministic_snapshot_is_thread_count_invariant() {
     assert!(expected.contains("netsim"), "netsim section present");
     assert!(expected.contains("crawl"), "crawl section present");
     assert!(expected.contains("\"exec\""), "exec section present");
+    // The crawl observes each distinct broadcast once: fewer configurations
+    // drawn than cell-rounds observed.
+    let crawl = |name| baseline.counter("crawl", name).unwrap_or(0);
+    let (configs, rounds) = (crawl("configs_drawn"), crawl("rounds_observed"));
+    assert!(
+        0 < configs && configs < rounds,
+        "configs_drawn {configs}, rounds_observed {rounds}"
+    );
     for threads in [2, 8] {
         let got = run_workload(threads).deterministic().to_json().to_string();
         assert_eq!(

@@ -26,8 +26,7 @@
 //! [`Executor::scatter_gather_stats`] returns a [`RunStats`] next to the
 //! results: per-task wall-clock (in submission order), per-worker
 //! executed/stolen counts, and the maximum queue depth observed. `mmx
-//! --timings` prints these and the `exec` bench records them in its
-//! `exec.json` report, under `target/mm-bench` or `MM_BENCH_OUT`. Every
+//! --timings` prints these with the busy/wall speedup estimate. Every
 //! run also lifts its stats into the shared `mm-telemetry` registry
 //! (section `exec`): task/run counts are
 //! `Scope::Sim` (identical for any thread count), steal/depth/time

@@ -353,10 +353,12 @@ fn real_main() -> Result<(), MmError> {
         RunMode::Crawl { wanted } => {
             let s = store.as_ref().expect("crawl resolved against --store");
             let (d2, secs, threads) = timed_crawl(ctx.world(), ctx.seed ^ 0xD2, &exec);
+            // Every cell of the world yields rows, so the world's cell
+            // count is the crawl's without a pass over ~8M rows.
             eprintln!(
                 "# mmx crawl: {} samples over {} cells in {:.1}s ({:.0} samples/s, {} thread(s))",
                 d2.len(),
-                d2.unique_cells(),
+                ctx.world().cells().len(),
                 secs,
                 d2.len() as f64 / secs,
                 threads,
@@ -384,7 +386,7 @@ fn real_main() -> Result<(), MmError> {
                 "# mmx append: round {round}: {} samples over {} cells in {:.1}s \
                  ({:.0} samples/s, {} thread(s))",
                 d2.len(),
-                d2.unique_cells(),
+                ctx.world().cells().len(),
                 secs,
                 d2.len() as f64 / secs,
                 threads,

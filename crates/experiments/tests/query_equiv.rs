@@ -41,9 +41,32 @@ fn tmp(tag: &str) -> PathBuf {
     d
 }
 
+/// The whole-number words after `marker` on the first line of `text`
+/// that contains it.
+fn numbers_after(text: &str, marker: &str) -> Vec<u64> {
+    let (_, rest) = text
+        .lines()
+        .find_map(|l| l.split_once(marker))
+        .expect(marker);
+    rest.split(' ').filter_map(|w| w.parse().ok()).collect()
+}
+
+/// `(samples, unique cells)` of Fig 12's totals line.
+fn f12_totals(stdout: &str) -> (u64, u64) {
+    let n = numbers_after(stdout, "Fig 12 totals: ");
+    (n[1], n[0])
+}
+
+/// Crawl a quick campaign into `dir`. The crawl's rate line
+/// (`N samples over C cells`) must count what Fig 12 counts over the
+/// stored entry.
 fn crawl(dir: &Path) {
     let run = exe("mmx", &["crawl", "--quick"], Some(dir));
     assert!(run.status.success(), "crawl: {}", run.stderr);
+    let rate = numbers_after(&run.stderr, "# mmx crawl: ");
+    let stored = exe("mmx", &["f12", "--quick", "--load"], Some(dir));
+    assert!(stored.status.success(), "{}", stored.stderr);
+    assert_eq!((rate[0], rate[1]), f12_totals(&stored.stdout));
 }
 
 /// Every artifact `mmq` serves, in paper order.
@@ -192,19 +215,17 @@ fn append_unions_new_rounds_and_keeps_round_zero_immutable() {
         "append never rewrites prior-round files"
     );
 
-    // The union serves both rounds: strictly more samples than round 0.
+    // The union serves both rounds: round 0's samples plus the appended
+    // round's, over the same cells, as the append's rate line counts them.
     let union = exe("mmq", &["f12", "--quick"], Some(&dir));
     assert!(union.status.success(), "{}", union.stderr);
     assert_ne!(union.stdout, baseline.stdout, "union covers the new round");
-    let total = |s: &str| -> u64 {
-        s.lines()
-            .find_map(|l| l.strip_prefix("Fig 12 totals: "))
-            .and_then(|l| l.split(", ").nth(1))
-            .and_then(|l| l.strip_suffix(" samples"))
-            .and_then(|n| n.parse().ok())
-            .expect("Fig 12 totals line")
-    };
-    assert!(total(&union.stdout) > total(&baseline.stdout));
+    let (round0_samples, round0_cells) = f12_totals(&baseline.stdout);
+    let (union_samples, union_cells) = f12_totals(&union.stdout);
+    let rate = numbers_after(&append.stderr, "# mmx append: round 1: ");
+    assert!(rate[0] > 0);
+    assert_eq!(union_samples, round0_samples + rate[0]);
+    assert_eq!((union_cells, rate[1]), (round0_cells, round0_cells));
 
     // A round ceiling of 0 reproduces the pre-append answer exactly.
     let ceiling = exe("mmq", &["f12", "--quick", "--rounds", "0"], Some(&dir));

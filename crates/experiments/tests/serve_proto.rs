@@ -1,7 +1,7 @@
 //! Protocol robustness for the mmqd serving loop: malformed magic,
-//! truncated frames, oversized frames, wrong versions, and mid-request
-//! disconnects must each produce a typed error response or a clean
-//! close — never a panic, never a hang — and the server must keep
+//! truncated frames, oversized frames, over-deep JSON, wrong versions, and
+//! mid-request disconnects must each produce a typed error response or a
+//! clean close — never a panic, never a hang — and the server must keep
 //! serving well-formed clients afterwards. Admission control
 //! (`overloaded`, `deadline`) is exercised through the degenerate
 //! configs, and a `shutdown` control frame must drain the pool and make
@@ -163,7 +163,25 @@ fn hostile_clients_get_typed_errors_and_the_server_survives() {
     assert_closed(s);
     assert_serving(addr);
 
-    // 6. A well-formed frame carrying an invalid query: `bad-request`
+    // 6. A Query frame as deep as the frame cap allows, every byte a
+    //    `[`: parsing it must stop at the JSON nesting cap with a typed
+    //    `bad-request`, not recurse once per byte until the worker's stack
+    //    overflows and takes the process down. Then close.
+    let mut s = raw(addr);
+    write_hello(&mut s).unwrap();
+    read_hello(&mut s).unwrap();
+    write_frame(&mut s, TAG_QUERY, &[b'['; 4096]).unwrap();
+    match Response::read_from(&mut &s, 1 << 20).expect("typed response before close") {
+        Response::Err(e) => {
+            assert_eq!(e.code, codes::BAD_REQUEST);
+            assert!(e.message.contains("nesting"), "{}", e.message);
+        }
+        Response::Ok(_) => panic!("over-deep query accepted"),
+    }
+    assert_closed(s);
+    assert_serving(addr);
+
+    // 7. A well-formed frame carrying an invalid query: `bad-request`
     //    with the connection kept open for the next request.
     let mut client = Client::connect(&addr.to_string(), TIMEOUT_MS).unwrap();
     let bad = Json::obj([("target", Json::Str("f99".into()))]);

@@ -2,11 +2,13 @@
 //! # mm-json — a minimal in-tree JSON codec
 //!
 //! The workspace writes JSON for telemetry snapshots, bench reports,
-//! `mmlint --json`, the mm-net wire documents and store manifests, and
-//! reads it back only as an untyped [`Json`] tree. This crate carries that
-//! surface instead of pulling `serde`/`serde_json` from a registry: the
-//! [`Json`] value, a strict parser ([`Json::parse`], [`ParseError`]) and
-//! [`ToJson`] for primitives, `Option`, `Vec`, slices and pairs.
+//! `mmlint --json` and the mm-net wire documents, and reads it back only
+//! as an untyped [`Json`] tree. This crate carries that surface instead of
+//! pulling `serde`/`serde_json` from a registry: the [`Json`] value, a
+//! strict parser ([`Json::parse`], [`ParseError`]) and [`ToJson`] for
+//! primitives, `Option`, `Vec`, slices and pairs. The parser refuses
+//! documents nested deeper than 128 arrays and objects with a typed error,
+//! so hostile input cannot exhaust the stack.
 //!
 //! Output is compact (no whitespace); `f64` values are written with Rust's
 //! shortest round-trip formatting, so parsing the text back is bit-exact

@@ -4,8 +4,17 @@
 //! arrays, strings with escapes incl. `\uXXXX` pairs, numbers, literals)
 //! and rejects trailing garbage. Numbers parse through Rust's `f64`
 //! parser, which is exact for round-tripped shortest representations.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects, as RFC 8259 §9
+//! permits: each level is one stack frame, so an unbounded run of `[` in a
+//! wire frame would overflow a worker's stack and abort the process. A
+//! deeper document is a typed [`ParseError`]; the deepest document the
+//! workspace writes nests a few levels.
 
 use crate::Json;
+
+/// The deepest nesting of arrays and objects the parser accepts.
+const MAX_DEPTH: usize = 128;
 
 /// Error with byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +37,7 @@ pub(crate) fn parse(s: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -41,6 +51,8 @@ pub(crate) fn parse(s: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -84,8 +96,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -94,6 +106,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing a level past
+    /// [`MAX_DEPTH`] before recursing into it.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -323,5 +350,15 @@ mod tests {
     fn error_carries_position() {
         let e = parse("[1, x]").unwrap_err();
         assert_eq!(e.at, 4);
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        let e = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "refused at the first level past the cap");
+        let e = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.msg.starts_with("nesting deeper"), "{e}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
     }
 }

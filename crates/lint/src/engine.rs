@@ -22,8 +22,8 @@ use mm_exec::Executor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// Determinism scope of a crate. `Sched` crates (the executor, telemetry,
-/// and the bench harness) are allowed wall clocks and unordered
+/// Determinism scope of a crate. `Sched` crates (the executor, telemetry
+/// and the serving layer) are allowed wall clocks and unordered
 /// containers because their nondeterminism is fenced off from simulation
 /// output; everything else must be bit-reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +49,10 @@ pub enum FileKind {
     Bench,
 }
 
-/// Crate directory names whose scope is [`Scope::Sched`]: timing is their
-/// job (bench), or they manage wall-clock-bound machinery the
-/// deterministic simulation layer never reads (exec worker stats,
-/// telemetry span shims, net serving deadlines).
-const SCHED_CRATES: &[&str] = &["bench", "exec", "telemetry", "net"];
+/// Crate directory names whose scope is [`Scope::Sched`]: they manage
+/// wall-clock-bound machinery the deterministic simulation layer never
+/// reads (exec worker stats, telemetry span shims, net serving deadlines).
+const SCHED_CRATES: &[&str] = &["exec", "telemetry", "net"];
 
 /// Classify a workspace-relative path into (crate name, scope, kind).
 pub fn classify(rel_path: &str) -> (String, Scope, FileKind) {
@@ -633,8 +632,8 @@ mod tests {
         assert_eq!((name.as_str(), kind), ("mobility-mm", FileKind::Test));
         let (_, _, kind) = classify("examples/quickstart.rs");
         assert_eq!(kind, FileKind::Example);
-        let (_, scope, kind) = classify("crates/bench/benches/lint.rs");
-        assert_eq!((scope, kind), (Scope::Sched, FileKind::Bench));
+        let (name, _, kind) = classify("benches/pipeline/src/main.rs");
+        assert_eq!((name.as_str(), kind), ("mobility-mm", FileKind::Bench));
         // The storage layer is library code under the full deterministic
         // discipline (no HashMap iteration order, no wall clock).
         let (name, scope, kind) = classify("crates/store/src/block.rs");

@@ -447,9 +447,7 @@ impl GroupFilter {
 ///
 /// Configure before iterating:
 /// [`with_predicate`](Self::with_predicate) skips whole row groups via
-/// their vocabulary stats and row-filters the rest;
-/// [`scan_with_predicate`](Self::scan_with_predicate) row-filters only
-/// (the full-scan baseline); on D2,
+/// their vocabulary stats and row-filters the rest; on D2,
 /// [`with_round_offset`](RowGroupReader::with_round_offset) shifts decoded
 /// rounds for appended campaign rounds.
 pub struct RowGroupReader<T, R: Read> {
@@ -459,7 +457,6 @@ pub struct RowGroupReader<T, R: Read> {
     decoded: u64,
     done: bool,
     pred: Predicate,
-    pushdown: bool,
     filter: Option<GroupFilter>,
     round_offset: u32,
     stats: ScanStats,
@@ -486,7 +483,6 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
             decoded: 0,
             done: false,
             pred: Predicate::any(),
-            pushdown: false,
             filter: None,
             round_offset: 0,
             stats: ScanStats::default(),
@@ -501,15 +497,6 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
     /// city only. Call before iterating.
     pub fn with_predicate(mut self, pred: &Predicate) -> Self {
         self.pred = pred.clone();
-        self.pushdown = true;
-        self
-    }
-
-    /// Yield only rows matching `pred`, decoding *every* group (no block
-    /// skipping) — the full-scan baseline pushdown is measured against.
-    pub fn scan_with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = false;
         self
     }
 
@@ -593,9 +580,7 @@ impl<T: RowSchema, R: Read> RowGroupReader<T, R> {
                 TAG_DICT => {
                     let dict =
                         ResolvedDict::new(Dict::decode(&block.payload).map_err(MmError::Store)?);
-                    if self.pushdown {
-                        self.filter = T::filter(&self.pred, &dict);
-                    }
+                    self.filter = T::filter(&self.pred, &dict);
                     self.dict = Some(dict);
                 }
                 TAG_ROWS => {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Offline verification gate: the whole workspace must build, lint, test and
-# smoke-bench with no network and no registry crates. The byte-identity
-# checks are Rust tests; this script adds only the gates that need a whole
-# process: paper-scale volume and memory, the 100k-UE fleet, mmqd serving
-# and the bench reports' sections. No gate compares wall-clock timings.
+# Offline verification gate: the whole workspace must build, lint and test
+# with no network and no registry crates. The byte-identity checks are Rust
+# tests; this script adds only the gates that need a whole process:
+# paper-scale volume, memory and pinned bytes, the 100k-UE fleet and mmqd
+# serving. No gate compares wall-clock timings.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,19 +25,6 @@ peak_rss() {
         sleep 0.05
     done
     wait "$pid"
-}
-
-# Fail unless the JSON report REPORT carries every KEY, matched as a
-# whole quoted key (`speedup_x` is not satisfied by `warm_speedup_x`).
-require_keys() {
-    local report="$1" key
-    shift
-    for key in "$@"; do
-        if ! grep -q "\"$key\"" "$report"; then
-            echo "verify.sh: FAIL — $report lacks the $key section" >&2
-            exit 1
-        fi
-    done
 }
 
 # --locked: a stale lock file fails here instead of being rewritten.
@@ -270,19 +257,4 @@ for threads in 1 8; do
     echo "verify.sh: mmqd served 8 concurrent clients byte-identically, warm-cached, and drained clean (MM_THREADS=$threads)"
 done
 
-# One smoke pass runs every bench routine once and writes its reports;
-# MM_BENCH_OUT keeps them apart from any earlier run's. They must publish
-# the rates README.md cites. The ratios in them are recorded, not gated:
-# the facts they stand for are counted by `cargo test` above (a carrier
-# slice decodes at most half of the row groups, a cached answer reads no
-# data block, a warm mmlint run re-analyzes no file).
-export MM_BENCH_OUT="$tmpdir/bench"
-cargo bench -p mm-bench -- --smoke
-require_keys "$MM_BENCH_OUT/aggregate.json" aggregate_rate crawl_samples_per_s agg_from_store_samples_per_s
-require_keys "$MM_BENCH_OUT/query.json" query_pushdown full_scan_rows_per_s pushdown_rows_per_s speedup_x query_latency warm_speedup_x
-require_keys "$MM_BENCH_OUT/fleet.json" fleet_rate ue_events_per_sec
-require_keys "$MM_BENCH_OUT/serve.json" serve_rate warm_qps cold_process_qps speedup_x
-require_keys "$MM_BENCH_OUT/lint.json" lint_cache cold_files_per_s warm_files_per_s warm_speedup_x
-echo "verify.sh: aggregate, query, fleet, serve and lint bench JSON carry their rate sections"
-
-echo "verify.sh: build + fmt + clippy + mmlint strict + tests (debug and release) + paper-scale + fleet + serving + bench smoke sections all green (offline)"
+echo "verify.sh: build + fmt + clippy + mmlint strict + tests (debug and release) + pipeline-bench tests + paper-scale + fleet + serving all green (offline)"

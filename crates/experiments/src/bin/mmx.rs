@@ -352,7 +352,7 @@ fn real_main() -> Result<(), MmError> {
         // afterwards against the fresh dataset.
         RunMode::Crawl { wanted } => {
             let s = store.as_ref().expect("crawl resolved against --store");
-            let (d2, secs, threads) = timed_crawl(ctx.world(), ctx.seed ^ 0xD2, &exec);
+            let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
             // Every cell of the world yields rows, so the world's cell
             // count is the crawl's without a pass over ~8M rows.
             eprintln!(
@@ -374,13 +374,7 @@ fn real_main() -> Result<(), MmError> {
         // write a brand-new entry, rewrite only the manifest.
         RunMode::Append => {
             let s = store.as_ref().expect("--append resolved against --store");
-            let manifest = s.load_manifest(&ctx)?.ok_or_else(|| {
-                MmError::Config(
-                    "store has no campaign to append to; run `mmx crawl --store DIR` first"
-                        .to_string(),
-                )
-            })?;
-            let round = manifest.next_round();
+            let round = s.next_round(&ctx)?;
             let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, round), &exec);
             eprintln!(
                 "# mmx append: round {round}: {} samples over {} cells in {:.1}s \
@@ -391,11 +385,11 @@ fn real_main() -> Result<(), MmError> {
                 d2.len() as f64 / secs,
                 threads,
             );
-            let appended = s.append_round(&ctx, &d2)?;
+            let manifest = s.append_round(&ctx, round, &d2)?;
             eprintln!(
                 "# mmx append: store now holds {} round(s), {} samples total",
-                appended + 1,
-                s.load_manifest(&ctx)?.map_or(0, |m| m.total_samples()),
+                manifest.rounds.len(),
+                manifest.total_samples(),
             );
             return Ok(());
         }

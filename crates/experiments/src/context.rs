@@ -6,6 +6,7 @@
 //! can fan independent artifacts out over `mm-exec` worker threads against
 //! one pre-warmed context.
 
+use crate::store::round_seed;
 use crate::stream::D2Agg;
 use crate::Artifact;
 use mmcarriers::city::City;
@@ -142,7 +143,7 @@ impl Ctx {
     /// Dataset D2 (Type-I crawl).
     pub fn d2(&self) -> &D2 {
         self.d2
-            .get_or_init(|| crawl(self.world(), self.seed ^ 0xD2))
+            .get_or_init(|| crawl(self.world(), round_seed(self.seed, 0)))
     }
 
     /// The streaming D2 aggregate every D2 figure (11–22) reads. Built

@@ -65,58 +65,33 @@ impl Default for FleetConfig {
 pub struct FleetTally {
     /// UEs that attached at their route start.
     pub ues_attached: u64,
-    /// Handoffs indexed by [`DecisiveEvent::code`].
-    pub handoffs_by_event: [u64; 10],
-    /// Radio link failures.
-    pub rlf_events: u64,
-    /// Measurement reports sent.
-    pub reports_sent: u64,
-    /// Simulated milliseconds stepped (all UEs).
-    pub sim_ms: u64,
-    /// Data-plane samples taken.
-    pub throughput_samples: u64,
-    /// Sum of per-sample goodput, whole bit/s each.
-    pub throughput_bps_sum: u64,
-    /// Ping probes answered.
-    pub rtt_samples: u64,
-    /// Sum of RTTs, whole microseconds each.
-    pub rtt_us_sum: u64,
+    /// Every attached UE's counters, summed by [`UeTally::merge`]
+    /// (`final_serving` is per-UE state and stays at its default here).
+    pub counters: UeTally,
 }
 
 impl FleetTally {
-    fn add(&mut self, ue: &UeTally) {
-        self.ues_attached += 1;
-        for (slot, n) in self.handoffs_by_event.iter_mut().zip(ue.handoffs_by_event) {
-            *slot += n;
-        }
-        self.rlf_events += ue.rlf_events;
-        self.reports_sent += ue.reports_sent;
-        self.sim_ms += ue.sim_ms;
-        self.throughput_samples += ue.throughput_samples;
-        self.throughput_bps_sum += ue.throughput_bps_sum;
-        self.rtt_samples += ue.rtt_samples;
-        self.rtt_us_sum += ue.rtt_us_sum;
-    }
-
     /// Total handoffs across every decisive event.
     pub fn handoffs(&self) -> u64 {
-        self.handoffs_by_event.iter().sum()
+        self.counters.handoffs()
     }
 
     /// Mean goodput over every data-plane sample, bit/s.
     pub fn mean_throughput_bps(&self) -> f64 {
-        if self.throughput_samples == 0 {
+        let c = &self.counters;
+        if c.throughput_samples == 0 {
             return 0.0;
         }
-        self.throughput_bps_sum as f64 / self.throughput_samples as f64
+        c.throughput_bps_sum as f64 / c.throughput_samples as f64
     }
 
     /// Mean ping RTT, ms.
     pub fn mean_rtt_ms(&self) -> f64 {
-        if self.rtt_samples == 0 {
+        let c = &self.counters;
+        if c.rtt_samples == 0 {
             return 0.0;
         }
-        self.rtt_us_sum as f64 / self.rtt_samples as f64 / 1000.0
+        c.rtt_us_sum as f64 / c.rtt_samples as f64 / 1000.0
     }
 }
 
@@ -158,6 +133,7 @@ impl FleetReport {
         let mut handoffs = String::new();
         for ev in DecisiveEvent::ALL {
             let n = t
+                .counters
                 .handoffs_by_event
                 .get(ev.code() as usize)
                 .copied()
@@ -170,7 +146,7 @@ impl FleetReport {
         let _ = writeln!(
             out,
             "fleet: rlf_events {} reports_sent {} sim_ms {}",
-            t.rlf_events, t.reports_sent, t.sim_ms
+            t.counters.rlf_events, t.counters.reports_sent, t.counters.sim_ms
         );
         let _ = writeln!(
             out,
@@ -224,7 +200,7 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
         .map(|s| (s * cfg.ues / shards)..((s + 1) * cfg.ues / shards))
         .filter(|r| !r.is_empty())
         .collect();
-    let (shard_results, _) = exec.scatter_gather_stats(ranges, |_, range| {
+    let shard_results = exec.scatter_gather(ranges, |_, range| {
         let cfgs: Vec<DriveConfig> = range.map(|ue| ue_drive_config(cfg, ue)).collect();
         let outcome = Engine::new(&network).collect(CollectMode::Tally).run(&cfgs);
         record_engine_stats(&outcome.stats);
@@ -233,7 +209,8 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
         // outcomes cannot exist; the if-let makes that structural.
         for ue in outcome.ues.iter().flatten() {
             if let UeOutcome::Tally(t) = ue {
-                tally.add(t);
+                tally.ues_attached += 1;
+                tally.counters.merge(t);
             }
         }
         (tally, outcome.stats)
@@ -241,37 +218,21 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
     let mut tally = FleetTally::default();
     let mut stats = EngineStats::default();
     for (shard_tally, shard_stats) in &shard_results {
-        merge_tally(&mut tally, shard_tally);
+        tally.ues_attached += shard_tally.ues_attached;
+        tally.counters.merge(&shard_tally.counters);
         stats.merge(shard_stats);
     }
     let reg = mm_telemetry::global();
     reg.counter("fleet", "ues").add(cfg.ues as u64);
     reg.counter("fleet", "ues_attached").add(tally.ues_attached);
     reg.counter("fleet", "handoffs").add(tally.handoffs());
-    reg.counter("fleet", "rlf_events").add(tally.rlf_events);
+    reg.counter("fleet", "rlf_events")
+        .add(tally.counters.rlf_events);
     Ok(FleetReport {
         cfg: cfg.clone(),
         tally,
         stats,
     })
-}
-
-fn merge_tally(into: &mut FleetTally, from: &FleetTally) {
-    into.ues_attached += from.ues_attached;
-    for (slot, n) in into
-        .handoffs_by_event
-        .iter_mut()
-        .zip(from.handoffs_by_event)
-    {
-        *slot += n;
-    }
-    into.rlf_events += from.rlf_events;
-    into.reports_sent += from.reports_sent;
-    into.sim_ms += from.sim_ms;
-    into.throughput_samples += from.throughput_samples;
-    into.throughput_bps_sum += from.throughput_bps_sum;
-    into.rtt_samples += from.rtt_samples;
-    into.rtt_us_sum += from.rtt_us_sum;
 }
 
 /// Run a fleet on the ambient executor (`MM_THREADS` or the machine).
@@ -296,7 +257,10 @@ mod tests {
     fn fleet_runs_and_reports() {
         let report = run_fleet_on(&small(), &Executor::new(2)).unwrap();
         assert!(report.tally.ues_attached > 0);
-        assert_eq!(report.tally.sim_ms, report.tally.ues_attached * 5_000);
+        assert_eq!(
+            report.tally.counters.sim_ms,
+            report.tally.ues_attached * 5_000
+        );
         let text = report.render();
         assert!(text.contains("fleet: ues 50"), "{text}");
         assert!(text.contains("events_processed"), "{text}");

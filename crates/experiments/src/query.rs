@@ -1019,7 +1019,7 @@ mod tests {
         let round1 = mmlab::crawl(ctx.world(), crate::store::round_seed(ctx.seed, 1));
         RunStore::open(&dir)
             .unwrap()
-            .append_round(ctx, &round1)
+            .append_round(ctx, 1, &round1)
             .unwrap();
         let eng = QueryEngine::open(&dir, Ctx::builder().quick().scale(0.02).build()).unwrap();
         let (streamed, _) = eng.aggregate(&Predicate::any()).unwrap();

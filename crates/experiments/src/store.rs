@@ -281,17 +281,35 @@ impl RunStore {
         Ok(reader.records())
     }
 
-    /// Append one crawled round as a brand-new store entry plus a manifest
-    /// update. Prior-round files are never reopened for writing. Requires
-    /// an existing campaign (round 0) — appending into an empty store is a
-    /// usage error, not an implicit crawl.
-    pub fn append_round(&self, ctx: &Ctx, d2: &D2) -> Result<u32, MmError> {
-        let mut manifest = self.load_manifest(ctx)?.ok_or_else(|| {
+    /// The manifest of the campaign an append extends. Appending into a
+    /// store without one is a usage error, not an implicit crawl.
+    fn campaign(&self, ctx: &Ctx) -> Result<Manifest, MmError> {
+        self.load_manifest(ctx)?.ok_or_else(|| {
             MmError::Config(
                 "store has no campaign to append to; run `mmx crawl --store DIR` first".to_string(),
             )
-        })?;
-        let round = manifest.next_round();
+        })
+    }
+
+    /// The round the next append adds: crawl it under
+    /// `round_seed(seed, round)` and hand it to [`RunStore::append_round`].
+    pub fn next_round(&self, ctx: &Ctx) -> Result<u32, MmError> {
+        Ok(self.campaign(ctx)?.next_round())
+    }
+
+    /// Append `d2`, crawled for campaign round `round`, as a brand-new
+    /// store entry plus a manifest update, and return the updated
+    /// manifest. Prior-round files are never reopened for writing. A round
+    /// that is no longer the campaign's next (another append landed since
+    /// [`RunStore::next_round`]) is a typed error and writes nothing.
+    pub fn append_round(&self, ctx: &Ctx, round: u32, d2: &D2) -> Result<Manifest, MmError> {
+        let mut manifest = self.campaign(ctx)?;
+        let next = manifest.next_round();
+        if round != next {
+            return Err(MmError::Campaign(format!(
+                "round {round} was crawled for a stale manifest: the campaign's next round is {next}"
+            )));
+        }
         let entry = format!("d2-round-{round}");
         let mut buf = Vec::new();
         d2.write_store(&mut buf)?;
@@ -303,7 +321,7 @@ impl RunStore {
         });
         self.cache
             .write(&Self::manifest_key(ctx), &manifest.encode()?)?;
-        Ok(round)
+        Ok(manifest)
     }
 
     /// Open one round's dataset entry for streaming.
@@ -602,7 +620,8 @@ mod tests {
         let ctx = Ctx::builder().quick().scale(0.02).build();
 
         // Appending into an empty store is a usage error.
-        let no_campaign = store.append_round(&ctx, ctx.d2());
+        assert!(matches!(store.next_round(&ctx), Err(MmError::Config(_))));
+        let no_campaign = store.append_round(&ctx, 0, ctx.d2());
         assert!(matches!(no_campaign, Err(MmError::Config(_))));
 
         store.save_d2(&ctx).unwrap();
@@ -615,11 +634,11 @@ mod tests {
         let bytes_before = store.manifest_bytes(&ctx).unwrap().unwrap();
 
         // Append one round crawled under the round-1 seed.
+        assert_eq!(store.next_round(&ctx).unwrap(), 1);
         let world = ctx.world();
         let d2_next = mmlab::crawl(world, round_seed(ctx.seed, 1));
-        let round = store.append_round(&ctx, &d2_next).unwrap();
-        assert_eq!(round, 1);
-        let manifest = store.load_manifest(&ctx).unwrap().unwrap();
+        let manifest = store.append_round(&ctx, 1, &d2_next).unwrap();
+        assert_eq!(manifest, store.load_manifest(&ctx).unwrap().unwrap());
         assert_eq!(manifest.rounds.len(), 2);
         assert_eq!(manifest.rounds[1].entry, "d2-round-1");
         assert_eq!(
@@ -631,6 +650,22 @@ mod tests {
         assert_eq!(std::fs::read(&round0).unwrap(), round0_bytes);
         assert_ne!(store.manifest_bytes(&ctx).unwrap().unwrap(), bytes_before);
         assert!(store.entry_path(&ctx, "d2-round-1").exists());
+
+        // A second append for round 1 was crawled for a manifest that no
+        // longer stands: a typed error that writes nothing.
+        let listing = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            files.sort();
+            files
+        };
+        let (files_before, bytes_before) = (listing(), store.manifest_bytes(&ctx).unwrap());
+        let stale = store.append_round(&ctx, 1, &d2_next);
+        assert!(matches!(stale, Err(MmError::Campaign(_))), "{stale:?}");
+        assert_eq!(listing(), files_before);
+        assert_eq!(store.manifest_bytes(&ctx).unwrap(), bytes_before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

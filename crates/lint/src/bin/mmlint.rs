@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mmlint [--root DIR] [--json] [--list] [--strict-suppress]
-//!        [--cache-dir DIR | --no-cache]
 //! mmlint --explain RULE
 //! ```
 //!
@@ -13,21 +12,19 @@
 //! diagnostics were found, 2 on usage errors — the same convention as
 //! `mmx`.
 //!
-//! Per-file analysis results are cached under `<root>/target/mmlint-cache`
-//! (override with `--cache-dir`, disable with `--no-cache`); warm runs
-//! re-analyze only changed files. Cache statistics go to stderr so stdout
-//! stays byte-identical whatever the cache or `MM_THREADS` says.
-//! `--strict-suppress` turns the stale-suppression audit (S002) into an
-//! error, for CI.
+//! Every run analyses the workspace as it is on disk, so stdout depends on
+//! the workspace alone: it is byte-identical across re-runs and at any
+//! `MM_THREADS`. `--strict-suppress` turns the stale-suppression audit
+//! (S002) into an error, for CI.
 
 use mm_json::ToJson;
-use mm_lint::{analyze_workspace_with, rule_by_id, LintOptions, RULES};
+use mm_lint::{analyze_workspace, rule_by_id, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> String {
     "usage: mmlint [--root DIR] [--json] [--list] [--strict-suppress] \
-     [--cache-dir DIR | --no-cache] [--explain RULE] [--version]"
+     [--explain RULE] [--version]"
         .to_string()
 }
 
@@ -52,8 +49,6 @@ fn run() -> Result<ExitCode, (i32, String)> {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut strict_suppress = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -63,13 +58,6 @@ fn run() -> Result<ExitCode, (i32, String)> {
             }
             "--json" => json = true,
             "--strict-suppress" => strict_suppress = true,
-            "--no-cache" => no_cache = true,
-            "--cache-dir" => {
-                let dir = args
-                    .next()
-                    .ok_or((2, format!("--cache-dir needs a value\n{}", usage())))?;
-                cache_dir = Some(PathBuf::from(dir));
-            }
             "--root" => {
                 let dir = args
                     .next()
@@ -114,28 +102,8 @@ fn run() -> Result<ExitCode, (i32, String)> {
         }
     };
 
-    if no_cache && cache_dir.is_some() {
-        return Err((
-            2,
-            format!("--no-cache conflicts with --cache-dir\n{}", usage()),
-        ));
-    }
-    let opts = LintOptions {
-        cache_dir: if no_cache {
-            None
-        } else {
-            Some(cache_dir.unwrap_or_else(|| root.join("target/mmlint-cache")))
-        },
-        strict_suppress,
-    };
-
-    let report = analyze_workspace_with(&root, &opts)
+    let report = analyze_workspace(&root, strict_suppress)
         .map_err(|e| (3, format!("scanning {}: {e}", root.display())))?;
-    // Stats stay off stdout: its bytes must not depend on cache warmth.
-    eprintln!(
-        "mmlint: {} of {} file analyses from cache",
-        report.cache_hits, report.files_scanned
-    );
 
     if json {
         println!("{}", report.to_json_string());

@@ -77,9 +77,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of manifests (Cargo.toml) scanned.
     pub manifests_scanned: usize,
-    /// Files whose phase-1 analysis was served from the content-addressed
-    /// cache (0 when caching is off).
-    pub cache_hits: usize,
 }
 
 impl Report {
@@ -113,13 +110,12 @@ impl Report {
 impl ToJson for Report {
     fn to_json(&self) -> Json {
         Json::obj([
-            ("version", Json::Num(2.0)),
+            ("version", Json::Num(3.0)),
             ("files_scanned", Json::Num(self.files_scanned as f64)),
             (
                 "manifests_scanned",
                 Json::Num(self.manifests_scanned as f64),
             ),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
             ("errors", Json::Num(self.errors() as f64)),
             ("warnings", Json::Num(self.warnings() as f64)),
             ("suppressed", Json::Num(self.suppressed() as f64)),
@@ -159,14 +155,12 @@ mod tests {
             diagnostics: vec![diag(), quiet],
             files_scanned: 3,
             manifests_scanned: 2,
-            cache_hits: 1,
         };
         let text = report.to_json_string();
         let v = Json::parse(&text).expect("valid mm-json");
-        assert_eq!(v.get("version").and_then(Json::as_u64), Some(2));
+        assert_eq!(v.get("version").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("errors").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("suppressed").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("cache_hits").and_then(Json::as_u64), Some(1));
         let diags = v
             .get("diagnostics")
             .and_then(|d| d.as_array())
@@ -191,7 +185,6 @@ mod tests {
             diagnostics: vec![quiet],
             files_scanned: 1,
             manifests_scanned: 0,
-            cache_hits: 0,
         };
         assert!(report.is_clean());
         assert_eq!(report.suppressed(), 1);

@@ -2,16 +2,14 @@
 //! tracking, suppression handling, and the two-phase workspace pass.
 //!
 //! Phase 1 is per-file and pure: lex, extract items, run the token rules,
-//! parse and apply suppressions. Its result is content-addressed in the
-//! analysis cache (see `cache.rs`) and the files are scattered over the
-//! mm-exec executor — the ordered gather plus the final (file, line,
-//! rule) sort keep `mmlint` output byte-identical at any `MM_THREADS`.
-//! Phase 2 is workspace-global and always fresh: the crate dependency
-//! graph from the manifests, the approximate call graph, and the
-//! R003/F001/P001/P002 rules (see `graph.rs`), followed by the
-//! graph-phase suppression audit (S002).
+//! parse and apply suppressions. The files are scattered over the mm-exec
+//! executor — the ordered gather plus the final (file, line, rule) sort
+//! keep `mmlint` output byte-identical at any `MM_THREADS`. Phase 2 is
+//! workspace-global: the crate dependency graph from the manifests, the
+//! approximate call graph, and the R003/F001/P001/P002 rules (see
+//! `graph.rs`), followed by the graph-phase suppression audit (S002).
+//! Every run analyses the bytes on disk; nothing is kept between runs.
 
-use crate::cache::{self, CachedFile};
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::graph::{self, FileSummary};
 use crate::items;
@@ -233,11 +231,21 @@ fn parse_suppressions(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) ->
     out
 }
 
+/// Everything phase 1 produces for one file.
+struct FileAnalysis {
+    /// Token-rule diagnostics, suppressions already applied (marked).
+    diags: Vec<Diagnostic>,
+    /// Extracted items for the graph phase.
+    items: items::FileItems,
+    /// `(line, rule)` suppressions naming graph-phase rules.
+    graph_sups: Vec<(u32, String)>,
+}
+
 /// Phase 1 for one file: lex, extract items, run every token rule, apply
 /// token-rule suppressions (same line or the line above — matched ones
 /// are *marked*, not dropped), flag unused ones as S001, and hold
 /// suppressions naming graph-phase rules for phase 2.
-fn analyze_file(rel_path: &str, src: &str) -> CachedFile {
+fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let (crate_name, scope, kind) = classify(rel_path);
     let lexed = lexer::lex(src);
     let ranges = test_ranges(&lexed);
@@ -295,7 +303,7 @@ fn analyze_file(rel_path: &str, src: &str) -> CachedFile {
         }
     }
     diags.extend(meta);
-    CachedFile {
+    FileAnalysis {
         diags,
         items: extracted,
         graph_sups,
@@ -466,9 +474,8 @@ fn sort_diags(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Directory names never descended into: build output (which also hosts
-/// the default cache dir), VCS state, and lint fixture files (which
-/// contain violations on purpose).
+/// Directory names never descended into: build output, VCS state, and
+/// lint fixture files (which contain violations on purpose).
 const SKIP_DIRS: &[&str] = &["target", "fixtures", "node_modules"];
 
 /// Recursively collect workspace files, sorted for deterministic reports.
@@ -498,27 +505,12 @@ fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> std::io:
     Ok(())
 }
 
-/// Knobs for a workspace analysis.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Directory for the content-addressed phase-1 cache; `None` disables
-    /// caching (the library default — `mmlint` passes
-    /// `<root>/target/mmlint-cache` unless `--no-cache`).
-    pub cache_dir: Option<PathBuf>,
-    /// Escalate S002 (stale graph-phase suppressions) to an error.
-    pub strict_suppress: bool,
-}
-
-/// Lint the whole workspace rooted at `root` with default options.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    analyze_workspace_with(root, &LintOptions::default())
-}
-
-/// Lint the whole workspace rooted at `root`. Phase 1 scatters per-file
-/// work over the ambient executor (`MM_THREADS`); the ordered gather and
-/// the final sort keep the report byte-identical at any thread count and
-/// any cache state.
-pub fn analyze_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Result<Report> {
+/// Lint the whole workspace rooted at `root`; `strict_suppress` escalates
+/// S002 (stale graph-phase suppressions) to an error. Phase 1 scatters
+/// per-file work over the ambient executor (`MM_THREADS`); the ordered
+/// gather and the final sort keep the report byte-identical at any thread
+/// count.
+pub fn analyze_workspace(root: &Path, strict_suppress: bool) -> std::io::Result<Report> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
 
@@ -551,39 +543,17 @@ pub fn analyze_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Resul
     let files_scanned = rs_files.len();
     let crate_deps = crate_deps_from_manifests(&manifests);
 
-    // An unusable cache dir silently disables caching: correctness never
-    // depends on it.
-    let cache_dir: Option<PathBuf> = opts
-        .cache_dir
-        .as_ref()
-        .and_then(|d| std::fs::create_dir_all(d).ok().map(|()| d.clone()));
-
     let exec = Executor::from_env();
-    type Outcome = Result<(String, CachedFile, bool), String>;
-    let outcomes: Vec<Outcome> = exec.scatter_gather(rs_files, |_, (rel, path)| {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
-        if let Some(dir) = &cache_dir {
-            let k = cache::key(&rel, &src);
-            if let Some(mut hit) = cache::load(dir, k) {
-                for d in &mut hit.diags {
-                    d.file.clone_from(&rel);
-                }
-                return Ok((rel, hit, true));
-            }
-            let fresh = analyze_file(&rel, &src);
-            cache::store(dir, k, &fresh);
-            Ok((rel, fresh, false))
-        } else {
-            let fresh = analyze_file(&rel, &src);
-            Ok((rel, fresh, false))
-        }
-    });
+    let outcomes: Vec<Result<(String, FileAnalysis), String>> =
+        exec.scatter_gather(rs_files, |_, (rel, path)| {
+            let src = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
+            let fa = analyze_file(&rel, &src);
+            Ok((rel, fa))
+        });
 
     let mut summaries = Vec::new();
-    let mut cache_hits = 0usize;
     for outcome in outcomes {
-        let (rel, fa, hit) = outcome.map_err(std::io::Error::other)?;
-        cache_hits += usize::from(hit);
+        let (rel, fa) = outcome.map_err(std::io::Error::other)?;
         diagnostics.extend(fa.diags);
         let (crate_name, scope, kind) = classify(&rel);
         summaries.push(FileSummary {
@@ -595,18 +565,12 @@ pub fn analyze_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Resul
             graph_sups: fa.graph_sups,
         });
     }
-    finish_graph_phase(
-        &summaries,
-        &crate_deps,
-        opts.strict_suppress,
-        &mut diagnostics,
-    );
+    finish_graph_phase(&summaries, &crate_deps, strict_suppress, &mut diagnostics);
     sort_diags(&mut diagnostics);
     Ok(Report {
         diagnostics,
         files_scanned,
         manifests_scanned,
-        cache_hits,
     })
 }
 

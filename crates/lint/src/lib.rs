@@ -23,10 +23,8 @@
 //! paths (F001), and panic reachability from binary entry points
 //! (P001/P002).
 //!
-//! Per-file results are cached content-addressed by FNV hash ([`cache`])
-//! so warm runs re-analyze only changed files, and the file analyses are
-//! scattered over the mm-exec pool with output byte-identical at any
-//! `MM_THREADS`. Findings can be silenced inline with
+//! The per-file analyses are scattered over the mm-exec pool with output
+//! byte-identical at any `MM_THREADS`. Findings can be silenced inline with
 //! `mm-allow(RULE): reason` at the start of a comment on the same line or
 //! the line above — suppressed diagnostics are marked, not dropped, and
 //! reasonless, unknown-rule, or stale suppressions are themselves
@@ -34,13 +32,11 @@
 //! under `--strict-suppress`), so the suppression inventory stays honest.
 //!
 //! The `mmlint` binary runs the whole workspace (human or `--json`
-//! output, `--explain RULE` for rationale, `--no-cache`/`--cache-dir`
-//! for cache control) and is gated in `scripts/verify.sh` alongside
-//! clippy.
+//! output, `--explain RULE` for rationale) and is gated in
+//! `scripts/verify.sh` alongside clippy.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod diag;
 pub mod engine;
 pub mod graph;
@@ -50,8 +46,5 @@ pub mod manifest;
 pub mod rules;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use engine::{
-    analyze_files, analyze_manifest_src, analyze_source, analyze_workspace, analyze_workspace_with,
-    LintOptions,
-};
+pub use engine::{analyze_files, analyze_manifest_src, analyze_source, analyze_workspace};
 pub use rules::{is_known_rule, rule_by_id, RULES};

@@ -120,8 +120,8 @@ pub enum CollectMode {
 
 /// Integer per-UE summary of a drive — every accumulator is a `u64`
 /// (throughput truncated to whole bit/s per sample, RTT to whole µs), so
-/// sums merge associatively across shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// sums merge associatively across shards ([`UeTally::merge`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UeTally {
     /// Handoffs indexed by [`DecisiveEvent::code`].
     pub handoffs_by_event: [u64; 10],
@@ -146,16 +146,29 @@ pub struct UeTally {
 impl UeTally {
     fn new(initial: CellId) -> UeTally {
         UeTally {
-            handoffs_by_event: [0; 10],
-            rlf_events: 0,
-            reports_sent: 0,
-            sim_ms: 0,
-            throughput_samples: 0,
-            throughput_bps_sum: 0,
-            rtt_samples: 0,
-            rtt_us_sum: 0,
             final_serving: initial,
+            ..UeTally::default()
         }
+    }
+
+    /// Add `other`'s counters into this tally, field by field — the one
+    /// merge every shard fold uses. `final_serving` is per-UE state, not a
+    /// counter, and keeps this tally's value.
+    pub fn merge(&mut self, other: &UeTally) {
+        for (a, b) in self
+            .handoffs_by_event
+            .iter_mut()
+            .zip(other.handoffs_by_event)
+        {
+            *a += b;
+        }
+        self.rlf_events += other.rlf_events;
+        self.reports_sent += other.reports_sent;
+        self.sim_ms += other.sim_ms;
+        self.throughput_samples += other.throughput_samples;
+        self.throughput_bps_sum += other.throughput_bps_sum;
+        self.rtt_samples += other.rtt_samples;
+        self.rtt_us_sum += other.rtt_us_sum;
     }
 
     /// Total handoffs across every decisive event.
@@ -858,21 +871,6 @@ mod tests {
         assert_eq!(q.max_depth, 4);
     }
 
-    /// Field-wise sum of the `u64` accumulators (the shard-merge shape;
-    /// `final_serving` is per-UE state, not a mergeable counter).
-    fn add_tallies(acc: &mut UeTally, t: &UeTally) {
-        for (a, b) in acc.handoffs_by_event.iter_mut().zip(t.handoffs_by_event) {
-            *a += b;
-        }
-        acc.rlf_events += t.rlf_events;
-        acc.reports_sent += t.reports_sent;
-        acc.sim_ms += t.sim_ms;
-        acc.throughput_samples += t.throughput_samples;
-        acc.throughput_bps_sum += t.throughput_bps_sum;
-        acc.rtt_samples += t.rtt_samples;
-        acc.rtt_us_sum += t.rtt_us_sum;
-    }
-
     #[test]
     fn tally_merge_is_associative_across_shard_splits() {
         let network = corridor(3.0);
@@ -890,10 +888,10 @@ mod tests {
             let out = Engine::new(&network)
                 .collect(CollectMode::Tally)
                 .run(&cfgs[range]);
-            let mut acc = UeTally::new(CellId(0));
+            let mut acc = UeTally::default();
             for ue in out.ues.iter().flatten() {
                 if let UeOutcome::Tally(t) = ue {
-                    add_tallies(&mut acc, t);
+                    acc.merge(t);
                 }
             }
             acc
@@ -907,17 +905,17 @@ mod tests {
             let b = a + 1 + (rng.gen::<u64>() % (4 - a) as u64) as usize; // a+1..=4
             let (x, y, z) = (shard_total(0..a), shard_total(a..b), shard_total(b..5));
             // (x + y) + z
-            let mut left = UeTally::new(CellId(0));
-            add_tallies(&mut left, &x);
-            add_tallies(&mut left, &y);
-            add_tallies(&mut left, &z);
+            let mut left = UeTally::default();
+            left.merge(&x);
+            left.merge(&y);
+            left.merge(&z);
             // x + (y + z)
-            let mut right = UeTally::new(CellId(0));
-            let mut yz = UeTally::new(CellId(0));
-            add_tallies(&mut yz, &y);
-            add_tallies(&mut yz, &z);
-            add_tallies(&mut right, &x);
-            add_tallies(&mut right, &yz);
+            let mut right = UeTally::default();
+            let mut yz = UeTally::default();
+            yz.merge(&y);
+            yz.merge(&z);
+            right.merge(&x);
+            right.merge(&yz);
             assert_eq!(left, right, "association order changed the totals");
             assert_eq!(left, whole, "split {a}/{b} changed the totals");
         }

@@ -90,7 +90,7 @@ fn carries_100k_ues() {
     let report = run_fleet_on(&cfg, &Executor::from_env()).unwrap();
     assert_eq!(report.tally.ues_attached, 100_000, "{}", report.render());
     assert_eq!(
-        report.tally.sim_ms,
+        report.tally.counters.sim_ms,
         100_000 * 2_000,
         "every UE stepped its full duration"
     );

@@ -100,8 +100,8 @@ pub enum NetError {
     /// A read or write on the socket timed out.
     TimedOut,
     /// The server answered with a typed error response (the documented
-    /// codes: `bad-request`, `overloaded`, `deadline`, `oversized`,
-    /// `version`, `internal`).
+    /// codes: `bad-request`, `deadline`, `oversized`, `version`,
+    /// `internal`).
     Rejected {
         /// Machine-readable error code.
         code: String,
@@ -318,12 +318,12 @@ mod tests {
         });
         assert_eq!(usage.exit_code(), 2);
         let runtime = MmError::from(NetError::Rejected {
-            code: "overloaded".into(),
+            code: "deadline".into(),
             usage: false,
-            message: "in-flight cap".into(),
+            message: "over the budget".into(),
         });
         assert_eq!(runtime.exit_code(), 3);
-        assert!(runtime.to_string().contains("overloaded"));
+        assert!(runtime.to_string().contains("deadline"));
     }
 
     #[test]

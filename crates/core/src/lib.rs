@@ -13,8 +13,7 @@
 //!   [`events`],
 //! * **measurement control** (Eq. 1, L3 filtering, s-Measure) in
 //!   [`measurement`],
-//! * **idle-state handoff** (cell reselection, Eq. 3) in [`reselect`] with
-//!   speed-scaled parameters in [`speed`],
+//! * **idle-state handoff** (cell reselection, Eq. 3) in [`reselect`],
 //! * the **automated configuration verification** the paper's §6 proposes
 //!   in [`verify`],
 //! * **order-pinned f64 reduction kernels** shared by every crate that
@@ -36,7 +35,6 @@ pub mod kernel;
 pub mod measurement;
 pub mod params;
 pub mod reselect;
-pub mod speed;
 pub mod ue;
 pub mod verify;
 
@@ -48,6 +46,5 @@ pub use events::{
 pub use handoff::{decide, DecisionPolicy, HandoffDecision};
 pub use measurement::{L3Filter, MeasurementPlan, MeasurementRules};
 pub use reselect::{Candidate, PriorityRelation, Reselection, Reselector};
-pub use speed::{MobilityState, MobilityStateMachine, SpeedStateParams};
 pub use ue::{CellMeasurement, ConnectedUe, IdleUe};
 pub use verify::{verify_cell, verify_cluster, Finding, Severity, VerifyPolicy};

@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 //! # mm-exec — deterministic task-parallel execution engine
 //!
-//! A work-stealing scatter/gather pool for the workspace's three hot
-//! fan-outs (drive-test campaigns, the world crawl, and `mmx all` artifact
+//! A scatter/gather pool for the workspace's three hot fan-outs
+//! (drive-test campaigns, the world crawl, and `mmx all` artifact
 //! regeneration), and an ordered two-stage pipeline for its fourth use,
 //! the cold store scan. The engine's contract is **determinism**: tasks are
 //! submitted with an index, run on however many workers the host offers,
@@ -13,26 +13,28 @@
 //!
 //! ## Scheduling
 //!
-//! Tasks are dealt round-robin onto per-worker deques. Each worker pops
-//! from the *front* of its own deque and, when empty, steals from the
-//! *back* of a victim's — classic work-stealing, which keeps workers busy
-//! when task costs are skewed (a dense Chicago drive costs ~6× a Lafayette
-//! one). Because every call scatters a fixed task set and joins before
-//! returning, workers simply exit when every deque is drained: no condvar,
-//! no shutdown protocol, no idle spinning.
+//! The tasks wait in one shared queue, in submission order. The caller
+//! and `min(threads, tasks) − 1` scoped helpers each take the next task
+//! until none is left, so a thread that finishes a cheap task takes the
+//! next one while another still runs an expensive one (a dense Chicago
+//! drive costs ~6× a Lafayette one). Every call scatters a fixed task set
+//! and joins before returning: no condvar, no shutdown protocol, no idle
+//! spinning. With one thread the caller drains the queue alone and
+//! nothing is spawned — the sequential path is the same loop. A free
+//! thread always takes the next task, so a pool of `n` threads runs `n`
+//! tasks at once: tasks that wait on each other (a server and its
+//! clients) need a thread each, never one thread for two.
 //!
 //! ## Observability
 //!
 //! [`Executor::scatter_gather_stats`] returns a [`RunStats`] next to the
-//! results: per-task wall-clock (in submission order), per-worker
-//! executed/stolen counts, and the maximum queue depth observed. `mmx
-//! --timings` prints these with the busy/wall speedup estimate. Every
-//! run also lifts its stats into the shared `mm-telemetry` registry
-//! (section `exec`): task/run counts are
-//! `Scope::Sim` (identical for any thread count), steal/depth/time
-//! counters are `Scope::Sched`. Tasks execute under
-//! [`mm_telemetry::detached`], so spans a task opens root at the same
-//! paths whether it runs inline or on a pool worker.
+//! results: per-task wall-clock (in submission order), the threads the
+//! run used and its wall-clock. `mmx --timings` prints these with the
+//! busy/wall speedup estimate. Every run also lifts its stats into the
+//! shared `mm-telemetry` registry (section `exec`): task/run counts are
+//! `Scope::Sim` (identical for any thread count), time counters are
+//! `Scope::Sched`. Tasks execute under [`mm_telemetry::detached`], so
+//! spans a task opens root at the same paths on any thread.
 //!
 //! ## Pipelines
 //!
@@ -52,7 +54,6 @@
 //! task inline on the caller — that *is* the sequential path, not an
 //! emulation of it.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -112,48 +113,19 @@ fn record_run(stats: &RunStats) {
     reg.counter("exec", "runs").inc();
     reg.counter("exec", "tasks_executed")
         .add(stats.tasks() as u64);
-    reg.counter_scoped("exec", "tasks_stolen", Scope::Sched)
-        .add(stats.steals());
     reg.counter_scoped("exec", "busy_ns", Scope::Sched)
         .add(stats.busy_ns());
     reg.counter_scoped("exec", "wall_ns", Scope::Sched)
         .add(stats.wall_ns);
-    reg.counter_scoped("exec", "max_queue_depth", Scope::Sched)
-        .record_max(stats.max_queue_depth as u64);
-    // Per-run distributions (Sched-scope: they describe the host
-    // scheduler, never the simulation): how much stealing a run needed and
-    // how deep the worker deques got.
-    reg.histogram_scoped("exec", "steals_per_run", Scope::Sched, &STEAL_BOUNDS)
-        .record(stats.steals());
-    reg.histogram_scoped("exec", "queue_depth_per_run", Scope::Sched, &DEPTH_BOUNDS)
-        .record(stats.max_queue_depth as u64);
-}
-
-/// Bucket bounds for the per-run steal-count histogram.
-const STEAL_BOUNDS: [u64; 7] = [0, 1, 4, 16, 64, 256, 1024];
-/// Bucket bounds for the per-run deque-depth histogram.
-const DEPTH_BOUNDS: [u64; 7] = [1, 4, 16, 64, 256, 1024, 4096];
-
-/// Per-worker counters for one scatter/gather run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Tasks this worker executed (including stolen ones).
-    pub executed: u64,
-    /// Tasks this worker stole from another worker's deque.
-    pub stolen: u64,
 }
 
 /// Observability record for one scatter/gather run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
-    /// Worker threads the run used.
+    /// Threads the run used, the caller's included.
     pub threads: usize,
     /// Per-task wall-clock, nanoseconds, in *submission* order.
     pub task_ns: Vec<u64>,
-    /// Per-worker execution/steal counters.
-    pub workers: Vec<WorkerStats>,
-    /// Maximum deque depth observed by any worker at pop time.
-    pub max_queue_depth: usize,
     /// Wall-clock of the whole run, nanoseconds.
     pub wall_ns: u64,
 }
@@ -162,11 +134,6 @@ impl RunStats {
     /// Number of tasks the run executed.
     pub fn tasks(&self) -> usize {
         self.task_ns.len()
-    }
-
-    /// Total steals across all workers.
-    pub fn steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.stolen).sum()
     }
 
     /// Sum of per-task wall-clocks — the run's sequential-equivalent cost.
@@ -187,22 +154,13 @@ impl RunStats {
     pub fn merge(&mut self, other: &RunStats) {
         self.threads = self.threads.max(other.threads);
         self.task_ns.extend_from_slice(&other.task_ns);
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerStats::default());
-        }
-        for (into, from) in self.workers.iter_mut().zip(&other.workers) {
-            into.executed += from.executed;
-            into.stolen += from.stolen;
-        }
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
         self.wall_ns += other.wall_ns;
     }
 }
 
 /// A fixed-width thread-pool handle. Cheap to copy; each
 /// [`scatter_gather`](Executor::scatter_gather) call spawns its scoped
-/// workers, so the handle holds no OS resources between calls.
+/// helpers, so the handle holds no OS resources between calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Executor {
     threads: usize,
@@ -271,106 +229,36 @@ impl Executor {
     {
         let n = items.len();
         let started = Instant::now();
-        if self.threads == 1 || n <= 1 {
-            // The sequential path proper: same closure, same order, no pool.
-            let mut out = Vec::with_capacity(n);
-            let mut task_ns = Vec::with_capacity(n);
-            for (i, item) in items.into_iter().enumerate() {
-                let t0 = Instant::now();
-                out.push(mm_telemetry::detached(|| f(i, item)));
-                task_ns.push(t0.elapsed().as_nanos() as u64);
-            }
-            let stats = RunStats {
-                threads: 1,
-                workers: vec![WorkerStats {
-                    executed: n as u64,
-                    stolen: 0,
-                }],
-                max_queue_depth: n,
-                task_ns,
-                wall_ns: started.elapsed().as_nanos() as u64,
-            };
-            record_run(&stats);
-            return (out, stats);
-        }
-
-        let workers = self.threads.min(n);
-        // Deal tasks round-robin so every deque sees a slice of the whole
-        // index range (consecutive indices often share cost structure).
-        let mut deques: Vec<VecDeque<(usize, I)>> = (0..workers)
-            .map(|_| VecDeque::with_capacity(n / workers + 1))
-            .collect();
-        for (i, item) in items.into_iter().enumerate() {
-            deques[i % workers].push_back((i, item));
-        }
-        let queues: Vec<Mutex<VecDeque<(usize, I)>>> = deques.into_iter().map(Mutex::new).collect();
-
-        let mut slots: Vec<Option<(T, u64)>> = (0..n).map(|_| None).collect();
-        let mut worker_stats = vec![WorkerStats::default(); workers];
-        let mut max_depth = 0usize;
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|wid| {
-                    let queues = &queues;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut local: Vec<(usize, T, u64)> = Vec::new();
-                        let mut stats = WorkerStats::default();
-                        let mut depth_seen = 0usize;
-                        loop {
-                            // Own deque first, LIFO-front (submission order
-                            // within the worker's share).
-                            let popped = {
-                                // mm-allow(E001): a poisoned queue mutex means a worker already panicked; propagate
-                                let mut q = queues[wid].lock().expect("queue poisoned");
-                                depth_seen = depth_seen.max(q.len());
-                                q.pop_front()
-                            };
-                            let (task, was_steal) = match popped {
-                                Some(t) => (t, false),
-                                None => {
-                                    // Steal from the back of the first
-                                    // non-empty victim, scanning ring-wise.
-                                    let mut found = None;
-                                    for off in 1..workers {
-                                        let vid = (wid + off) % workers;
-                                        let mut q =
-                                            // mm-allow(E001): a poisoned queue mutex means a worker already panicked; propagate
-                                            queues[vid].lock().expect("queue poisoned");
-                                        if let Some(t) = q.pop_back() {
-                                            found = Some(t);
-                                            break;
-                                        }
-                                    }
-                                    match found {
-                                        Some(t) => (t, true),
-                                        None => break,
-                                    }
-                                }
-                            };
-                            if was_steal {
-                                stats.stolen += 1;
-                            }
-                            let (index, item) = task;
-                            let t0 = Instant::now();
-                            let result = mm_telemetry::detached(|| f(index, item));
-                            local.push((index, result, t0.elapsed().as_nanos() as u64));
-                            stats.executed += 1;
-                        }
-                        (local, stats, depth_seen)
-                    })
-                })
-                .collect();
-            for (wid, handle) in handles.into_iter().enumerate() {
-                let (local, stats, depth_seen) = match handle.join() {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
+        let threads = self.threads.min(n).max(1);
+        let queue = Mutex::new(items.into_iter().enumerate());
+        // Take the next task until none is left; the lock is released
+        // before the task runs, so a panicking task cannot poison it.
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                // mm-allow(E001): only a panic inside the iterator's `next` could poison the queue; propagate
+                let next = queue.lock().expect("task queue poisoned").next();
+                let Some((index, item)) = next else {
+                    return done;
                 };
-                worker_stats[wid] = stats;
-                max_depth = max_depth.max(depth_seen);
-                for (index, result, ns) in local {
+                let t0 = Instant::now();
+                let result = mm_telemetry::detached(|| f(index, item));
+                done.push((index, result, t0.elapsed().as_nanos() as u64));
+            }
+        };
+        let mut slots: Vec<Option<(T, u64)>> = (0..n).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+            let mut fill = |done: Vec<(usize, T, u64)>| {
+                for (index, result, ns) in done {
                     slots[index] = Some((result, ns));
+                }
+            };
+            fill(drain());
+            for helper in helpers {
+                match helper.join() {
+                    Ok(done) => fill(done),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
         });
@@ -378,16 +266,14 @@ impl Executor {
         let mut out = Vec::with_capacity(n);
         let mut task_ns = Vec::with_capacity(n);
         for slot in slots {
-            // mm-allow(E001): scatter assigns every index to exactly one worker and join propagates worker panics
+            // mm-allow(E001): every index leaves the queue exactly once and join propagates task panics
             let (result, ns) = slot.expect("every submitted task produced a result");
             out.push(result);
             task_ns.push(ns);
         }
         let stats = RunStats {
-            threads: workers,
+            threads,
             task_ns,
-            workers: worker_stats,
-            max_queue_depth: max_depth,
             wall_ns: started.elapsed().as_nanos() as u64,
         };
         record_run(&stats);
@@ -487,11 +373,10 @@ mod tests {
         });
         assert_eq!(out.len(), 40);
         assert_eq!(stats.tasks(), 40);
-        let executed: u64 = stats.workers.iter().map(|w| w.executed).sum();
-        assert_eq!(executed, 40, "every task executed exactly once");
-        assert!(stats.max_queue_depth >= 1);
+        assert_eq!(stats.threads, 4);
         assert_eq!(stats.task_ns.len(), 40);
         assert!(stats.busy_ns() > 0);
+        assert!(stats.wall_ns > 0);
     }
 
     #[test]
@@ -515,9 +400,22 @@ mod tests {
     fn sequential_pool_reports_single_worker() {
         let (_, stats) = Executor::sequential().scatter_gather_stats(vec![1, 2, 3], |_, x| x);
         assert_eq!(stats.threads, 1);
-        assert_eq!(stats.workers.len(), 1);
-        assert_eq!(stats.workers[0].executed, 3);
-        assert_eq!(stats.steals(), 0);
+        assert_eq!(stats.tasks(), 3);
+    }
+
+    #[test]
+    fn a_thread_per_task_runs_every_task_at_once() {
+        // Each task waits until all `n` are running: `n` threads must
+        // take one task each, never two on one thread.
+        for n in [2, 3, 8] {
+            let barrier = std::sync::Barrier::new(n);
+            let out = Executor::new(n).scatter_gather((0..n).collect(), |i, x| {
+                barrier.wait();
+                assert_eq!(i, x);
+                x * 10
+            });
+            assert_eq!(out, (0..n).map(|x| x * 10).collect::<Vec<_>>(), "{n}");
+        }
     }
 
     #[test]
@@ -533,8 +431,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.tasks(), 16);
         assert_eq!(a.wall_ns, wall + b.wall_ns);
-        let executed: u64 = a.workers.iter().map(|w| w.executed).sum();
-        assert_eq!(executed, 16);
+        assert_eq!(a.threads, 2);
     }
 
     /// A producer of `0..n`.

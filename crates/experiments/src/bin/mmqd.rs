@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mmqd --store DIR [--listen ADDR] [--seed N] [--scale X|paper] [--runs N]
-//!      [--duration-s N] [--quick] [--workers N] [--max-inflight N]
-//!      [--deadline-ms N] [--max-frame BYTES] [--queue-cap N]
+//!      [--duration-s N] [--quick] [--workers N] [--deadline-ms N]
+//!      [--max-frame BYTES]
 //! mmqd --version
 //! ```
 //!
@@ -32,8 +32,8 @@ use mmexperiments::{serve, MmError, QueryEngine, ServeConfig};
 
 fn usage() -> String {
     "usage: mmqd --store DIR [--listen ADDR] [--seed N] [--scale X|paper] [--runs N] \
-     [--duration-s N] [--quick] [--workers N] [--max-inflight N] [--deadline-ms N] \
-     [--max-frame BYTES] [--queue-cap N] [--version]\n\
+     [--duration-s N] [--quick] [--workers N] [--deadline-ms N] [--max-frame BYTES] \
+     [--version]\n\
      serves mmq queries over a framed TCP protocol; stop with \
      `mmq --connect ADDR shutdown`"
         .to_string()
@@ -47,7 +47,6 @@ fn real_main() -> Result<(), MmError> {
     let mut flags = CtxFlags::default();
     let mut listen = "127.0.0.1:0".to_string();
     let mut cfg = ServeConfig::default();
-    let mut inflight_set = false;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if flags.take(&a, &mut it)? {
@@ -60,21 +59,12 @@ fn real_main() -> Result<(), MmError> {
             }
             "--listen" => listen = cli::value("--listen", "HOST:PORT", it.next())?,
             "--workers" => cfg.workers = cli::num("--workers", it.next())?,
-            "--max-inflight" => {
-                cfg.max_inflight = cli::num("--max-inflight", it.next())?;
-                inflight_set = true;
-            }
             "--deadline-ms" => cfg.deadline_ms = cli::num("--deadline-ms", it.next())?,
             "--max-frame" => cfg.max_frame = cli::num("--max-frame", it.next())?,
-            "--queue-cap" => cfg.queue_cap = cli::num("--queue-cap", it.next())?,
             _ => return Err(MmError::Config(usage())),
         }
     }
     flags.check()?;
-    // The in-flight cap tracks the pool size unless pinned explicitly.
-    if !inflight_set {
-        cfg.max_inflight = cfg.workers.max(1) * 2;
-    }
     let Some(dir) = &flags.store else {
         return Err(MmError::Config(
             "mmqd serves a stored campaign; name it with --store DIR".into(),
@@ -96,9 +86,8 @@ fn real_main() -> Result<(), MmError> {
     // Scraped by scripts (verify.sh): keep this line first on stdout.
     println!("mmqd: listening on {addr}");
     eprintln!(
-        "# mmqd: {} worker(s), {} in-flight cap, {}ms deadline, {}-byte frames",
+        "# mmqd: {} worker(s), {}ms deadline, {}-byte frames",
         cfg.workers.max(1),
-        cfg.max_inflight,
         cfg.deadline_ms,
         cfg.max_frame,
     );

@@ -29,13 +29,15 @@
 //! crawl rate, and persists the D2 columnar store entry plus the campaign
 //! manifest. `mmx --append` crawls ONE more round under the next round
 //! seed and adds it as a brand-new store entry — prior-round files are
-//! never rewritten, only the manifest is. Figure runs against the same
-//! `--store`/seed/scale then *stream* those entries block-by-block into
-//! the figure aggregate (DESIGN.md §10) — at paper scale the ~8M-sample
-//! dataset is never resident in memory. (`mmq` queries the same store
-//! with predicates and round ceilings; see DESIGN.md §11.)
+//! never rewritten, only the manifest is. `--load` figure runs against
+//! the same `--store`/seed/scale then *stream* round 0's entry — the `d2`
+//! entry `mmx crawl` wrote — block-by-block into the figure aggregate
+//! (DESIGN.md §10), so at paper scale the ~8M-sample dataset is never
+//! resident in memory. They read no appended round: `mmq` answers over
+//! the union of all rounds, with predicates and round ceilings (DESIGN.md
+//! §11), and `mmq --rounds 0` prints what `mmx --load` prints.
 //!
-//! Independent artifacts run as tasks on the `mm-exec` work-stealing pool
+//! Independent artifacts run as tasks on the `mm-exec` pool
 //! over one pre-warmed shared context, and are printed in request order —
 //! the output is byte-identical for any `MM_THREADS` setting. Pass
 //! `--timings` for a per-artifact wall-clock and scheduler report on
@@ -444,12 +446,10 @@ fn real_main() -> Result<(), MmError> {
             eprintln!("#   {id:>10}  {:>9.1} ms", *ns as f64 / 1e6);
         }
         eprintln!(
-            "#   wall {:.1} ms, busy {:.1} ms, speedup {:.2}x, steals {}, max queue {}",
+            "#   wall {:.1} ms, busy {:.1} ms, speedup {:.2}x",
             stats.wall_ns as f64 / 1e6,
             stats.busy_ns() as f64 / 1e6,
             stats.speedup(),
-            stats.steals(),
-            stats.max_queue_depth,
         );
     }
     // Persist datasets *before* capturing the snapshot so the stored

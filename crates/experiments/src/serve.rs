@@ -1,22 +1,23 @@
 //! The mmqd serving loop (DESIGN.md §14): one shared [`QueryEngine`]
 //! answering framed wire requests from many concurrent connections.
 //!
-//! Shape: an mm-net accept-loop thread parks connections on a bounded
-//! [`ConnQueue`]; a fixed worker pool — an `mm-exec` scatter over one
-//! long-running loop per worker — pops connections and speaks the
-//! [`mm_net::proto`] protocol over each. Every worker borrows the *same*
-//! engine, so the per-process memo and the store's query cache are shared
-//! across connections: a query rendered once is a warm hit for every
-//! later client, opening zero data blocks.
+//! Shape: one `mm-exec` scatter whose first task runs mm-net's accept
+//! loop, parking connections on a bounded [`ConnQueue`], and whose other
+//! tasks — one long-running loop per worker — pop connections and speak
+//! the [`mm_net::proto`] protocol over each. Every worker borrows the
+//! *same* engine, so the per-process memo and the store's query cache are
+//! shared across connections: a query rendered once is a warm hit for
+//! every later client, opening zero data blocks.
 //!
 //! A worker is dedicated to its connection until the peer hangs up — the
-//! intended client (`mmq --connect`) asks its questions and disconnects.
-//! Clients that idle forever hold a worker each; beyond `workers` of
-//! those, new connections park in the queue until one leaves.
+//! intended client (`mmq --connect`) asks its questions and disconnects,
+//! and answers its requests in lockstep, so at most `workers` queries
+//! render at once. Clients that idle forever hold a worker each; beyond
+//! `workers` of those, new connections park in the queue until one
+//! leaves.
 //!
 //! Admission control is deliberately simple and typed:
 //!
-//! * more than `max_inflight` queries rendering at once → `overloaded`;
 //! * a frame above `max_frame` → `oversized` (and the connection closes,
 //!   because the stream is desynchronized past the header);
 //! * a render that misses `deadline_ms` → `deadline` (the render is not
@@ -24,8 +25,9 @@
 //!   gets a typed miss instead of a silently late answer).
 //!
 //! A `shutdown` control frame flips the drain flag, closes the queue
-//! (parked connections are still served), and [`serve`] returns once
-//! every worker has exited — the caller then exits 0.
+//! (parked connections are still served), wakes the accept loop with one
+//! connection to the listener, and [`serve`] returns once every task has
+//! exited — the caller then exits 0.
 
 use crate::query::{QueryEngine, QueryRequest};
 use mm_exec::Executor;
@@ -36,9 +38,8 @@ use mm_net::{
 };
 use mm_telemetry::Scope;
 use mmcore::{MmError, NetError};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// How long an idle connection read blocks before the worker re-checks
@@ -47,58 +48,49 @@ use std::time::Duration;
 const POLL_MS: u64 = 200;
 /// Read/write budget for the hello exchange and response writes.
 const IO_MS: u64 = 5_000;
+/// Connections parked between accept and a free worker; beyond this,
+/// backpressure lands in the listener's OS backlog.
+const QUEUE_CAP: usize = 64;
 
 /// Tuning for [`serve`]. `Default` is sized for the verify-gate workload;
-/// the degenerate values (`max_inflight: 0`, `deadline_ms: 0`) exist so
-/// the robustness tests can force `overloaded` / `deadline` responses
-/// deterministically.
+/// the degenerate `deadline_ms: 0` exists so the robustness tests can
+/// force `deadline` responses deterministically.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads popping connections (the mm-exec pool size).
+    /// Worker threads popping connections; the accept loop runs on one
+    /// more.
     pub workers: usize,
-    /// Queries allowed to render concurrently; exceeding it is a typed
-    /// `overloaded` response, not a queue.
-    pub max_inflight: usize,
     /// Largest accepted request frame payload, bytes.
     pub max_frame: u32,
     /// Per-query service budget; a render that misses it returns the
     /// typed `deadline` error instead of the late answer.
     pub deadline_ms: u64,
-    /// Connections parked between accept and a free worker; beyond this,
-    /// backpressure lands in the listener's OS backlog.
-    pub queue_cap: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        let workers = Executor::from_env().threads();
         ServeConfig {
-            workers,
-            max_inflight: workers.max(1) * 2,
+            workers: Executor::from_env().threads(),
             max_frame: DEFAULT_MAX_FRAME,
             deadline_ms: 30_000,
-            queue_cap: 64,
         }
     }
 }
 
-/// Everything a worker needs, shared by reference across the pool.
+/// Everything a task needs, shared by reference across the scatter.
 struct ServeState<'a> {
     engine: &'a QueryEngine,
     cfg: &'a ServeConfig,
-    queue: &'a ConnQueue,
+    queue: ConnQueue,
+    /// The listener's address, which shutdown connects to once to wake
+    /// the accept loop.
+    addr: SocketAddr,
     draining: AtomicBool,
-    in_flight: AtomicU32,
-}
-
-impl ServeState<'_> {
-    fn metrics(&self) -> ServeMetrics {
-        ServeMetrics::get()
-    }
+    metrics: ServeMetrics,
 }
 
 /// The Serve-scope telemetry section mmqd maintains and the `stats`
-/// control request returns. Handles are cheap get-or-register clones.
+/// control request returns, registered once per [`serve`].
 struct ServeMetrics {
     connections: mm_telemetry::Counter,
     requests_served: mm_telemetry::Counter,
@@ -110,7 +102,7 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn get() -> ServeMetrics {
+    fn register() -> ServeMetrics {
         let reg = mm_telemetry::global();
         let s = "serve";
         ServeMetrics {
@@ -143,27 +135,33 @@ pub fn serve(
     listener: TcpListener,
     cfg: &ServeConfig,
 ) -> Result<(), MmError> {
-    let queue = ConnQueue::new(cfg.queue_cap.max(1));
-    let acceptor = mm_net::spawn_acceptor(listener, Arc::clone(&queue)).map_err(MmError::Net)?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| MmError::Net(NetError::Io(e.to_string())))?;
     let state = ServeState {
         engine,
         cfg,
-        queue: &queue,
+        queue: ConnQueue::new(QUEUE_CAP),
+        addr,
         draining: AtomicBool::new(false),
-        in_flight: AtomicU32::new(0),
+        metrics: ServeMetrics::register(),
     };
     let workers = cfg.workers.max(1);
-    // One long-running loop per worker: each pops connections until the
-    // queue closes and drains. The scatter blocks until every loop exits,
-    // which is exactly the drain barrier shutdown needs.
-    Executor::new(workers).scatter_gather((0..workers).collect(), |_, _wid| {
+    // Task 0 is the accept loop; every other task pops connections until
+    // the queue closes and drains. A pool as wide as the task list runs
+    // every task at once, and the scatter returns once every loop has
+    // exited: the drain barrier shutdown needs.
+    Executor::new(workers + 1).scatter_gather((0..=workers).collect(), |_, task| {
+        if task == 0 {
+            mm_net::accept_into(&listener, &state.queue);
+            return;
+        }
         while let Some(conn) = state.queue.pop() {
-            state.metrics().connections.inc();
+            state.metrics.connections.inc();
             // Per-connection failures must never take the server down.
             handle_conn(&state, conn);
         }
     });
-    acceptor.shutdown();
     Ok(())
 }
 
@@ -189,7 +187,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
     // Handshake: a bad magic or a future version is the peer's problem —
     // drop the connection; nothing past the hello is trustworthy.
     if read_hello(&mut reader).is_err() || write_hello(&mut writer).is_err() {
-        state.metrics().requests_rejected.inc();
+        state.metrics.requests_rejected.inc();
         return;
     }
     reader
@@ -229,7 +227,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
             Err(NetError::Oversized { len, max }) => {
                 // The payload is unread; the stream is desynchronized.
                 // Send the typed rejection, then close.
-                state.metrics().requests_rejected.inc();
+                state.metrics.requests_rejected.inc();
                 let err = WireError::new(
                     codes::OVERSIZED,
                     true,
@@ -239,7 +237,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
                 return;
             }
             Err(NetError::Protocol(msg)) => {
-                state.metrics().requests_rejected.inc();
+                state.metrics.requests_rejected.inc();
                 let err = WireError::new(codes::BAD_REQUEST, true, msg);
                 Response::Err(err).write_to(&mut writer).ok();
                 return;
@@ -247,7 +245,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
             // Truncation, checksum damage, timeouts mid-frame, transport
             // errors: the peer is gone or garbling — nothing to answer.
             Err(_) => {
-                state.metrics().requests_rejected.inc();
+                state.metrics.requests_rejected.inc();
                 return;
             }
         }
@@ -257,7 +255,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
 /// Answer one well-framed request. Returns `false` when the connection
 /// should close (after a shutdown acknowledgement).
 fn handle_request(state: &ServeState<'_>, writer: &mut TcpStream, req: Request) -> bool {
-    let m = state.metrics();
+    let m = &state.metrics;
     match req {
         Request::Stats => {
             let snap = mm_telemetry::global()
@@ -270,16 +268,18 @@ fn handle_request(state: &ServeState<'_>, writer: &mut TcpStream, req: Request) 
         Request::Shutdown => {
             m.requests_served.inc();
             state.draining.store(true, Ordering::SeqCst);
-            // Close the queue: the accept loop exits, parked connections
-            // still drain through `pop`, and idle workers wake to `None`.
+            // Close the queue: parked connections still drain through
+            // `pop`, and idle workers wake to `None`. The accept loop
+            // notices at its next connection, so make one.
             state.queue.close();
+            TcpStream::connect(state.addr).ok();
             Response::Ok(Json::obj([("draining", Json::Bool(true))]))
                 .write_to(writer)
                 .ok();
             false
         }
         Request::Query(doc) => {
-            let resp = answer_query(state, &m, &doc);
+            let resp = answer_query(state, &doc);
             if matches!(resp, Response::Err(_)) {
                 m.requests_rejected.inc();
             } else {
@@ -290,27 +290,13 @@ fn handle_request(state: &ServeState<'_>, writer: &mut TcpStream, req: Request) 
     }
 }
 
-/// Admission + render for one query document.
-fn answer_query(state: &ServeState<'_>, m: &ServeMetrics, doc: &Json) -> Response {
+/// Render one query document under its deadline.
+fn answer_query(state: &ServeState<'_>, doc: &Json) -> Response {
+    let m = &state.metrics;
     m.queries.inc();
     m.queue_depth.record(state.queue.depth() as u64);
-    // Admission: reserve an in-flight slot or reject. The counter is
-    // decremented on every exit path below.
-    let prior = state.in_flight.fetch_add(1, Ordering::SeqCst);
-    if prior as usize >= state.cfg.max_inflight {
-        state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        return Response::Err(WireError::new(
-            codes::OVERLOADED,
-            false,
-            format!(
-                "{prior} queries already in flight (cap {}); retry",
-                state.cfg.max_inflight
-            ),
-        ));
-    }
     let deadline = Deadline::start(state.cfg.deadline_ms);
     let result = QueryRequest::from_wire(doc).and_then(|req| state.engine.run(&req));
-    state.in_flight.fetch_sub(1, Ordering::SeqCst);
     m.service_ms.record(deadline.elapsed_ms());
     match result {
         Ok(res) => {
@@ -345,9 +331,7 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ServeConfig::default();
         assert!(cfg.workers >= 1);
-        assert!(cfg.max_inflight >= cfg.workers);
         assert_eq!(cfg.max_frame, DEFAULT_MAX_FRAME);
         assert!(cfg.deadline_ms > 0);
-        assert!(cfg.queue_cap >= 1);
     }
 }

@@ -4,9 +4,10 @@
 //! any data blocks — while a store whose manifest names entries missing
 //! from disk must fail fast at open (exit 3), cache or no cache;
 //! appended rounds must union in without touching round-0 files, with
-//! `--rounds 0` reproducing the pre-append answer, and a campaign entry of
-//! the wrong kind must fail typed (exit 3); and contradictory flags must
-//! be usage errors (exit 2).
+//! `--rounds 0` reproducing the pre-append answer and `mmx --load` still
+//! rendering round 0 alone, and a campaign entry of the wrong kind must
+//! fail typed (exit 3); and contradictory flags must be usage errors
+//! (exit 2).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -233,6 +234,13 @@ fn append_unions_new_rounds_and_keeps_round_zero_immutable() {
     assert_eq!(
         ceiling.stdout, baseline.stdout,
         "round<=0 queries are byte-identical to the pre-append store"
+    );
+    // `mmx --load` opens round 0's `d2` entry alone, appended rounds or not.
+    let load = exe("mmx", &["f12", "--quick", "--load"], Some(&dir));
+    assert!(load.status.success(), "{}", load.stderr);
+    assert_eq!(
+        load.stdout, ceiling.stdout,
+        "mmx --load renders round 0, as mmq --rounds 0 does"
     );
 
     // A campaign entry of the wrong kind fails typed (exit 3) before any

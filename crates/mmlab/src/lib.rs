@@ -18,7 +18,6 @@ pub mod predicate;
 pub mod report;
 pub mod stats;
 pub mod store;
-pub mod typeii;
 
 pub use agg::ValueCounts;
 pub use campaign::{
@@ -30,4 +29,3 @@ pub use dataset::{ConfigSample, HandoffInstance, D1, D2};
 pub use diversity::{diversity, simpson_index, Diversity, Measure};
 pub use predicate::Predicate;
 pub use store::{D1StoreReader, D2StoreReader, ScanStats, KIND_D1, KIND_D2};
-pub use typeii::{find_cells_of_interest, guided_campaign};

@@ -8,9 +8,9 @@
 //!   checksum discipline and its typed-failure taxonomy ([`NetError`]).
 //! * [`proto`] — typed [`Request`]/[`Response`] messages encoded with
 //!   mm-json, including the documented error [`codes`].
-//! * [`server`] — the bounded [`ConnQueue`], the accept-loop thread
-//!   ([`spawn_acceptor`]), and the wall-clock [`Deadline`] admission
-//!   control is built on.
+//! * [`server`] — the bounded [`ConnQueue`], the accept loop
+//!   ([`accept_into`]), run on the caller's thread, and the wall-clock
+//!   [`Deadline`] admission control is built on.
 //! * [`Client`] — the blocking client `mmq --connect` uses: connect,
 //!   handshake, then request/response in lockstep.
 //!
@@ -29,7 +29,7 @@ pub use frame::{
 };
 pub use mmcore::NetError;
 pub use proto::{codes, Request, Response, WireError};
-pub use server::{spawn_acceptor, Acceptor, ConnQueue, Deadline};
+pub use server::{accept_into, ConnQueue, Deadline};
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -83,50 +83,51 @@ impl Client {
 mod tests {
     use super::*;
     use mm_json::Json;
-    use std::sync::Arc;
 
     /// A miniature echo server over the real frame layer: enough to prove
     /// the client handshake and request/response lockstep end to end.
     #[test]
     fn client_round_trips_against_a_queue_fed_echo_server() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let queue = ConnQueue::new(2);
-        let acceptor = spawn_acceptor(listener, Arc::clone(&queue)).unwrap();
-        let addr = acceptor.local_addr().to_string();
-
-        let server_queue = Arc::clone(&queue);
-        let server = std::thread::spawn(move || {
-            while let Some(conn) = server_queue.pop() {
-                let mut reader = BufReader::new(conn.try_clone().unwrap());
-                let mut writer = conn;
-                read_hello(&mut reader).unwrap();
-                write_hello(&mut writer).unwrap();
-                while let Ok(Some(req)) = Request::read_from(&mut reader, DEFAULT_MAX_FRAME) {
-                    let resp = match req {
-                        Request::Query(doc) => Response::Ok(doc),
-                        Request::Stats => Response::Ok(Json::obj([])),
-                        Request::Shutdown => {
-                            Response::Err(WireError::new(codes::INTERNAL, false, "nope"))
-                        }
-                    };
-                    resp.write_to(&mut writer).unwrap();
+        std::thread::scope(|scope| {
+            let acceptor = scope.spawn(|| accept_into(&listener, &queue));
+            let server = scope.spawn(|| {
+                while let Some(conn) = queue.pop() {
+                    let mut reader = BufReader::new(conn.try_clone().unwrap());
+                    let mut writer = conn;
+                    read_hello(&mut reader).unwrap();
+                    write_hello(&mut writer).unwrap();
+                    while let Ok(Some(req)) = Request::read_from(&mut reader, DEFAULT_MAX_FRAME) {
+                        let resp = match req {
+                            Request::Query(doc) => Response::Ok(doc),
+                            Request::Stats => Response::Ok(Json::obj([])),
+                            Request::Shutdown => {
+                                Response::Err(WireError::new(codes::INTERNAL, false, "nope"))
+                            }
+                        };
+                        resp.write_to(&mut writer).unwrap();
+                    }
                 }
-            }
-        });
+            });
 
-        let mut client = Client::connect(&addr, 5_000).unwrap();
-        let doc = Json::obj([("target", Json::Str("t3".into()))]);
-        match client.request(&Request::Query(doc.clone())).unwrap() {
-            Response::Ok(echo) => assert_eq!(echo.to_string(), doc.to_string()),
-            other => panic!("expected echo, got {other:?}"),
-        }
-        match client.request(&Request::Shutdown).unwrap() {
-            Response::Err(e) => assert_eq!(e.code, codes::INTERNAL),
-            other => panic!("expected error response, got {other:?}"),
-        }
-        drop(client);
-        queue.close();
-        acceptor.shutdown();
-        server.join().unwrap();
+            let mut client = Client::connect(&addr.to_string(), 5_000).unwrap();
+            let doc = Json::obj([("target", Json::Str("t3".into()))]);
+            match client.request(&Request::Query(doc.clone())).unwrap() {
+                Response::Ok(echo) => assert_eq!(echo.to_string(), doc.to_string()),
+                other => panic!("expected echo, got {other:?}"),
+            }
+            match client.request(&Request::Shutdown).unwrap() {
+                Response::Err(e) => assert_eq!(e.code, codes::INTERNAL),
+                other => panic!("expected error response, got {other:?}"),
+            }
+            drop(client);
+            queue.close();
+            // Wake the blocked accept: the loop refuses the connection and returns.
+            std::net::TcpStream::connect(addr).unwrap();
+            acceptor.join().unwrap();
+            server.join().unwrap();
+        });
     }
 }

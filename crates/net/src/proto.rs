@@ -15,8 +15,6 @@ pub mod codes {
     /// The query document failed validation (unknown artifact, conflicting
     /// constraints) — the caller's mistake.
     pub const BAD_REQUEST: &str = "bad-request";
-    /// The in-flight request cap was exceeded; retry later.
-    pub const OVERLOADED: &str = "overloaded";
     /// The request missed its service deadline.
     pub const DEADLINE: &str = "deadline";
     /// The request frame exceeded the server's frame cap; the connection
@@ -183,7 +181,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let ok = Response::Ok(Json::obj([("text", Json::Str("hi".into()))]));
-        let err = Response::Err(WireError::new(codes::OVERLOADED, false, "9 in flight"));
+        let err = Response::Err(WireError::new(codes::DEADLINE, false, "took 31000ms"));
         for resp in [ok, err] {
             let mut buf = Vec::new();
             resp.write_to(&mut buf).unwrap();

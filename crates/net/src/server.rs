@@ -1,19 +1,16 @@
 //! Server-side primitives for mmqd: the bounded connection queue the
-//! accept loop feeds, the accept-loop thread itself, and the wall-clock
-//! deadline handle the per-request admission control uses.
+//! accept loop feeds, the accept loop itself, and the wall-clock deadline
+//! handle the per-request admission control uses.
 //!
 //! mm-net is a Sched-scope crate (like mm-exec and mm-telemetry): serving
 //! is inherently wall-clock-bound, so `Instant` lives here and the
-//! deterministic simulation crates above stay clock-free. The accept loop
-//! is the one place outside mm-exec that spawns a thread — it does no
-//! simulation work and never touches the determinism contract (the worker
-//! pool that renders answers is an mm-exec scatter), so it carries a
-//! justified D003 suppression rather than a rule exemption.
+//! deterministic simulation crates above stay clock-free. mm-net starts no
+//! thread: [`accept_into`] runs on whichever thread calls it, and mmqd
+//! runs it as one task of the same mm-exec scatter as its workers.
 
-use mmcore::NetError;
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// A bounded MPMC hand-off queue from the accept loop to the worker pool.
@@ -36,15 +33,15 @@ struct QueueState {
 
 impl ConnQueue {
     /// A queue admitting at most `cap` parked connections (clamped ≥ 1).
-    pub fn new(cap: usize) -> Arc<ConnQueue> {
-        Arc::new(ConnQueue {
+    pub fn new(cap: usize) -> ConnQueue {
+        ConnQueue {
             state: Mutex::new(QueueState {
                 conns: VecDeque::new(),
                 closed: false,
             }),
             cv: Condvar::new(),
             cap: cap.max(1),
-        })
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
@@ -103,58 +100,27 @@ impl ConnQueue {
     }
 }
 
-/// The running accept-loop thread (see [`spawn_acceptor`]).
-pub struct Acceptor {
-    handle: std::thread::JoinHandle<()>,
-    addr: SocketAddr,
-}
-
-impl Acceptor {
-    /// The bound address (resolves `:0` to the actual port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Unblock the accept loop and join it. Call after closing the
-    /// [`ConnQueue`]: a throwaway self-connection wakes the blocking
-    /// `accept()`, the loop observes the closed queue, and exits.
-    pub fn shutdown(self) {
-        TcpStream::connect(self.addr).ok();
-        self.handle.join().ok();
-    }
-}
-
-/// Start the accept loop on its own thread, parking every accepted
-/// connection on `queue` until the queue closes.
-pub fn spawn_acceptor(listener: TcpListener, queue: Arc<ConnQueue>) -> Result<Acceptor, NetError> {
-    let addr = listener
-        .local_addr()
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    let handle = std::thread::Builder::new()
-        .name("mmqd-accept".to_string())
-        // The accept loop does no simulation work; MM_THREADS governs the
-        // mm-exec worker pool that renders answers, not this single control
-        // thread (DESIGN.md §14).
-        // mm-allow(D003): accept() must block on its own thread; it never touches sim state
-        .spawn(move || {
-            loop {
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        if !queue.push(conn) {
-                            // Closed: this is the shutdown self-connection
-                            // (or a late client); drop it and exit.
-                            break;
-                        }
-                    }
-                    Err(_) if queue.is_closed() => break,
-                    // Transient accept errors (EMFILE, ECONNABORTED):
-                    // keep the server up.
-                    Err(_) => continue,
+/// The accept loop, on the calling thread: park every connection
+/// `listener` accepts on `queue` until the queue closes. A loop blocked in
+/// `accept()` notices the close only at its next connection, so whoever
+/// closes the queue then connects once to the listener's address; the
+/// loop drops that connection and returns.
+pub fn accept_into(listener: &TcpListener, queue: &ConnQueue) {
+    loop {
+        match listener.accept() {
+            Ok((conn, _)) => {
+                if !queue.push(conn) {
+                    // Closed: this is the wake-up connection (or a late
+                    // client); drop it and return.
+                    return;
                 }
             }
-        })
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    Ok(Acceptor { handle, addr })
+            Err(_) if queue.is_closed() => return,
+            // Transient accept errors (EMFILE, ECONNABORTED): keep the
+            // server up.
+            Err(_) => continue,
+        }
+    }
 }
 
 /// A wall-clock budget for one request: started at admission, checked at
@@ -194,29 +160,33 @@ mod tests {
     #[test]
     fn queue_hands_connections_across_threads_and_drains_after_close() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let queue = ConnQueue::new(4);
-        let acceptor = spawn_acceptor(listener, Arc::clone(&queue)).unwrap();
-        let addr = acceptor.local_addr();
+        std::thread::scope(|scope| {
+            let acceptor = scope.spawn(|| accept_into(&listener, &queue));
 
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(b"ping").unwrap();
-        let mut conn = queue.pop().expect("accepted connection reaches the queue");
-        let mut buf = [0u8; 4];
-        conn.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(b"ping").unwrap();
+            let mut conn = queue.pop().expect("accepted connection reaches the queue");
+            let mut buf = [0u8; 4];
+            conn.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"ping");
 
-        // Park one more, then close: pop still drains it, then reports end.
-        let _late = TcpStream::connect(addr).unwrap();
-        while queue.depth() == 0 {
-            std::thread::yield_now();
-        }
-        queue.close();
-        assert!(
-            queue.pop().is_some(),
-            "queued connection drains after close"
-        );
-        assert!(queue.pop().is_none(), "closed and drained");
-        acceptor.shutdown();
+            // Park one more, then close: pop still drains it, then reports end.
+            let _late = TcpStream::connect(addr).unwrap();
+            while queue.depth() == 0 {
+                std::thread::yield_now();
+            }
+            queue.close();
+            assert!(
+                queue.pop().is_some(),
+                "queued connection drains after close"
+            );
+            assert!(queue.pop().is_none(), "closed and drained");
+            // Wake the blocked accept: the loop refuses the connection and returns.
+            TcpStream::connect(addr).unwrap();
+            acceptor.join().unwrap();
+        });
     }
 
     #[test]

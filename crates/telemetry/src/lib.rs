@@ -15,7 +15,7 @@
 //! * Every metric carries a [`Scope`]. [`Scope::Sim`] metrics describe the
 //!   *simulated* system (handoffs executed, cells crawled, tasks run) and
 //!   must not depend on the host scheduler; [`Scope::Sched`] metrics
-//!   (steals, queue depths, wall-clock) inherently do.
+//!   (busy time, event-queue depths, wall-clock) inherently do.
 //! * Counters and histograms observe `u64` values only, so totals are sums
 //!   of integers — associative, and therefore independent of the order in
 //!   which worker threads contribute.
@@ -53,7 +53,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub enum Scope {
     /// Simulation-domain: identical for any thread count / scheduler.
     Sim,
-    /// Scheduler-domain: steals, queue depths, wall-clock durations.
+    /// Scheduler-domain: busy time, event-queue depths, wall-clock
+    /// durations.
     Sched,
     /// Serving-domain: connections, requests, cache hits, service times —
     /// a function of client traffic, so excluded (like [`Scope::Sched`])

@@ -286,7 +286,7 @@ mod tests {
     fn sample_registry() -> Registry {
         let reg = Registry::new();
         reg.counter("netsim", "handoffs_a3").add(4);
-        reg.counter_scoped("exec", "steals", Scope::Sched).add(9);
+        reg.counter_scoped("exec", "busy_ns", Scope::Sched).add(9);
         reg.histogram("netsim", "delay_ms", &[100, 200]).record(150);
         {
             let _s = reg.span("campaign", "drives");

@@ -24,7 +24,7 @@
 //! scan the store once.
 
 use crate::context::Ctx;
-use crate::store::{Manifest, RunStore};
+use crate::store::{Manifest, RoundEntry, RunStore};
 use crate::stream::D2Agg;
 use crate::Artifact;
 use mm_exec::Executor;
@@ -567,8 +567,9 @@ pub struct QueryEngine {
     ctx: Ctx,
     manifest: Manifest,
     content_hash: u64,
-    /// Predicate-normalized-string → (preloaded sub-context, scan stats of
-    /// the pass that built it).
+    /// Row predicate's normalized string and the number of manifest rounds
+    /// admitted → (preloaded sub-context, scan stats of the pass that
+    /// built it).
     memo: Mutex<BTreeMap<String, (Arc<Ctx>, ScanStats)>>,
 }
 
@@ -587,9 +588,10 @@ impl QueryEngine {
                     .to_string(),
             )
         })?;
-        let manifest = store
-            .load_manifest(&ctx)?
-            .ok_or_else(|| StoreError::Schema("manifest vanished between reads".to_string()))?;
+        // One read: the rounds served and the hash the answers are cached
+        // under come from the same bytes, even if an append renames a new
+        // manifest in meanwhile.
+        let manifest = Manifest::decode(&bytes)?;
         for r in &manifest.rounds {
             let path = store.entry_path(&ctx, &r.entry);
             if !path.exists() {
@@ -770,11 +772,18 @@ impl QueryEngine {
     }
 
     /// The memoized sub-context holding the aggregate for one predicate.
-    /// Concurrent misses on the same key both scan (the lock is not held
-    /// across store I/O) and the first insert wins — the aggregates are
-    /// deterministic in the predicate, so either copy is the same answer.
+    /// The key is what the scan reads: the row predicate and the rounds
+    /// the ceiling admits, so ceilings that admit the same files share one
+    /// aggregate. Concurrent misses on the same key both scan (the lock is
+    /// not held across store I/O) and the first insert wins — the
+    /// aggregates are deterministic in the key, so either copy is the same
+    /// answer.
     fn ctx_for(&self, pred: &Predicate) -> Result<(Arc<Ctx>, ScanStats), MmError> {
-        let key = pred.normalized();
+        let key = format!(
+            "{}|rounds={}",
+            pred.without_rounds().normalized(),
+            self.admitted_rounds(pred).len()
+        );
         {
             // mm-allow(E001): a poisoned memo mutex means a worker already panicked; propagate
             let memo = self.memo.lock().expect("query memo poisoned");
@@ -806,10 +815,7 @@ impl QueryEngine {
         let exec = Executor::from_env();
         let mut agg = D2Agg::new();
         let mut total = ScanStats::default();
-        for r in &self.manifest.rounds {
-            if pred.round_max.is_some_and(|n| r.round > n) {
-                continue;
-            }
+        for r in self.admitted_rounds(pred) {
             let file = self
                 .store
                 .open_round_entry(&self.ctx, &r.entry)?
@@ -825,6 +831,14 @@ impl QueryEngine {
             total += agg.fold_store(reader, &exec)?;
         }
         Ok((agg, total))
+    }
+
+    /// The manifest rounds `pred`'s round ceiling admits: a prefix, since
+    /// the manifest lists rounds in ascending order.
+    fn admitted_rounds(&self, pred: &Predicate) -> &[RoundEntry] {
+        let rounds = &self.manifest.rounds;
+        let n = rounds.partition_point(|r| pred.round_max.is_none_or(|max| r.round <= max));
+        &rounds[..n]
     }
 }
 
@@ -1080,6 +1094,28 @@ mod tests {
         assert!(!sliced.cached);
         assert_eq!(sliced.scan, cold.scan, "memo hit re-reports the same scan");
         assert!(sliced.text.contains("Diversity slice: carrier A"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// On a one-round campaign no ceiling, and the ceilings 0, 1, 7 and
+    /// `u32::MAX`, all admit round 0's file alone: one aggregate serves
+    /// them all.
+    #[test]
+    fn round_ceilings_admitting_the_same_rounds_share_one_aggregate() {
+        let (dir, eng) = engine("ceilings");
+        let texts: Vec<String> = [None, Some(0), Some(1), Some(7), Some(u32::MAX)]
+            .into_iter()
+            .map(|ceiling| {
+                let req = QueryRequest::artifact(Artifact::F16);
+                let req = match ceiling {
+                    Some(n) => req.rounds_max(n),
+                    None => req,
+                };
+                eng.render(&req.build().unwrap()).unwrap().0
+            })
+            .collect();
+        assert!(texts.iter().all(|t| *t == texts[0]), "{texts:?}");
+        assert_eq!(eng.memo.lock().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

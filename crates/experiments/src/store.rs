@@ -97,7 +97,7 @@ impl Manifest {
         Ok(file)
     }
 
-    fn decode(bytes: &[u8]) -> Result<Manifest, MmError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Manifest, MmError> {
         let mut reader = StoreReader::new(bytes, KIND_MANIFEST)?;
         let mut rounds = Vec::new();
         while let Some(block) = reader.next_block()? {

@@ -17,8 +17,18 @@
 //! touches its cell's slot plus, only on first sight of an observation,
 //! the ordered output maps. Carriers and parameters get dense ids by
 //! content, in first-seen order; a per-parameter role table replaces the
-//! per-row string comparisons. No result depends on row order beyond what
-//! the legacy helpers' own first-observation rules define.
+//! per-row string comparisons.
+//!
+//! Operators rarely change a cell's configuration between rounds, so most
+//! rows repeat the cell's previous round. The fold keeps the current
+//! `(cell, round)` run of rows and the same cell's previous run; a row
+//! equal, in every field but the round, to the previous run's row at the
+//! same position has already passed through every cell-keyed set, and
+//! folds into the sample counters and Fig 13b's round state only. Any
+//! other row (a changed value, a shifted position, a new cell, any row of
+//! a shuffled stream) takes the full path, so no result depends on row
+//! order beyond what the legacy helpers' own first-observation rules
+//! define.
 //!
 //! State is bounded by `cells × parameters` (distinct observations), never
 //! by the sample count: at the paper's 8M-sample scale the accumulators
@@ -31,10 +41,10 @@ use mmlab::agg::ValueCounts;
 use mmlab::dataset::{value_key, ConfigSample, D2};
 use mmlab::diversity::{dependence_counts, Diversity, Measure};
 use mmlab::store::{D2StoreReader, ScanStats};
-use mmradio::band::Rat;
+use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Read;
 
 /// Fig 13b parameter tags (mirrors `landscape`): idle-state parameters
@@ -75,9 +85,6 @@ const PARAM_MEMO: usize = 1024;
 /// A display-key histogram with its kept-value total: `key → count`, n.
 /// Display keys use the legacy `v as i64` truncation of the render path.
 pub type KeyCounts = (BTreeMap<i64, usize>, usize);
-
-/// Per-round observed value sets for Fig 13b change detection.
-type RoundValues = BTreeMap<u32, BTreeSet<i64>>;
 
 /// Fig 11's per-cell threshold triple, in [`TRIPLE_PARAMS`] order.
 type ThresholdTriple = [Option<f64>; 3];
@@ -146,12 +153,99 @@ struct CellAgg {
     city_seen: Vec<i64>,
     /// Fig 21: carriers whose Indianapolis field holds this cell.
     field_seen: Vec<VocabId>,
-    /// Fig 13b: per parameter tag, per round, the observed value set, and
-    /// the rounds those were observed in.
-    temporal: BTreeMap<u8, RoundValues>,
-    rounds: BTreeSet<u32>,
+    /// Fig 13b: the observed `(parameter tag, round, value key)` triples,
+    /// and the rounds those were observed in.
+    temporal: Vec<(u8, u32, i64)>,
+    rounds: Vec<u32>,
     /// Fig 11: first observation of each threshold wins.
     triple: ThresholdTriple,
+}
+
+/// One row's every field but its cell and round: what the repeat path
+/// compares with the same cell's previous run. Positions and values
+/// compare by their bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RowKey {
+    carrier: VocabId,
+    param: VocabId,
+    rat: Rat,
+    channel: ChannelNumber,
+    city: City,
+    pos: [u64; 2],
+    value: u64,
+}
+
+/// The repeat path's memory: the rows of the current `(cell slot, round)`
+/// run and of the same cell's previous run.
+#[derive(Debug, Clone, Default)]
+struct Runs {
+    /// The current run's cell slot and round.
+    at: Option<(usize, u32)>,
+    rows: Vec<RowKey>,
+    /// The same cell's previous run; empty after a change of cell.
+    prev: Vec<RowKey>,
+    /// Rows found equal to the previous run's row at their position.
+    repeated: usize,
+}
+
+impl Runs {
+    /// Append `row` to the run of `(slot, round)`; whether it equals the
+    /// previous run's row at the same position.
+    fn push(&mut self, slot: usize, round: u32, row: RowKey) -> bool {
+        if self.at != Some((slot, round)) {
+            if self.at.is_some_and(|(last, _)| last == slot) {
+                std::mem::swap(&mut self.rows, &mut self.prev);
+            } else {
+                self.prev.clear();
+            }
+            self.rows.clear();
+            self.at = Some((slot, round));
+        }
+        let repeat = self.prev.get(self.rows.len()) == Some(&row);
+        self.rows.push(row);
+        self.repeated += usize::from(repeat);
+        repeat
+    }
+}
+
+/// The `(carrier, rat, param)` groups of Figs 14–17 and 22 and their
+/// unique-value counts. Each parameter remembers the last group its first
+/// sights went to: consecutive cells share the carrier and the RAT, so the
+/// map is consulted about once per carrier and parameter, not once per
+/// first sight.
+#[derive(Debug, Clone, Default)]
+struct Groups {
+    ids: BTreeMap<(VocabId, Rat, VocabId), usize>,
+    counts: Vec<ValueCounts>,
+    /// By parameter id: the `(carrier, rat, group id)` last counted.
+    last: Vec<Option<(VocabId, Rat, usize)>>,
+}
+
+impl Groups {
+    fn counts_mut(&mut self, carrier: VocabId, rat: Rat, param: VocabId) -> &mut ValueCounts {
+        let p = usize::from(param);
+        if self.last.len() <= p {
+            self.last.resize(p + 1, None);
+        }
+        let id = match self.last[p] {
+            Some((c, r, id)) if c == carrier && r == rat => id,
+            _ => {
+                let next = self.counts.len();
+                let id = *self.ids.entry((carrier, rat, param)).or_insert(next);
+                if id == next {
+                    self.counts.push(ValueCounts::new());
+                }
+                self.last[p] = Some((carrier, rat, id));
+                id
+            }
+        };
+        &mut self.counts[id]
+    }
+
+    fn get(&self, carrier: VocabId, rat: Rat, param: VocabId) -> Option<&ValueCounts> {
+        let &id = self.ids.get(&(carrier, rat, param))?;
+        self.counts.get(id)
+    }
 }
 
 /// Insert `key` into the sorted `set`; whether it was new.
@@ -194,8 +288,10 @@ pub struct D2Agg {
     cell_slots: BTreeMap<CellId, usize>,
     cells: Vec<CellAgg>,
     last_cell: Option<(CellId, usize)>,
+    /// The current and previous runs, for the repeat path.
+    runs: Runs,
     /// Figs 14–17, 22: unique-value counts per `(carrier, rat, param)`.
-    unique: BTreeMap<(VocabId, Rat, VocabId), ValueCounts>,
+    unique: Groups,
     /// Fig 18 panels (AT&T): channel → display-key counts.
     panels: [BTreeMap<u32, KeyCounts>; 2],
     /// Fig 19 (AT&T LTE): per parameter, per channel, unique-value counts.
@@ -240,6 +336,7 @@ impl D2Agg {
         mut reader: D2StoreReader<R>,
         exec: &Executor,
     ) -> Result<ScanStats, MmError> {
+        let (folded, repeated) = (self.n_samples, self.runs.repeated);
         exec.pipeline(
             || reader.next_group(),
             |rows| {
@@ -248,6 +345,11 @@ impl D2Agg {
                 }
             },
         )?;
+        let t = mm_telemetry::global();
+        t.counter("fold", "rows_folded")
+            .add((self.n_samples - folded) as u64);
+        t.counter("fold", "rows_repeated")
+            .add((self.runs.repeated - repeated) as u64);
         Ok(reader.scan_stats())
     }
 
@@ -260,11 +362,11 @@ impl D2Agg {
         let carrier = self.carrier_id(s.carrier);
         let param = self.param_id(s.param);
         let slot = self.cell_slot(s.cell);
-        let key = value_key(s.value);
         let Self {
             carriers,
             params,
             cells,
+            runs,
             unique,
             panels,
             freq,
@@ -272,29 +374,46 @@ impl D2Agg {
             fields,
             ..
         } = self;
+        let repeat = runs.push(
+            slot,
+            s.round,
+            RowKey {
+                carrier,
+                param,
+                rat: s.rat,
+                channel: s.channel,
+                city: s.city,
+                pos: [s.pos.x.to_bits(), s.pos.y.to_bits()],
+                value: s.value.to_bits(),
+            },
+        );
         // Ids and slots index their tables by construction.
         let c = &mut carriers[usize::from(carrier)];
         let role = params[usize::from(param)].1;
         let cell = &mut cells[slot];
         c.samples += 1;
-        if !cell.carriers.contains(&carrier) {
-            cell.carriers.push(carrier);
-            c.cells += 1;
-        }
         if role.serving_priority {
             cell.serving_priority_samples += 1;
         }
         let lte = s.rat == Rat::Lte;
         if lte {
             if let Some(tag) = role.temporal {
-                cell.temporal
-                    .entry(tag)
-                    .or_default()
-                    .entry(s.round)
-                    .or_default()
-                    .insert(key);
-                cell.rounds.insert(s.round);
+                insert_sorted(&mut cell.temporal, (tag, s.round, value_key(s.value)));
+                insert_sorted(&mut cell.rounds, s.round);
             }
+        }
+        // The equal row of the previous run already went into every
+        // cell-keyed set below: the cell's carriers, Fig 11's triple, the
+        // Fig 18/20/21 seen sets and the unique tuples.
+        if repeat {
+            return;
+        }
+        let key = value_key(s.value);
+        if !cell.carriers.contains(&carrier) {
+            cell.carriers.push(carrier);
+            c.cells += 1;
+        }
+        if lte {
             if let Some(i) = role.triple {
                 cell.triple[i].get_or_insert(s.value);
             }
@@ -320,10 +439,7 @@ impl D2Agg {
             }
         }
         if insert_sorted(&mut cell.unique, (carrier, s.rat, param, key)) {
-            unique
-                .entry((carrier, s.rat, param))
-                .or_default()
-                .push_key(key);
+            unique.counts_mut(carrier, s.rat, param).push_key(key);
             // Fig 19 dedupes on the same `(cell, value)` key per parameter,
             // so its first sights are exactly AT&T LTE's.
             if c.att && lte {
@@ -463,15 +579,20 @@ impl D2Agg {
                 continue;
             }
             multi += 1;
+            // Whether two rounds of one tag saw the same value keys.
+            let same = |a: &[(u8, u32, i64)], b: &[(u8, u32, i64)]| {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.2 == y.2)
+            };
             let changed = |base: u8| {
-                cell.temporal.iter().any(|(tag, rounds)| {
-                    *tag >= base
-                        && *tag < base + 100
-                        && rounds
-                            .values()
+                cell.temporal
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .filter(|tag| (base..base + 100).contains(&tag[0].0))
+                    .any(|tag| {
+                        let mut rounds = tag.chunk_by(|a, b| a.1 == b.1);
+                        rounds
                             .next()
-                            .is_some_and(|first| rounds.values().skip(1).any(|set| set != first))
-                })
+                            .is_some_and(|first| rounds.any(|run| !same(run, first)))
+                    })
             };
             if changed(0) {
                 idle_changed += 1;
@@ -501,7 +622,7 @@ impl D2Agg {
     ) -> Option<&ValueCounts> {
         let c = *self.carrier_ids.get(carrier)?;
         let p = *self.param_ids.get(param)?;
-        self.unique.get(&(c, rat, p))
+        self.unique.get(c, rat, p)
     }
 
     /// Distribution of one LTE parameter's unique values as `(value, %)`.
@@ -529,6 +650,7 @@ impl D2Agg {
         };
         let mut names: Vec<&'static str> = self
             .unique
+            .ids
             .range((c, rat, 0)..=(c, rat, VocabId::MAX))
             .filter_map(|(&(_, _, p), _)| self.params.get(usize::from(p)))
             .map(|&(name, _)| name)
@@ -719,6 +841,29 @@ pub(crate) mod tests {
             d2.param_names("A", Rat::Lte)
         );
 
+        // Figs 18 and 20: the legacy values, counted under their display
+        // keys.
+        let key_counts = |values: &[f64]| {
+            let mut counts = BTreeMap::new();
+            for v in values {
+                *counts.entry(*v as i64).or_default() += 1;
+            }
+            (counts, values.len())
+        };
+        for param in F18_PARAMS {
+            let legacy: BTreeMap<u32, KeyCounts> = factors::priority_by_channel(d2, ATT, param)
+                .iter()
+                .map(|(&chan, values)| (chan, key_counts(values)))
+                .collect();
+            let panel = agg.priority_panel(param).cloned().unwrap_or_default();
+            assert_eq!(panel, legacy, "{param}");
+        }
+        let legacy: BTreeMap<(&str, City), KeyCounts> = factors::city_priorities(d2)
+            .iter()
+            .map(|(&group, values)| (group, key_counts(values)))
+            .collect();
+        assert_eq!(agg.city_priorities(), &legacy);
+
         // Fig 19.
         for (param, _) in agg.diversity_table("A") {
             assert_eq!(
@@ -749,6 +894,83 @@ pub(crate) mod tests {
         // Fig 11.
         assert_eq!(agg.threshold_triples(), idle::threshold_triples(d2));
         assert_eq!(agg.gap_series(), idle::gap_series(d2));
+    }
+
+    /// `rows` observed at `cell` in `round`.
+    fn observed(rows: &[ConfigSample], cell: u32, round: u32) -> Vec<ConfigSample> {
+        rows.iter()
+            .map(|s| ConfigSample {
+                cell: CellId(cell),
+                round,
+                ..*s
+            })
+            .collect()
+    }
+
+    /// Hand-built rows of two interleaved co-sited cells over the repeat
+    /// path's edges: an exact repeat, a changed value, an inserted row
+    /// that shifts every later position, a return to an earlier round, and
+    /// at repeated positions one row each that differs from the previous
+    /// round only in its carrier, city, RAT, channel or parameter. Crawl
+    /// rows change only values between rounds, so only rows like these
+    /// tell a comparison that ignores a field from a sound one; the cells
+    /// share a position, so only the cell tells their runs apart.
+    #[test]
+    fn repeat_path_takes_only_rows_equal_to_the_previous_round() {
+        let lte = |param: &'static str, value: f64| ConfigSample {
+            cell: CellId(0),
+            carrier: ATT,
+            city: City::C1,
+            rat: Rat::Lte,
+            channel: ChannelNumber::earfcn(5110),
+            pos: Point::default(),
+            round: 0,
+            param,
+            value,
+        };
+        let first = vec![
+            lte(SERVING_PRIORITY, 5.0),
+            lte("a3-Offset", 3.0),
+            lte("q-Hyst", 4.0),
+            ConfigSample {
+                channel: ChannelNumber::earfcn(2000),
+                ..lte("interFreqCellReselectionPriority", 3.0)
+            },
+            lte("s-NonIntraSearchP", 6.0),
+            lte("threshServingLowP", 2.0),
+            lte("s-IntraSearchP", 10.0),
+        ];
+        let mut changed = first.clone();
+        changed[1].value = 5.0;
+        let mut shifted = changed.clone();
+        shifted.insert(2, lte("q-RxLevMin", -120.0));
+        let mut variants = shifted.clone();
+        variants[0].city = City::C3;
+        variants[3].carrier = "T";
+        variants[4].channel = ChannelNumber::earfcn(2175);
+        variants[5].rat = Rat::Umts;
+        variants[6].param = "t-ReselectionEUTRA";
+        let (x, y) = (1, 2);
+        let rows = [
+            observed(&first, x, 0),
+            observed(&first, x, 1),
+            observed(&changed, x, 2),
+            observed(&shifted, x, 3),
+            observed(&shifted, x, 1),
+            observed(&variants, x, 4),
+            observed(&shifted, y, 0),
+            observed(&shifted, y, 1),
+            observed(&first, x, 5),
+        ]
+        .concat();
+        let d2 = D2::from_samples(rows);
+        let agg = D2Agg::from_dataset(&d2);
+        assert_agg_matches_legacy(&agg, &d2);
+        // Repeats per run: 7 (the exact repeat), 6 (all but the changed
+        // value), 2 (the positions before the inserted row), 8 (the return
+        // to round 1), 3 (all but the five variants), 0 (a new cell), 8
+        // (its exact repeat) and 0 (back from the other cell).
+        assert_eq!(agg.runs.repeated, 34);
     }
 
     /// The pipelined fold over a many-group store: the same aggregate and

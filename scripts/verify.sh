@@ -63,10 +63,11 @@ if [ -z "$n_samples" ] || [ "$n_samples" -lt 8000000 ]; then
     echo "verify.sh: FAIL — paper-scale crawl yielded ${n_samples:-0} samples (want >= 8,000,000)" >&2
     exit 1
 fi
-rss_ceiling_kb=409600   # 400 MB; the streamed render measures ~145 MB
+rss_ceiling_kb=409600   # 400 MB; the streamed render measures ~56 MB
 render_start="$(date +%s.%N)"
 "$bin"/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
-    --scale paper --store "$paper_store" --load > "$tmpdir/paper-figs.txt" 2>/dev/null &
+    --scale paper --store "$paper_store" --load --metrics="$tmpdir/paper-figs.json" \
+    > "$tmpdir/paper-figs.txt" 2>/dev/null &
 if ! peak_rss $!; then
     echo "verify.sh: FAIL — paper-scale streamed figure render exited nonzero" >&2
     exit 1
@@ -110,7 +111,8 @@ echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${r
 # not change.
 seq_start="$(date +%s.%N)"
 MM_THREADS=1 "$bin"/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
-    --scale paper --store "$paper_store" --load > "$tmpdir/paper-figs-1.txt" 2>/dev/null
+    --scale paper --store "$paper_store" --load --metrics="$tmpdir/paper-figs-1.json" \
+    > "$tmpdir/paper-figs-1.txt" 2>/dev/null
 seq_s="$(awk -v a="$seq_start" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')"
 seq_sum="$(cksum < "$tmpdir/paper-figs-1.txt")"
 if [ "$seq_sum" != "64495986 17300" ]; then
@@ -118,6 +120,28 @@ if [ "$seq_sum" != "64495986 17300" ]; then
     exit 1
 fi
 echo "verify.sh: paper-scale D2 render at MM_THREADS=1 matches the pinned cksum (${seq_s} s vs ${render_s} s at the default thread count)"
+# Count the paper-scale fold: the render's --metrics are the same at any
+# MM_THREADS, it folds every crawled row once, and some rows take the
+# repeat path (DESIGN.md §10).
+if ! cmp -s "$tmpdir/paper-figs.json" "$tmpdir/paper-figs-1.json"; then
+    echo "verify.sh: FAIL — paper-scale render --metrics differ between the default thread count and MM_THREADS=1" >&2
+    exit 1
+fi
+fold_count() {
+    sed -n "s/.*\"name\":\"$1\",\"scope\":\"sim\",\"value\":\([0-9]*\).*/\1/p" \
+        "$tmpdir/paper-figs.json"
+}
+rows_folded="$(fold_count rows_folded)"
+rows_repeated="$(fold_count rows_repeated)"
+if [ "${rows_folded:-}" != "$n_samples" ]; then
+    echo "verify.sh: FAIL — paper-scale render folded ${rows_folded:-no} rows (want the crawl's ${n_samples})" >&2
+    exit 1
+fi
+if [ -z "$rows_repeated" ] || [ "$rows_repeated" -le 0 ]; then
+    echo "verify.sh: FAIL — paper-scale render took the repeat path for ${rows_repeated:-no} rows (want > 0)" >&2
+    exit 1
+fi
+echo "verify.sh: paper-scale render --metrics thread-invariant; fold took ${rows_repeated} of ${rows_folded} rows on the repeat path"
 
 # Predicate pushdown at paper scale: a single-carrier query must skip at
 # least half of the row groups — the crawl clusters carriers, so the

@@ -6,8 +6,10 @@ use mm_exec::Executor;
 use mm_json::ToJson;
 use mm_telemetry::{global, Registry, Scope, Snapshot};
 use mmcarriers::world::World;
+use mmexperiments::D2Agg;
 use mmlab::campaign::{run_campaigns, CampaignConfig};
 use mmlab::crawler::crawl_with;
+use mmlab::D2StoreReader;
 
 fn run_workload(threads: usize) -> Snapshot {
     global().reset();
@@ -21,10 +23,24 @@ fn run_workload(threads: usize) -> Snapshot {
     assert!(!d1.is_empty());
     let d2 = crawl_with(&world, 9, &exec);
     assert!(!d2.is_empty());
+    let mut store = Vec::new();
+    d2.write_store(&mut store).expect("in-memory store write");
+    let reader = D2StoreReader::new(store.as_slice()).expect("store header");
+    D2Agg::new()
+        .fold_store(reader, &exec)
+        .expect("fold the stored crawl");
     let snap = global().snapshot();
     assert_eq!(
         snap.counter("crawl", "samples_emitted"),
         Some(d2.len() as u64)
+    );
+    // Most crawled rows repeat their cell's previous round.
+    let fold = |name| snap.counter("fold", name).unwrap_or(0);
+    let (folded, repeated) = (fold("rows_folded"), fold("rows_repeated"));
+    assert!(
+        0 < repeated && repeated < folded && folded == d2.len() as u64,
+        "rows_folded {folded}, rows_repeated {repeated}, rows {}",
+        d2.len()
     );
     snap
 }

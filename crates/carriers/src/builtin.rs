@@ -25,6 +25,7 @@
 use crate::dist::Categorical;
 use crate::profile::{BandPlanEntry, CarrierProfile, EventChoice};
 use mmradio::band::{ChannelNumber, Rat};
+use std::sync::OnceLock;
 
 fn cat(pairs: &[(f64, f64)]) -> Categorical<f64> {
     Categorical::new(pairs.to_vec())
@@ -441,6 +442,17 @@ pub fn by_code(code: &str) -> Option<CarrierProfile> {
     profiles().into_iter().find(|p| p.code == code)
 }
 
+/// The built-in carrier code equal to `code`, if any: a scan of the codes
+/// collected once per process, where [`by_code`] builds every profile.
+pub fn intern_code(code: &str) -> Option<&'static str> {
+    static CODES: OnceLock<Vec<&'static str>> = OnceLock::new();
+    CODES
+        .get_or_init(|| profiles().into_iter().map(|p| p.code).collect())
+        .iter()
+        .find(|&&c| c == code)
+        .copied()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,7 +488,10 @@ mod tests {
             "TC", "NC",
         ] {
             assert!(by_code(code).is_some(), "missing {code}");
+            assert_eq!(intern_code(code), Some(code));
         }
+        assert_eq!(intern_code("*"), None);
+        assert_eq!(intern_code("a"), None, "codes are case-sensitive");
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub enum NetError {
         /// What the reader was in the middle of ("hello", "frame header", …).
         expected: &'static str,
     },
-    /// A frame announced a payload larger than the negotiated cap. The
+    /// A frame announced a payload larger than the receiver's frame cap. The
     /// stream is unrecoverable past the header, so the connection closes
     /// after the typed `oversized` response.
     Oversized {
@@ -100,8 +100,7 @@ pub enum NetError {
     /// A read or write on the socket timed out.
     TimedOut,
     /// The server answered with a typed error response (the documented
-    /// codes: `bad-request`, `deadline`, `oversized`, `version`,
-    /// `internal`).
+    /// codes: `bad-request`, `oversized`, `internal`).
     Rejected {
         /// Machine-readable error code.
         code: String,
@@ -318,12 +317,12 @@ mod tests {
         });
         assert_eq!(usage.exit_code(), 2);
         let runtime = MmError::from(NetError::Rejected {
-            code: "deadline".into(),
+            code: "internal".into(),
             usage: false,
-            message: "over the budget".into(),
+            message: "store entry unreadable".into(),
         });
         assert_eq!(runtime.exit_code(), 3);
-        assert!(runtime.to_string().contains("deadline"));
+        assert!(runtime.to_string().contains("internal"));
     }
 
     #[test]

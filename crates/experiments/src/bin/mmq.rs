@@ -46,7 +46,7 @@
 //!
 //! Exit codes: 2 for usage errors (unknown artifacts, missing campaign,
 //! contradictory flags, server `bad-request` rejections), 3 for runtime
-//! failures (corrupt store entries, wire damage, server overload).
+//! failures (corrupt store entries, wire damage, server `internal` errors).
 
 use mm_json::ToJson;
 use mm_net::{Client, Request, Response};

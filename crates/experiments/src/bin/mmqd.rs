@@ -2,18 +2,17 @@
 //!
 //! ```text
 //! mmqd --store DIR [--listen ADDR] [--seed N] [--scale X|paper] [--runs N]
-//!      [--duration-s N] [--quick] [--workers N] [--deadline-ms N]
-//!      [--max-frame BYTES]
+//!      [--duration-s N] [--quick]
 //! mmqd --version
 //! ```
 //!
 //! Where `mmq` opens the store, answers, and exits, `mmqd` opens it once
-//! and keeps answering: one shared [`QueryEngine`] behind a fixed worker
-//! pool, so the per-process aggregate memo and the store's query cache
-//! are warm across every connection — a query any client has asked
-//! before is served without opening a single data block. Clients connect
-//! with `mmq --connect HOST:PORT`, whose output is byte-identical to
-//! local `mmq` over the same store.
+//! and keeps answering: one shared [`QueryEngine`] behind a pool of
+//! `MM_THREADS` workers, so the per-process aggregate memo and the store's
+//! query cache are warm across every connection — a query any client has
+//! asked before is served without opening a single data block. Clients
+//! connect with `mmq --connect HOST:PORT`, whose output is byte-identical
+//! to local `mmq` over the same store.
 //!
 //! `--listen 127.0.0.1:0` (the default) binds an ephemeral loopback
 //! port; the actual address is printed as `mmqd: listening on ADDR` so
@@ -32,10 +31,9 @@ use mmexperiments::{serve, MmError, QueryEngine, ServeConfig};
 
 fn usage() -> String {
     "usage: mmqd --store DIR [--listen ADDR] [--seed N] [--scale X|paper] [--runs N] \
-     [--duration-s N] [--quick] [--workers N] [--deadline-ms N] [--max-frame BYTES] \
-     [--version]\n\
-     serves mmq queries over a framed TCP protocol; stop with \
-     `mmq --connect ADDR shutdown`"
+     [--duration-s N] [--quick] [--version]\n\
+     serves mmq queries over a framed TCP protocol with MM_THREADS workers; \
+     stop with `mmq --connect ADDR shutdown`"
         .to_string()
 }
 
@@ -46,7 +44,6 @@ fn real_main() -> Result<(), MmError> {
     }
     let mut flags = CtxFlags::default();
     let mut listen = "127.0.0.1:0".to_string();
-    let mut cfg = ServeConfig::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if flags.take(&a, &mut it)? {
@@ -58,9 +55,6 @@ fn real_main() -> Result<(), MmError> {
                 return Ok(());
             }
             "--listen" => listen = cli::value("--listen", "HOST:PORT", it.next())?,
-            "--workers" => cfg.workers = cli::num("--workers", it.next())?,
-            "--deadline-ms" => cfg.deadline_ms = cli::num("--deadline-ms", it.next())?,
-            "--max-frame" => cfg.max_frame = cli::num("--max-frame", it.next())?,
             _ => return Err(MmError::Config(usage())),
         }
     }
@@ -85,12 +79,8 @@ fn real_main() -> Result<(), MmError> {
         .map_err(|e| mmcore::NetError::Io(e.to_string()))?;
     // Scraped by scripts (verify.sh): keep this line first on stdout.
     println!("mmqd: listening on {addr}");
-    eprintln!(
-        "# mmqd: {} worker(s), {}ms deadline, {}-byte frames",
-        cfg.workers.max(1),
-        cfg.deadline_ms,
-        cfg.max_frame,
-    );
+    let cfg = ServeConfig::default();
+    eprintln!("# mmqd: {} worker(s)", cfg.workers);
     serve(&engine, listener, &cfg)?;
     println!("mmqd: drained, exiting");
     Ok(())

@@ -233,11 +233,6 @@ pub fn run(ctx: &Ctx, artifact: Artifact) -> ArtifactOutput {
     ArtifactOutput { artifact, text }
 }
 
-/// Run one artifact by id string (convenience for string-typed callers).
-pub fn run_id(ctx: &Ctx, id: &str) -> Result<ArtifactOutput, MmError> {
-    Ok(run(ctx, id.parse()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,8 +258,6 @@ mod tests {
             assert_eq!(out.artifact, artifact);
             assert!(!out.text.is_empty(), "{artifact}");
         }
-        assert!(run_id(&ctx, "t3").is_ok());
-        assert!(run_id(&ctx, "nope").is_err());
     }
 
     #[test]

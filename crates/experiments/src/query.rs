@@ -236,10 +236,19 @@ impl QueryRequest {
 
     /// Decode and re-validate a wire document. Everything flows through
     /// the [`QueryBuilder`], so the server enforces exactly the
-    /// constraints local `mmq` does and the two modes cannot drift.
+    /// constraints local `mmq` does and the two modes cannot drift. An
+    /// absent or `null` field is unset; a field of any other wrong type is
+    /// a usage error, never a silently dropped constraint.
     pub fn from_wire(doc: &Json) -> Result<QueryRequest, MmError> {
-        let field = |name: &str| -> Option<&str> { doc[name].as_str() };
-        let target_key = field("target")
+        let wrong_type = |name: &str, want: &str| {
+            MmError::Config(format!("wire query field {name:?} must be {want}"))
+        };
+        let field = |name: &str| match &doc[name] {
+            Json::Null => Ok(None),
+            Json::Str(s) => Ok(Some(s.as_str())),
+            _ => Err(wrong_type(name, "a string")),
+        };
+        let target_key = field("target")?
             .ok_or_else(|| MmError::Config("wire query lacks a target".to_string()))?;
         let mut b = if let Some(rest) = target_key.strip_prefix("div:") {
             let (carrier, rat) = rest.split_once(':').ok_or_else(|| {
@@ -256,29 +265,28 @@ impl QueryRequest {
         } else {
             QueryRequest::artifact(target_key.parse::<Artifact>()?)
         };
-        if let Some(c) = field("carrier") {
+        if let Some(c) = field("carrier")? {
             b = b.carrier(c);
         }
-        if let Some(c) = field("city") {
+        if let Some(c) = field("city")? {
             let city: City = c
                 .parse()
                 .map_err(|_| MmError::Config(format!("unknown city code {c:?}")))?;
             b = b.city(city);
         }
-        if let Some(p) = field("param") {
+        if let Some(p) = field("param")? {
             b = b.param(p);
         }
-        if let Some(r) = field("rat") {
+        if let Some(r) = field("rat")? {
             let rat =
                 rat_from_key(r).ok_or_else(|| MmError::Config(format!("unknown RAT key {r:?}")))?;
             b = b.rat(rat);
         }
-        if let Some(n) = doc["rounds"].as_u64() {
-            let n = u32::try_from(n)
-                .map_err(|_| MmError::Config(format!("rounds ceiling {n} out of range")))?;
-            b = b.rounds_max(n);
+        if !doc["rounds"].is_null() {
+            let n = doc["rounds"].as_u64().and_then(|n| u32::try_from(n).ok());
+            b = b.rounds_max(n.ok_or_else(|| wrong_type("rounds", "an integer in 0..=2^32-1"))?);
         }
-        match field("group_by") {
+        match field("group_by")? {
             None => {}
             Some("city") => b = b.group_by_city(),
             Some("carrier") => b = b.group_by_carrier(),
@@ -288,7 +296,7 @@ impl QueryRequest {
                 )))
             }
         }
-        match field("format") {
+        match field("format")? {
             None | Some("text") => {}
             Some("json") => b = b.json(),
             Some(f) => {
@@ -336,12 +344,6 @@ impl QueryBuilder {
             group_by: None,
             format: QueryFormat::Text,
         }
-    }
-
-    /// Replace the whole predicate at once.
-    pub fn predicate(mut self, predicate: Predicate) -> Self {
-        self.predicate = predicate;
-        self
     }
 
     /// Require this carrier code.
@@ -405,7 +407,10 @@ impl QueryBuilder {
     /// merge into the predicate (a conflicting explicit constraint is a
     /// usage error, not a silently empty result). Handoff targets reject
     /// constraints D1 rows do not carry, and city grouping rejects
-    /// targets/constraints it cannot split.
+    /// targets/constraints it cannot split. A carrier must be a built-in
+    /// code and a parameter a name some D2 row can carry: none is `*`, the
+    /// normalized form of an unset field, so no wildcard can share the
+    /// neutral query's cache entry.
     pub fn build(self) -> Result<QueryRequest, MmError> {
         let QueryBuilder {
             target,
@@ -457,11 +462,6 @@ impl QueryBuilder {
                 }
             }
             QueryTarget::Diversity { carrier, rat } => {
-                if mmcarriers::by_code(carrier).is_none() {
-                    return Err(MmError::Config(format!(
-                        "unknown carrier code {carrier:?}; see `mmx t3` for Table 3 codes"
-                    )));
-                }
                 if predicate.carrier.as_deref().is_some_and(|c| c != carrier) {
                     return Err(MmError::Config(format!(
                         "diversity slice over carrier {carrier:?} conflicts with \
@@ -500,6 +500,19 @@ impl QueryBuilder {
                     ));
                 }
             }
+        }
+        // A diversity target's carrier is in the predicate by now.
+        let carrier = predicate.carrier.as_deref();
+        if let Some(c) = carrier.filter(|c| mmcarriers::builtin::intern_code(c).is_none()) {
+            return Err(MmError::Config(format!(
+                "unknown carrier code {c:?}; see `mmx t3` for Table 3 codes"
+            )));
+        }
+        let param = predicate.param.as_deref();
+        if let Some(p) = param.filter(|p| mmlab::store::intern_param(p).is_none()) {
+            return Err(MmError::Config(format!(
+                "unknown parameter {p:?}; no stored row carries it"
+            )));
         }
         Ok(QueryRequest {
             target,
@@ -982,6 +995,35 @@ mod tests {
         ));
     }
 
+    /// A carrier or parameter constraint must name something a stored
+    /// row can carry, on every target: `*` prints like an unset field, so
+    /// an accepted wildcard would share the neutral query's cache entry.
+    #[test]
+    fn builder_rejects_unknown_carriers_and_parameters() {
+        let f16 = || QueryRequest::artifact(Artifact::F16);
+        let targets = [
+            f16(),
+            QueryRequest::artifact(Artifact::T3),
+            QueryRequest::handoffs(false),
+            QueryRequest::diversity("A", Rat::Lte),
+        ];
+        for b in targets {
+            for carrier in ["*", "ZZ", "a"] {
+                let built = b.clone().carrier(carrier).build();
+                assert!(matches!(built, Err(MmError::Config(_))), "{carrier:?}");
+            }
+            for param in ["*", "no-such-parameter"] {
+                let built = b.clone().param(param).build();
+                assert!(matches!(built, Err(MmError::Config(_))), "{param:?}");
+            }
+        }
+        let req = f16().carrier("A").param("q-Hyst1-s").build().unwrap();
+        assert_eq!(
+            req.normalized(),
+            "f16|carrier=A;city=*;param=q-Hyst1-s;rat=*;round<=*"
+        );
+    }
+
     #[test]
     fn diversity_slice_folds_into_the_predicate() {
         let req = QueryRequest::diversity("A", Rat::Umts).build().unwrap();
@@ -1393,30 +1435,32 @@ mod tests {
 
     #[test]
     fn malformed_wire_requests_are_typed_config_errors() {
-        for doc in [
-            Json::obj([]),
-            Json::obj([("target", Json::Str("nope".into()))]),
-            Json::obj([("target", Json::Str("div:A".into()))]),
-            Json::obj([("target", Json::Str("div:A:warp".into()))]),
-            Json::obj([
-                ("target", Json::Str("f16".into())),
-                ("city", Json::Str("Xx".into())),
-            ]),
-            Json::obj([
-                ("target", Json::Str("f16".into())),
-                ("group_by", Json::Str("planet".into())),
-            ]),
-            Json::obj([
-                ("target", Json::Str("f16".into())),
-                ("format", Json::Str("yaml".into())),
-            ]),
+        for text in [
+            r#"{}"#,
+            r#"{"target":"nope"}"#,
+            r#"{"target":"div:A"}"#,
+            r#"{"target":"div:A:warp"}"#,
+            r#"{"target":"f16","city":"Xx"}"#,
+            r#"{"target":"f16","group_by":"planet"}"#,
+            r#"{"target":"f16","format":"yaml"}"#,
             // Re-validated through the builder: a conflict is caught
             // server-side even if a client hand-rolls the document.
-            Json::obj([
-                ("target", Json::Str("div:A:lte".into())),
-                ("carrier", Json::Str("T".into())),
-            ]),
+            r#"{"target":"div:A:lte","carrier":"T"}"#,
+            // Wildcards normalize like unset fields; they name nothing.
+            r#"{"target":"f16","param":"*"}"#,
+            r#"{"target":"f16","carrier":"*"}"#,
+            // A present field of the wrong type is rejected, not dropped.
+            r#"{"target":16}"#,
+            r#"{"target":"f16","rounds":"0"}"#,
+            r#"{"target":"f16","rounds":1.5}"#,
+            r#"{"target":"f16","rounds":-1}"#,
+            r#"{"target":"f16","carrier":5}"#,
+            r#"{"target":"f16","param":true}"#,
+            r#"{"target":"f16","city":1}"#,
+            r#"{"target":"f16","group_by":1}"#,
+            r#"{"target":"f16","format":1}"#,
         ] {
+            let doc = Json::parse(text).unwrap();
             let err = QueryRequest::from_wire(&doc).unwrap_err();
             // Config or UnknownArtifact — always the caller's fault, which
             // mmqd maps to the usage-flagged `bad-request` response.

@@ -16,13 +16,11 @@
 //! `workers` of those, new connections park in the queue until one
 //! leaves.
 //!
-//! Admission control is deliberately simple and typed:
-//!
-//! * a frame above `max_frame` → `oversized` (and the connection closes,
-//!   because the stream is desynchronized past the header);
-//! * a render that misses `deadline_ms` → `deadline` (the render is not
-//!   interruptible, so the deadline is checked at completion — the client
-//!   gets a typed miss instead of a silently late answer).
+//! One gate stands in front of the engine: a frame above the 1 MiB
+//! [`DEFAULT_MAX_FRAME`] gets the typed `oversized` response, and the
+//! connection closes, because the stream is desynchronized past the
+//! header. Every well-framed query gets its answer, a typed `bad-request`
+//! (the caller's mistake) or an `internal` error (the store's).
 //!
 //! A `shutdown` control frame flips the drain flag, closes the queue
 //! (parked connections are still served), wakes the accept loop with one
@@ -33,8 +31,7 @@ use crate::query::{QueryEngine, QueryRequest};
 use mm_exec::Executor;
 use mm_json::{Json, ToJson};
 use mm_net::{
-    codes, read_hello, write_hello, ConnQueue, Deadline, Request, Response, WireError,
-    DEFAULT_MAX_FRAME,
+    codes, read_hello, write_hello, ConnQueue, Request, Response, WireError, DEFAULT_MAX_FRAME,
 };
 use mm_telemetry::Scope;
 use mmcore::{MmError, NetError};
@@ -52,27 +49,19 @@ const IO_MS: u64 = 5_000;
 /// backpressure lands in the listener's OS backlog.
 const QUEUE_CAP: usize = 64;
 
-/// Tuning for [`serve`]. `Default` is sized for the verify-gate workload;
-/// the degenerate `deadline_ms: 0` exists so the robustness tests can
-/// force `deadline` responses deterministically.
+/// Tuning for [`serve`]. `Default` sizes the worker pool from
+/// `MM_THREADS`, like every other binary's thread count.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads popping connections; the accept loop runs on one
     /// more.
     pub workers: usize,
-    /// Largest accepted request frame payload, bytes.
-    pub max_frame: u32,
-    /// Per-query service budget; a render that misses it returns the
-    /// typed `deadline` error instead of the late answer.
-    pub deadline_ms: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: Executor::from_env().threads(),
-            max_frame: DEFAULT_MAX_FRAME,
-            deadline_ms: 30_000,
         }
     }
 }
@@ -80,7 +69,6 @@ impl Default for ServeConfig {
 /// Everything a task needs, shared by reference across the scatter.
 struct ServeState<'a> {
     engine: &'a QueryEngine,
-    cfg: &'a ServeConfig,
     queue: ConnQueue,
     /// The listener's address, which shutdown connects to once to wake
     /// the accept loop.
@@ -140,7 +128,6 @@ pub fn serve(
         .map_err(|e| MmError::Net(NetError::Io(e.to_string())))?;
     let state = ServeState {
         engine,
-        cfg,
         queue: ConnQueue::new(QUEUE_CAP),
         addr,
         draining: AtomicBool::new(false),
@@ -170,18 +157,16 @@ pub fn serve(
 /// carries a timeout, and idle waits poll the drain flag.
 fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
     conn.set_nodelay(true).ok();
+    let io = Some(Duration::from_millis(IO_MS));
     if conn
-        .set_read_timeout(Some(Duration::from_millis(IO_MS)))
+        .set_read_timeout(io)
+        .and_then(|()| conn.set_write_timeout(io))
         .is_err()
-        || conn
-            .set_write_timeout(Some(Duration::from_millis(IO_MS)))
-            .is_err()
     {
         return;
     }
-    let mut reader = match conn.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
+    let Ok(mut reader) = conn.try_clone() else {
+        return;
     };
     let mut writer = conn;
     // Handshake: a bad magic or a future version is the peer's problem —
@@ -216,7 +201,7 @@ fn handle_conn(state: &ServeState<'_>, conn: TcpStream) {
         }
         // A frame has started: it must now complete within the poll
         // budget or the sender is stalling — close, don't hang.
-        match Request::read_from(&mut reader, state.cfg.max_frame) {
+        match Request::read_from(&mut reader, DEFAULT_MAX_FRAME) {
             Ok(None) => return,
             Ok(Some(req)) => {
                 let keep_going = handle_request(state, &mut writer, req);
@@ -290,29 +275,18 @@ fn handle_request(state: &ServeState<'_>, writer: &mut TcpStream, req: Request) 
     }
 }
 
-/// Render one query document under its deadline.
+/// Render one query document.
 fn answer_query(state: &ServeState<'_>, doc: &Json) -> Response {
     let m = &state.metrics;
     m.queries.inc();
     m.queue_depth.record(state.queue.depth() as u64);
-    let deadline = Deadline::start(state.cfg.deadline_ms);
-    let result = QueryRequest::from_wire(doc).and_then(|req| state.engine.run(&req));
-    m.service_ms.record(deadline.elapsed_ms());
+    let result = m
+        .service_ms
+        .time_ms(|| QueryRequest::from_wire(doc).and_then(|req| state.engine.run(&req)));
     match result {
         Ok(res) => {
             if res.cached {
                 m.cache_hits.inc();
-            }
-            if deadline.expired() {
-                return Response::Err(WireError::new(
-                    codes::DEADLINE,
-                    false,
-                    format!(
-                        "query took {}ms, over the {}ms budget",
-                        deadline.elapsed_ms(),
-                        state.cfg.deadline_ms
-                    ),
-                ));
             }
             Response::Ok(res.to_wire())
         }
@@ -331,7 +305,5 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ServeConfig::default();
         assert!(cfg.workers >= 1);
-        assert_eq!(cfg.max_frame, DEFAULT_MAX_FRAME);
-        assert!(cfg.deadline_ms > 0);
     }
 }

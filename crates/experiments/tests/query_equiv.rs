@@ -311,6 +311,11 @@ fn usage_errors_exit_2_with_a_hint() {
         ),
         ("mmx", &["fleet", "--scale", "inf"], "--scale"),
         ("mmq", &["f12", "--scale", "nan", "--store", "X"], "--scale"),
+        (
+            "mmq",
+            &["f16", "--quick", "--param", "*", "--store", "X"],
+            "unknown parameter",
+        ),
         // mmqd rejects each of these before it binds a socket.
         (
             "mmqd",
@@ -318,7 +323,8 @@ fn usage_errors_exit_2_with_a_hint() {
             "--quick and --scale",
         ),
         ("mmqd", &["--quick"], "--store"),
-        ("mmqd", &["--workers", "many"], "--workers"),
+        ("mmqd", &["--store", "X", "--listen"], "--listen"),
+        ("mmqd", &["--store", "X", "--workers", "2"], "usage: mmqd"),
     ];
     for (bin, args, hint) in cases {
         let run = exe(bin, args, None);

@@ -2,10 +2,9 @@
 //! truncated frames, oversized frames, over-deep JSON, wrong versions, and
 //! mid-request disconnects must each produce a typed error response or a
 //! clean close — never a panic, never a hang — and the server must keep
-//! serving well-formed clients afterwards. Admission control
-//! (`deadline`) is exercised through the degenerate config, and a
-//! `shutdown` control frame must drain the pool and make [`serve`]
-//! return.
+//! serving well-formed clients afterwards. A rejected query must leave no
+//! trace in the shared caches, and a `shutdown` control frame must drain
+//! the pool and make [`serve`] return.
 //!
 //! Every client socket in this file carries a read timeout, so a server
 //! that stops responding fails the test instead of wedging it.
@@ -13,7 +12,7 @@
 use mm_json::Json;
 use mm_net::frame::TAG_QUERY;
 use mm_net::{codes, read_hello, write_frame, write_hello, Client, Request, Response, MAGIC};
-use mmexperiments::{serve, Ctx, QueryEngine, RunStore, ServeConfig};
+use mmexperiments::{serve, Artifact, Ctx, QueryEngine, QueryResult, RunStore, ServeConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -30,21 +29,14 @@ fn tmp(tag: &str) -> PathBuf {
 /// A tiny stored campaign + a serving loop over it on an ephemeral port.
 /// Returns the address, the serve-thread handle (joins after shutdown),
 /// and the store dir to clean up.
-fn start_server(
-    tag: &str,
-    tune: impl FnOnce(&mut ServeConfig),
-) -> (SocketAddr, std::thread::JoinHandle<()>, PathBuf) {
+fn start_server(tag: &str) -> (SocketAddr, std::thread::JoinHandle<()>, PathBuf) {
     let dir = tmp(tag);
     let store = RunStore::open(&dir).expect("store opens");
     let ctx = Ctx::builder().quick().scale(0.02).build();
     store.save_d2(&ctx).expect("fixture campaign saves");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
-    let mut cfg = ServeConfig {
-        workers: 2,
-        ..ServeConfig::default()
-    };
-    tune(&mut cfg);
+    let cfg = ServeConfig { workers: 2 };
     let dir2 = dir.clone();
     let handle = std::thread::spawn(move || {
         let engine = QueryEngine::open(&dir2, Ctx::builder().quick().scale(0.02).build())
@@ -107,9 +99,7 @@ fn assert_serving(addr: SocketAddr) {
 
 #[test]
 fn hostile_clients_get_typed_errors_and_the_server_survives() {
-    let (addr, handle, dir) = start_server("hostile", |cfg| {
-        cfg.max_frame = 4096;
-    });
+    let (addr, handle, dir) = start_server("hostile");
 
     // 1. Malformed magic: dropped without a response.
     let mut s = raw(addr);
@@ -140,7 +130,8 @@ fn hostile_clients_get_typed_errors_and_the_server_survives() {
     write_hello(&mut s).unwrap();
     read_hello(&mut s).unwrap();
     s.write_all(&[TAG_QUERY]).unwrap();
-    s.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
+    s.write_all(&(mm_net::DEFAULT_MAX_FRAME + 1).to_le_bytes())
+        .unwrap();
     match Response::read_from(&mut &s, 1 << 20).expect("typed response before close") {
         Response::Err(e) => {
             assert_eq!(e.code, codes::OVERSIZED);
@@ -163,8 +154,8 @@ fn hostile_clients_get_typed_errors_and_the_server_survives() {
     assert_closed(s);
     assert_serving(addr);
 
-    // 6. A Query frame as deep as the frame cap allows, every byte a
-    //    `[`: parsing it must stop at the JSON nesting cap with a typed
+    // 6. A 4096-byte Query frame, every byte a `[` (4096 levels deep):
+    //    parsing it must stop at the JSON nesting cap with a typed
     //    `bad-request`, not recurse once per byte until the worker's stack
     //    overflows and takes the process down. Then close.
     let mut s = raw(addr);
@@ -203,29 +194,37 @@ fn hostile_clients_get_typed_errors_and_the_server_survives() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `param: "*"` normalizes like the neutral query (an unset field prints
+/// as `*`), so answering it would cache an empty table under the neutral
+/// query's key for every later client. It is rejected instead, and the
+/// connection stays open.
 #[test]
-fn admission_control_rejections_are_typed() {
-    // deadline_ms 0: the render completes but has already missed its
-    // budget, so the client gets the typed miss, not the late answer.
-    let (addr, handle, dir) = start_server("deadline", |cfg| {
-        cfg.deadline_ms = 0;
-    });
+fn wildcard_constraints_are_rejected_and_poison_no_later_answer() {
+    let (addr, handle, dir) = start_server("wildcard");
     let mut client = Client::connect(&addr.to_string(), TIMEOUT_MS).unwrap();
-    let doc = Json::obj([("target", Json::Str("t3".into()))]);
-    match client.request(&Request::Query(doc)).unwrap() {
-        Response::Err(e) => {
-            assert_eq!(e.code, codes::DEADLINE);
-            assert!(!e.usage);
-        }
-        Response::Ok(_) => panic!("expired deadline returned the answer anyway"),
+    let query = |text: &str| Request::Query(Json::parse(text).unwrap());
+    match client.request(&query(r#"{"target":"f16","param":"*"}"#)) {
+        Ok(Response::Err(e)) => assert!(e.code == codes::BAD_REQUEST && e.usage, "{e:?}"),
+        other => panic!("wildcard parameter not rejected: {other:?}"),
     }
+    let Ok(Response::Ok(doc)) = client.request(&query(r#"{"target":"f16"}"#)) else {
+        panic!("neutral f16 not answered");
+    };
+    let reference = Ctx::builder().quick().scale(0.02).build();
+    RunStore::open(&dir)
+        .unwrap()
+        .load_datasets(&reference)
+        .unwrap();
+    let want = mmexperiments::run(&reference, Artifact::F16).text;
+    assert_eq!(QueryResult::from_wire(&doc).unwrap().text, want);
+    drop(client);
     shutdown_and_join(addr, handle);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn stats_reports_the_serve_section_and_shutdown_drains() {
-    let (addr, handle, dir) = start_server("stats", |_| {});
+    let (addr, handle, dir) = start_server("stats");
 
     // Warm the cache from one connection…
     let mut c1 = Client::connect(&addr.to_string(), TIMEOUT_MS).unwrap();

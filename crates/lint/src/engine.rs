@@ -20,10 +20,10 @@ use mm_exec::Executor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// Determinism scope of a crate. `Sched` crates (the executor, telemetry
-/// and the serving layer) are allowed wall clocks and unordered
-/// containers because their nondeterminism is fenced off from simulation
-/// output; everything else must be bit-reproducible.
+/// Determinism scope of a crate. `Sched` crates (the executor and
+/// telemetry) are allowed wall clocks and unordered containers because
+/// their nondeterminism is fenced off from simulation output; everything
+/// else must be bit-reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Must produce byte-identical output for any thread count and re-run.
@@ -49,8 +49,8 @@ pub enum FileKind {
 
 /// Crate directory names whose scope is [`Scope::Sched`]: they manage
 /// wall-clock-bound machinery the deterministic simulation layer never
-/// reads (exec worker stats, telemetry span shims, net serving deadlines).
-const SCHED_CRATES: &[&str] = &["exec", "telemetry", "net"];
+/// reads (exec worker stats, telemetry spans and timed histograms).
+const SCHED_CRATES: &[&str] = &["exec", "telemetry"];
 
 /// Classify a workspace-relative path into (crate name, scope, kind).
 pub fn classify(rel_path: &str) -> (String, Scope, FileKind) {
@@ -613,6 +613,17 @@ mod tests {
             (name.as_str(), scope, kind),
             ("netsim", Scope::Deterministic, FileKind::Lib)
         );
+    }
+
+    /// The wire layer reads no clock (mmqd times requests through
+    /// mm-telemetry), so a wall clock in its library code is a D002.
+    #[test]
+    fn the_wire_layer_is_deterministic_scope() {
+        assert_eq!(classify("crates/net/src/server.rs").1, Scope::Deterministic);
+        let src = "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n";
+        let diags = analyze_source("crates/net/src/frame.rs", src);
+        let d002 = diags.iter().filter(|d| d.rule == "D002").count();
+        assert_eq!(d002, 1, "{diags:?}");
     }
 
     #[test]

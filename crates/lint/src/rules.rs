@@ -36,8 +36,7 @@ pub const RULES: &[Rule] = &[
                   differs per process. One stray iteration over such a map in a Sim-scope path \
                   makes tables and figures differ between re-runs. Deterministic crates must use \
                   BTreeMap/BTreeSet (or a Vec plus an explicit sort). Sched-scope crates \
-                  (exec, telemetry, net) are exempt because their maps never feed artifact \
-                  bytes.",
+                  (exec, telemetry) are exempt because their maps never feed artifact bytes.",
         check: Some(check_d001),
     },
     Rule {
@@ -47,9 +46,10 @@ pub const RULES: &[Rule] = &[
         explain: "Instant::now and SystemTime::now read the host clock, so any value derived \
                   from them differs per run. Simulation code must use the simulated clock \
                   (now_ms) exclusively. Wall clocks are allowed only in mm-exec (scheduler \
-                  stats), mm-telemetry (span wall-clock shims) and mm-net (serving deadlines), \
-                  where readings stay in the Sched scope that determinism checks exclude, and \
-                  in benches, tests and examples, which are not library or binary code.",
+                  stats) and mm-telemetry (spans and Histogram::time_ms, which other crates \
+                  time their work through), where readings stay in the Sched scope that \
+                  determinism checks exclude, and in benches, tests and examples, which are \
+                  not library or binary code.",
         check: Some(check_d002),
     },
     Rule {

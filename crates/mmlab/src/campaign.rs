@@ -2,13 +2,13 @@
 //! generated world and run drive-test fleets to produce dataset D1.
 //!
 //! Campaigns fan out on [`mm_exec::Executor`] at **shard** granularity —
-//! one task per (carrier, city, run-chunk) running up to
-//! [`CampaignConfig::shard_runs`] drives on one shared
-//! [`mmnetsim::sched::Engine`] event queue, after a first scatter that
-//! builds the per-(carrier, city) networks. The executor gathers results
-//! in submission order and every drive derives its own RNG stream from
-//! `sub_seed`, so the parallel D1 is byte-identical to [`run_campaign`]'s
-//! sequential loop for any `MM_THREADS` *and* any shard width.
+//! one task per (carrier, city, run-chunk) running up to four drives on
+//! one shared [`mmnetsim::sched::Engine`] event queue, after a first
+//! scatter that builds the per-(carrier, city) networks. The executor
+//! gathers results in submission order and every drive derives its own
+//! RNG stream from `sub_seed`, so the parallel D1 is byte-identical to
+//! [`run_campaign`]'s sequential loop for any `MM_THREADS` *and* any
+//! shard width.
 
 use crate::dataset::{HandoffInstance, D1};
 use mm_exec::{Executor, RunStats};
@@ -86,11 +86,12 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Cities the fleet covers.
     pub cities: Vec<City>,
-    /// Drives per parallel shard task: each shard runs up to this many
-    /// UEs on one shared event queue. Purely a scheduling knob — D1 is
-    /// byte-identical for every value ≥ 1.
-    pub shard_runs: usize,
 }
+
+/// Drives per parallel shard task: each shard runs up to this many UEs on
+/// one shared event queue. Purely a scheduling choice — D1 is
+/// byte-identical for every width ≥ 1.
+const SHARD_RUNS: usize = 4;
 
 impl Default for CampaignConfig {
     fn default() -> Self {
@@ -108,7 +109,6 @@ impl CampaignConfig {
             active: true,
             seed,
             cities: DRIVE_CITIES.to_vec(),
-            shard_runs: 4,
         }
     }
 
@@ -135,12 +135,6 @@ impl CampaignConfig {
     /// Set the cities the fleet covers.
     pub fn cities(mut self, cities: &[City]) -> Self {
         self.cities = cities.to_vec();
-        self
-    }
-
-    /// Set the shard width (drives per parallel engine task, min 1).
-    pub fn shard_runs(mut self, shard_runs: usize) -> Self {
-        self.shard_runs = shard_runs.max(1);
         self
     }
 
@@ -252,16 +246,28 @@ pub fn run_campaign(world: &World, carrier: &'static str, cfg: &CampaignConfig) 
 ///
 /// Parallelism is at shard granularity: a first scatter builds each
 /// (carrier, city) network, a second runs every (carrier, city, run-chunk)
-/// shard — up to [`CampaignConfig::shard_runs`] drives multiplexed on one
-/// event queue. Both gathers are in submission order — carrier-major, then
-/// city, then run — exactly the sequential loop's append order, so the
-/// result is byte-identical to chaining [`run_campaign`] per carrier for
-/// any thread count and any shard width.
+/// shard — up to four drives multiplexed on one event queue. Both gathers
+/// are in submission order — carrier-major, then city, then run — exactly
+/// the sequential loop's append order, so the result is byte-identical to
+/// chaining [`run_campaign`] per carrier for any thread count and any
+/// shard width.
 pub fn run_campaigns_stats(
     world: &World,
     carriers: &[&'static str],
     cfg: &CampaignConfig,
     exec: &Executor,
+) -> (D1, RunStats) {
+    run_campaigns_sharded(world, carriers, cfg, exec, SHARD_RUNS)
+}
+
+/// [`run_campaigns_stats`] at an explicit shard width (≥ 1), so the tests
+/// can show that the width changes the task count and never D1.
+fn run_campaigns_sharded(
+    world: &World,
+    carriers: &[&'static str],
+    cfg: &CampaignConfig,
+    exec: &Executor,
+    width: usize,
 ) -> (D1, RunStats) {
     let reg = mm_telemetry::global();
     let pairs: Vec<(&'static str, City)> = carriers
@@ -274,7 +280,6 @@ pub fn run_campaigns_stats(
             city_network(world, carrier, city, cfg.seed)
         })
     };
-    let width = cfg.shard_runs.max(1);
     let shards: Vec<(usize, std::ops::Range<usize>)> = (0..pairs.len())
         .filter(|&p| networks[p].is_some())
         .flat_map(|p| {
@@ -398,12 +403,7 @@ mod tests {
         // The shard width is purely a scheduling knob: any chunking of the
         // runs over shared event queues yields the same D1.
         for width in [1, 3, 8] {
-            let par = run_campaigns(
-                &w,
-                &["A", "T"],
-                &cfg.clone().shard_runs(width),
-                &Executor::new(4),
-            );
+            let (par, _) = run_campaigns_sharded(&w, &["A", "T"], &cfg, &Executor::new(4), width);
             assert_eq!(seq, par, "shard width {width}");
         }
     }
@@ -423,12 +423,7 @@ mod tests {
         assert_eq!(stats.threads, 4);
         assert!(stats.wall_ns > 0);
         // Width 1 degenerates to drive granularity: 4 + 4 pairs x 2 runs.
-        let (_, stats) = run_campaigns_stats(
-            &w,
-            &["A", "T"],
-            &cfg.clone().shard_runs(1),
-            &Executor::new(4),
-        );
+        let (_, stats) = run_campaigns_sharded(&w, &["A", "T"], &cfg, &Executor::new(4), 1);
         assert_eq!(stats.tasks(), 12);
     }
 
@@ -439,11 +434,9 @@ mod tests {
         assert_eq!(cfg.duration_ms, 600_000);
         assert!(cfg.active);
         assert_eq!(cfg.cities, DRIVE_CITIES.to_vec());
-        assert_eq!(cfg.shard_runs, 4);
-        let idle = CampaignConfig::idle(7).runs(3).shard_runs(0);
+        let idle = CampaignConfig::idle(7).runs(3);
         assert!(!idle.active);
         assert_eq!(idle.runs, 3);
         assert_eq!(idle.seed, 7);
-        assert_eq!(idle.shard_runs, 1, "shard width clamps to 1");
     }
 }

@@ -42,7 +42,7 @@ pub(crate) use rowgroup::RowSchema;
 use rowgroup::{
     encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict,
 };
-pub use rowgroup::{RowGroupReader, ScanStats};
+pub use rowgroup::{intern_param, RowGroupReader, ScanStats};
 use std::io::{Read, Write};
 
 /// Dataset kind stamped in D2 store headers.

@@ -6,7 +6,7 @@
 //! This module is private. Its items are `pub` only so the trait can bound
 //! the public [`RowGroupReader`] (the sealed-trait pattern): outside the
 //! crate the reader, through its `D2StoreReader`/`D1StoreReader` aliases,
-//! and [`ScanStats`] are all that is reachable.
+//! [`ScanStats`] and [`intern_param`] are all that is reachable.
 
 use super::{TAG_DICT, TAG_ROWS};
 use crate::dataset::ConfigSample;
@@ -116,8 +116,9 @@ const CRAWLER_PARAMS: &[&str] = &[
 /// Re-intern a parameter name (any RAT's table — SIB5/6/7/8 rows can
 /// reference neighbour-layer parameters — then the crawler's literal
 /// vocabulary). `&'static str` comparisons downstream are by value, so any
-/// static string with the right content is the right answer.
-fn intern_param(name: &str) -> Option<&'static str> {
+/// static string with the right content is the right answer. `None` means
+/// no D2 row can carry the name.
+pub fn intern_param(name: &str) -> Option<&'static str> {
     for r in Rat::ALL {
         if let Some(spec) = mmcore::params::lookup(r, name) {
             return Some(spec.name);
@@ -127,8 +128,8 @@ fn intern_param(name: &str) -> Option<&'static str> {
 }
 
 /// A decoded dictionary with its entries pre-resolved against the static
-/// vocabularies, once per file: carrier codes against one build of the
-/// carrier profiles, parameter names against the parameter tables, city
+/// vocabularies, once per file: carrier codes against the built-in
+/// carrier codes, parameter names against the parameter tables, city
 /// codes against [`City`]. Rows then resolve by index alone. An entry that
 /// resolves to nothing only becomes an error when a row actually
 /// references it in that role.
@@ -142,15 +143,13 @@ pub struct ResolvedDict {
 impl ResolvedDict {
     fn new(dict: Dict) -> ResolvedDict {
         // Dataset rows carry `&'static str` codes, so a decoded carrier
-        // code must map back into the profiles' own strings. Building the
-        // profiles is the expensive part: do it once per dictionary.
-        let profiles = mmcarriers::builtin::profiles();
+        // code must map back into the profiles' own strings.
         let entries: Vec<&str> = (0..dict.len() as u64)
             .filter_map(|i| dict.get(i).ok())
             .collect();
         let carriers = entries
             .iter()
-            .map(|&e| profiles.iter().find(|p| p.code == e).map(|p| p.code))
+            .map(|&e| mmcarriers::builtin::intern_code(e))
             .collect();
         let params = entries.iter().map(|&e| intern_param(e)).collect();
         let cities = entries.iter().map(|&e| City::intern(e)).collect();

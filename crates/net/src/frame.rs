@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 pub const MAGIC: [u8; 4] = *b"MMQN";
 /// Protocol version spoken by this build.
 pub const PROTOCOL_VERSION: u32 = 1;
-/// Default cap on a frame's payload length (1 MiB) — queries and rendered
+/// Cap on a frame's payload length, both ways (1 MiB) — queries and rendered
 /// answers are all far smaller; anything bigger is a protocol violation.
 pub const DEFAULT_MAX_FRAME: u32 = 1 << 20;
 

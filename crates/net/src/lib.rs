@@ -8,9 +8,8 @@
 //!   checksum discipline and its typed-failure taxonomy ([`NetError`]).
 //! * [`proto`] — typed [`Request`]/[`Response`] messages encoded with
 //!   mm-json, including the documented error [`codes`].
-//! * [`server`] — the bounded [`ConnQueue`], the accept loop
-//!   ([`accept_into`]), run on the caller's thread, and the wall-clock
-//!   [`Deadline`] admission control is built on.
+//! * [`server`] — the bounded [`ConnQueue`] and the accept loop
+//!   ([`accept_into`]), run on the caller's thread.
 //! * [`Client`] — the blocking client `mmq --connect` uses: connect,
 //!   handshake, then request/response in lockstep.
 //!
@@ -29,7 +28,7 @@ pub use frame::{
 };
 pub use mmcore::NetError;
 pub use proto::{codes, Request, Response, WireError};
-pub use server::{accept_into, ConnQueue, Deadline};
+pub use server::{accept_into, ConnQueue};
 
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -45,21 +44,17 @@ pub struct Client {
 impl Client {
     /// Connect, exchange hellos, and validate the server's version.
     /// `timeout_ms` bounds every read and write so a wedged server
-    /// surfaces as [`NetError::TimedOut`] instead of a hang (0 = no
-    /// timeout).
+    /// surfaces as [`NetError::TimedOut`] instead of a hang; a zero
+    /// timeout is an I/O error.
     pub fn connect(addr: &str, timeout_ms: u64) -> Result<Client, NetError> {
         let stream =
             TcpStream::connect(addr).map_err(|e| NetError::Io(format!("connect {addr}: {e}")))?;
         stream.set_nodelay(true).ok();
-        if timeout_ms > 0 {
-            let t = Some(Duration::from_millis(timeout_ms));
-            stream
-                .set_read_timeout(t)
-                .map_err(|e| NetError::Io(e.to_string()))?;
-            stream
-                .set_write_timeout(t)
-                .map_err(|e| NetError::Io(e.to_string()))?;
-        }
+        let t = Some(Duration::from_millis(timeout_ms));
+        stream
+            .set_read_timeout(t)
+            .and_then(|()| stream.set_write_timeout(t))
+            .map_err(|e| NetError::Io(e.to_string()))?;
         let writer = stream
             .try_clone()
             .map_err(|e| NetError::Io(e.to_string()))?;

@@ -9,19 +9,15 @@ use mmcore::NetError;
 use std::io::{Read, Write};
 
 /// The documented error codes a server response may carry. `bad-request`
-/// and `oversized` are flagged as usage errors (client exits 2); the rest
-/// are runtime conditions (client exits 3).
+/// and `oversized` are flagged as usage errors (client exits 2);
+/// `internal` is a runtime condition (client exits 3).
 pub mod codes {
     /// The query document failed validation (unknown artifact, conflicting
     /// constraints) — the caller's mistake.
     pub const BAD_REQUEST: &str = "bad-request";
-    /// The request missed its service deadline.
-    pub const DEADLINE: &str = "deadline";
-    /// The request frame exceeded the server's frame cap; the connection
+    /// The request frame exceeded the 1 MiB frame cap; the connection
     /// closes after this response.
     pub const OVERSIZED: &str = "oversized";
-    /// The client spoke a protocol version the server does not support.
-    pub const VERSION: &str = "version";
     /// The server failed while answering (store corruption, I/O).
     pub const INTERNAL: &str = "internal";
 }
@@ -181,7 +177,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let ok = Response::Ok(Json::obj([("text", Json::Str("hi".into()))]));
-        let err = Response::Err(WireError::new(codes::DEADLINE, false, "took 31000ms"));
+        let err = Response::Err(WireError::new(codes::INTERNAL, false, "entry unreadable"));
         for resp in [ok, err] {
             let mut buf = Vec::new();
             resp.write_to(&mut buf).unwrap();
@@ -205,7 +201,7 @@ mod tests {
             NetError::Protocol(_)
         ));
         // A rejection converts into the typed client-side error.
-        let net: NetError = WireError::new(codes::DEADLINE, false, "too slow").into();
-        assert!(matches!(net, NetError::Rejected { ref code, .. } if code == codes::DEADLINE));
+        let net: NetError = WireError::new(codes::INTERNAL, false, "entry unreadable").into();
+        assert!(matches!(net, NetError::Rejected { ref code, .. } if code == codes::INTERNAL));
     }
 }

@@ -1,17 +1,14 @@
 //! Server-side primitives for mmqd: the bounded connection queue the
-//! accept loop feeds, the accept loop itself, and the wall-clock deadline
-//! handle the per-request admission control uses.
+//! accept loop feeds, and the accept loop itself.
 //!
-//! mm-net is a Sched-scope crate (like mm-exec and mm-telemetry): serving
-//! is inherently wall-clock-bound, so `Instant` lives here and the
-//! deterministic simulation crates above stay clock-free. mm-net starts no
-//! thread: [`accept_into`] runs on whichever thread calls it, and mmqd
-//! runs it as one task of the same mm-exec scatter as its workers.
+//! mm-net reads no clock and starts no thread: socket timeouts bound every
+//! wait, mmqd times its requests through mm-telemetry, and [`accept_into`]
+//! runs on whichever thread calls it — mmqd runs it as one task of the
+//! same mm-exec scatter as its workers.
 
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// A bounded MPMC hand-off queue from the accept loop to the worker pool.
 ///
@@ -123,35 +120,6 @@ pub fn accept_into(listener: &TcpListener, queue: &ConnQueue) {
     }
 }
 
-/// A wall-clock budget for one request: started at admission, checked at
-/// completion. Requests that miss it get the typed `deadline` response.
-#[derive(Debug, Clone, Copy)]
-pub struct Deadline {
-    started: Instant,
-    budget_ms: u64,
-}
-
-impl Deadline {
-    /// Start a budget of `budget_ms` milliseconds (0 = already expired —
-    /// the degenerate config the robustness tests use).
-    pub fn start(budget_ms: u64) -> Deadline {
-        Deadline {
-            started: Instant::now(),
-            budget_ms,
-        }
-    }
-
-    /// Milliseconds elapsed since the deadline started.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Whether the budget is spent.
-    pub fn expired(&self) -> bool {
-        self.elapsed_ms() >= self.budget_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +155,5 @@ mod tests {
             TcpStream::connect(addr).unwrap();
             acceptor.join().unwrap();
         });
-    }
-
-    #[test]
-    fn zero_budget_deadline_is_expired_immediately() {
-        let d = Deadline::start(0);
-        assert!(d.expired());
-        let generous = Deadline::start(60_000);
-        assert!(!generous.expired());
-        assert!(generous.elapsed_ms() < 60_000);
     }
 }

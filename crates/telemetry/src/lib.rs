@@ -45,6 +45,7 @@ pub use span::{detached, SpanGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Whether a metric is deterministic in the simulation inputs ([`Sim`](Scope::Sim)),
 /// reflects host scheduling ([`Sched`](Scope::Sched)), or counts the load a
@@ -139,6 +140,16 @@ impl Histogram {
         self.core.count.fetch_add(1, Ordering::Relaxed);
         // relaxed-ok: see above — commutative integer add
         self.core.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Run `f`, record its wall time in whole milliseconds and return its
+    /// value: how crates that may not read the clock (mm-lint's D002)
+    /// time their work, into a Sched- or Serve-scope histogram.
+    pub fn time_ms<T>(&self, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        self.record(start.elapsed().as_millis() as u64);
+        out
     }
 
     /// Number of observations.
@@ -401,6 +412,15 @@ mod tests {
         assert_eq!(hs.buckets, vec![2, 2, 2]);
         assert_eq!(hs.count, 6);
         assert_eq!(hs.sum, 1062);
+    }
+
+    #[test]
+    fn time_ms_records_one_observation_and_returns_the_value() {
+        let reg = Registry::new();
+        let h = reg.histogram_scoped("s", "ms", Scope::Serve, &[1, 1_000]);
+        assert_eq!(h.time_ms(|| 7), 7);
+        assert_eq!(h.time_ms(|| "twice"), "twice");
+        assert_eq!(reg.snapshot().sections[0].histograms[0].count, 2);
     }
 
     #[test]

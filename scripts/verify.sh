@@ -205,6 +205,7 @@ served="t2 t3 t4 f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22"
 "$bin"/mmq ho-active --quick --store "$sstore" > "$tmpdir/ref-ho-active.txt" 2>/dev/null
 "$bin"/mmq ho-idle --quick --store "$sstore" > "$tmpdir/ref-ho-idle.txt" 2>/dev/null
 "$bin"/mmq f16 --group-by carrier --quick --store "$sstore" > "$tmpdir/ref-group.txt" 2>/dev/null
+"$bin"/mmq f16 --quick --store "$sstore" > "$tmpdir/ref-f16.txt" 2>/dev/null
 for threads in 1 8; do
     MM_THREADS=$threads "$bin"/mmqd --store "$sstore" --quick \
         > "$tmpdir/mmqd-$threads.out" 2>/dev/null &
@@ -254,10 +255,16 @@ for threads in 1 8; do
         fi
     done
     # Warm service: a repeat query must be a cache hit that opened no
-    # data blocks — the shared-engine claim, observable client-side.
-    warm_serve_err="$("$bin"/mmq f16 --connect "$addr" 2>&1 >/dev/null)"
+    # data blocks — the shared-engine claim, observable client-side — with
+    # the local text (a poisoned answer cache is a warm hit that is not).
+    warm_serve_err="$("$bin"/mmq f16 --connect "$addr" 2>&1 >"$tmpdir/warm-$threads.txt")"
     if ! printf '%s' "$warm_serve_err" | grep -q "query-cache hit"; then
         echo "verify.sh: FAIL — repeat served query was not a warm cache hit: $warm_serve_err" >&2
+        exit 1
+    fi
+    if ! cmp -s "$tmpdir/warm-$threads.txt" "$tmpdir/ref-f16.txt"; then
+        echo "verify.sh: FAIL — warm served f16 diverges from local mmq (MM_THREADS=$threads)" >&2
+        diff "$tmpdir/warm-$threads.txt" "$tmpdir/ref-f16.txt" >&2 || true
         exit 1
     fi
     # The Serve snapshot is well-formed JSON with the serving counters.

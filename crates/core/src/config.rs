@@ -8,7 +8,7 @@
 //! configuration (RRCConnectionReconfiguration measConfig).
 
 use crate::events::ReportConfig;
-use mmradio::band::{ChannelNumber, Rat};
+use mmradio::band::ChannelNumber;
 use mmradio::cell::CellId;
 
 /// Which quantity a threshold/trigger is expressed in (TS 36.331
@@ -198,17 +198,6 @@ impl CellConfig {
     pub fn is_forbidden(&self, cell: CellId) -> bool {
         self.forbidden_cells.contains(&cell)
     }
-
-    /// All RATs this cell can hand off toward (serving RAT included).
-    pub fn known_rats(&self) -> Vec<Rat> {
-        let mut rats = vec![self.channel.rat];
-        for f in &self.neighbor_freqs {
-            if !rats.contains(&f.channel.rat) {
-                rats.push(f.channel.rat);
-            }
-        }
-        rats
-    }
 }
 
 #[cfg(test)]
@@ -257,16 +246,5 @@ mod tests {
         cfg.forbidden_cells.push(CellId(3));
         assert!(cfg.is_forbidden(CellId(3)));
         assert!(!cfg.is_forbidden(CellId(4)));
-    }
-
-    #[test]
-    fn known_rats_deduplicates() {
-        let mut cfg = CellConfig::minimal(CellId(1), ChannelNumber::earfcn(850));
-        cfg.neighbor_freqs.push(NeighborFreqConfig::lte(5110, 2));
-        cfg.neighbor_freqs.push(NeighborFreqConfig {
-            channel: ChannelNumber::uarfcn(4435),
-            ..NeighborFreqConfig::lte(0, 1)
-        });
-        assert_eq!(cfg.known_rats(), vec![Rat::Lte, Rat::Umts]);
     }
 }

@@ -52,11 +52,6 @@ impl L3Filter {
         self.state.get(&(cell, quantity)).copied()
     }
 
-    /// Drop state for cells no longer measured.
-    pub fn retain_cells(&mut self, keep: &[CellId]) {
-        self.state.retain(|(c, _), _| keep.contains(c));
-    }
-
     /// Forget everything (e.g. after a handoff).
     pub fn reset(&mut self) {
         self.state.clear();
@@ -209,9 +204,6 @@ mod tests {
         f.update(CellId(2), Quantity::Rsrp, -80.0);
         assert_eq!(f.get(CellId(1), Quantity::Rsrp), Some(-100.0));
         assert_eq!(f.get(CellId(1), Quantity::Rsrq), Some(-10.0));
-        assert_eq!(f.get(CellId(2), Quantity::Rsrp), Some(-80.0));
-        f.retain_cells(&[CellId(2)]);
-        assert_eq!(f.get(CellId(1), Quantity::Rsrp), None);
         assert_eq!(f.get(CellId(2), Quantity::Rsrp), Some(-80.0));
     }
 

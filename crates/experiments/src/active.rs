@@ -3,7 +3,6 @@
 //! configurations.
 
 use crate::context::Ctx;
-use mmcarriers::by_code;
 use mmcore::config::{CellConfig, Quantity};
 use mmcore::events::{EventKind, ReportConfig};
 use mmlab::dataset::D1;
@@ -454,12 +453,6 @@ pub fn f9(ctx: &Ctx) -> String {
     out
 }
 
-/// Sanity accessor used by the tests: a profile exists for both campaign
-/// carriers.
-pub fn campaign_profiles_exist() -> bool {
-    by_code("A").is_some() && by_code("T").is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,7 +461,6 @@ mod tests {
     fn corridor_network_has_five_configured_cells() {
         let n = corridor_network(1, |_| vec![ReportConfig::a3(3.0)]);
         assert_eq!(n.len(), 5);
-        assert!(campaign_profiles_exist());
     }
 
     #[test]

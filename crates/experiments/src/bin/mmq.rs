@@ -11,14 +11,14 @@
 //! mmq --version
 //! ```
 //!
-//! Where `mmx` regenerates artifacts by simulating (or replaying a whole
-//! stored run), `mmq` *answers questions* from the store: it opens the
-//! campaign manifest, prunes whole crawl rounds against `--rounds N`,
-//! streams the surviving round entries through the predicate-pushdown
-//! store readers (whole row groups are skipped via per-group vocabulary
-//! stats before any column is decoded), and renders through the exact
-//! same artifact code paths `mmx` uses — a neutral round-0 query is
-//! byte-identical to `mmx --load`. Rendered answers are cached in the
+//! Where `mmx` regenerates artifacts by simulating (or, with `--load`,
+//! from the stored datasets), `mmq` *answers questions* from the store:
+//! it opens the campaign manifest, prunes whole crawl rounds against
+//! `--rounds N`, streams the surviving round entries through the
+//! predicate-pushdown store readers (whole row groups are skipped via
+//! per-group vocabulary stats before any column is decoded), and renders
+//! through the exact same artifact code paths `mmx` uses — a neutral
+//! round-0 query is byte-identical to `mmx --load`. Rendered answers are cached in the
 //! store (`q-…` entries) keyed on the normalized query plus the manifest
 //! content hash, so a warm `mmq` rerun opens no data blocks at all and
 //! any `mmx --append` invalidates every cached answer.

@@ -21,8 +21,9 @@
 //! Every invocation resolves its flags into one typed [`RunMode`] before
 //! anything runs: version/list, a cold crawl, an appended crawl round, or
 //! an artifact render with a cache policy. Contradictory flags (`--save
-//! --load`, `--quick --scale`, `--append` with artifacts, …) are usage
-//! errors — exit 2 with a hint — not silently resolved precedence.
+//! --load`, `--quick --scale`, `crawl` or `--append` with artifacts, …)
+//! are usage errors — exit 2 with a hint — not silently resolved
+//! precedence.
 //!
 //! `mmx crawl` is the cold write path at scale: it generates the world,
 //! runs the sharded Type-I crawl on the `mm-exec` pool, reports the
@@ -51,12 +52,14 @@
 //! `MM_THREADS` and any shard count. `--metrics` emits the retained
 //! `fleet`/`sched` telemetry sections, equally invariant.
 //!
-//! `--store DIR` names a content-addressed artifact cache (DESIGN.md §9.5);
-//! `--save` persists the shared datasets and the run bundle there, and
-//! `--load` replays a stored run — byte-identical stdout and metrics —
-//! without simulating anything. A `--load` miss falls back to the cold
-//! path (preloading whatever datasets are cached); a corrupt entry is a
-//! hard typed error, never a silent fallback.
+//! `--store DIR` names a content-addressed dataset store (DESIGN.md §9.5);
+//! `--save` persists the three shared datasets and the campaign manifest
+//! there. `--load` preloads whichever of them are stored and renders
+//! through the same code as a cold run, so stdout is byte-identical; it
+//! recomputes what no dataset holds (T4 and the audit from the world,
+//! F7/F8's corridor drives, the ablations), and its `--metrics` describe
+//! the warm run. A corrupt entry is a hard typed error, never a silent
+//! fallback.
 //!
 //! Exit codes: 2 for usage errors (bad flags, unknown artifacts, invalid
 //! flag combinations), 3 for runtime failures (an unwritable metrics
@@ -68,7 +71,7 @@ use mmcarriers::world::World;
 use mmexperiments::cli::{self, CtxFlags, MetricsSink};
 use mmexperiments::store::round_seed;
 use mmexperiments::{
-    run, run_fleet_on, Artifact, FleetConfig, MmError, RunBundle, RunStore, ABLATIONS, ARTIFACTS,
+    run, run_fleet_on, Artifact, FleetConfig, MmError, RunStore, ABLATIONS, ARTIFACTS,
 };
 use mmlab::D2;
 
@@ -88,10 +91,10 @@ fn usage() -> String {
 enum CachePolicy {
     /// No store interaction: simulate and print.
     Off,
-    /// Cold write: render, then persist datasets + run bundle.
+    /// Cold write: render, then persist the datasets and the manifest.
     Save,
-    /// Warm replay: serve the stored bundle; a miss falls back to the
-    /// cold path with whatever datasets are cached preloaded.
+    /// Warm render: preload the stored datasets; whatever is missing is
+    /// built cold.
     Load,
 }
 
@@ -104,9 +107,8 @@ enum RunMode {
     Version,
     /// `list`: print every artifact id.
     List,
-    /// `crawl [artifacts…]`: cold sharded crawl into the store, then
-    /// render any artifacts named alongside against the fresh dataset.
-    Crawl { wanted: Vec<Artifact> },
+    /// `crawl`: cold sharded crawl into the store.
+    Crawl,
     /// `--append`: crawl one more campaign round under the next round
     /// seed and add it to the store without touching prior rounds.
     Append,
@@ -176,7 +178,7 @@ impl RawArgs {
         self.ctx.check()?;
         if self.save && self.load {
             return Err(MmError::Config(
-                "--save and --load conflict; a run either writes the store or replays it".into(),
+                "--save and --load conflict; a run either writes the store or reads it".into(),
             ));
         }
         if self.append {
@@ -195,9 +197,11 @@ impl RawArgs {
             return Ok(RunMode::Append);
         }
         if self.crawl {
-            if self.save || self.load {
+            if self.save || self.load || !self.wanted.is_empty() {
                 return Err(MmError::Config(
-                    "crawl persists the dataset itself; --save/--load conflict with it".into(),
+                    "crawl only writes the campaign; --save/--load/artifacts conflict with it \
+                     (render them afterwards with --load)"
+                        .into(),
                 ));
             }
             if self.ctx.store.is_none() {
@@ -205,9 +209,7 @@ impl RawArgs {
                     "crawl needs a cache directory (--store DIR)".into(),
                 ));
             }
-            return Ok(RunMode::Crawl {
-                wanted: self.wanted.clone(),
-            });
+            return Ok(RunMode::Crawl);
         }
         if (self.save || self.load) && self.ctx.store.is_none() {
             return Err(MmError::Config(
@@ -350,9 +352,8 @@ fn real_main() -> Result<(), MmError> {
     let (wanted, cache) = match mode {
         // Cold write path: shard the Type-I crawl over the pool, report
         // the sustained rate, and persist the columnar D2 entry plus the
-        // campaign manifest. Any artifacts named alongside `crawl` render
-        // afterwards against the fresh dataset.
-        RunMode::Crawl { wanted } => {
+        // campaign manifest.
+        RunMode::Crawl => {
             let s = store.as_ref().expect("crawl resolved against --store");
             let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
             // Every cell of the world yields rows, so the world's cell
@@ -366,11 +367,7 @@ fn real_main() -> Result<(), MmError> {
                 threads,
             );
             ctx.preload_d2(d2);
-            s.save_d2(&ctx)?;
-            if wanted.is_empty() {
-                return Ok(());
-            }
-            (wanted, CachePolicy::Off)
+            return s.save_d2(&ctx);
         }
         // Append one campaign round: crawl under the next round seed,
         // write a brand-new entry, rewrite only the manifest.
@@ -399,23 +396,12 @@ fn real_main() -> Result<(), MmError> {
         RunMode::Version | RunMode::List => unreachable!("handled above"),
     };
 
-    let ids: Vec<&'static str> = wanted.iter().map(|a| a.id()).collect();
-
-    // Warm path: replay a stored run bundle — byte-identical stdout and
-    // metrics, nothing simulated. A miss falls through to the cold path,
-    // preloading whatever datasets are cached.
+    // Warm path: preload whatever datasets are stored; the render below
+    // builds the rest cold.
     if cache == CachePolicy::Load {
         let s = store.as_ref().expect("--load resolved against --store");
-        if let Some(bundle) = s.load_run(&ctx, &ids)? {
-            eprintln!("# mmx: store hit, replaying {} artifact(s)", ids.len());
-            for (id, text) in &bundle.outputs {
-                println!("########## {id} ##########");
-                println!("{text}");
-            }
-            return raw.metrics.emit(|| &bundle.metrics_json);
-        }
         let hits = s.load_datasets(&ctx)?;
-        eprintln!("# mmx: store miss, preloaded {hits}/3 dataset(s)");
+        eprintln!("# mmx: preloaded {hits}/3 dataset(s) from the store");
     }
 
     // With more than one artifact, build exactly the shared state this
@@ -442,8 +428,12 @@ fn real_main() -> Result<(), MmError> {
             stats.tasks(),
             stats.threads
         );
-        for (id, ns) in ids.iter().zip(&stats.task_ns) {
-            eprintln!("#   {id:>10}  {:>9.1} ms", *ns as f64 / 1e6);
+        for (out, ns) in outputs.iter().zip(&stats.task_ns) {
+            eprintln!(
+                "#   {:>10}  {:>9.1} ms",
+                out.artifact.id(),
+                *ns as f64 / 1e6
+            );
         }
         eprintln!(
             "#   wall {:.1} ms, busy {:.1} ms, speedup {:.2}x",
@@ -452,25 +442,11 @@ fn real_main() -> Result<(), MmError> {
             stats.speedup(),
         );
     }
-    // Persist datasets *before* capturing the snapshot so the stored
-    // metrics include the store counters, then bundle the captured JSON —
-    // what `--metrics` prints now is exactly what a warm `--load` replays.
+    // Persist the datasets before the snapshot, so `--metrics` counts any
+    // campaign the save had to run.
     if cache == CachePolicy::Save {
         let s = store.as_ref().expect("--save resolved against --store");
         s.save_datasets(ctx)?;
-        let bundle = RunBundle {
-            outputs: outputs
-                .iter()
-                .map(|o| (o.artifact.id().to_string(), o.text.clone()))
-                .collect(),
-            metrics_json: mm_telemetry::global()
-                .snapshot()
-                .deterministic()
-                .to_json()
-                .to_string(),
-        };
-        s.save_run(ctx, &ids, &bundle)?;
-        return raw.metrics.emit(|| &bundle.metrics_json);
     }
     raw.metrics
         .emit(|| mm_telemetry::global().snapshot().deterministic().to_json())

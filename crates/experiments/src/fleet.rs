@@ -235,11 +235,6 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
     })
 }
 
-/// Run a fleet on the ambient executor (`MM_THREADS` or the machine).
-pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, MmError> {
-    run_fleet_on(cfg, &Executor::from_env())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,11 +25,11 @@ pub mod stream;
 pub mod tables;
 
 pub use context::{Ctx, CtxBuilder};
-pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetTally};
+pub use fleet::{run_fleet_on, FleetConfig, FleetReport, FleetTally};
 pub use mmcore::MmError;
 pub use query::{QueryEngine, QueryRequest, QueryResult};
 pub use serve::{serve, ServeConfig};
-pub use store::{RunBundle, RunStore};
+pub use store::RunStore;
 pub use stream::D2Agg;
 
 use std::fmt;

@@ -32,7 +32,7 @@ use mm_json::Json;
 use mm_store::fnv1a64;
 use mmcarriers::city::City;
 use mmcore::DecisiveEvent;
-use mmcore::{MmError, StoreError};
+use mmcore::{MmError, NetError, StoreError};
 use mmlab::diversity::Diversity;
 use mmlab::predicate::{rat_from_key, rat_key, Predicate};
 use mmlab::report::table;
@@ -237,9 +237,27 @@ impl QueryRequest {
     /// Decode and re-validate a wire document. Everything flows through
     /// the [`QueryBuilder`], so the server enforces exactly the
     /// constraints local `mmq` does and the two modes cannot drift. An
-    /// absent or `null` field is unset; a field of any other wrong type is
-    /// a usage error, never a silently dropped constraint.
+    /// absent or `null` field is unset; a field of any other wrong type, a
+    /// key [`QueryRequest::to_wire`] does not write, a repeated key or a
+    /// document that is not an object is a usage error, never a silently
+    /// dropped constraint.
     pub fn from_wire(doc: &Json) -> Result<QueryRequest, MmError> {
+        const KEYS: [&str; 8] = [
+            "target", "carrier", "city", "param", "rat", "rounds", "group_by", "format",
+        ];
+        let members = doc
+            .as_object()
+            .ok_or_else(|| MmError::Config("wire query must be a JSON object".to_string()))?;
+        for (i, (key, _)) in members.iter().enumerate() {
+            if !KEYS.contains(&key.as_str()) {
+                return Err(MmError::Config(format!("unknown wire query field {key:?}")));
+            }
+            if members[..i].iter().any(|(k, _)| k == key) {
+                return Err(MmError::Config(format!(
+                    "wire query field {key:?} appears twice"
+                )));
+            }
+        }
         let wrong_type = |name: &str, want: &str| {
             MmError::Config(format!("wire query field {name:?} must be {want}"))
         };
@@ -550,18 +568,32 @@ impl QueryResult {
         ])
     }
 
-    /// Decode a server `Ok` payload back into a result.
+    /// Decode a server `Ok` payload back into a result. Every field is
+    /// required with its type: a missing or wrong-typed one is wire damage
+    /// (a protocol error), not the caller's fault.
     pub fn from_wire(doc: &Json) -> Result<QueryResult, MmError> {
-        let text = doc["text"]
-            .as_str()
-            .ok_or_else(|| MmError::Config("wire result lacks a text field".to_string()))?;
+        let damaged = |name: &str, want: &str| {
+            MmError::Net(NetError::Protocol(format!(
+                "wire result field {name:?} must be {want}"
+            )))
+        };
+        let count = |name: &str| {
+            doc[name]
+                .as_u64()
+                .ok_or_else(|| damaged(name, "a non-negative integer"))
+        };
         Ok(QueryResult {
-            text: text.to_string(),
-            cached: doc["cached"].as_bool().unwrap_or(false),
+            text: doc["text"]
+                .as_str()
+                .ok_or_else(|| damaged("text", "a string"))?
+                .to_string(),
+            cached: doc["cached"]
+                .as_bool()
+                .ok_or_else(|| damaged("cached", "a bool"))?,
             scan: ScanStats {
-                groups_decoded: doc["groups_decoded"].as_u64().unwrap_or(0),
-                groups_skipped: doc["groups_skipped"].as_u64().unwrap_or(0),
-                rows_skipped: doc["rows_skipped"].as_u64().unwrap_or(0),
+                groups_decoded: count("groups_decoded")?,
+                groups_skipped: count("groups_skipped")?,
+                rows_skipped: count("rows_skipped")?,
             },
         })
     }
@@ -1459,6 +1491,12 @@ mod tests {
             r#"{"target":"f16","city":1}"#,
             r#"{"target":"f16","group_by":1}"#,
             r#"{"target":"f16","format":1}"#,
+            // A key the codec does not write, a repeated key or a
+            // non-object is rejected, not read around.
+            r#"{"target":"f16","carier":"A"}"#,
+            r#"{"target":"f16","round":0}"#,
+            r#"{"target":"f16","carrier":"A","carrier":"T"}"#,
+            r#"["f16"]"#,
         ] {
             let doc = Json::parse(text).unwrap();
             let err = QueryRequest::from_wire(&doc).unwrap_err();
@@ -1481,7 +1519,17 @@ mod tests {
         };
         let back = QueryResult::from_wire(&res.to_wire()).unwrap();
         assert_eq!(back, res);
-        assert!(QueryResult::from_wire(&Json::obj([])).is_err());
+        // A missing or wrong-typed field is wire damage, not a usage error.
+        for text in [
+            "{}",
+            r#"{"text":"x","cached":"yes","groups_decoded":0,"groups_skipped":0,"rows_skipped":0}"#,
+        ] {
+            let err = QueryResult::from_wire(&Json::parse(text).unwrap()).unwrap_err();
+            assert!(
+                matches!(err, MmError::Net(NetError::Protocol(_))) && !err.is_usage(),
+                "{text} -> {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The `mmx` artifact cache (DESIGN.md §9.5): content-addressed store
-//! entries for the shared datasets and for whole-run bundles, so a warm
-//! `mmx all --load` rerun skips simulation entirely and byte-identically
-//! replays the cold run's stdout and `--metrics` snapshot.
+//! The `mmx` dataset store (DESIGN.md §9.5): content-addressed entries for
+//! the shared datasets, so a warm `mmx --load` run streams D2 and reads
+//! both D1s off disk instead of crawling and driving again, then renders
+//! every artifact through the same code as the cold run.
 //!
-//! Three kinds of entries live in a `--store DIR` directory, all addressed
-//! by the FNV-1a hash of `(seed, scale, runs, duration, artifact id,
-//! format version)`:
+//! Four kinds of entries live in a `--store DIR` directory, all addressed
+//! by the FNV-1a hash of `(seed, scale, runs, duration, entry id, format
+//! version)`:
 //!
 //! * `d2-…`, `d1-active-…`, `d1-idle-…` — the shared datasets in the
 //!   `mm-store` columnar format (schemas in `mmlab::store`); a partial hit
@@ -17,8 +17,6 @@
 //!   samples each holds, and which entry serves it. The manifest is the
 //!   only file `--append` rewrites, and its bytes double as the store
 //!   content hash `mmq` keys its query cache on.
-//! * `run-…` — a run bundle: every rendered artifact text plus the
-//!   deterministic telemetry snapshot captured at the end of the cold run.
 //! * `q-…` — cached `mmq` query results (kind `mmq-query`), keyed by the
 //!   FNV of the normalized query and the manifest content hash, so any
 //!   append invalidates every cached query.
@@ -32,8 +30,6 @@ use mmlab::store::{D2StoreReader, KIND_D2};
 use std::io::BufReader;
 use std::path::Path;
 
-/// Store kind of a run bundle file.
-pub const KIND_RUN: &str = "mmx-run";
 /// Store kind of the campaign manifest file.
 pub const KIND_MANIFEST: &str = "mm-manifest";
 /// Store kind of a cached query result.
@@ -144,22 +140,6 @@ impl Manifest {
     }
 }
 
-/// Run-bundle block tag: one rendered artifact (varint id length, id
-/// bytes, text bytes).
-const TAG_TEXT: u8 = 1;
-/// Run-bundle block tag: the deterministic metrics snapshot JSON.
-const TAG_METRICS: u8 = 2;
-
-/// A cold run's replayable outcome: rendered texts in print order plus the
-/// metrics snapshot JSON (without trailing newline).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunBundle {
-    /// `(artifact id, rendered text)` in the order they were printed.
-    pub outputs: Vec<(String, String)>,
-    /// The deterministic telemetry snapshot of the cold run.
-    pub metrics_json: String,
-}
-
 /// The `mmx`-facing face of the artifact cache.
 #[derive(Debug, Clone)]
 pub struct RunStore {
@@ -184,15 +164,12 @@ impl RunStore {
         }
     }
 
-    fn run_key(ctx: &Ctx, ids: &[&str]) -> CacheKey {
-        Self::key(ctx, format!("run-{}", ids.join("+")))
-    }
-
     /// Persist the context's three shared datasets (building any that are
     /// not yet warm). Entries that already exist at their address are left
     /// alone — the address encodes every input, so an existing entry is the
-    /// byte-identical file, and skipping it means a `--load --save` rerun
-    /// that streamed D2 off disk never re-crawls just to re-write it.
+    /// byte-identical file, and skipping it means a `--save` run whose
+    /// artifacts read no D2 never crawls just to re-write the entry
+    /// `mmx crawl` left.
     pub fn save_datasets(&self, ctx: &Ctx) -> Result<(), MmError> {
         self.save_d2(ctx)?;
         let mut buf = Vec::new();
@@ -404,78 +381,12 @@ impl RunStore {
         }
         Ok(hits)
     }
-
-    /// Persist a run bundle under the artifact-set key.
-    pub fn save_run(&self, ctx: &Ctx, ids: &[&str], bundle: &RunBundle) -> Result<(), MmError> {
-        let mut file = Vec::new();
-        let mut w = StoreWriter::new(&mut file, KIND_RUN)?;
-        for (id, text) in &bundle.outputs {
-            let mut payload = Vec::new();
-            mm_store::write_varint(&mut payload, id.len() as u64);
-            payload.extend_from_slice(id.as_bytes());
-            payload.extend_from_slice(text.as_bytes());
-            w.write_block(TAG_TEXT, &payload)?;
-        }
-        w.write_block(TAG_METRICS, bundle.metrics_json.as_bytes())?;
-        w.finish(bundle.outputs.len() as u64)?;
-        self.cache.write(&Self::run_key(ctx, ids), &file)
-    }
-
-    /// Load the run bundle for this artifact set; `Ok(None)` on a miss, a
-    /// typed error on a corrupt entry.
-    pub fn load_run(&self, ctx: &Ctx, ids: &[&str]) -> Result<Option<RunBundle>, MmError> {
-        let Some(bytes) = self.cache.read(&Self::run_key(ctx, ids))? else {
-            return Ok(None);
-        };
-        let mut reader = StoreReader::new(bytes.as_slice(), KIND_RUN)?;
-        let mut outputs = Vec::new();
-        let mut metrics_json: Option<String> = None;
-        while let Some(block) = reader.next_block()? {
-            match block.tag {
-                TAG_TEXT => {
-                    let mut c = Cursor::new(&block.payload);
-                    let id_len = c.read_varint().map_err(MmError::Store)? as usize;
-                    let id = utf8(c.read_bytes(id_len).map_err(MmError::Store)?)?;
-                    let text = utf8(c.read_bytes(c.remaining()).map_err(MmError::Store)?)?;
-                    outputs.push((id, text));
-                }
-                TAG_METRICS => {
-                    if metrics_json.is_some() {
-                        return Err(
-                            StoreError::Schema("duplicate metrics block".to_string()).into()
-                        );
-                    }
-                    metrics_json = Some(utf8(&block.payload)?);
-                }
-                t => return Err(StoreError::Schema(format!("unknown block tag {t}")).into()),
-            }
-        }
-        let declared = reader.records().unwrap_or(0);
-        if declared != outputs.len() as u64 {
-            return Err(StoreError::Schema(format!(
-                "trailer declares {declared} artifacts, decoded {}",
-                outputs.len()
-            ))
-            .into());
-        }
-        let metrics_json = metrics_json
-            .ok_or_else(|| StoreError::Schema("bundle has no metrics block".to_string()))?;
-        Ok(Some(RunBundle {
-            outputs,
-            metrics_json,
-        }))
-    }
-
-    /// Path of the run-bundle entry (used by tests and corruption gates).
-    pub fn run_entry_path(&self, ctx: &Ctx, ids: &[&str]) -> std::path::PathBuf {
-        self.cache.entry_path(&Self::run_key(ctx, ids))
-    }
 }
 
 fn utf8(bytes: &[u8]) -> Result<String, MmError> {
     std::str::from_utf8(bytes)
         .map(str::to_string)
-        .map_err(|_| StoreError::Schema("bundle text is not UTF-8".to_string()).into())
+        .map_err(|_| StoreError::Schema("stored text is not UTF-8".to_string()).into())
 }
 
 #[cfg(test)]
@@ -484,47 +395,6 @@ mod tests {
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mmx-store-{tag}-{}", std::process::id()))
-    }
-
-    fn bundle() -> RunBundle {
-        RunBundle {
-            outputs: vec![
-                ("t2".to_string(), "alpha\nbeta\n".to_string()),
-                ("f5".to_string(), "gamma\n".to_string()),
-            ],
-            metrics_json: "{\"sections\":[]}".to_string(),
-        }
-    }
-
-    #[test]
-    fn run_bundle_round_trips() {
-        let dir = tmp_dir("bundle");
-        let store = RunStore::open(&dir).unwrap();
-        let ctx = Ctx::quick(2018);
-        let ids = ["t2", "f5"];
-        assert_eq!(store.load_run(&ctx, &ids).unwrap(), None, "cold miss");
-        store.save_run(&ctx, &ids, &bundle()).unwrap();
-        assert_eq!(store.load_run(&ctx, &ids).unwrap(), Some(bundle()));
-        // A different artifact set or seed is a different address.
-        assert_eq!(store.load_run(&ctx, &["t2"]).unwrap(), None);
-        assert_eq!(store.load_run(&Ctx::quick(1), &ids).unwrap(), None);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_bundle_is_a_typed_error_not_a_silent_miss() {
-        let dir = tmp_dir("corrupt");
-        let store = RunStore::open(&dir).unwrap();
-        let ctx = Ctx::quick(2018);
-        let ids = ["t2"];
-        store.save_run(&ctx, &ids, &bundle()).unwrap();
-        let path = store.run_entry_path(&ctx, &ids);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(store.load_run(&ctx, &ids), Err(MmError::Store(_))));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -563,7 +433,7 @@ mod tests {
         // d2 + d1-active + d1-idle + the campaign manifest.
         assert_eq!(entries.len(), 4);
         let before: Vec<_> = entries.iter().map(|p| stamp(p)).collect();
-        // A context that streamed D2 off disk can still `--save` without
+        // A context that streamed D2 off disk can still save without
         // re-crawling: every entry already exists, so nothing is rewritten.
         let warm = Ctx::quick(2018);
         store.load_datasets(&warm).unwrap();

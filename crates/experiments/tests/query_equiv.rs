@@ -81,14 +81,14 @@ fn mmq_matches_mmx_store_streaming_byte_for_byte() {
     let dir = tmp("equiv");
     crawl(&dir);
 
-    // mmx --load: store miss on the run bundle, so it streams the stored
-    // D2 entry into the figure aggregate and renders cold.
+    // mmx --load streams the stored D2 entry into the figure aggregate
+    // and renders.
     let mut mmx_args = SERVED.to_vec();
     mmx_args.extend(["--quick", "--load"]);
     let via_mmx = exe("mmx", &mmx_args, Some(&dir));
     assert!(via_mmx.status.success(), "mmx: {}", via_mmx.stderr);
     assert!(
-        via_mmx.stderr.contains("store miss, preloaded 1/3"),
+        via_mmx.stderr.contains("preloaded 1/3"),
         "mmx streamed the stored crawl: {}",
         via_mmx.stderr
     );
@@ -302,6 +302,11 @@ fn usage_errors_exit_2_with_a_hint() {
         (
             "mmx",
             &["crawl", "--quick", "--save", "--store", "X"],
+            "conflict",
+        ),
+        (
+            "mmx",
+            &["crawl", "f12", "--quick", "--store", "X"],
             "conflict",
         ),
         (

@@ -1,9 +1,11 @@
-//! End-to-end checks of the `mmx` store flags: a warm `--load` rerun must
-//! byte-identically reproduce the cold run's stdout and `--metrics`
-//! snapshot, corrupt entries (bit flip, truncation, wrong magic, future
-//! version) must fail with the typed runtime exit code, and `--version`
-//! must report the crate version.
+//! End-to-end checks of the `mmx` store flags: a warm `--load` run must
+//! print the cold run's stdout byte for byte, rendered from the stored
+//! datasets (its `--metrics` fold the stored crawl and run no crawl or
+//! campaign), corrupt dataset entries (bit flip, truncation, wrong magic,
+//! future version) must fail with the typed runtime exit code, and
+//! `--version` must report the crate version.
 
+use mm_json::Json;
 use std::path::Path;
 use std::process::Command;
 
@@ -39,8 +41,20 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 
 const ARTS: &[&str] = &["t2", "t4", "f10", "f12", "--quick"];
 
+/// The value of counter `section.name` in a `--metrics` snapshot.
+fn counter(metrics: &str, section: &str, name: &str) -> Option<u64> {
+    let doc = Json::parse(metrics).expect("--metrics is JSON");
+    let sections = doc["sections"].as_array()?;
+    let section = sections
+        .iter()
+        .find(|s| s["name"].as_str() == Some(section))?;
+    let counters = section["counters"].as_array()?;
+    let c = counters.iter().find(|c| c["name"].as_str() == Some(name))?;
+    c["value"].as_u64()
+}
+
 #[test]
-fn warm_load_is_byte_identical_to_the_cold_run() {
+fn warm_load_renders_from_the_stored_datasets() {
     let dir = tmp("warm");
     let cold_m = dir.join("cold.json");
     let warm_m = dir.join("warm.json");
@@ -55,19 +69,20 @@ fn warm_load_is_byte_identical_to_the_cold_run() {
     let warm = mmx(&warm_args, &dir, Some(&warm_m));
     assert!(warm.status.success(), "warm run: {}", warm.stderr);
 
-    assert_eq!(
-        cold.stdout, warm.stdout,
-        "stdout must replay byte-identically"
-    );
-    assert_eq!(
-        cold.metrics, warm.metrics,
-        "metrics must replay byte-identically"
-    );
+    assert_eq!(cold.stdout, warm.stdout, "stdout must be byte-identical");
     assert!(
-        warm.stderr.contains("store hit"),
-        "warm run reports the hit: {}",
+        warm.stderr.contains("preloaded 3/3"),
+        "warm run preloads every dataset: {}",
         warm.stderr
     );
+    // The warm metrics describe the warm run: it folds every row the cold
+    // run crawled, and crawls and drives nothing itself.
+    let (cold_m, warm_m) = (cold.metrics.unwrap(), warm.metrics.unwrap());
+    let crawled = counter(&cold_m, "crawl", "samples_emitted");
+    assert!(crawled.is_some_and(|n| n > 0), "the cold run crawls");
+    assert_eq!(counter(&warm_m, "fold", "rows_folded"), crawled);
+    assert_eq!(counter(&warm_m, "crawl", "samples_emitted"), None);
+    assert_eq!(counter(&warm_m, "campaign", "drives_completed"), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -83,7 +98,7 @@ fn load_miss_falls_back_to_the_cold_path_with_identical_output() {
     assert!(fallback.status.success(), "{}", fallback.stderr);
     assert_eq!(baseline.stdout, fallback.stdout);
     assert!(
-        fallback.stderr.contains("store miss"),
+        fallback.stderr.contains("preloaded 0/3"),
         "{}",
         fallback.stderr
     );
@@ -98,15 +113,9 @@ fn corrupt_store_entry_fails_typed_with_the_runtime_exit_code() {
     let cold = mmx(&cold_args, &dir, None);
     assert!(cold.status.success(), "{}", cold.stderr);
 
-    let bundle = std::fs::read_dir(&dir)
-        .expect("readdir")
-        .filter_map(|e| e.ok())
-        .find(|e| e.file_name().to_string_lossy().starts_with("run-"))
-        .expect("run bundle exists");
-    let path = bundle.path();
-    let good = std::fs::read(&path).expect("read bundle");
-
-    // Each damage class is applied to the good bundle on its own.
+    // Each damage class is applied on its own to the good D2 entry, then
+    // to the good idle D1 entry, which `--load` reads after D2 and the
+    // active D1.
     type Damage = fn(&mut Vec<u8>);
     let damages: [(&str, Damage); 4] = [
         ("bit flip", |b| {
@@ -119,22 +128,32 @@ fn corrupt_store_entry_fails_typed_with_the_runtime_exit_code() {
     ];
     let mut warm_args = ARTS.to_vec();
     warm_args.push("--load");
-    for (class, damage) in damages {
-        let mut bytes = good.clone();
-        damage(&mut bytes);
-        std::fs::write(&path, &bytes).expect("write corrupt bundle");
-        let warm = mmx(&warm_args, &dir, None);
-        assert_eq!(
-            warm.status.code(),
-            Some(3),
-            "{class}: corruption is a runtime error, not a silent fallback: {}",
-            warm.stderr
-        );
-        assert!(
-            warm.stderr.contains("store error"),
-            "{class}: typed diagnosis: {}",
-            warm.stderr
-        );
+    for prefix in ["d2-", "d1-idle-"] {
+        let path = std::fs::read_dir(&dir)
+            .expect("readdir")
+            .filter_map(|e| e.ok())
+            .find(|e| e.file_name().to_string_lossy().starts_with(prefix))
+            .expect("dataset entry exists")
+            .path();
+        let good = std::fs::read(&path).expect("read entry");
+        for (class, damage) in damages {
+            let mut bytes = good.clone();
+            damage(&mut bytes);
+            std::fs::write(&path, &bytes).expect("write corrupt entry");
+            let warm = mmx(&warm_args, &dir, None);
+            assert_eq!(
+                warm.status.code(),
+                Some(3),
+                "{prefix} {class}: corruption is a runtime error, not a silent fallback: {}",
+                warm.stderr
+            );
+            assert!(
+                warm.stderr.contains("store error"),
+                "{prefix} {class}: typed diagnosis: {}",
+                warm.stderr
+            );
+        }
+        std::fs::write(&path, &good).expect("restore entry");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -300,7 +300,7 @@ mod tests {
         assert_eq!(v["serving"]["freq"].as_u64(), Some(850));
         assert_eq!(v["serving"]["rsrp"].as_f64(), Some(-91.25));
         assert_eq!(v["events"][0].as_str(), Some("A3"));
-        assert_eq!(v["events"][1]["A5"]["thresh2_dbm"].as_i64(), Some(-95));
+        assert_eq!(v["events"][1]["A5"]["thresh2_dbm"].as_f64(), Some(-95.0));
         assert_eq!(v["ok"].as_bool(), Some(true));
         assert!(v["note"].is_null());
     }

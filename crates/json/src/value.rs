@@ -49,16 +49,6 @@ impl Json {
         }
     }
 
-    /// The numeric payload as a signed integer, if it is one exactly.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 => {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -1,7 +1,7 @@
 //! `mmlint` — run the workspace determinism & hermeticity lints.
 //!
 //! ```text
-//! mmlint [--root DIR] [--json] [--list] [--strict-suppress]
+//! mmlint [--root DIR] [--json] [--list]
 //! mmlint --explain RULE
 //! ```
 //!
@@ -14,8 +14,8 @@
 //!
 //! Every run analyses the workspace as it is on disk, so stdout depends on
 //! the workspace alone: it is byte-identical across re-runs and at any
-//! `MM_THREADS`. `--strict-suppress` turns the stale-suppression audit
-//! (S002) into an error, for CI.
+//! `MM_THREADS`. A stale suppression is an error (S001, S002), so a clean
+//! run means every `mm-allow` still silences a live diagnostic.
 
 use mm_json::ToJson;
 use mm_lint::{analyze_workspace, rule_by_id, RULES};
@@ -23,9 +23,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> String {
-    "usage: mmlint [--root DIR] [--json] [--list] [--strict-suppress] \
-     [--explain RULE] [--version]"
-        .to_string()
+    "usage: mmlint [--root DIR] [--json] [--list] [--explain RULE] [--version]".to_string()
 }
 
 /// Find the workspace root: walk up from `start` to the first directory
@@ -48,7 +46,6 @@ fn find_root(start: PathBuf) -> Option<PathBuf> {
 fn run() -> Result<ExitCode, (i32, String)> {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
-    let mut strict_suppress = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -57,7 +54,6 @@ fn run() -> Result<ExitCode, (i32, String)> {
                 return Ok(ExitCode::SUCCESS);
             }
             "--json" => json = true,
-            "--strict-suppress" => strict_suppress = true,
             "--root" => {
                 let dir = args
                     .next()
@@ -102,8 +98,8 @@ fn run() -> Result<ExitCode, (i32, String)> {
         }
     };
 
-    let report = analyze_workspace(&root, strict_suppress)
-        .map_err(|e| (3, format!("scanning {}: {e}", root.display())))?;
+    let report =
+        analyze_workspace(&root).map_err(|e| (3, format!("scanning {}: {e}", root.display())))?;
 
     if json {
         println!("{}", report.to_json_string());

@@ -330,7 +330,7 @@ pub fn analyze_manifest_src(rel_path: &str, src: &str) -> Vec<Diagnostic> {
 /// (paths ending in `Cargo.toml`) contribute hermeticity checks and crate
 /// dependency edges; with no manifests, call resolution widens to every
 /// file. This is what the graph-rule fixtures drive.
-pub fn analyze_files(files: &[(&str, &str)], strict_suppress: bool) -> Vec<Diagnostic> {
+pub fn analyze_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let mut summaries = Vec::new();
     let mut manifests = Vec::new();
@@ -353,7 +353,7 @@ pub fn analyze_files(files: &[(&str, &str)], strict_suppress: bool) -> Vec<Diagn
         });
     }
     let crate_deps = crate_deps_from_manifests(&manifests);
-    finish_graph_phase(&summaries, &crate_deps, strict_suppress, &mut diagnostics);
+    finish_graph_phase(&summaries, &crate_deps, &mut diagnostics);
     sort_diags(&mut diagnostics);
     diagnostics
 }
@@ -413,12 +413,10 @@ fn crate_deps_from_manifests(manifests: &[(String, String)]) -> BTreeMap<String,
 }
 
 /// Phase 2: run the graph rules, apply the held graph-phase suppressions
-/// (marking, like phase 1), and audit stale ones as S002 — advisory by
-/// default, gate-failing under `--strict-suppress`.
+/// (marking, like phase 1), and report stale ones as S002 errors.
 fn finish_graph_phase(
     summaries: &[FileSummary],
     crate_deps: &BTreeMap<String, BTreeSet<String>>,
-    strict_suppress: bool,
     diagnostics: &mut Vec<Diagnostic>,
 ) {
     let mut graph_diags = graph::run_graph_rules(summaries, crate_deps);
@@ -447,11 +445,7 @@ fn finish_graph_phase(
         if !used {
             diagnostics.push(Diagnostic {
                 rule: "S002",
-                severity: if strict_suppress {
-                    Severity::Error
-                } else {
-                    Severity::Warn
-                },
+                severity: Severity::Error,
                 file: summaries[i].path.clone(),
                 line,
                 message: format!(
@@ -505,12 +499,10 @@ fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> std::io:
     Ok(())
 }
 
-/// Lint the whole workspace rooted at `root`; `strict_suppress` escalates
-/// S002 (stale graph-phase suppressions) to an error. Phase 1 scatters
-/// per-file work over the ambient executor (`MM_THREADS`); the ordered
-/// gather and the final sort keep the report byte-identical at any thread
-/// count.
-pub fn analyze_workspace(root: &Path, strict_suppress: bool) -> std::io::Result<Report> {
+/// Lint the whole workspace rooted at `root`. Phase 1 scatters per-file
+/// work over the ambient executor (`MM_THREADS`); the ordered gather and
+/// the final sort keep the report byte-identical at any thread count.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
 
@@ -565,7 +557,7 @@ pub fn analyze_workspace(root: &Path, strict_suppress: bool) -> std::io::Result<
             graph_sups: fa.graph_sups,
         });
     }
-    finish_graph_phase(&summaries, &crate_deps, strict_suppress, &mut diagnostics);
+    finish_graph_phase(&summaries, &crate_deps, &mut diagnostics);
     sort_diags(&mut diagnostics);
     Ok(Report {
         diagnostics,
@@ -695,7 +687,7 @@ mod tests {
             ("crates/experiments/src/bin/mmx.rs", entry),
             ("crates/netsim/src/sched.rs", lib),
         ];
-        let diags = analyze_files(&files, false);
+        let diags = analyze_files(&files);
         let p002: Vec<(u32, bool)> = diags
             .iter()
             .filter(|d| d.rule == "P002")
@@ -708,17 +700,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_graph_suppressions_become_s002_and_strict_escalates() {
+    fn stale_graph_suppressions_become_s002_errors() {
         let files = [(
             "crates/netsim/src/sched.rs",
             "// mm-allow(F001): nothing here any more\npub fn quiet() {}\n",
         )];
-        let relaxed = analyze_files(&files, false);
-        let s002: Vec<_> = relaxed.iter().filter(|d| d.rule == "S002").collect();
-        assert_eq!(s002.len(), 1, "{relaxed:?}");
-        assert_eq!(s002[0].severity, Severity::Warn);
-        let strict = analyze_files(&files, true);
-        let s002: Vec<_> = strict.iter().filter(|d| d.rule == "S002").collect();
+        let diags = analyze_files(&files);
+        let s002: Vec<_> = diags.iter().filter(|d| d.rule == "S002").collect();
+        assert_eq!(s002.len(), 1, "{diags:?}");
         assert_eq!(s002[0].severity, Severity::Error);
     }
 
@@ -746,7 +735,7 @@ mod tests {
                 "pub fn helper() { panic!(\"not a dep\") }\n",
             ),
         ];
-        let diags = analyze_files(&files, false);
+        let diags = analyze_files(&files);
         let p001: Vec<&str> = diags
             .iter()
             .filter(|d| d.rule == "P001")

@@ -27,9 +27,9 @@
 //! byte-identical at any `MM_THREADS`. Findings can be silenced inline with
 //! `mm-allow(RULE): reason` at the start of a comment on the same line or
 //! the line above — suppressed diagnostics are marked, not dropped, and
-//! reasonless, unknown-rule, or stale suppressions are themselves
-//! diagnostics (S001 for token rules, S002 for graph rules — an error
-//! under `--strict-suppress`), so the suppression inventory stays honest.
+//! reasonless, unknown-rule, or stale suppressions are themselves errors
+//! (S001 for token rules, S002 for graph rules), so the suppression
+//! inventory stays honest.
 //!
 //! The `mmlint` binary runs the whole workspace (human or `--json`
 //! output, `--explain RULE` for rationale) and is gated in

@@ -191,13 +191,12 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "S002",
-        severity: Severity::Warn,
+        severity: Severity::Error,
         summary: "workspace-phase suppressions must still fire",
         explain: "An mm-allow naming a graph-phase rule (R003/F001/P001/P002) can only be \
                   audited after the whole workspace is analyzed: when it no longer matches \
-                  any diagnostic it is stale and must be pruned. Advisory by default because \
-                  the call graph is approximate; `mmlint --strict-suppress` (the verify.sh \
-                  gate) promotes it to an error so the suppression inventory cannot rot.",
+                  any diagnostic it is stale and must be pruned. It is an error, like its \
+                  token-phase twin S001, so the suppression inventory cannot rot.",
         check: None,
     },
 ];

@@ -273,19 +273,16 @@ const GRAPH_LIB: &str = "crates/netsim/src/fixture.rs";
 
 #[test]
 fn r003_fires_on_duplicate_labels_across_files_and_spellings() {
-    let diags = analyze_files(
-        &[
-            (
-                "crates/netsim/src/a.rs",
-                include_str!("fixtures/r003_positive_a.rs"),
-            ),
-            (
-                "crates/netsim/src/b.rs",
-                include_str!("fixtures/r003_positive_b.rs"),
-            ),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (
+            "crates/netsim/src/a.rs",
+            include_str!("fixtures/r003_positive_a.rs"),
+        ),
+        (
+            "crates/netsim/src/b.rs",
+            include_str!("fixtures/r003_positive_b.rs"),
+        ),
+    ]);
     // `0x5e5e` in one file and `24158` in the other normalize to the same
     // label; both sites are reported.
     assert_all(&diags, "R003", 2);
@@ -295,37 +292,28 @@ fn r003_fires_on_duplicate_labels_across_files_and_spellings() {
 
 #[test]
 fn r003_suppression_silences_with_reason() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/r003_suppressed.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/r003_suppressed.rs"))]);
     assert_fully_suppressed(&diags, "R003");
 }
 
 #[test]
 fn r003_clean_distinct_labels_pass() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/r003_clean.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/r003_clean.rs"))]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 
 #[test]
 fn r003_same_label_in_different_crates_is_fine() {
-    let diags = analyze_files(
-        &[
-            (
-                "crates/netsim/src/a.rs",
-                include_str!("fixtures/r003_positive_a.rs"),
-            ),
-            (
-                "crates/mmlab/src/b.rs",
-                include_str!("fixtures/r003_positive_b.rs"),
-            ),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (
+            "crates/netsim/src/a.rs",
+            include_str!("fixtures/r003_positive_a.rs"),
+        ),
+        (
+            "crates/mmlab/src/b.rs",
+            include_str!("fixtures/r003_positive_b.rs"),
+        ),
+    ]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 
@@ -333,28 +321,19 @@ fn r003_same_label_in_different_crates_is_fine() {
 
 #[test]
 fn f001_fires_on_reductions_reachable_from_scatter() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/f001_positive.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/f001_positive.rs"))]);
     assert_all(&diags, "F001", 1);
 }
 
 #[test]
 fn f001_suppression_silences_with_reason() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/f001_suppressed.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/f001_suppressed.rs"))]);
     assert_fully_suppressed(&diags, "F001");
 }
 
 #[test]
 fn f001_clean_kernel_routed_reduction_passes() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/f001_clean.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/f001_clean.rs"))]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 
@@ -363,48 +342,36 @@ fn f001_clean_kernel_routed_reduction_passes() {
 #[test]
 fn p001_fires_on_panics_reachable_from_a_binary() {
     let (epath, esrc) = entry("decode(0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p001_positive.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p001_positive.rs")),
+    ]);
     assert_all(&diags, "P001", 1);
 }
 
 #[test]
 fn p001_without_an_entry_point_stays_quiet() {
-    let diags = analyze_files(
-        &[(GRAPH_LIB, include_str!("fixtures/p001_positive.rs"))],
-        false,
-    );
+    let diags = analyze_files(&[(GRAPH_LIB, include_str!("fixtures/p001_positive.rs"))]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 
 #[test]
 fn p001_suppression_silences_with_reason() {
     let (epath, esrc) = entry("decode(0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p001_suppressed.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p001_suppressed.rs")),
+    ]);
     assert_fully_suppressed(&diags, "P001");
 }
 
 #[test]
 fn p001_clean_option_return_passes() {
     let (epath, esrc) = entry("decode(0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p001_clean.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p001_clean.rs")),
+    ]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 
@@ -413,39 +380,30 @@ fn p001_clean_option_return_passes() {
 #[test]
 fn p002_fires_on_cast_indexing_reachable_from_a_binary() {
     let (epath, esrc) = entry("count_for(&[], 0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p002_positive.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p002_positive.rs")),
+    ]);
     assert_all(&diags, "P002", 1);
 }
 
 #[test]
 fn p002_suppression_silences_with_reason() {
     let (epath, esrc) = entry("count_for(&[], 0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p002_suppressed.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p002_suppressed.rs")),
+    ]);
     assert_fully_suppressed(&diags, "P002");
 }
 
 #[test]
 fn p002_clean_checked_lookup_passes() {
     let (epath, esrc) = entry("count_for(&[], 0)");
-    let diags = analyze_files(
-        &[
-            (epath.as_str(), esrc.as_str()),
-            (GRAPH_LIB, include_str!("fixtures/p002_clean.rs")),
-        ],
-        false,
-    );
+    let diags = analyze_files(&[
+        (epath.as_str(), esrc.as_str()),
+        (GRAPH_LIB, include_str!("fixtures/p002_clean.rs")),
+    ]);
     assert!(diags.is_empty(), "{:?}", rules_of(&diags));
 }
 

@@ -130,11 +130,6 @@ impl D2 {
         self.samples.iter()
     }
 
-    /// Number of samples of one carrier (Fig 12's per-carrier series).
-    pub fn sample_count(&self, carrier: &str) -> usize {
-        self.filter(&Predicate::any().carrier(carrier)).count()
-    }
-
     /// Number of samples (the paper's 7,996,149-scale count).
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -384,7 +379,6 @@ mod tests {
         ]);
         assert_eq!(d2.filter(&Predicate::any().carrier("A")).count(), 2);
         assert_eq!(d2.filter(&Predicate::any().carrier("B")).count(), 1);
-        assert_eq!(d2.sample_count("A"), 2);
         assert_eq!(d2.filter(&Predicate::any().city(City::C3)).count(), 1);
         assert_eq!(
             d2.filter(&Predicate::any().carrier("B").city(City::C3))

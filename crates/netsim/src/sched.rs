@@ -219,14 +219,6 @@ impl UeOutcome {
             UeOutcome::Tally(_) => None,
         }
     }
-
-    /// The integer tally, if collected in [`CollectMode::Tally`].
-    pub fn into_tally(self) -> Option<UeTally> {
-        match self {
-            UeOutcome::Full(_) => None,
-            UeOutcome::Tally(t) => Some(t),
-        }
-    }
 }
 
 /// Event-queue accounting of one engine run. `events_processed` is a pure
@@ -787,7 +779,9 @@ mod tests {
         assert_eq!(full.stats, tally.stats);
         for (f, t) in full.ues.into_iter().zip(tally.ues) {
             let f = f.unwrap().into_full().unwrap();
-            let t = t.unwrap().into_tally().unwrap();
+            let UeOutcome::Tally(t) = t.unwrap() else {
+                panic!("tally mode collects tallies")
+            };
             assert_eq!(t.handoffs(), f.result.handoffs.len() as u64);
             for h in &f.result.handoffs {
                 assert!(t.handoffs_by_event[h.decisive_event().code() as usize] > 0);

@@ -102,7 +102,8 @@ pub struct StoreWriter<W: Write> {
 
 impl<W: Write> StoreWriter<W> {
     /// Write the header and return the writer. `kind` names the dataset
-    /// schema ("d2-config-samples", "mmx-run", …) and must be ≤ 255 bytes.
+    /// schema ("d2-config-samples", "mm-manifest", …) and must be ≤ 255
+    /// bytes.
     pub fn new(mut sink: W, kind: &str) -> Result<Self, mmcore::MmError> {
         let kind_len = u8::try_from(kind.len()).map_err(|_| {
             mmcore::MmError::Store(StoreError::Schema(format!(

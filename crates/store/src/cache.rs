@@ -35,7 +35,7 @@ pub struct CacheKey {
     /// Drive duration, ms.
     pub duration_ms: u64,
     /// What is stored under this key: a dataset id (`"d2"`,
-    /// `"d1-active"`, …) or a run-bundle id (`"run-…"`).
+    /// `"d1-active"`, …), `"manifest"` or a query id (`"q-…"`).
     pub artifact: String,
 }
 

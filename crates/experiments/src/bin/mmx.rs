@@ -28,9 +28,11 @@
 //! `mmx crawl` is the cold write path at scale: it generates the world,
 //! runs the sharded Type-I crawl on the `mm-exec` pool, reports the
 //! crawl rate, and persists the D2 columnar store entry plus the campaign
-//! manifest. `mmx --append` crawls ONE more round under the next round
-//! seed and adds it as a brand-new store entry — prior-round files are
-//! never rewritten, only the manifest is. `--load` figure runs against
+//! manifest. The entry is encoded from the crawl's runs one row group at
+//! a time, so the expanded ~8M-sample dataset is never built. `mmx
+//! --append` crawls ONE more round under the next round seed and adds it
+//! as a brand-new store entry the same way — prior-round files are never
+//! rewritten, only the manifest is. `--load` figure runs against
 //! the same `--store`/seed/scale then *stream* round 0's entry — the `d2`
 //! entry `mmx crawl` wrote — block-by-block into the figure aggregate
 //! (DESIGN.md §10), so at paper scale the ~8M-sample dataset is never
@@ -54,12 +56,12 @@
 //!
 //! `--store DIR` names a content-addressed dataset store (DESIGN.md §9.5);
 //! `--save` persists the three shared datasets and the campaign manifest
-//! there. `--load` preloads whichever of them are stored and renders
-//! through the same code as a cold run, so stdout is byte-identical; it
-//! recomputes what no dataset holds (T4 and the audit from the world,
-//! F7/F8's corridor drives, the ablations), and its `--metrics` describe
-//! the warm run. A corrupt entry is a hard typed error, never a silent
-//! fallback.
+//! there. `--load` preloads those of them its artifacts read, opening no
+//! other entry, and renders through the same code as a cold run, so
+//! stdout is byte-identical; it recomputes what no dataset holds (T4 and
+//! the audit from the world, F7/F8's corridor drives, the ablations), and
+//! its `--metrics` describe the warm run. A corrupt entry it reads is a
+//! hard typed error, never a silent fallback.
 //!
 //! Exit codes: 2 for usage errors (bad flags, unknown artifacts, invalid
 //! flag combinations), 3 for runtime failures (an unwritable metrics
@@ -73,7 +75,7 @@ use mmexperiments::store::round_seed;
 use mmexperiments::{
     run, run_fleet_on, Artifact, FleetConfig, MmError, RunStore, ABLATIONS, ARTIFACTS,
 };
-use mmlab::D2;
+use mmlab::Crawl;
 
 fn usage() -> String {
     format!(
@@ -292,23 +294,22 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
     })
 }
 
-/// Crawl `world` under `seed`. Also returns the seconds the whole call
-/// took — the shards' scatter, the gather and the ingest check — as the
-/// `crawl` span recorded them, and the threads the scatter used. Call it
-/// with no span open on this thread: a nested span reaches the registry
-/// only when its root span exits.
-fn timed_crawl(world: &World, seed: u64, exec: &Executor) -> (D2, f64, usize) {
-    let crawl_ns = || {
-        mm_telemetry::global()
-            .snapshot()
-            .section("crawl")
-            .and_then(|s| s.spans.iter().find(|span| span.path == "crawl"))
-            .map_or(0, |span| span.total_ns)
-    };
-    let before = crawl_ns();
-    let (d2, stats) = mmlab::crawl_with_stats(world, seed, exec);
-    let secs = (crawl_ns() - before).max(1) as f64 / 1e9;
-    (d2, secs, stats.threads)
+/// Crawl `world` under `seed` into its runs, and describe the crawl: `N
+/// samples over C cells in S s (R samples/s, T thread(s))`. The time is
+/// the scatter's wall clock, which is the whole crawl. Every cell of the
+/// world yields rows, so the world's cell count is the crawl's without a
+/// pass over ~8M rows.
+fn timed_crawl(world: &World, seed: u64, exec: &Executor) -> (Crawl, String) {
+    let (crawl, stats) = Crawl::run(world, seed, exec);
+    let secs = stats.wall_ns.max(1) as f64 / 1e9;
+    let line = format!(
+        "{} samples over {} cells in {secs:.1}s ({:.0} samples/s, {} thread(s))",
+        crawl.samples(),
+        world.cells().len(),
+        crawl.samples() as f64 / secs,
+        stats.threads,
+    );
+    (crawl, line)
 }
 
 fn real_main() -> Result<(), MmError> {
@@ -351,22 +352,13 @@ fn real_main() -> Result<(), MmError> {
 
     let (wanted, cache) = match mode {
         // Cold write path: shard the Type-I crawl over the pool, report
-        // the sustained rate, and persist the columnar D2 entry plus the
-        // campaign manifest.
+        // the sustained rate, and persist the columnar D2 entry, encoded
+        // from the crawl's runs, plus the campaign manifest.
         RunMode::Crawl => {
             let s = store.as_ref().expect("crawl resolved against --store");
-            let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
-            // Every cell of the world yields rows, so the world's cell
-            // count is the crawl's without a pass over ~8M rows.
-            eprintln!(
-                "# mmx crawl: {} samples over {} cells in {:.1}s ({:.0} samples/s, {} thread(s))",
-                d2.len(),
-                ctx.world().cells().len(),
-                secs,
-                d2.len() as f64 / secs,
-                threads,
-            );
-            ctx.preload_d2(d2);
+            let (crawl, line) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
+            eprintln!("# mmx crawl: {line}");
+            ctx.preload_crawl(crawl);
             return s.save_d2(&ctx);
         }
         // Append one campaign round: crawl under the next round seed,
@@ -374,17 +366,9 @@ fn real_main() -> Result<(), MmError> {
         RunMode::Append => {
             let s = store.as_ref().expect("--append resolved against --store");
             let round = s.next_round(&ctx)?;
-            let (d2, secs, threads) = timed_crawl(ctx.world(), round_seed(ctx.seed, round), &exec);
-            eprintln!(
-                "# mmx append: round {round}: {} samples over {} cells in {:.1}s \
-                 ({:.0} samples/s, {} thread(s))",
-                d2.len(),
-                ctx.world().cells().len(),
-                secs,
-                d2.len() as f64 / secs,
-                threads,
-            );
-            let manifest = s.append_round(&ctx, round, &d2)?;
+            let (crawl, line) = timed_crawl(ctx.world(), round_seed(ctx.seed, round), &exec);
+            eprintln!("# mmx append: round {round}: {line}");
+            let manifest = s.append_round(&ctx, round, &crawl)?;
             eprintln!(
                 "# mmx append: store now holds {} round(s), {} samples total",
                 manifest.rounds.len(),
@@ -396,12 +380,12 @@ fn real_main() -> Result<(), MmError> {
         RunMode::Version | RunMode::List => unreachable!("handled above"),
     };
 
-    // Warm path: preload whatever datasets are stored; the render below
-    // builds the rest cold.
+    // Warm path: preload the stored datasets the artifacts read; the
+    // render below builds the rest cold.
     if cache == CachePolicy::Load {
         let s = store.as_ref().expect("--load resolved against --store");
-        let hits = s.load_datasets(&ctx)?;
-        eprintln!("# mmx: preloaded {hits}/3 dataset(s) from the store");
+        let (hits, read) = s.load_datasets(&ctx, &wanted)?;
+        eprintln!("# mmx: preloaded {hits}/{read} dataset(s) from the store");
     }
 
     // With more than one artifact, build exactly the shared state this

@@ -2,19 +2,28 @@
 //! drive-test campaign pair (active/idle D1), built lazily and shared by
 //! every figure so `mmx all` does the expensive work once.
 //!
-//! All lazy slots are [`OnceLock`]s, so a `&Ctx` is `Sync` and `mmx all`
-//! can fan independent artifacts out over `mm-exec` worker threads against
-//! one pre-warmed context.
+//! The crawl is held as its runs ([`Crawl`]) until something asks for
+//! [`Ctx::d2`], which expands it and drops the runs, so a context holds
+//! one form or the other, never both. The store's write path
+//! ([`RunStore::save_d2`](crate::RunStore::save_d2)) encodes the runs
+//! directly, so a context that only crawls and saves never builds the
+//! expanded dataset.
+//!
+//! The dataset slots are [`OnceLock`]s and the crawl slot a [`Mutex`], so
+//! a `&Ctx` is `Sync` and `mmx all` can fan independent artifacts out over
+//! `mm-exec` worker threads against one pre-warmed context.
 
 use crate::store::round_seed;
 use crate::stream::D2Agg;
 use crate::Artifact;
+use mm_exec::Executor;
 use mmcarriers::city::City;
 use mmcarriers::world::World;
+use mmcore::MmError;
 use mmlab::campaign::{run_campaigns_parallel, CampaignConfig};
-use mmlab::crawler::crawl;
+use mmlab::crawler::Crawl;
 use mmlab::dataset::{D1, D2};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The three US cities the paper's Type-II drives covered (Chicago,
 /// Indianapolis, Lafayette).
@@ -37,6 +46,8 @@ pub struct Ctx {
     /// Duration of each drive, ms.
     pub duration_ms: u64,
     world: OnceLock<World>,
+    /// Round 0's crawl as runs, until [`Ctx::d2`] expands it.
+    crawl: Mutex<Option<Crawl>>,
     d2: OnceLock<D2>,
     d2_agg: OnceLock<D2Agg>,
     d1_active: OnceLock<D1>,
@@ -115,6 +126,7 @@ impl CtxBuilder {
             runs: self.runs,
             duration_ms: self.duration_ms,
             world: OnceLock::new(),
+            crawl: Mutex::new(None),
             d2: OnceLock::new(),
             d2_agg: OnceLock::new(),
             d1_active: OnceLock::new(),
@@ -140,10 +152,46 @@ impl Ctx {
             .get_or_init(|| World::generate(self.seed, self.scale))
     }
 
-    /// Dataset D2 (Type-I crawl).
+    /// Dataset D2 (Type-I crawl): the crawl the context holds, expanded,
+    /// or else a fresh one. The runs are dropped once expanded.
     pub fn d2(&self) -> &D2 {
-        self.d2
-            .get_or_init(|| crawl(self.world(), round_seed(self.seed, 0)))
+        self.d2.get_or_init(|| {
+            let held = self.crawl_slot().take();
+            held.unwrap_or_else(|| self.crawl_round_zero()).into_d2()
+        })
+    }
+
+    /// The crawl slot. A thread that panicked holding it left a whole
+    /// crawl or none, so a poisoned lock still guards a usable value.
+    fn crawl_slot(&self) -> MutexGuard<'_, Option<Crawl>> {
+        self.crawl.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Round 0's crawl on the ambient executor (`MM_THREADS` or
+    /// `available_parallelism()`).
+    fn crawl_round_zero(&self) -> Crawl {
+        Crawl::run(
+            self.world(),
+            round_seed(self.seed, 0),
+            &Executor::from_env(),
+        )
+        .0
+    }
+
+    /// Write round 0 of D2 in the store format into `w` and return its
+    /// sample count: from the materialized dataset if a render or
+    /// [`preload_d2`](Ctx::preload_d2) built it, else from the crawl's
+    /// runs, crawled into the context first if it holds none, and kept
+    /// there for a later [`d2`](Ctx::d2).
+    pub(crate) fn write_d2_store(&self, w: &mut Vec<u8>) -> Result<u64, MmError> {
+        let mut slot = self.crawl_slot();
+        if let Some(d2) = self.d2.get() {
+            d2.write_store(w)?;
+            return Ok(d2.len() as u64);
+        }
+        let crawl = slot.get_or_insert_with(|| self.crawl_round_zero());
+        crawl.write_store(w)?;
+        Ok(crawl.samples() as u64)
     }
 
     /// The streaming D2 aggregate every D2 figure (11–22) reads. Built
@@ -178,10 +226,27 @@ impl Ctx {
     }
 
     /// Install a precomputed D2 (typically decoded from a store file) into
-    /// the lazy slot. Returns `false` — and drops the value — if the slot
-    /// was already built.
+    /// the lazy slot, dropping any crawl the context holds. Returns
+    /// `false` — and drops the value — if the slot was already built.
     pub fn preload_d2(&self, d2: D2) -> bool {
-        self.d2.set(d2).is_ok()
+        let installed = self.d2.set(d2).is_ok();
+        if installed {
+            self.crawl_slot().take();
+        }
+        installed
+    }
+
+    /// Install round 0's crawl (`mmx crawl` runs and times its own) for
+    /// the store's write path and a later [`d2`](Ctx::d2). Returns
+    /// `false` — and drops the value — if the context already holds a
+    /// crawl or D2.
+    pub fn preload_crawl(&self, crawl: Crawl) -> bool {
+        let mut slot = self.crawl_slot();
+        if slot.is_some() || self.d2.get().is_some() {
+            return false;
+        }
+        *slot = Some(crawl);
+        true
     }
 
     /// Whether the raw D2 dataset has been materialized in this context.

@@ -1084,7 +1084,7 @@ mod tests {
         let reference = Ctx::builder().quick().scale(0.02).build();
         RunStore::open(&dir)
             .unwrap()
-            .load_datasets(&reference)
+            .load_datasets(&reference, &Artifact::ALL)
             .unwrap();
         assert_eq!(cold.text, crate::run(&reference, Artifact::F16).text);
         // Warm: served from the query cache without a scan.
@@ -1104,11 +1104,13 @@ mod tests {
     fn appended_round_aggregate_renders_like_the_in_memory_fold() {
         let (dir, eng) = engine("appended");
         let ctx = eng.ctx();
-        let round1 = mmlab::crawl(ctx.world(), crate::store::round_seed(ctx.seed, 1));
+        let seed = crate::store::round_seed(ctx.seed, 1);
+        let (crawl, _) = mmlab::Crawl::run(ctx.world(), seed, &Executor::from_env());
         RunStore::open(&dir)
             .unwrap()
-            .append_round(ctx, 1, &round1)
+            .append_round(ctx, 1, &crawl)
             .unwrap();
+        let round1 = crawl.into_d2();
         let eng = QueryEngine::open(&dir, Ctx::builder().quick().scale(0.02).build()).unwrap();
         let (streamed, _) = eng.aggregate(&Predicate::any()).unwrap();
 

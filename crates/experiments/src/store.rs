@@ -23,9 +23,11 @@
 
 use crate::context::Ctx;
 use crate::stream::D2Agg;
+use crate::Artifact;
 use mm_store::{ArtifactCache, CacheKey, Cursor, StoreReader, StoreWriter};
 use mmcore::{MmError, StoreError};
-use mmlab::dataset::{D1, D2};
+use mmlab::crawler::Crawl;
+use mmlab::dataset::D1;
 use mmlab::store::{D2StoreReader, KIND_D2};
 use std::io::BufReader;
 use std::path::Path;
@@ -189,17 +191,19 @@ impl RunStore {
 
     /// Persist just the D2 entry (the `mmx crawl` write path), unless it
     /// already exists at its address, and make sure the campaign manifest
-    /// records it as round 0.
+    /// records it as round 0. The entry is written from the context's
+    /// materialized D2 if a render or a preload built one, else from the
+    /// crawl's runs (crawling them into the context if it holds none), so
+    /// on a fresh context the expanded dataset is never built.
     pub fn save_d2(&self, ctx: &Ctx) -> Result<(), MmError> {
         let key = Self::key(ctx, "d2".to_string());
         let written = if self.cache.entry_path(&key).exists() {
             None
         } else {
-            let d2 = ctx.d2();
             let mut buf = Vec::new();
-            d2.write_store(&mut buf)?;
+            let samples = ctx.write_d2_store(&mut buf)?;
             self.cache.write(&key, &buf)?;
-            Some(d2.len() as u64)
+            Some(samples)
         };
         self.ensure_manifest(ctx, written)
     }
@@ -274,12 +278,13 @@ impl RunStore {
         Ok(self.campaign(ctx)?.next_round())
     }
 
-    /// Append `d2`, crawled for campaign round `round`, as a brand-new
-    /// store entry plus a manifest update, and return the updated
-    /// manifest. Prior-round files are never reopened for writing. A round
-    /// that is no longer the campaign's next (another append landed since
-    /// [`RunStore::next_round`]) is a typed error and writes nothing.
-    pub fn append_round(&self, ctx: &Ctx, round: u32, d2: &D2) -> Result<Manifest, MmError> {
+    /// Append `crawl`, run for campaign round `round`, as a brand-new
+    /// store entry written from its runs plus a manifest update, and
+    /// return the updated manifest. Prior-round files are never reopened
+    /// for writing. A round that is no longer the campaign's next (another
+    /// append landed since [`RunStore::next_round`]) is a typed error and
+    /// writes nothing.
+    pub fn append_round(&self, ctx: &Ctx, round: u32, crawl: &Crawl) -> Result<Manifest, MmError> {
         let mut manifest = self.campaign(ctx)?;
         let next = manifest.next_round();
         if round != next {
@@ -289,11 +294,11 @@ impl RunStore {
         }
         let entry = format!("d2-round-{round}");
         let mut buf = Vec::new();
-        d2.write_store(&mut buf)?;
+        crawl.write_store(&mut buf)?;
         self.cache.write(&Self::key(ctx, entry.clone()), &buf)?;
         manifest.rounds.push(RoundEntry {
             round,
-            samples: d2.len() as u64,
+            samples: crawl.samples() as u64,
             entry,
         });
         self.cache
@@ -351,35 +356,53 @@ impl RunStore {
             .ok_or_else(|| StoreError::Schema("query entry has no result block".to_string()).into())
     }
 
-    /// Preload any stored datasets into the context's lazy slots, so a
-    /// partial cache hit skips that part of the simulation. Returns how
-    /// many datasets were loaded. A present-but-corrupt entry is a hard
-    /// typed error, never a silent fallback to re-simulation.
+    /// Preload the stored datasets `artifacts` read into the context's
+    /// lazy slots, so a partial cache hit skips that part of the
+    /// simulation. Returns how many datasets were loaded and how many
+    /// entries the artifacts read; an entry no artifact reads is never
+    /// opened. A present-but-corrupt entry that is read is a hard typed
+    /// error, never a silent fallback to re-simulation.
     ///
     /// D2 is not materialized: its store entry is streamed block-by-block
     /// into the [`D2Agg`] figure aggregate (DESIGN.md §10), so at paper
     /// scale the 8M-sample dataset never exists in memory. The two D1s are
     /// campaign-bounded (thousands of handoffs, not millions of samples)
     /// and stay materialized.
-    pub fn load_datasets(&self, ctx: &Ctx) -> Result<usize, MmError> {
-        let mut hits = 0;
-        if let Some(file) = self.cache.open_entry(&Self::key(ctx, "d2".to_string()))? {
-            let reader = D2StoreReader::new(BufReader::new(file))?;
-            if ctx.preload_d2_agg(D2Agg::from_store(reader)?) {
-                hits += 1;
+    pub fn load_datasets(
+        &self,
+        ctx: &Ctx,
+        artifacts: &[Artifact],
+    ) -> Result<(usize, usize), MmError> {
+        let reads = |needs: fn(Artifact) -> bool| artifacts.iter().any(|&a| needs(a));
+        let (mut hits, mut read) = (0, 0);
+        if reads(Artifact::needs_d2_agg) {
+            read += 1;
+            if let Some(file) = self.cache.open_entry(&Self::key(ctx, "d2".to_string()))? {
+                let reader = D2StoreReader::new(BufReader::new(file))?;
+                hits += usize::from(ctx.preload_d2_agg(D2Agg::from_store(reader)?));
             }
         }
-        if let Some(bytes) = self.cache.read(&Self::key(ctx, "d1-active".to_string()))? {
-            if ctx.preload_d1_active(D1::read_store(bytes.as_slice())?) {
-                hits += 1;
+        if reads(Artifact::needs_d1_active) {
+            read += 1;
+            if let Some(d1) = self.read_d1(ctx, "d1-active")? {
+                hits += usize::from(ctx.preload_d1_active(d1));
             }
         }
-        if let Some(bytes) = self.cache.read(&Self::key(ctx, "d1-idle".to_string()))? {
-            if ctx.preload_d1_idle(D1::read_store(bytes.as_slice())?) {
-                hits += 1;
+        if reads(Artifact::needs_d1_idle) {
+            read += 1;
+            if let Some(d1) = self.read_d1(ctx, "d1-idle")? {
+                hits += usize::from(ctx.preload_d1_idle(d1));
             }
         }
-        Ok(hits)
+        Ok((hits, read))
+    }
+
+    /// A stored D1 entry, decoded; `Ok(None)` when the store lacks it.
+    fn read_d1(&self, ctx: &Ctx, entry: &str) -> Result<Option<D1>, MmError> {
+        match self.cache.read(&Self::key(ctx, entry.to_string()))? {
+            Some(bytes) => D1::read_store(bytes.as_slice()).map(Some),
+            None => Ok(None),
+        }
     }
 }
 
@@ -402,10 +425,11 @@ mod tests {
         let dir = tmp_dir("datasets");
         let store = RunStore::open(&dir).unwrap();
         let cold = Ctx::quick(2018);
-        assert_eq!(store.load_datasets(&cold).unwrap(), 0, "nothing stored yet");
+        let nothing = store.load_datasets(&cold, &Artifact::ALL).unwrap();
+        assert_eq!(nothing, (0, 3), "nothing stored yet");
         store.save_datasets(&cold).unwrap();
         let warm = Ctx::quick(2018);
-        assert_eq!(store.load_datasets(&warm).unwrap(), 3);
+        assert_eq!(store.load_datasets(&warm, &Artifact::ALL).unwrap(), (3, 3));
         // D2 arrives as the streamed aggregate, not the raw dataset: every
         // figure input matches the cold context's in-memory aggregate.
         assert_eq!(warm.d2_agg().len(), cold.d2().len());
@@ -416,6 +440,37 @@ mod tests {
         assert_eq!(warm.d2_agg().gap_series(), cold.d2_agg().gap_series());
         assert_eq!(warm.d1_active(), cold.d1_active());
         assert_eq!(warm.d1_idle(), cold.d1_idle());
+
+        // Only the entries the artifacts read are opened: a damaged
+        // active D1 fails a load that reads it, and no other.
+        std::fs::write(store.entry_path(&cold, "d1-active"), b"damaged").unwrap();
+        let some = [Artifact::T2, Artifact::F10, Artifact::F12];
+        let partial = Ctx::quick(2018);
+        assert_eq!(store.load_datasets(&partial, &some).unwrap(), (2, 2));
+        assert_eq!(partial.d1_idle(), cold.d1_idle());
+        let damaged = store.load_datasets(&Ctx::quick(2018), &[Artifact::F5]);
+        assert!(matches!(damaged, Err(MmError::Store(_))), "{damaged:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// FNV-1a and length of the `Ctx::quick(2018)` d2 entry, the value
+    /// `tests/store_roundtrip.rs` pins as `GOLDEN_STORE_2018`'s d2 row.
+    const GOLDEN_D2_2018: (usize, u64) = (6_931_155, 2982754153472058832);
+
+    #[test]
+    fn save_d2_on_a_fresh_context_writes_the_runs_without_expanding_them() {
+        let dir = tmp_dir("fresh-d2");
+        let store = RunStore::open(&dir).unwrap();
+        let ctx = Ctx::quick(2018);
+        store.save_d2(&ctx).unwrap();
+        let bytes = std::fs::read(store.entry_path(&ctx, "d2")).unwrap();
+        assert_eq!((bytes.len(), mm_store::fnv1a64(&bytes)), GOLDEN_D2_2018);
+        assert!(!ctx.d2_is_materialized(), "the write expanded the crawl");
+        // The crawl stays in the context: D2 expands from it, unchanged.
+        let reference = mmlab::crawl(ctx.world(), round_seed(2018, 0));
+        assert!(*ctx.d2() == reference, "expanded crawl differs");
+        let manifest = store.load_manifest(&ctx).unwrap().unwrap();
+        assert_eq!(manifest.total_samples(), reference.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -436,7 +491,7 @@ mod tests {
         // A context that streamed D2 off disk can still save without
         // re-crawling: every entry already exists, so nothing is rewritten.
         let warm = Ctx::quick(2018);
-        store.load_datasets(&warm).unwrap();
+        store.load_datasets(&warm, &Artifact::ALL).unwrap();
         store.save_datasets(&warm).unwrap();
         let after: Vec<_> = entries.iter().map(|p| stamp(p)).collect();
         assert_eq!(before, after, "existing entries untouched");
@@ -489,9 +544,14 @@ mod tests {
         let store = RunStore::open(&dir).unwrap();
         let ctx = Ctx::builder().quick().scale(0.02).build();
 
+        let crawl = |round| {
+            let seed = round_seed(ctx.seed, round);
+            Crawl::run(ctx.world(), seed, &mm_exec::Executor::from_env()).0
+        };
+
         // Appending into an empty store is a usage error.
         assert!(matches!(store.next_round(&ctx), Err(MmError::Config(_))));
-        let no_campaign = store.append_round(&ctx, 0, ctx.d2());
+        let no_campaign = store.append_round(&ctx, 0, &crawl(0));
         assert!(matches!(no_campaign, Err(MmError::Config(_))));
 
         store.save_d2(&ctx).unwrap();
@@ -505,21 +565,24 @@ mod tests {
 
         // Append one round crawled under the round-1 seed.
         assert_eq!(store.next_round(&ctx).unwrap(), 1);
-        let world = ctx.world();
-        let d2_next = mmlab::crawl(world, round_seed(ctx.seed, 1));
-        let manifest = store.append_round(&ctx, 1, &d2_next).unwrap();
+        let next = crawl(1);
+        let manifest = store.append_round(&ctx, 1, &next).unwrap();
         assert_eq!(manifest, store.load_manifest(&ctx).unwrap().unwrap());
         assert_eq!(manifest.rounds.len(), 2);
         assert_eq!(manifest.rounds[1].entry, "d2-round-1");
         assert_eq!(
             manifest.total_samples(),
-            (ctx.d2().len() + d2_next.len()) as u64
+            (ctx.d2().len() + next.samples()) as u64
         );
         assert_eq!(manifest.next_round(), 2);
         // Round 0's file is byte-identical; only the manifest changed.
         assert_eq!(std::fs::read(&round0).unwrap(), round0_bytes);
         assert_ne!(store.manifest_bytes(&ctx).unwrap().unwrap(), bytes_before);
-        assert!(store.entry_path(&ctx, "d2-round-1").exists());
+        // The runs were written as the round's expanded D2 would be.
+        let mut expanded = Vec::new();
+        crawl(1).into_d2().write_store(&mut expanded).unwrap();
+        let appended = std::fs::read(store.entry_path(&ctx, "d2-round-1")).unwrap();
+        assert!(appended == expanded, "appended entry differs");
 
         // A second append for round 1 was crawled for a manifest that no
         // longer stands: a typed error that writes nothing.
@@ -532,7 +595,7 @@ mod tests {
             files
         };
         let (files_before, bytes_before) = (listing(), store.manifest_bytes(&ctx).unwrap());
-        let stale = store.append_round(&ctx, 1, &d2_next);
+        let stale = store.append_round(&ctx, 1, &next);
         assert!(matches!(stale, Err(MmError::Campaign(_))), "{stale:?}");
         assert_eq!(listing(), files_before);
         assert_eq!(store.manifest_bytes(&ctx).unwrap(), bytes_before);

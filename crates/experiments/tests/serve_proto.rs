@@ -213,7 +213,7 @@ fn wildcard_constraints_are_rejected_and_poison_no_later_answer() {
     let reference = Ctx::builder().quick().scale(0.02).build();
     RunStore::open(&dir)
         .unwrap()
-        .load_datasets(&reference)
+        .load_datasets(&reference, &Artifact::ALL)
         .unwrap();
     let want = mmexperiments::run(&reference, Artifact::F16).text;
     assert_eq!(QueryResult::from_wire(&doc).unwrap().text, want);

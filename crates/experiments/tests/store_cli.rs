@@ -1,8 +1,9 @@
 //! End-to-end checks of the `mmx` store flags: a warm `--load` run must
 //! print the cold run's stdout byte for byte, rendered from the stored
-//! datasets (its `--metrics` fold the stored crawl and run no crawl or
-//! campaign), corrupt dataset entries (bit flip, truncation, wrong magic,
-//! future version) must fail with the typed runtime exit code, and
+//! datasets its artifacts read (its `--metrics` fold the stored crawl and
+//! run no crawl or campaign), corrupt dataset entries it reads (bit flip,
+//! truncation, wrong magic, future version) must fail with the typed
+//! runtime exit code while one it does not read is never opened, and
 //! `--version` must report the crate version.
 
 use mm_json::Json;
@@ -71,8 +72,8 @@ fn warm_load_renders_from_the_stored_datasets() {
 
     assert_eq!(cold.stdout, warm.stdout, "stdout must be byte-identical");
     assert!(
-        warm.stderr.contains("preloaded 3/3"),
-        "warm run preloads every dataset: {}",
+        warm.stderr.contains("preloaded 2/2"),
+        "warm run preloads every dataset it reads: {}",
         warm.stderr
     );
     // The warm metrics describe the warm run: it folds every row the cold
@@ -98,7 +99,7 @@ fn load_miss_falls_back_to_the_cold_path_with_identical_output() {
     assert!(fallback.status.success(), "{}", fallback.stderr);
     assert_eq!(baseline.stdout, fallback.stdout);
     assert!(
-        fallback.stderr.contains("preloaded 0/3"),
+        fallback.stderr.contains("preloaded 0/2"),
         "{}",
         fallback.stderr
     );
@@ -114,8 +115,8 @@ fn corrupt_store_entry_fails_typed_with_the_runtime_exit_code() {
     assert!(cold.status.success(), "{}", cold.stderr);
 
     // Each damage class is applied on its own to the good D2 entry, then
-    // to the good idle D1 entry, which `--load` reads after D2 and the
-    // active D1.
+    // to the good idle D1 entry, which `--load` reads after D2 (these
+    // artifacts read no active D1).
     type Damage = fn(&mut Vec<u8>);
     let damages: [(&str, Damage); 4] = [
         ("bit flip", |b| {
@@ -155,6 +156,30 @@ fn corrupt_store_entry_fails_typed_with_the_runtime_exit_code() {
         }
         std::fs::write(&path, &good).expect("restore entry");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn load_never_opens_an_entry_its_artifacts_do_not_read() {
+    let dir = tmp("unread");
+    let mut cold_args = ARTS.to_vec();
+    cold_args.push("--save");
+    let cold = mmx(&cold_args, &dir, None);
+    assert!(cold.status.success(), "{}", cold.stderr);
+    // None of t2, t4, f10 and f12 reads the active-state D1.
+    let path = std::fs::read_dir(&dir)
+        .expect("readdir")
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().starts_with("d1-active-"))
+        .expect("active D1 entry exists")
+        .path();
+    std::fs::write(&path, b"damaged").expect("damage entry");
+    let mut warm_args = ARTS.to_vec();
+    warm_args.push("--load");
+    let warm = mmx(&warm_args, &dir, None);
+    assert!(warm.status.success(), "{}", warm.stderr);
+    assert_eq!(warm.stdout, cold.stdout);
+    assert!(warm.stderr.contains("preloaded 2/2"), "{}", warm.stderr);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,19 +14,22 @@
 //!
 //! The crawl of the ~32k-cell world is sharded over [`mm_exec::Executor`]:
 //! each shard covers a contiguous cell range and every cell derives its own
-//! RNG stream from its id. Each shard returns each run's rows once with the
-//! rounds that saw them, and the gather expands them into one exactly sized
-//! sample list, in shard → cell → round order. Every row is written once,
-//! and the list is byte-identical to the sequential scan for any thread
-//! count.
+//! RNG stream from its id. Each shard returns each run's rows once, checked
+//! against the ingest contract, with the rounds that saw them: a [`Crawl`].
+//! The store's write path encodes those runs one row group at a time
+//! ([`Crawl::write_store`]); in-memory consumers expand them into D2
+//! ([`Crawl::into_d2`]), in shard → cell → round order. Either way the
+//! result is byte-identical to the sequential scan for any thread count.
 
 use crate::dataset::{ConfigSample, D2};
-use mm_exec::Executor;
+use crate::store::RowSource;
+use mm_exec::{Executor, RunStats};
 use mm_rng::{stream_rng, sub_seed, Rng};
 use mmcarriers::world::{GeneratedCell, World, ROUNDS};
 use mmcore::config::{CellConfig, Quantity};
 use mmcore::events::EventKind;
 use mmcore::kernel::sum_f64;
+use mmcore::MmError;
 use mmradio::band::Rat;
 
 /// Fig 13a-calibrated rounds-per-cell distribution: `(rounds, weight)`.
@@ -267,17 +270,24 @@ impl Observed {
         self.runs.iter().map(|&(rows, rounds)| rows * rounds).sum()
     }
 
-    /// Append the shard's samples to `out` in cell → round order: each
-    /// run's rows once per round, with `round` restamped.
-    fn expand_into(&self, out: &mut Vec<ConfigSample>) {
+    /// Each run's rows and rounds, in cell order.
+    fn runs(&self) -> impl Iterator<Item = (&[ConfigSample], &[u32])> {
         let (mut rows, mut rounds) = (&self.rows[..], &self.rounds[..]);
-        for &(n_rows, n_rounds) in &self.runs {
+        self.runs.iter().map(move |&(n_rows, n_rounds)| {
             let (run_rows, rest) = rows.split_at(n_rows);
             rows = rest;
             let (run_rounds, rest) = rounds.split_at(n_rounds);
             rounds = rest;
-            for &round in run_rounds {
-                out.extend(run_rows.iter().map(|s| ConfigSample { round, ..s.clone() }));
+            (run_rows, run_rounds)
+        })
+    }
+
+    /// Append the shard's samples to `out` in cell → round order: each
+    /// run's rows once per round, with `round` restamped.
+    fn expand_into(&self, out: &mut Vec<ConfigSample>) {
+        for (rows, rounds) in self.runs() {
+            for &round in rounds {
+                out.extend(rows.iter().map(|s| ConfigSample { round, ..s.clone() }));
             }
         }
     }
@@ -308,50 +318,126 @@ fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Ob
 /// fine enough that a 32k-cell world still feeds dozens of workers.
 const CRAWL_SHARD: usize = 128;
 
-/// Run the full Type-I crawl over a world on an explicit executor.
-///
-/// The cell list is split into contiguous shards; shard outputs are
-/// gathered in submission order, so the sample list matches the sequential
-/// per-cell scan byte for byte under any thread count.
+/// A crawl's runs: each shard's rows once, checked against the ingest
+/// contract, with the rounds that saw them. It stands for the D2 it
+/// expands to ([`into_d2`](Crawl::into_d2)) at a fraction of its size,
+/// and the store writes it without expanding more than one row group at a
+/// time ([`write_store`](Crawl::write_store)).
+#[derive(Debug)]
+pub struct Crawl {
+    /// Shard outputs in submission order, which is cell order.
+    shards: Vec<Observed>,
+}
+
+impl Crawl {
+    /// Run the full Type-I crawl over a world on an explicit executor, and
+    /// return its runs with the statistics of the shards' scatter, which
+    /// is the whole crawl: each shard checks its own rows. The `crawl` span
+    /// of mm-telemetry's `crawl` section times it too.
+    ///
+    /// The cell list is split into contiguous shards whose outputs are
+    /// kept in submission order, so the crawl matches the sequential
+    /// per-cell scan under any thread count.
+    pub fn run(world: &World, crawl_seed: u64, exec: &Executor) -> (Crawl, RunStats) {
+        let reg = mm_telemetry::global();
+        let _stage = reg.span("crawl", "crawl");
+        let cells_crawled = reg.counter("crawl", "cells_crawled");
+        let rounds_observed = reg.counter("crawl", "rounds_observed");
+        let configs_drawn = reg.counter("crawl", "configs_drawn");
+        let samples_emitted = reg.counter("crawl", "samples_emitted");
+        let shards: Vec<&[GeneratedCell]> = world.cells().chunks(CRAWL_SHARD).collect();
+        let (shards, stats) = exec.scatter_gather_stats(shards, |_, shard| {
+            let mut out = Observed::default();
+            for cell in shard {
+                crawl_cell(world, cell, crawl_seed, &mut out);
+            }
+            // Expansion changes only `round`, and the contract reads only
+            // `value`, so checking each run's rows once checks every sample.
+            out.rows
+                .iter()
+                .try_for_each(ConfigSample::check)
+                // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
+                .expect("crawler emitted an off-contract value");
+            cells_crawled.add(shard.len() as u64);
+            rounds_observed.add(out.rounds.len() as u64);
+            configs_drawn.add(out.runs.len() as u64);
+            samples_emitted.add(out.samples() as u64);
+            out
+        });
+        (Crawl { shards }, stats)
+    }
+
+    /// Samples the crawl expands to.
+    pub fn samples(&self) -> usize {
+        self.shards.iter().map(Observed::samples).sum()
+    }
+
+    /// Expand the runs into dataset D2: one exactly sized sample list in
+    /// shard → cell → round order, each row written once. Each shard is
+    /// freed once it has been expanded.
+    pub fn into_d2(self) -> D2 {
+        let mut samples = Vec::with_capacity(self.samples());
+        for shard in self.shards {
+            shard.expand_into(&mut samples);
+        }
+        D2::from_samples(samples)
+    }
+}
+
+/// The store reads a crawl as the D2 it expands to: the runs' rows once,
+/// which meet every string in the expanded order, for the dictionary, and
+/// then each run's rows once per round through one reused group buffer.
+impl RowSource<ConfigSample> for Crawl {
+    fn rows(&self) -> usize {
+        self.samples()
+    }
+
+    fn for_each_distinct(&self, mut f: impl FnMut(&ConfigSample)) {
+        for shard in &self.shards {
+            shard.rows.iter().for_each(&mut f);
+        }
+    }
+
+    fn try_for_each_group(
+        &self,
+        block_rows: usize,
+        mut f: impl FnMut(&[ConfigSample]) -> Result<(), MmError>,
+    ) -> Result<(), MmError> {
+        let mut group = Vec::with_capacity(block_rows);
+        for (rows, rounds) in self.shards.iter().flat_map(Observed::runs) {
+            for &round in rounds {
+                let mut rest = rows;
+                while !rest.is_empty() {
+                    let (now, later) = rest.split_at((block_rows - group.len()).min(rest.len()));
+                    group.extend(now.iter().map(|s| ConfigSample { round, ..s.clone() }));
+                    rest = later;
+                    if group.len() == block_rows {
+                        f(&group)?;
+                        group.clear();
+                    }
+                }
+            }
+        }
+        if group.is_empty() {
+            Ok(())
+        } else {
+            f(&group)
+        }
+    }
+}
+
+/// Run the full Type-I crawl over a world on an explicit executor:
+/// [`Crawl::run`], then [`Crawl::into_d2`].
 pub fn crawl_with(world: &World, crawl_seed: u64, exec: &Executor) -> D2 {
     crawl_with_stats(world, crawl_seed, exec).0
 }
 
 /// Like [`crawl_with`], also returning the statistics of the shards'
-/// scatter (per-task time, worker utilization). The scatter is not the
-/// whole call: the gather and the ingest check follow it. The `crawl`
-/// span of mm-telemetry's `crawl` section times all three; `mmx crawl`
-/// reports its samples/sec line from that span.
-pub fn crawl_with_stats(
-    world: &World,
-    crawl_seed: u64,
-    exec: &Executor,
-) -> (D2, mm_exec::RunStats) {
-    let reg = mm_telemetry::global();
-    let _stage = reg.span("crawl", "crawl");
-    let cells_crawled = reg.counter("crawl", "cells_crawled");
-    let rounds_observed = reg.counter("crawl", "rounds_observed");
-    let configs_drawn = reg.counter("crawl", "configs_drawn");
-    let samples_emitted = reg.counter("crawl", "samples_emitted");
-    let shards: Vec<&[GeneratedCell]> = world.cells().chunks(CRAWL_SHARD).collect();
-    let (observed, stats) = exec.scatter_gather_stats(shards, |_, shard| {
-        let mut out = Observed::default();
-        for cell in shard {
-            crawl_cell(world, cell, crawl_seed, &mut out);
-        }
-        cells_crawled.add(shard.len() as u64);
-        rounds_observed.add(out.rounds.len() as u64);
-        configs_drawn.add(out.runs.len() as u64);
-        samples_emitted.add(out.samples() as u64);
-        out
-    });
-    let mut samples = Vec::with_capacity(observed.iter().map(Observed::samples).sum());
-    for shard in &observed {
-        shard.expand_into(&mut samples);
-    }
-    // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
-    let d2 = D2::try_from_samples(samples).expect("crawler emitted an off-contract value");
-    (d2, stats)
+/// scatter (per-task time, worker utilization). The expansion into D2
+/// follows the scatter on the calling thread.
+pub fn crawl_with_stats(world: &World, crawl_seed: u64, exec: &Executor) -> (D2, RunStats) {
+    let (crawl, stats) = Crawl::run(world, crawl_seed, exec);
+    (crawl.into_d2(), stats)
 }
 
 /// Run the full Type-I crawl over a world, producing dataset D2, on the
@@ -423,6 +509,29 @@ mod tests {
                     crawl_with(&world, crawl_seed, &Executor::new(threads)) == reference,
                     "world {world_seed}, {threads} thread(s)"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_store_write_matches_writing_the_expanded_crawl() {
+        // Groups of 7 and 64 rows cut runs and rounds; groups of 4096 span
+        // runs and, where a shard's sample count is not a multiple, shards.
+        for (world_seed, scale, crawl_seed) in [(5, 0.01, 77), (13, 0.02, 5)] {
+            let world = World::generate(world_seed, scale);
+            let d2 = crawl_with(&world, crawl_seed, &Executor::sequential());
+            for threads in [1, 2, 8] {
+                let (crawl, _) = Crawl::run(&world, crawl_seed, &Executor::new(threads));
+                assert_eq!(crawl.samples(), d2.len());
+                for block_rows in [7, 64, 4096] {
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    d2.write_store_with(&mut want, block_rows).unwrap();
+                    crawl.write_store_with(&mut got, block_rows).unwrap();
+                    assert!(
+                        got == want,
+                        "world {world_seed}, {threads} thread(s), groups of {block_rows}"
+                    );
+                }
             }
         }
     }

@@ -12,7 +12,9 @@
 //! row type implements a private schema trait (kind, columns, stats,
 //! pushdown filter, row match), and the single [`RowGroupReader`] — seen
 //! as [`D2StoreReader`]/[`D1StoreReader`] — streams rows block by block,
-//! never holding more than one group in memory.
+//! never holding more than one group in memory. The one writer takes its
+//! rows from a slice or from a crawl's runs, which it expands one row
+//! group at a time ([`Crawl::write_store`]).
 //!
 //! Format v2 row groups carry a small prefix before the columns: the
 //! declared row and column counts (checked against the payload size and
@@ -26,6 +28,7 @@
 
 mod rowgroup;
 
+use crate::crawler::Crawl;
 use crate::dataset::{ConfigSample, HandoffInstance, D1, D2};
 use crate::predicate::Predicate;
 use mm_store::{DictBuilder, F64Decoder, F64Encoder, UIntDecoder, UIntEncoder};
@@ -38,11 +41,11 @@ use mmnetsim::run::{HandoffKind, HandoffRecord};
 use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
-pub(crate) use rowgroup::RowSchema;
 use rowgroup::{
     encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict,
 };
 pub use rowgroup::{intern_param, RowGroupReader, ScanStats};
+pub(crate) use rowgroup::{RowSchema, RowSource};
 use std::io::{Read, Write};
 
 /// Dataset kind stamped in D2 store headers.
@@ -215,6 +218,12 @@ impl RowSchema for ConfigSample {
         ])
     }
 
+    fn intern(dict: &mut DictBuilder, s: &ConfigSample) {
+        dict.intern_static(s.carrier);
+        dict.intern_static(s.city.as_str());
+        dict.intern_static(s.param);
+    }
+
     fn encode(
         dict: &mut DictBuilder,
         stats: &mut Self::Stats,
@@ -359,6 +368,21 @@ impl D2 {
     }
 }
 
+impl Crawl {
+    /// Write the D2 this crawl expands to, byte for byte what
+    /// [`D2::write_store`] writes for it, with the default row-group size.
+    /// Only one row group of expanded samples exists at a time.
+    pub fn write_store<W: Write>(&self, w: W) -> Result<(), MmError> {
+        self.write_store_with(w, BLOCK_ROWS)
+    }
+
+    /// Write with an explicit row-group size, byte for byte what
+    /// [`D2::write_store_with`] writes for the expanded crawl.
+    pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
+        write_rows(self, w, block_rows)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // D1
 // ---------------------------------------------------------------------------
@@ -377,6 +401,11 @@ impl RowSchema for HandoffInstance {
             sel_str(pred.carrier.as_deref(), dict),
             sel_str(pred.city.map(City::as_str), dict),
         ])
+    }
+
+    fn intern(dict: &mut DictBuilder, i: &HandoffInstance) {
+        dict.intern_static(i.carrier);
+        dict.intern_static(i.city.as_str());
     }
 
     fn encode(

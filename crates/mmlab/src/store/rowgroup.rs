@@ -39,7 +39,11 @@ pub trait RowSchema: Sized {
     /// stat dimension, so no group's stats need consulting.
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter>;
 
-    /// Encode one row group, interning its strings into `dict` and
+    /// Intern the row's strings into `dict` in the order
+    /// [`encode`](Self::encode) meets them.
+    fn intern(dict: &mut DictBuilder, row: &Self);
+
+    /// Encode one row group, looking its strings up in `dict` and
     /// collecting its stats in `stats`, which arrive empty.
     fn encode(
         dict: &mut DictBuilder,
@@ -639,27 +643,74 @@ impl<T: RowSchema, R: Read> Iterator for RowGroupReader<T, R> {
     }
 }
 
-/// Write `rows` as one store file of `T`'s kind: the dictionary block, row
-/// groups of `block_rows` rows each, then the trailer.
-pub fn write_rows<T: RowSchema, W: Write>(
-    rows: &[T],
+/// The rows of one store file as [`write_rows`] reads them, in file order:
+/// a slice holds every row, a crawl holds each run's rows once for all the
+/// rounds that saw them.
+pub trait RowSource<T> {
+    /// Rows in the file.
+    fn rows(&self) -> usize;
+
+    /// Call `f` on rows that meet the strings of the file's rows in the
+    /// order the file's rows first meet them, which is the dictionary's id
+    /// order.
+    fn for_each_distinct(&self, f: impl FnMut(&T));
+
+    /// Call `f` on the file's rows in order, in groups of `block_rows`
+    /// (the last may hold fewer), until it returns an error.
+    fn try_for_each_group(
+        &self,
+        block_rows: usize,
+        f: impl FnMut(&[T]) -> Result<(), MmError>,
+    ) -> Result<(), MmError>;
+}
+
+impl<T> RowSource<T> for [T] {
+    fn rows(&self) -> usize {
+        self.len()
+    }
+
+    fn for_each_distinct(&self, f: impl FnMut(&T)) {
+        self.iter().for_each(f);
+    }
+
+    fn try_for_each_group(
+        &self,
+        block_rows: usize,
+        f: impl FnMut(&[T]) -> Result<(), MmError>,
+    ) -> Result<(), MmError> {
+        self.chunks(block_rows).try_for_each(f)
+    }
+}
+
+/// Write the rows of `source` as one store file of `T`'s kind: the
+/// dictionary block, row groups of `block_rows` rows each, then the
+/// trailer. The dictionary block precedes the groups it describes, so
+/// every string is interned first; then each group is encoded and written
+/// before the next is read, so a source that expands its rows holds one
+/// group of them at a time. On an error `w` may hold a partial file with
+/// no trailer, which every reader rejects.
+pub fn write_rows<T: RowSchema, S: RowSource<T> + ?Sized, W: Write>(
+    source: &S,
     w: W,
     block_rows: usize,
 ) -> Result<(), MmError> {
-    // The dictionary block must precede the row groups it describes, so
-    // intern every string first.
     let mut dict = DictBuilder::new();
-    let mut stats = T::Stats::default();
-    let groups = rows
-        .chunks(block_rows.max(1))
-        .map(|chunk| T::encode(&mut dict, &mut stats, chunk))
-        .collect::<Result<Vec<_>, _>>()?;
+    source.for_each_distinct(|row| T::intern(&mut dict, row));
+    let entries = dict.len();
     let mut writer = StoreWriter::new(w, T::KIND)?;
     writer.write_block(TAG_DICT, &dict.encode())?;
-    for g in &groups {
-        writer.write_block(TAG_ROWS, g)?;
+    let mut stats = T::Stats::default();
+    source.try_for_each_group(block_rows.max(1), |group| {
+        writer.write_block(TAG_ROWS, &T::encode(&mut dict, &mut stats, group)?)
+    })?;
+    if dict.len() != entries {
+        return Err(StoreError::Schema(format!(
+            "row groups met {} string(s) the dictionary block lacks",
+            dict.len() - entries
+        ))
+        .into());
     }
-    writer.finish(rows.len() as u64)
+    writer.finish(source.rows() as u64)
 }
 
 /// Read every row of a store stream of `T`'s kind.

@@ -50,18 +50,32 @@ cargo test -q --release -p mm-lint --test workspace
 cargo test -q --release --locked --manifest-path benches/pipeline/Cargo.toml
 
 # Paper scale: the full crawl must reach the published dataset volume
-# (>= 8M samples, paper: 7,996,149), and every D2 figure must render off
-# the on-disk store inside a fixed memory ceiling — materializing the
-# ~8M-sample dataset (~650 MB resident) is impossible under it, so staying
-# below proves the block-streamed path (DESIGN.md §10).
+# (>= 8M samples, paper: 7,996,149) and write its store entry inside a
+# fixed memory ceiling, and every D2 figure must render off the on-disk
+# store inside another — materializing the ~8M-sample dataset (~650 MB
+# resident) is impossible under either, so staying below proves that the
+# crawl is written from its runs and the figures from the block-streamed
+# path (DESIGN.md §9, §10).
 paper_store="$tmpdir/paper-store"
-crawl_line="$("$bin"/mmx crawl --scale paper --store "$paper_store" 2>&1 | grep 'mmx crawl:')"
+crawl_rss_ceiling_kb=524288   # 512 MB; the crawl written from its runs measures ~330 MB
+"$bin"/mmx crawl --scale paper --store "$paper_store" 2> "$tmpdir/paper-crawl.err" &
+if ! peak_rss $!; then
+    echo "verify.sh: FAIL — paper-scale crawl exited nonzero" >&2
+    cat "$tmpdir/paper-crawl.err" >&2
+    exit 1
+fi
+crawl_line="$(grep 'mmx crawl:' "$tmpdir/paper-crawl.err")"
 echo "verify.sh: $crawl_line"
 n_samples="$(printf '%s' "$crawl_line" | sed -n 's/.*crawl: \([0-9]*\) samples.*/\1/p')"
 if [ -z "$n_samples" ] || [ "$n_samples" -lt 8000000 ]; then
     echo "verify.sh: FAIL — paper-scale crawl yielded ${n_samples:-0} samples (want >= 8,000,000)" >&2
     exit 1
 fi
+if [ "$peak_kb" -gt "$crawl_rss_ceiling_kb" ]; then
+    echo "verify.sh: FAIL — paper-scale crawl peaked at ${peak_kb} kB RSS (ceiling ${crawl_rss_ceiling_kb} kB)" >&2
+    exit 1
+fi
+echo "verify.sh: paper-scale crawl and store write peaked at ${peak_kb} kB RSS (ceiling ${crawl_rss_ceiling_kb} kB)"
 rss_ceiling_kb=409600   # 400 MB; the streamed render measures ~56 MB
 render_start="$(date +%s.%N)"
 "$bin"/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
@@ -88,8 +102,9 @@ if [ "$store_sum" != "2553311804 143336572" ]; then
     echo "verify.sh: FAIL — paper-scale d2 entry cksum is '$store_sum' (want '2553311804 143336572')" >&2
     exit 1
 fi
-# The crawl's gather must not depend on the thread count at paper scale
-# either (31,623 cells in 248 shards): one thread writes the same entry.
+# The crawl's runs and their streamed write must not depend on the thread
+# count at paper scale either (31,623 cells in 248 shards): one thread
+# writes the same entry.
 MM_THREADS=1 "$bin"/mmx crawl --scale paper --store "$tmpdir/paper-store-1" 2>/dev/null
 seq_store_sum="$(cksum < "$tmpdir"/paper-store-1/d2-*.mmst)"
 rm -rf "$tmpdir/paper-store-1"

@@ -39,8 +39,10 @@ fn figures_byte_identical_streaming_vs_materialized() {
     for threads in [1, 2, 8] {
         let warm = Ctx::quick(2018);
         assert_eq!(
-            store.load_datasets(&warm).expect("load datasets"),
-            3,
+            store
+                .load_datasets(&warm, &Artifact::ALL)
+                .expect("load datasets"),
+            (3, 3),
             "all three datasets hit"
         );
         let text = render(&warm, &Executor::new(threads), &Artifact::ALL);
@@ -74,7 +76,7 @@ fn in_memory_aggregate_path_is_the_same_figures() {
     let in_memory = render(&cold, &Executor::sequential(), &d2_figs);
 
     let warm = Ctx::quick(9);
-    store.load_datasets(&warm).expect("load");
+    store.load_datasets(&warm, &Artifact::ALL).expect("load");
     let streamed = render(&warm, &Executor::sequential(), &d2_figs);
     assert_eq!(in_memory, streamed);
     std::fs::remove_dir_all(&dir).ok();

@@ -12,44 +12,59 @@
 use crate::config::{CellConfig, Quantity, ServingConfig};
 use mmradio::band::ChannelNumber;
 use mmradio::cell::CellId;
-use std::collections::BTreeMap;
 
 /// The standard LTE layer-3 measurement filter.
 #[derive(Debug, Clone)]
 pub struct L3Filter {
-    /// `filterCoefficient` k (default 4 → a = 1/2).
-    pub k: u8,
-    state: BTreeMap<(CellId, Quantity), f64>,
+    /// The smoothing weight `a = (1/2)^{k/4}` of `filterCoefficient` k.
+    a: f64,
+    /// Per measured cell, sorted by cell: its filtered RSRP and RSRQ, in
+    /// [`slot`] order, each `None` until its first sample.
+    state: Vec<(CellId, [Option<f64>; 2])>,
+}
+
+/// A quantity's place in an [`L3Filter`] state entry.
+fn slot(quantity: Quantity) -> usize {
+    match quantity {
+        Quantity::Rsrp => 0,
+        Quantity::Rsrq => 1,
+    }
 }
 
 impl L3Filter {
-    /// New filter with coefficient `k`.
+    /// New filter with `filterCoefficient` `k` (default 4 → a = 1/2).
     pub fn new(k: u8) -> Self {
         L3Filter {
-            k,
-            state: BTreeMap::new(),
+            a: 0.5f64.powf(f64::from(k) / 4.0),
+            state: Vec::new(),
         }
     }
 
     /// The smoothing weight `a = (1/2)^{k/4}`.
     pub fn alpha(&self) -> f64 {
-        0.5f64.powf(f64::from(self.k) / 4.0)
+        self.a
     }
 
     /// Feed one raw sample, returning the filtered value.
     pub fn update(&mut self, cell: CellId, quantity: Quantity, sample: f64) -> f64 {
-        let a = self.alpha();
-        let f = self
-            .state
-            .entry((cell, quantity))
-            .and_modify(|f| *f = (1.0 - a) * *f + a * sample)
-            .or_insert(sample);
-        *f
+        let i = match self.state.binary_search_by_key(&cell, |&(c, _)| c) {
+            Ok(i) => i,
+            Err(i) => {
+                self.state.insert(i, (cell, [None; 2]));
+                i
+            }
+        };
+        let a = self.a;
+        let f = &mut self.state[i].1[slot(quantity)];
+        let filtered = f.map_or(sample, |f| (1.0 - a) * f + a * sample);
+        *f = Some(filtered);
+        filtered
     }
 
     /// Current filtered value, if the cell has been measured.
     pub fn get(&self, cell: CellId, quantity: Quantity) -> Option<f64> {
-        self.state.get(&(cell, quantity)).copied()
+        let i = self.state.binary_search_by_key(&cell, |&(c, _)| c).ok()?;
+        self.state[i].1[slot(quantity)]
     }
 
     /// Forget everything (e.g. after a handoff).
@@ -205,6 +220,77 @@ mod tests {
         assert_eq!(f.get(CellId(1), Quantity::Rsrp), Some(-100.0));
         assert_eq!(f.get(CellId(1), Quantity::Rsrq), Some(-10.0));
         assert_eq!(f.get(CellId(2), Quantity::Rsrp), Some(-80.0));
+    }
+
+    /// The pre-flat filter: one `BTreeMap` entry per (cell, quantity), and
+    /// a `powf` per update.
+    struct MapFilter {
+        k: u8,
+        state: std::collections::BTreeMap<(CellId, Quantity), f64>,
+    }
+
+    impl MapFilter {
+        fn update(&mut self, cell: CellId, quantity: Quantity, sample: f64) -> f64 {
+            let a = 0.5f64.powf(f64::from(self.k) / 4.0);
+            let f = self
+                .state
+                .entry((cell, quantity))
+                .and_modify(|f| *f = (1.0 - a) * *f + a * sample)
+                .or_insert(sample);
+            *f
+        }
+    }
+
+    #[test]
+    fn l3_filter_matches_a_map_reference() {
+        use mm_rng::Rng;
+        let mut rng = mm_rng::SmallRng::seed_from_u64(0x13f);
+        let quantities = [Quantity::Rsrp, Quantity::Rsrq];
+        for k in [0u8, 4, 8, 11] {
+            let mut flat = L3Filter::new(k);
+            let mut map = MapFilter {
+                k,
+                state: Default::default(),
+            };
+            assert_eq!(
+                flat.alpha().to_bits(),
+                0.5f64.powf(f64::from(k) / 4.0).to_bits()
+            );
+            for batch in 0..300 {
+                if rng.gen_range(0..20) == 0 {
+                    flat.reset();
+                    map.state.clear();
+                }
+                // Up to 12 mentions of 16 cells, in any order, so many
+                // batches name a cell twice; the first always does.
+                let mut cells: Vec<CellId> = (0..rng.gen_range(0..12))
+                    .map(|_| CellId(rng.gen_range(0..16u32) * 37))
+                    .collect();
+                if batch == 0 {
+                    cells = vec![CellId(74), CellId(0), CellId(74)];
+                }
+                for cell in cells {
+                    // Mostly both quantities, sometimes one.
+                    for &q in &quantities[..rng.gen_range(1..=2)] {
+                        let sample = rng.gen_range(-140.0..-3.0);
+                        assert_eq!(
+                            flat.update(cell, q, sample).to_bits(),
+                            map.update(cell, q, sample).to_bits(),
+                            "k {k}, batch {batch}, {cell} {q:?}"
+                        );
+                    }
+                }
+                for cell in (0..17).map(|c| CellId(c * 37)) {
+                    for q in quantities {
+                        assert_eq!(
+                            flat.get(cell, q).map(f64::to_bits),
+                            map.state.get(&(cell, q)).map(|f| f.to_bits()),
+                            "k {k}, batch {batch}, {cell} {q:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn cfg_with_higher_layer() -> CellConfig {

@@ -92,18 +92,30 @@ impl ConnectedUe {
         now_ms: u64,
         measurements: &[CellMeasurement],
     ) -> Vec<MeasurementReportContent> {
-        let Some(serving) = measurements.iter().find(|m| m.cell == self.cfg.cell) else {
+        let Some(serving) = measurements.iter().position(|m| m.cell == self.cfg.cell) else {
             return Vec::new(); // serving not measurable this epoch
         };
 
-        // L3-filter everything we heard.
-        let mut filtered: BTreeMap<CellId, (f64, f64)> = BTreeMap::new();
-        for m in measurements {
-            let p = self.filter.update(m.cell, Quantity::Rsrp, m.rsrp_dbm);
-            let q = self.filter.update(m.cell, Quantity::Rsrq, m.rsrq_db);
-            filtered.insert(m.cell, (p, q));
+        // L3-filter everything we heard, index-aligned with the batch.
+        let mut filtered: Vec<(f64, f64)> = measurements
+            .iter()
+            .map(|m| {
+                let p = self.filter.update(m.cell, Quantity::Rsrp, m.rsrp_dbm);
+                let q = self.filter.update(m.cell, Quantity::Rsrq, m.rsrq_db);
+                (p, q)
+            })
+            .collect();
+        // A cell the batch names twice was filtered twice; each of its
+        // entries reads the last value.
+        for (i, m) in measurements.iter().enumerate() {
+            if let Some(j) = measurements[i + 1..]
+                .iter()
+                .rposition(|later| later.cell == m.cell)
+            {
+                filtered[i] = filtered[i + 1 + j];
+            }
         }
-        let (serving_rsrp, serving_rsrq) = filtered[&serving.cell];
+        let (serving_rsrp, serving_rsrq) = filtered[serving];
 
         // s-Measure gate: when the serving cell is strong enough, neighbour
         // measurements are not performed at all.
@@ -120,18 +132,16 @@ impl ConnectedUe {
             let neighbors: Vec<NeighborMeas> = if measure_neighbors {
                 measurements
                     .iter()
-                    .filter(|m| m.cell != cfg.cell && !cfg.is_forbidden(m.cell))
-                    .map(|m| {
-                        let (p, q) = filtered[&m.cell];
-                        NeighborMeas {
-                            cell: m.cell,
-                            value: match quantity {
-                                Quantity::Rsrp => p,
-                                Quantity::Rsrq => q,
-                            },
-                            offset_db: Self::neighbor_offset_db(cfg, m.cell, m.channel),
-                            inter_rat: m.channel.rat != cfg.channel.rat,
-                        }
+                    .zip(&filtered)
+                    .filter(|(m, _)| m.cell != cfg.cell && !cfg.is_forbidden(m.cell))
+                    .map(|(m, &(p, q))| NeighborMeas {
+                        cell: m.cell,
+                        value: match quantity {
+                            Quantity::Rsrp => p,
+                            Quantity::Rsrq => q,
+                        },
+                        offset_db: Self::neighbor_offset_db(cfg, m.cell, m.channel),
+                        inter_rat: m.channel.rat != cfg.channel.rat,
                     })
                     .collect()
             } else {
@@ -284,6 +294,27 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].event.label(), "A3");
         assert_eq!(reports[0].cells[0].0, CellId(2));
+    }
+
+    #[test]
+    fn a_cell_named_twice_reads_its_last_filtered_value() {
+        // Cell 2 is filtered twice: -80, then -120, to (-80 - 120) / 2 =
+        // -100, which is not 3 + 1 dB above the serving -100. Reading the
+        // first entry's -80 would trigger A3.
+        let mut ue = ConnectedUe::new(connected_cfg());
+        let batch = [
+            meas(2, 850, -80.0),
+            meas(1, 850, -100.0),
+            meas(2, 850, -120.0),
+        ];
+        assert!(ue.step(0, &batch).is_empty());
+        // The same cell at -80 once triggers.
+        let mut ue = ConnectedUe::new(connected_cfg());
+        assert_eq!(
+            ue.step(0, &[meas(2, 850, -80.0), meas(1, 850, -100.0)])
+                .len(),
+            1
+        );
     }
 
     #[test]

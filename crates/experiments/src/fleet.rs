@@ -187,6 +187,32 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
             "fleet epoch_ms must be positive".to_string(),
         ));
     }
+    // Each UE runs to the first epoch multiple at or past the duration, and
+    // the report sums that end time over the UEs: both must fit a u64.
+    let Some(ue_end_ms) = cfg
+        .duration_ms
+        .div_ceil(cfg.epoch_ms)
+        .checked_mul(cfg.epoch_ms)
+    else {
+        return Err(MmError::Config(format!(
+            "fleet end time does not fit a u64: --duration-s ({} ms) rounded up to \
+             whole --epoch-ms ({} ms) epochs passes {} ms",
+            cfg.duration_ms,
+            cfg.epoch_ms,
+            u64::MAX
+        )));
+    };
+    if u64::try_from(cfg.ues)
+        .ok()
+        .and_then(|ues| ues.checked_mul(ue_end_ms))
+        .is_none()
+    {
+        return Err(MmError::Config(format!(
+            "fleet sim_ms total does not fit a u64: --ues {} times {ue_end_ms} ms per UE passes {} ms",
+            cfg.ues,
+            u64::MAX
+        )));
+    }
     let _span = mm_telemetry::global().span("fleet", "run");
     let world = World::generate(cfg.seed, cfg.scale);
     let network = city_network(&world, &cfg.carrier, cfg.city, cfg.seed).ok_or_else(|| {
@@ -271,6 +297,41 @@ mod tests {
             run_fleet_on(&cfg, &Executor::sequential()),
             Err(MmError::Config(_))
         ));
+    }
+
+    #[test]
+    fn an_end_time_past_u64_is_a_usage_error() {
+        // The second epoch of 2^63 ms would end at 2^64 ms, which wrapped
+        // to 0 and re-ran the UE from the start forever.
+        let cfg = FleetConfig {
+            ues: 1,
+            shards: 1,
+            duration_ms: 18_446_744_073_709_551_000,
+            epoch_ms: 1 << 63,
+            ..FleetConfig::default()
+        };
+        let err = run_fleet_on(&cfg, &Executor::sequential()).unwrap_err();
+        assert!(matches!(err, MmError::Config(_)), "{err}");
+        assert!(err.to_string().contains("--epoch-ms"), "{err}");
+    }
+
+    #[test]
+    fn a_sim_ms_total_past_u64_is_a_usage_error() {
+        // One UE ending at 10^19 ms fits a u64; two of them sum to 2·10^19,
+        // which wrapped to a wrong total.
+        let one = FleetConfig {
+            ues: 1,
+            shards: 1,
+            duration_ms: 10_000_000_000_000_000_000,
+            epoch_ms: 5_000_000_000_000_000_000,
+            ..FleetConfig::default()
+        };
+        let report = run_fleet_on(&one, &Executor::sequential()).unwrap();
+        assert_eq!(report.tally.counters.sim_ms, 10_000_000_000_000_000_000);
+        let two = FleetConfig { ues: 2, ..one };
+        let err = run_fleet_on(&two, &Executor::sequential()).unwrap_err();
+        assert!(matches!(err, MmError::Config(_)), "{err}");
+        assert!(err.to_string().contains("--ues"), "{err}");
     }
 
     #[test]

@@ -315,6 +315,21 @@ fn usage_errors_exit_2_with_a_hint() {
             "--duration-s",
         ),
         ("mmx", &["fleet", "--scale", "inf"], "--scale"),
+        (
+            "mmx",
+            &[
+                "fleet",
+                "--ues",
+                "1",
+                "--shards",
+                "1",
+                "--duration-s",
+                "18446744073709551",
+                "--epoch-ms",
+                "9223372036854775808",
+            ],
+            "--epoch-ms",
+        ),
         ("mmq", &["f12", "--scale", "nan", "--store", "X"], "--scale"),
         (
             "mmq",

@@ -211,9 +211,8 @@ pub(crate) fn measure(
     max: usize,
 ) -> Vec<CellMeasurement> {
     survey
-        .measure(rng)
+        .measure(rng, max)
         .into_iter()
-        .take(max)
         .map(|m| CellMeasurement {
             cell: m.cell,
             channel: m.channel,

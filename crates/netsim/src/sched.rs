@@ -709,11 +709,13 @@ fn serving_sinr(
 
 /// Advance one UE to its next epoch, or retire it when the run is over.
 /// The end time mirrors the historical loop: the first epoch multiple at
-/// or past `duration_ms` (zero when the duration is zero).
+/// or past `duration_ms` (zero when the duration is zero). An end time
+/// past `u64::MAX` retires the UE with `sim_ms` at `u64::MAX`; wrapping
+/// would re-run it from an earlier time.
 fn schedule_next(queue: &mut EventQueue, cfg: &DriveConfig, st: &mut UeState, ev: Event) {
-    let next = ev.t_ms + cfg.epoch_ms;
-    st.sim_ms = next;
-    if next < cfg.duration_ms {
+    let next = ev.t_ms.checked_add(cfg.epoch_ms);
+    st.sim_ms = next.unwrap_or(u64::MAX);
+    if let Some(next) = next.filter(|&next| next < cfg.duration_ms) {
         queue.push(next, ev.ue, Phase::Measure);
     }
 }
@@ -826,6 +828,19 @@ mod tests {
         assert_eq!(run.sim_ms, 0);
         assert!(run.result.handoffs.is_empty());
         assert_eq!(run.result.final_serving, CellId(1));
+    }
+
+    #[test]
+    fn an_end_time_past_u64_retires_the_ue_instead_of_wrapping() {
+        let network = corridor(3.0);
+        let mut cfg = corridor_drive(1);
+        cfg.duration_ms = u64::MAX;
+        cfg.epoch_ms = 1 << 63;
+        let out = Engine::new(&network).run(std::slice::from_ref(&cfg));
+        // Epochs at 0 and 2^63 ms; the next would end at 2^64 ms.
+        assert_eq!(out.stats.events_processed, 2 * 3);
+        let run = out.ues.into_iter().next().unwrap().unwrap();
+        assert_eq!(run.into_full().unwrap().sim_ms, u64::MAX);
     }
 
     #[test]

@@ -67,14 +67,27 @@ pub const MEAS_BANDWIDTH_PRB: u32 = 50;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     cells: Vec<PhyCell>,
-    /// The propagation model computing what a UE hears.
-    pub model: PropagationModel,
+    /// The propagation model computing what a UE hears. Private because
+    /// `constants` derive from it.
+    model: PropagationModel,
+    /// Per cell, in `cells` order: the position-free part of its median
+    /// power. Built once from `cells` and `model`.
+    constants: Vec<CellConstants>,
     /// Cell indices grouped by channel, each group in `cells` order: the
     /// co-channel interferers of every cell on that channel. Built once
     /// from `cells`, which never change afterwards.
     co_channel: Vec<Vec<usize>>,
     /// Each cell's group in `co_channel`.
     channel_group: Vec<usize>,
+}
+
+/// The position-free part of one cell's median power.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CellConstants {
+    /// [`PropagationModel::shadowing_key`] of the cell's id.
+    shadowing_key: u64,
+    /// [`PropagationModel::reference_loss_db`] of the cell's channel.
+    reference_loss_db: f64,
 }
 
 /// What a UE measures for one cell at one instant.
@@ -102,9 +115,17 @@ impl Deployment {
             co_channel[g].push(i);
             channel_group.push(g);
         }
+        let constants = cells
+            .iter()
+            .map(|c| CellConstants {
+                shadowing_key: model.shadowing_key(u64::from(c.id.0)),
+                reference_loss_db: model.reference_loss_db(c.channel),
+            })
+            .collect();
         Deployment {
             cells,
             model,
+            constants,
             co_channel,
             channel_group,
         }
@@ -131,26 +152,33 @@ impl Deployment {
     }
 
     /// Median RSRP (path loss + shadowing, no measurement noise) of one cell
-    /// at `pos`.
+    /// at `pos`, from the model alone: the uncached form of what
+    /// [`Deployment::survey`] and [`Deployment::strongest`] compute.
     pub fn median_rsrp(&self, cell: &PhyCell, pos: Point) -> Rsrp {
-        self.median_at(
-            cell,
-            cell.pos.distance(pos),
-            &self.model.shadowing_point(pos),
-        )
-    }
-
-    /// [`Deployment::median_rsrp`] with the distance and the position's
-    /// shadowing part already known.
-    fn median_at(&self, cell: &PhyCell, d_m: f64, shadowing: &ShadowingPoint) -> Rsrp {
         let p = self.model.received_power(
             u64::from(cell.id.0),
             cell.tx_power_dbm,
-            d_m,
+            cell.pos.distance(pos),
             cell.channel,
-            shadowing,
+            &self.model.shadowing_point(pos),
         );
         Rsrp::new(p.0)
+    }
+
+    /// [`Deployment::median_rsrp`] of `cell`, whose constants are `k`, at
+    /// distance `d_m`, with the position's shadowing part already known.
+    /// Each cached value enters the same sum as in
+    /// [`PropagationModel::received_power`], so the result is bit-identical.
+    fn median_at(
+        &self,
+        cell: &PhyCell,
+        k: &CellConstants,
+        d_m: f64,
+        shadowing: &ShadowingPoint,
+    ) -> Rsrp {
+        let pl = self.model.path_loss_from(k.reference_loss_db, d_m);
+        let sh = self.model.shadowing_at(k.shadowing_key, shadowing);
+        Rsrp::new(cell.tx_power_dbm.0 - pl + sh)
     }
 
     /// The radio environment at `pos`: the median power of every cell
@@ -161,10 +189,11 @@ impl Deployment {
         let medians = self
             .cells
             .iter()
-            .map(|c| {
+            .zip(&self.constants)
+            .map(|(c, k)| {
                 let d = c.pos.distance(pos);
                 (d <= MAX_AUDIBLE_DISTANCE_M).then(|| {
-                    let dbm = self.median_at(c, d, &shadowing).dbm();
+                    let dbm = self.median_at(c, k, d, &shadowing).dbm();
                     Median {
                         dbm,
                         mw: Dbm(dbm).to_mw(),
@@ -181,9 +210,9 @@ impl Deployment {
     }
 
     /// Measure every detectable cell at `pos`: [`Survey::measure`] on a
-    /// fresh survey.
+    /// fresh survey, keeping them all.
     pub fn measure_all<R: Rng + ?Sized>(&self, pos: Point, rng: &mut R) -> Vec<Measurement> {
-        self.survey(pos).measure(rng)
+        self.survey(pos).measure(rng, usize::MAX)
     }
 
     /// Downlink SINR of `cell` at `pos`: [`Survey::sinr`] on a fresh survey.
@@ -194,10 +223,12 @@ impl Deployment {
     /// The strongest detectable cell at `pos` by median RSRP, optionally
     /// restricted to one RAT.
     pub fn strongest(&self, pos: Point, rat: Option<Rat>) -> Option<(CellId, Rsrp)> {
+        let shadowing = self.model.shadowing_point(pos);
         self.cells
             .iter()
-            .filter(|c| rat.is_none_or(|r| c.rat() == r))
-            .map(|c| (c.id, self.median_rsrp(c, pos)))
+            .zip(&self.constants)
+            .filter(|(c, _)| rat.is_none_or(|r| c.rat() == r))
+            .map(|(c, k)| (c.id, self.median_at(c, k, c.pos.distance(pos), &shadowing)))
             .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
             .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
     }
@@ -225,49 +256,54 @@ struct Median {
 }
 
 impl Survey<'_> {
-    /// Measure every detectable cell. Measurement noise is drawn from `rng`
-    /// in `cells` order; RSRQ accounts for co-channel interference and
-    /// per-cell load. Results are sorted by descending RSRP.
-    pub fn measure<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Measurement> {
+    /// Measure the `max` strongest detectable cells. Measurement noise is
+    /// drawn from `rng` for every detectable cell, in `cells` order,
+    /// whatever `max` is. The cells are sorted by descending RSRP (ties by
+    /// cell id), and RSRQ, which accounts for co-channel interference and
+    /// per-cell load, is computed for the `max` kept ones only.
+    pub fn measure<R: Rng + ?Sized>(&self, rng: &mut R, max: usize) -> Vec<Measurement> {
         let d = self.deployment;
-        let n = f64::from(MEAS_BANDWIDTH_PRB);
-        let noise_mw = noise_floor_dbm(9e6).to_mw();
-        let mut out = Vec::new();
+        // `(RSRP, cell id, index in cells)` of every detectable cell.
+        let mut detected: Vec<(Rsrp, CellId, usize)> = Vec::new();
         for (i, (cell, median)) in d.cells.iter().zip(&self.medians).enumerate() {
             let Some(median) = median else { continue };
             if median.dbm < DETECTION_FLOOR_DBM {
                 continue;
             }
             let noise = mm_rng::normal(rng, 0.0, d.model.measurement_noise_db);
-            let rsrp = Rsrp::new(median.dbm + noise);
-
-            // RSSI over the measurement bandwidth: serving RS power scaled to
-            // full band + co-channel interferers weighted by their load.
-            let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
-            let mut interf_mw = 0.0;
-            for &j in &d.co_channel[d.channel_group[i]] {
-                let Some(other) = self.medians[j].filter(|_| j != i) else {
-                    continue;
-                };
-                // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
-                interf_mw += other.mw * n * (1.0 + 11.0 * d.cells[j].load);
-            }
-            let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
-            let rsrq = rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB);
-            out.push(Measurement {
-                cell: cell.id,
-                channel: cell.channel,
-                sample: RadioSample { rsrp, rsrq },
-            });
+            detected.push((Rsrp::new(median.dbm + noise), cell.id, i));
         }
-        out.sort_by(|a, b| {
-            b.sample
-                .rsrp
-                .dbm()
-                .total_cmp(&a.sample.rsrp.dbm())
-                .then(a.cell.cmp(&b.cell))
-        });
-        out
+        detected.sort_by(|a, b| b.0.dbm().total_cmp(&a.0.dbm()).then(a.1.cmp(&b.1)));
+        detected.truncate(max);
+
+        let n = f64::from(MEAS_BANDWIDTH_PRB);
+        let noise_mw = noise_floor_dbm(9e6).to_mw();
+        detected
+            .into_iter()
+            .map(|(rsrp, _, i)| {
+                let cell = &d.cells[i];
+                // RSSI over the measurement bandwidth: serving RS power scaled
+                // to full band + co-channel interferers weighted by their load.
+                let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
+                let mut interf_mw = 0.0;
+                for &j in &d.co_channel[d.channel_group[i]] {
+                    let Some(other) = self.medians[j].filter(|_| j != i) else {
+                        continue;
+                    };
+                    // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
+                    interf_mw += other.mw * n * (1.0 + 11.0 * d.cells[j].load);
+                }
+                let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
+                Measurement {
+                    cell: cell.id,
+                    channel: cell.channel,
+                    sample: RadioSample {
+                        rsrp,
+                        rsrq: rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB),
+                    },
+                }
+            })
+            .collect()
     }
 
     /// Downlink SINR of `cell_id` from median powers (used by the
@@ -280,7 +316,8 @@ impl Survey<'_> {
             Some(own) => own.mw,
             None => {
                 let cell = &d.cells[i];
-                let own = d.median_at(cell, cell.pos.distance(self.pos), &self.shadowing);
+                let d_m = cell.pos.distance(self.pos);
+                let own = d.median_at(cell, &d.constants[i], d_m, &self.shadowing);
                 Dbm(own.dbm()).to_mw()
             }
         };
@@ -487,6 +524,44 @@ mod tests {
         out
     }
 
+    #[test]
+    fn measure_keeps_rsrp_ties_in_cell_id_order() {
+        // At their shared site these cells' medians are far above the
+        // -44 dBm reporting ceiling, so every one whose noise draw is
+        // positive reports exactly -44 dBm; which of them a short `max`
+        // keeps is the id order.
+        let chan = ChannelNumber::earfcn(850);
+        let cells = [7, 3, 9, 5].map(|id| cell(id, 0.0, 0.0, chan, 46.0));
+        let d = Deployment::new(cells.to_vec(), PropagationModel::new(Environment::Urban, 1));
+        let site = Point::new(0.0, 0.0);
+        let mut ties = 0;
+        for seed in 0..20 {
+            let want = reference_measure_all(&d, site, &mut SmallRng::seed_from_u64(seed));
+            ties += want
+                .windows(2)
+                .filter(|w| w[0].sample.rsrp == w[1].sample.rsrp)
+                .count();
+            for max in [1, 2, 4] {
+                let got = d
+                    .survey(site)
+                    .measure(&mut SmallRng::seed_from_u64(seed), max);
+                let ids = |ms: &[Measurement]| ms.iter().map(|m| m.cell).collect::<Vec<_>>();
+                assert_eq!(ids(&got), ids(&want[..max]), "seed {seed}, max {max}");
+            }
+        }
+        assert!(ties > 0);
+    }
+
+    /// The pre-constants `strongest`: one uncached median per cell.
+    fn reference_strongest(d: &Deployment, pos: Point, rat: Option<Rat>) -> Option<(CellId, Rsrp)> {
+        d.cells
+            .iter()
+            .filter(|c| rat.is_none_or(|r| c.rat() == r))
+            .map(|c| (c.id, d.median_rsrp(c, pos)))
+            .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
+            .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
+    }
+
     /// The pre-survey `sinr`: a median per co-channel audible cell.
     fn reference_sinr(d: &Deployment, cell_id: CellId, pos: Point) -> Option<Sinr> {
         let cell = d.cell(cell_id)?;
@@ -544,24 +619,36 @@ mod tests {
                 })
                 .collect();
             points.extend(d.cells().iter().take(3).map(|c| c.pos));
-            let (mut below_floor, mut inaudible) = (0, 0);
+            let (mut below_floor, mut inaudible, mut over_16) = (0, 0, 0);
             for (k, pos) in points.into_iter().enumerate() {
                 let survey = d.survey(pos);
-                let mut rng = SmallRng::seed_from_u64(k as u64);
-                let mut reference_rng = rng.clone();
-                let got = survey.measure(&mut rng);
+                let mut reference_rng = SmallRng::seed_from_u64(k as u64);
                 let want = reference_measure_all(&d, pos, &mut reference_rng);
-                assert_eq!(got.len(), want.len(), "{env:?} at {pos:?}");
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!((g.cell, g.channel), (w.cell, w.channel));
-                    assert_eq!(g.sample.rsrp.dbm().to_bits(), w.sample.rsrp.dbm().to_bits());
-                    assert_eq!(g.sample.rsrq.db().to_bits(), w.sample.rsrq.db().to_bits());
+                over_16 += usize::from(want.len() > 16);
+                // Keeping fewer cells computes fewer RSRQs but draws the
+                // same noise: the result is the full one, truncated.
+                for max in [0, 1, 16, usize::MAX] {
+                    let mut rng = SmallRng::seed_from_u64(k as u64);
+                    let got = survey.measure(&mut rng, max);
+                    assert_eq!(got.len(), want.len().min(max), "{env:?} at {pos:?}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!((g.cell, g.channel), (w.cell, w.channel));
+                        assert_eq!(g.sample.rsrp.dbm().to_bits(), w.sample.rsrp.dbm().to_bits());
+                        assert_eq!(g.sample.rsrq.db().to_bits(), w.sample.rsrq.db().to_bits());
+                    }
+                    assert_eq!(
+                        rng.gen::<u64>(),
+                        reference_rng.clone().gen::<u64>(),
+                        "same noise draws when keeping {max}"
+                    );
                 }
-                assert_eq!(
-                    rng.gen::<u64>(),
-                    reference_rng.gen::<u64>(),
-                    "same noise draws"
-                );
+                for rat in [None, Some(Rat::Lte), Some(Rat::Umts), Some(Rat::Gsm)] {
+                    assert_eq!(
+                        d.strongest(pos, rat).map(|(c, r)| (c, r.dbm().to_bits())),
+                        reference_strongest(&d, pos, rat).map(|(c, r)| (c, r.dbm().to_bits())),
+                        "{env:?} strongest {rat:?} at {pos:?}"
+                    );
+                }
                 for c in d.cells() {
                     assert_eq!(
                         survey.sinr(c.id).map(|s| s.0.to_bits()),
@@ -583,6 +670,8 @@ mod tests {
             // Interferers below the floor and inaudible cells besides cell
             // 99 both occur, so both skips above were exercised.
             assert!(below_floor > 0, "{env:?}");
+            // Keeping 16 dropped cells at some positions.
+            assert!(over_16 > 0, "{env:?}");
             assert!(inaudible > 63, "{env:?}");
         }
     }

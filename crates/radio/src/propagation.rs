@@ -98,9 +98,22 @@ impl PropagationModel {
     ///
     /// `PL = PL0 + 20·log10(f/1GHz) + 10·n·log10(max(d, 1))`
     pub fn path_loss_db(&self, d_m: f64, chan: ChannelNumber) -> f64 {
+        self.path_loss_from(self.reference_loss_db(chan), d_m)
+    }
+
+    /// The distance-free part of [`PropagationModel::path_loss_db`],
+    /// `PL0 + 20·log10(f/1GHz)`: one constant per channel, which a
+    /// [`crate::Deployment`] derives once per cell.
+    pub(crate) fn reference_loss_db(&self, chan: ChannelNumber) -> f64 {
         let f_ghz = chan.frequency_mhz().unwrap_or(1900.0) / 1000.0;
+        self.pl0_db + 20.0 * f_ghz.max(0.1).log10()
+    }
+
+    /// [`PropagationModel::path_loss_db`] from its reference part: the
+    /// formula's own left-to-right sum, so the result is bit-identical.
+    pub(crate) fn path_loss_from(&self, reference_db: f64, d_m: f64) -> f64 {
         let n = self.environment.path_loss_exponent();
-        self.pl0_db + 20.0 * f_ghz.max(0.1).log10() + 10.0 * n * d_m.max(1.0).log10()
+        reference_db + 10.0 * n * d_m.max(1.0).log10()
     }
 
     /// Correlated shadowing in dB for a cell at a UE position.
@@ -111,7 +124,14 @@ impl PropagationModel {
     /// scale, is independent across cells, and is reproducible from the
     /// seed alone.
     pub fn shadowing_db(&self, cell_label: u64, pos: Point) -> f64 {
-        self.shadowing_at(cell_label, &self.shadowing_point(pos))
+        self.shadowing_at(self.shadowing_key(cell_label), &self.shadowing_point(pos))
+    }
+
+    /// The per-cell constant of [`PropagationModel::shadowing_db`]: the
+    /// cell's lattice key `sub_seed(seed, cell_label)`. It does not depend
+    /// on the position, so a [`crate::Deployment`] derives it once per cell.
+    pub(crate) fn shadowing_key(&self, cell_label: u64) -> u64 {
+        mm_rng::sub_seed(self.seed, cell_label)
     }
 
     /// The per-position part of [`PropagationModel::shadowing_db`]: which
@@ -143,13 +163,14 @@ impl PropagationModel {
         }
     }
 
-    /// The per-cell part of [`PropagationModel::shadowing_db`]: the cell's
-    /// four lattice normals at `point`, interpolated.
-    pub fn shadowing_at(&self, cell_label: u64, point: &ShadowingPoint) -> f64 {
+    /// The per-cell part of [`PropagationModel::shadowing_db`]: the four
+    /// lattice normals at `point` of the cell whose
+    /// [`PropagationModel::shadowing_key`] is `key`, interpolated.
+    pub(crate) fn shadowing_at(&self, key: u64, point: &ShadowingPoint) -> f64 {
         // `sub_seed(k, l) = splitmix64(k ^ splitmix64(l))`, so with the
-        // lattice labels mixed once per position, each site hash below is
-        // exactly `sub_seed3(seed, cell_label, ix, iy)`.
-        let key = mm_rng::sub_seed(self.seed, cell_label);
+        // cell key derived once per cell and the lattice labels mixed once
+        // per position, each site hash below is exactly
+        // `sub_seed3(seed, cell_label, ix, iy)`: 6 `splitmix64` per cell.
         let [kx0, kx1] = point.x_labels.map(|h| mm_rng::splitmix64(key ^ h));
         let [hy0, hy1] = point.y_labels;
         // Four calls, not a closure called four times: LLVM inlines these,
@@ -177,7 +198,7 @@ impl PropagationModel {
         point: &ShadowingPoint,
     ) -> Dbm {
         let pl = self.path_loss_db(d_m, chan);
-        let sh = self.shadowing_at(cell_label, point);
+        let sh = self.shadowing_at(self.shadowing_key(cell_label), point);
         Dbm(tx_power_dbm.0 - pl + sh)
     }
 }
@@ -335,6 +356,55 @@ mod tests {
                         want.to_bits(),
                         "{env:?} cell {label} at {pos:?}: {got} vs {want}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The pre-split `path_loss_db`: one expression, band lookup included.
+    fn reference_path_loss_db(m: &PropagationModel, d_m: f64, chan: ChannelNumber) -> f64 {
+        let f_ghz = chan.frequency_mhz().unwrap_or(1900.0) / 1000.0;
+        let n = m.environment.path_loss_exponent();
+        m.pl0_db + 20.0 * f_ghz.max(0.1).log10() + 10.0 * n * d_m.max(1.0).log10()
+    }
+
+    #[test]
+    fn split_path_loss_is_bit_identical_to_the_single_expression() {
+        use crate::band::Rat;
+        use mm_rng::Rng;
+        let mut rng = mm_rng::SmallRng::seed_from_u64(0x9a7);
+        // Per RAT: numbers in and out of its known bands (an EARFCN in no
+        // band falls back to 1900 MHz; UARFCN 5 is below the 0.1 GHz floor).
+        let numbers: [(Rat, &[u32]); 5] = [
+            (Rat::Lte, &[0, 850, 1975, 5110, 9820, 66_786, 1_000_000]),
+            (Rat::Umts, &[5, 412, 4435, 10_700]),
+            (Rat::Gsm, &[0, 124, 512, 885, 2_000]),
+            (Rat::Evdo, &[1, 799, 800, 2_399]),
+            (Rat::Cdma1x, &[1, 283, 1_200, 4_000]),
+        ];
+        assert!(Rat::ALL.iter().all(|r| numbers.iter().any(|(n, _)| n == r)));
+        let mut distances = vec![0.0, 0.5, 1.0, 1.5, 15_000.0, 40_000.0];
+        distances.extend((0..50).map(|_| rng.gen_range(1.0..20_000.0)));
+        for env in [
+            Environment::DenseUrban,
+            Environment::Urban,
+            Environment::Suburban,
+            Environment::Highway,
+        ] {
+            let m = PropagationModel::new(env, 5);
+            for &(rat, nums) in &numbers {
+                for &number in nums {
+                    let chan = ChannelNumber { rat, number };
+                    let reference_db = m.reference_loss_db(chan);
+                    for &d in &distances {
+                        let want = reference_path_loss_db(&m, d, chan);
+                        assert_eq!(
+                            m.path_loss_from(reference_db, d).to_bits(),
+                            want.to_bits(),
+                            "{env:?} {chan:?} at {d} m"
+                        );
+                        assert_eq!(m.path_loss_db(d, chan).to_bits(), want.to_bits());
+                    }
                 }
             }
         }

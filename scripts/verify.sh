@@ -39,9 +39,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 # The byte-identity tests again, against the release binaries: output,
 # --metrics and mmlint --json invariant to MM_THREADS, the golden hashes
-# (and the fleet's 100k-UE run, which the debug suite skips), streamed vs
-# materialized figures, warm store renders and typed store errors, and mmq
-# equivalence with mmx.
+# (and the fleet's long-run golden and 100k-UE run, which the debug suite
+# skips), streamed vs materialized figures, warm store renders and typed
+# store errors, and mmq equivalence with mmx.
 cargo test -q --release -p mobility-mm --test determinism --test fleet --test streaming_equiv
 cargo test -q --release -p mmexperiments --test query_equiv --test store_cli --test telemetry
 cargo test -q --release -p mm-lint --test workspace

@@ -37,8 +37,8 @@ fn run_shape(threads: usize, shards: usize) -> (String, String) {
 
 /// One test fn (not several) so no sibling test races the global registry
 /// between reset() and snapshot() — the tests/telemetry.rs pattern. The
-/// release-only 100k-UE run records into that registry too, so it runs
-/// here, after the invariance matrix.
+/// release-only long fleet and 100k-UE run record into that registry too,
+/// so they run here, after the invariance matrix.
 #[test]
 fn fleet_report_invariant_to_threads_and_shards() {
     let (reference, reference_metrics) = run_shape(1, 1);
@@ -73,7 +73,38 @@ fn fleet_report_invariant_to_threads_and_shards() {
     );
 
     #[cfg(not(debug_assertions))]
+    long_fleet_matches_its_golden_hash();
+    #[cfg(not(debug_assertions))]
     carries_100k_ues();
+}
+
+/// A long fleet: 2,000 UEs for 60 s each. Its 1,355 radio link failures
+/// exercise re-establishment (`strongest`, `apply_handoff` and the filter
+/// reset) at a volume the 5 s golden above, with 3, does not. Release
+/// only, like the 100k-UE run below.
+#[cfg(not(debug_assertions))]
+fn long_fleet_matches_its_golden_hash() {
+    let cfg = FleetConfig {
+        ues: 2_000,
+        shards: 16,
+        duration_ms: 60_000,
+        ..FleetConfig::default()
+    };
+    for threads in [1, 2] {
+        let text = run_fleet_on(&cfg, &Executor::new(threads))
+            .unwrap()
+            .render();
+        assert!(
+            text.contains("fleet: handoffs 4032 A3=2002 A5=1789 P=241\n")
+                && text.contains("fleet: rlf_events 1355 "),
+            "{text}"
+        );
+        assert_eq!(
+            fnv1a64(text.as_bytes()),
+            GOLDEN_LONG_FLEET_2018,
+            "golden long-fleet hash changed at {threads} thread(s):\n{text}"
+        );
+    }
 }
 
 /// The verify-gate scale: 100k concurrent UEs in one process. Debug-mode
@@ -99,3 +130,8 @@ fn carries_100k_ues() {
 /// FNV-1a of the 200-UE, 5 s, seed-2018 fleet report over carrier A in
 /// C1 at scale 0.05.
 const GOLDEN_FLEET_2018: u64 = 14773048091601669795;
+
+/// FNV-1a of the 2,000-UE, 60 s, seed-2018 fleet report over carrier A in
+/// C1 at scale 0.05.
+#[cfg(not(debug_assertions))]
+const GOLDEN_LONG_FLEET_2018: u64 = 16168062081274339662;

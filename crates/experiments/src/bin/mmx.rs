@@ -28,11 +28,11 @@
 //! `mmx crawl` is the cold write path at scale: it generates the world,
 //! runs the sharded Type-I crawl on the `mm-exec` pool, reports the
 //! crawl rate, and persists the D2 columnar store entry plus the campaign
-//! manifest. The entry is encoded from the crawl's runs one row group at
-//! a time, so the expanded ~8M-sample dataset is never built. `mmx
-//! --append` crawls ONE more round under the next round seed and adds it
-//! as a brand-new store entry the same way — prior-round files are never
-//! rewritten, only the manifest is. `--load` figure runs against
+//! manifest. D2 holds the crawl's runs, and the entry is encoded from
+//! them one row group at a time, so the expanded ~8M-sample list is
+//! never built. `mmx --append` crawls ONE more round under the next round
+//! seed and adds it as a brand-new store entry the same way — prior-round
+//! files are never rewritten, only the manifest is. `--load` figure runs against
 //! the same `--store`/seed/scale then *stream* round 0's entry — the `d2`
 //! entry `mmx crawl` wrote — block-by-block into the figure aggregate
 //! (DESIGN.md §10), so at paper scale the ~8M-sample dataset is never
@@ -75,7 +75,7 @@ use mmexperiments::store::round_seed;
 use mmexperiments::{
     run, run_fleet_on, Artifact, FleetConfig, MmError, RunStore, ABLATIONS, ARTIFACTS,
 };
-use mmlab::Crawl;
+use mmlab::D2;
 
 fn usage() -> String {
     format!(
@@ -294,22 +294,22 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
     })
 }
 
-/// Crawl `world` under `seed` into its runs, and describe the crawl: `N
-/// samples over C cells in S s (R samples/s, T thread(s))`. The time is
-/// the scatter's wall clock, which is the whole crawl. Every cell of the
-/// world yields rows, so the world's cell count is the crawl's without a
-/// pass over ~8M rows.
-fn timed_crawl(world: &World, seed: u64, exec: &Executor) -> (Crawl, String) {
-    let (crawl, stats) = Crawl::run(world, seed, exec);
+/// Crawl `world` under `seed`, and describe the crawl: `N samples over C
+/// cells in S s (R samples/s, T thread(s))`. The time is the scatter's
+/// wall clock, which is the whole crawl. Every cell of the world yields
+/// rows, so the world's cell count is the crawl's without a pass over ~8M
+/// rows.
+fn timed_crawl(world: &World, seed: u64, exec: &Executor) -> (D2, String) {
+    let (d2, stats) = mmlab::crawl_with_stats(world, seed, exec);
     let secs = stats.wall_ns.max(1) as f64 / 1e9;
     let line = format!(
         "{} samples over {} cells in {secs:.1}s ({:.0} samples/s, {} thread(s))",
-        crawl.samples(),
+        d2.len(),
         world.cells().len(),
-        crawl.samples() as f64 / secs,
+        d2.len() as f64 / secs,
         stats.threads,
     );
-    (crawl, line)
+    (d2, line)
 }
 
 fn real_main() -> Result<(), MmError> {
@@ -356,9 +356,9 @@ fn real_main() -> Result<(), MmError> {
         // from the crawl's runs, plus the campaign manifest.
         RunMode::Crawl => {
             let s = store.as_ref().expect("crawl resolved against --store");
-            let (crawl, line) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
+            let (d2, line) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
             eprintln!("# mmx crawl: {line}");
-            ctx.preload_crawl(crawl);
+            ctx.preload_d2(d2);
             return s.save_d2(&ctx);
         }
         // Append one campaign round: crawl under the next round seed,

@@ -2,28 +2,23 @@
 //! drive-test campaign pair (active/idle D1), built lazily and shared by
 //! every figure so `mmx all` does the expensive work once.
 //!
-//! The crawl is held as its runs ([`Crawl`]) until something asks for
-//! [`Ctx::d2`], which expands it and drops the runs, so a context holds
-//! one form or the other, never both. The store's write path
-//! ([`RunStore::save_d2`](crate::RunStore::save_d2)) encodes the runs
-//! directly, so a context that only crawls and saves never builds the
-//! expanded dataset.
+//! D2 holds the crawl's runs, so the context keeps round 0 in one form:
+//! the store's write path ([`RunStore::save_d2`](crate::RunStore::save_d2))
+//! and the in-memory figure fold both read [`Ctx::d2`], and neither builds
+//! the expanded sample list.
 //!
-//! The dataset slots are [`OnceLock`]s and the crawl slot a [`Mutex`], so
-//! a `&Ctx` is `Sync` and `mmx all` can fan independent artifacts out over
-//! `mm-exec` worker threads against one pre-warmed context.
+//! Every slot is a [`OnceLock`], so a `&Ctx` is `Sync` and `mmx all` can
+//! fan independent artifacts out over `mm-exec` worker threads against one
+//! pre-warmed context.
 
 use crate::store::round_seed;
 use crate::stream::D2Agg;
 use crate::Artifact;
-use mm_exec::Executor;
 use mmcarriers::city::City;
 use mmcarriers::world::World;
-use mmcore::MmError;
 use mmlab::campaign::{run_campaigns_parallel, CampaignConfig};
-use mmlab::crawler::Crawl;
 use mmlab::dataset::{D1, D2};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// The three US cities the paper's Type-II drives covered (Chicago,
 /// Indianapolis, Lafayette).
@@ -46,8 +41,6 @@ pub struct Ctx {
     /// Duration of each drive, ms.
     pub duration_ms: u64,
     world: OnceLock<World>,
-    /// Round 0's crawl as runs, until [`Ctx::d2`] expands it.
-    crawl: Mutex<Option<Crawl>>,
     d2: OnceLock<D2>,
     d2_agg: OnceLock<D2Agg>,
     d1_active: OnceLock<D1>,
@@ -126,7 +119,6 @@ impl CtxBuilder {
             runs: self.runs,
             duration_ms: self.duration_ms,
             world: OnceLock::new(),
-            crawl: Mutex::new(None),
             d2: OnceLock::new(),
             d2_agg: OnceLock::new(),
             d1_active: OnceLock::new(),
@@ -152,50 +144,15 @@ impl Ctx {
             .get_or_init(|| World::generate(self.seed, self.scale))
     }
 
-    /// Dataset D2 (Type-I crawl): the crawl the context holds, expanded,
-    /// or else a fresh one. The runs are dropped once expanded.
+    /// Dataset D2 (Type-I crawl): round 0, crawled on the ambient executor
+    /// (`MM_THREADS` or `available_parallelism()`) unless preloaded.
     pub fn d2(&self) -> &D2 {
-        self.d2.get_or_init(|| {
-            let held = self.crawl_slot().take();
-            held.unwrap_or_else(|| self.crawl_round_zero()).into_d2()
-        })
-    }
-
-    /// The crawl slot. A thread that panicked holding it left a whole
-    /// crawl or none, so a poisoned lock still guards a usable value.
-    fn crawl_slot(&self) -> MutexGuard<'_, Option<Crawl>> {
-        self.crawl.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Round 0's crawl on the ambient executor (`MM_THREADS` or
-    /// `available_parallelism()`).
-    fn crawl_round_zero(&self) -> Crawl {
-        Crawl::run(
-            self.world(),
-            round_seed(self.seed, 0),
-            &Executor::from_env(),
-        )
-        .0
-    }
-
-    /// Write round 0 of D2 in the store format into `w` and return its
-    /// sample count: from the materialized dataset if a render or
-    /// [`preload_d2`](Ctx::preload_d2) built it, else from the crawl's
-    /// runs, crawled into the context first if it holds none, and kept
-    /// there for a later [`d2`](Ctx::d2).
-    pub(crate) fn write_d2_store(&self, w: &mut Vec<u8>) -> Result<u64, MmError> {
-        let mut slot = self.crawl_slot();
-        if let Some(d2) = self.d2.get() {
-            d2.write_store(w)?;
-            return Ok(d2.len() as u64);
-        }
-        let crawl = slot.get_or_insert_with(|| self.crawl_round_zero());
-        crawl.write_store(w)?;
-        Ok(crawl.samples() as u64)
+        self.d2
+            .get_or_init(|| mmlab::crawl(self.world(), round_seed(self.seed, 0)))
     }
 
     /// The streaming D2 aggregate every D2 figure (11–22) reads. Built
-    /// from the materialized dataset when nothing preloaded it; a store
+    /// from the in-memory dataset when nothing preloaded it; a store
     /// loader can install a block-streamed aggregate instead (see
     /// [`Ctx::preload_d2_agg`]), in which case `d2()` itself is never
     /// forced and the raw samples stay on disk.
@@ -225,33 +182,17 @@ impl Ctx {
         })
     }
 
-    /// Install a precomputed D2 (typically decoded from a store file) into
-    /// the lazy slot, dropping any crawl the context holds. Returns
-    /// `false` — and drops the value — if the slot was already built.
+    /// Install a precomputed D2 (a crawl `mmx crawl` runs and times
+    /// itself, or one decoded from a store file) into the lazy slot.
+    /// Returns `false` — and drops the value — if the slot was already
+    /// built.
     pub fn preload_d2(&self, d2: D2) -> bool {
-        let installed = self.d2.set(d2).is_ok();
-        if installed {
-            self.crawl_slot().take();
-        }
-        installed
+        self.d2.set(d2).is_ok()
     }
 
-    /// Install round 0's crawl (`mmx crawl` runs and times its own) for
-    /// the store's write path and a later [`d2`](Ctx::d2). Returns
-    /// `false` — and drops the value — if the context already holds a
-    /// crawl or D2.
-    pub fn preload_crawl(&self, crawl: Crawl) -> bool {
-        let mut slot = self.crawl_slot();
-        if slot.is_some() || self.d2.get().is_some() {
-            return false;
-        }
-        *slot = Some(crawl);
-        true
-    }
-
-    /// Whether the raw D2 dataset has been materialized in this context.
-    /// The streaming acceptance tests use this to prove a store-fed run
-    /// rendered every figure without ever building the sample vector.
+    /// Whether D2 is in memory in this context. The streaming acceptance
+    /// tests use this to prove a store-fed run rendered every figure
+    /// without ever crawling or reading the dataset.
     pub fn d2_is_materialized(&self) -> bool {
         self.d2.get().is_some()
     }
@@ -289,7 +230,7 @@ impl Ctx {
     /// campaign/crawl paths rather than raced through
     /// `OnceLock::get_or_init` by artifact tasks — and a figure-only run
     /// never pays for campaigns it won't read (at paper scale, the other
-    /// way around: never materializes 8M samples for a D1 figure).
+    /// way around: never crawls 8M samples for a D1 figure).
     pub fn warm_for(&self, artifacts: &[Artifact]) {
         if artifacts.iter().any(|a| a.needs_d2_agg()) {
             self.d2_agg();

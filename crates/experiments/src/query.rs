@@ -1105,12 +1105,11 @@ mod tests {
         let (dir, eng) = engine("appended");
         let ctx = eng.ctx();
         let seed = crate::store::round_seed(ctx.seed, 1);
-        let (crawl, _) = mmlab::Crawl::run(ctx.world(), seed, &Executor::from_env());
+        let round1 = mmlab::crawl(ctx.world(), seed);
         RunStore::open(&dir)
             .unwrap()
-            .append_round(ctx, 1, &crawl)
+            .append_round(ctx, 1, &round1)
             .unwrap();
-        let round1 = crawl.into_d2();
         let eng = QueryEngine::open(&dir, Ctx::builder().quick().scale(0.02).build()).unwrap();
         let (streamed, _) = eng.aggregate(&Predicate::any()).unwrap();
 
@@ -1118,9 +1117,7 @@ mod tests {
             .ctx()
             .d2()
             .iter()
-            .cloned()
-            .chain(round1.iter().map(|s| {
-                let mut s = s.clone();
+            .chain(round1.iter().map(|mut s| {
                 s.round += mmcarriers::world::ROUNDS;
                 s
             }))

@@ -26,8 +26,7 @@ use crate::stream::D2Agg;
 use crate::Artifact;
 use mm_store::{ArtifactCache, CacheKey, Cursor, StoreReader, StoreWriter};
 use mmcore::{MmError, StoreError};
-use mmlab::crawler::Crawl;
-use mmlab::dataset::D1;
+use mmlab::dataset::{D1, D2};
 use mmlab::store::{D2StoreReader, KIND_D2};
 use std::io::BufReader;
 use std::path::Path;
@@ -191,19 +190,19 @@ impl RunStore {
 
     /// Persist just the D2 entry (the `mmx crawl` write path), unless it
     /// already exists at its address, and make sure the campaign manifest
-    /// records it as round 0. The entry is written from the context's
-    /// materialized D2 if a render or a preload built one, else from the
-    /// crawl's runs (crawling them into the context if it holds none), so
-    /// on a fresh context the expanded dataset is never built.
+    /// records it as round 0. The entry is written from the context's D2,
+    /// crawled into it first if nothing built or preloaded one; the writer
+    /// expands its runs one row group at a time.
     pub fn save_d2(&self, ctx: &Ctx) -> Result<(), MmError> {
         let key = Self::key(ctx, "d2".to_string());
         let written = if self.cache.entry_path(&key).exists() {
             None
         } else {
+            let d2 = ctx.d2();
             let mut buf = Vec::new();
-            let samples = ctx.write_d2_store(&mut buf)?;
+            d2.write_store(&mut buf)?;
             self.cache.write(&key, &buf)?;
-            Some(samples)
+            Some(d2.len() as u64)
         };
         self.ensure_manifest(ctx, written)
     }
@@ -278,13 +277,13 @@ impl RunStore {
         Ok(self.campaign(ctx)?.next_round())
     }
 
-    /// Append `crawl`, run for campaign round `round`, as a brand-new
+    /// Append `crawl`, crawled for campaign round `round`, as a brand-new
     /// store entry written from its runs plus a manifest update, and
     /// return the updated manifest. Prior-round files are never reopened
     /// for writing. A round that is no longer the campaign's next (another
     /// append landed since [`RunStore::next_round`]) is a typed error and
     /// writes nothing.
-    pub fn append_round(&self, ctx: &Ctx, round: u32, crawl: &Crawl) -> Result<Manifest, MmError> {
+    pub fn append_round(&self, ctx: &Ctx, round: u32, crawl: &D2) -> Result<Manifest, MmError> {
         let mut manifest = self.campaign(ctx)?;
         let next = manifest.next_round();
         if round != next {
@@ -298,7 +297,7 @@ impl RunStore {
         self.cache.write(&Self::key(ctx, entry.clone()), &buf)?;
         manifest.rounds.push(RoundEntry {
             round,
-            samples: crawl.samples() as u64,
+            samples: crawl.len() as u64,
             entry,
         });
         self.cache
@@ -458,17 +457,16 @@ mod tests {
     const GOLDEN_D2_2018: (usize, u64) = (6_931_155, 2982754153472058832);
 
     #[test]
-    fn save_d2_on_a_fresh_context_writes_the_runs_without_expanding_them() {
+    fn save_d2_on_a_fresh_context_writes_the_golden_entry() {
         let dir = tmp_dir("fresh-d2");
         let store = RunStore::open(&dir).unwrap();
         let ctx = Ctx::quick(2018);
         store.save_d2(&ctx).unwrap();
         let bytes = std::fs::read(store.entry_path(&ctx, "d2")).unwrap();
         assert_eq!((bytes.len(), mm_store::fnv1a64(&bytes)), GOLDEN_D2_2018);
-        assert!(!ctx.d2_is_materialized(), "the write expanded the crawl");
-        // The crawl stays in the context: D2 expands from it, unchanged.
+        // The crawl the entry was written from stays in the context.
         let reference = mmlab::crawl(ctx.world(), round_seed(2018, 0));
-        assert!(*ctx.d2() == reference, "expanded crawl differs");
+        assert!(*ctx.d2() == reference, "the context's crawl differs");
         let manifest = store.load_manifest(&ctx).unwrap().unwrap();
         assert_eq!(manifest.total_samples(), reference.len() as u64);
         std::fs::remove_dir_all(&dir).ok();
@@ -544,10 +542,7 @@ mod tests {
         let store = RunStore::open(&dir).unwrap();
         let ctx = Ctx::builder().quick().scale(0.02).build();
 
-        let crawl = |round| {
-            let seed = round_seed(ctx.seed, round);
-            Crawl::run(ctx.world(), seed, &mm_exec::Executor::from_env()).0
-        };
+        let crawl = |round| mmlab::crawl(ctx.world(), round_seed(ctx.seed, round));
 
         // Appending into an empty store is a usage error.
         assert!(matches!(store.next_round(&ctx), Err(MmError::Config(_))));
@@ -572,17 +567,19 @@ mod tests {
         assert_eq!(manifest.rounds[1].entry, "d2-round-1");
         assert_eq!(
             manifest.total_samples(),
-            (ctx.d2().len() + next.samples()) as u64
+            (ctx.d2().len() + next.len()) as u64
         );
         assert_eq!(manifest.next_round(), 2);
         // Round 0's file is byte-identical; only the manifest changed.
         assert_eq!(std::fs::read(&round0).unwrap(), round0_bytes);
         assert_ne!(store.manifest_bytes(&ctx).unwrap().unwrap(), bytes_before);
-        // The runs were written as the round's expanded D2 would be.
-        let mut expanded = Vec::new();
-        crawl(1).into_d2().write_store(&mut expanded).unwrap();
+        // The runs were written as their flat copy would be.
+        let mut flat = Vec::new();
+        D2::from_samples(next.iter().collect())
+            .write_store(&mut flat)
+            .unwrap();
         let appended = std::fs::read(store.entry_path(&ctx, "d2-round-1")).unwrap();
-        assert!(appended == expanded, "appended entry differs");
+        assert!(appended == flat, "appended entry differs");
 
         // A second append for round 1 was crawled for a manifest that no
         // longer stands: a typed error that writes nothing.

@@ -308,11 +308,11 @@ impl D2Agg {
         D2Agg::default()
     }
 
-    /// Aggregate a materialized dataset (the in-memory path).
+    /// Aggregate an in-memory dataset, one expanded sample at a time.
     pub fn from_dataset(d2: &D2) -> D2Agg {
         let mut agg = D2Agg::new();
         for s in d2.iter() {
-            agg.push(s);
+            agg.push(&s);
         }
         agg
     }
@@ -771,10 +771,16 @@ pub(crate) mod tests {
         Ctx::quick(2018)
     }
 
+    /// The crawl's runs and their flat copy, one-round runs of the same
+    /// samples, fold to the same aggregate.
     #[test]
     fn streaming_agg_matches_legacy_helpers() {
         let c = ctx();
-        assert_agg_matches_legacy(&D2Agg::from_dataset(c.d2()), c.d2());
+        let flat = D2::from_samples(c.d2().iter().collect());
+        let (runs, copy) = (D2Agg::from_dataset(c.d2()), D2Agg::from_dataset(&flat));
+        assert_agg_matches_legacy(&runs, c.d2());
+        assert_agg_matches_legacy(&copy, &flat);
+        assert_eq!(format!("{runs:?}"), format!("{copy:?}"));
     }
 
     /// The same rows in a seeded random order: the fold's fast paths are
@@ -784,7 +790,7 @@ pub(crate) mod tests {
     /// observations) still compare exactly.
     #[test]
     fn streaming_agg_matches_legacy_helpers_on_shuffled_rows() {
-        let mut rows: Vec<ConfigSample> = ctx().d2().iter().cloned().collect();
+        let mut rows: Vec<ConfigSample> = ctx().d2().iter().collect();
         // xorshift64 Fisher–Yates.
         let mut state = 0x2545_f491_4f6c_dd1du64;
         for i in (1..rows.len()).rev() {

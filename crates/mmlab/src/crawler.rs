@@ -15,21 +15,18 @@
 //! The crawl of the ~32k-cell world is sharded over [`mm_exec::Executor`]:
 //! each shard covers a contiguous cell range and every cell derives its own
 //! RNG stream from its id. Each shard returns each run's rows once, checked
-//! against the ingest contract, with the rounds that saw them: a [`Crawl`].
-//! The store's write path encodes those runs one row group at a time
-//! ([`Crawl::write_store`]); in-memory consumers expand them into D2
-//! ([`Crawl::into_d2`]), in shard → cell → round order. Either way the
-//! result is byte-identical to the sequential scan for any thread count.
+//! against the ingest contract, with the rounds that saw them, and D2 keeps
+//! the shards' runs as they are, one segment per shard: nothing expands
+//! them here. In shard → cell → round order the samples are the
+//! sequential scan's for any thread count.
 
-use crate::dataset::{ConfigSample, D2};
-use crate::store::RowSource;
+use crate::dataset::{ConfigSample, Segment, D2};
 use mm_exec::{Executor, RunStats};
 use mm_rng::{stream_rng, sub_seed, Rng};
 use mmcarriers::world::{GeneratedCell, World, ROUNDS};
 use mmcore::config::{CellConfig, Quantity};
 use mmcore::events::EventKind;
 use mmcore::kernel::sum_f64;
-use mmcore::MmError;
 use mmradio::band::Rat;
 
 /// Fig 13a-calibrated rounds-per-cell distribution: `(rounds, weight)`.
@@ -251,54 +248,12 @@ fn drawn_rounds(cell: &GeneratedCell, crawl_seed: u64) -> Vec<u32> {
     rounds
 }
 
-/// One shard's crawl before expansion. A run is the drawn rounds of one
-/// cell that see the same broadcast; its rows are observed once, at its
-/// first round, and stand for every round of the run.
-#[derive(Debug, Default)]
-struct Observed {
-    /// The runs' rows, run after run, as observed at each run's first round.
-    rows: Vec<ConfigSample>,
-    /// The runs' rounds, run after run, each run's ascending.
-    rounds: Vec<u32>,
-    /// Per run, in cell order: how many of `rows` and of `rounds` it owns.
-    runs: Vec<(usize, usize)>,
-}
-
-impl Observed {
-    /// Samples the shard expands to: each run's rows at each of its rounds.
-    fn samples(&self) -> usize {
-        self.runs.iter().map(|&(rows, rounds)| rows * rounds).sum()
-    }
-
-    /// Each run's rows and rounds, in cell order.
-    fn runs(&self) -> impl Iterator<Item = (&[ConfigSample], &[u32])> {
-        let (mut rows, mut rounds) = (&self.rows[..], &self.rounds[..]);
-        self.runs.iter().map(move |&(n_rows, n_rounds)| {
-            let (run_rows, rest) = rows.split_at(n_rows);
-            rows = rest;
-            let (run_rounds, rest) = rounds.split_at(n_rounds);
-            rounds = rest;
-            (run_rows, run_rounds)
-        })
-    }
-
-    /// Append the shard's samples to `out` in cell → round order: each
-    /// run's rows once per round, with `round` restamped.
-    fn expand_into(&self, out: &mut Vec<ConfigSample>) {
-        for (rows, rounds) in self.runs() {
-            for &round in rounds {
-                out.extend(rows.iter().map(|s| ConfigSample { round, ..s.clone() }));
-            }
-        }
-    }
-}
-
 /// Crawl one cell: draw its round set and observe it once per run of
 /// rounds that see the same broadcast. An LTE cell's configuration depends
 /// on the round only through its version, which never decreases, so each
 /// version's rounds are consecutive; a legacy cell's parameters do not
 /// depend on the round at all.
-fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Observed) {
+fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Segment) {
     let rounds = drawn_rounds(cell, crawl_seed);
     let lte = cell.rat == Rat::Lte;
     let same = |a: &u32, b: &u32| !lte || world.version_at(cell, *a) == world.version_at(cell, *b);
@@ -318,126 +273,46 @@ fn crawl_cell(world: &World, cell: &GeneratedCell, crawl_seed: u64, out: &mut Ob
 /// fine enough that a 32k-cell world still feeds dozens of workers.
 const CRAWL_SHARD: usize = 128;
 
-/// A crawl's runs: each shard's rows once, checked against the ingest
-/// contract, with the rounds that saw them. It stands for the D2 it
-/// expands to ([`into_d2`](Crawl::into_d2)) at a fraction of its size,
-/// and the store writes it without expanding more than one row group at a
-/// time ([`write_store`](Crawl::write_store)).
-#[derive(Debug)]
-pub struct Crawl {
-    /// Shard outputs in submission order, which is cell order.
-    shards: Vec<Observed>,
-}
-
-impl Crawl {
-    /// Run the full Type-I crawl over a world on an explicit executor, and
-    /// return its runs with the statistics of the shards' scatter, which
-    /// is the whole crawl: each shard checks its own rows. The `crawl` span
-    /// of mm-telemetry's `crawl` section times it too.
-    ///
-    /// The cell list is split into contiguous shards whose outputs are
-    /// kept in submission order, so the crawl matches the sequential
-    /// per-cell scan under any thread count.
-    pub fn run(world: &World, crawl_seed: u64, exec: &Executor) -> (Crawl, RunStats) {
-        let reg = mm_telemetry::global();
-        let _stage = reg.span("crawl", "crawl");
-        let cells_crawled = reg.counter("crawl", "cells_crawled");
-        let rounds_observed = reg.counter("crawl", "rounds_observed");
-        let configs_drawn = reg.counter("crawl", "configs_drawn");
-        let samples_emitted = reg.counter("crawl", "samples_emitted");
-        let shards: Vec<&[GeneratedCell]> = world.cells().chunks(CRAWL_SHARD).collect();
-        let (shards, stats) = exec.scatter_gather_stats(shards, |_, shard| {
-            let mut out = Observed::default();
-            for cell in shard {
-                crawl_cell(world, cell, crawl_seed, &mut out);
-            }
-            // Expansion changes only `round`, and the contract reads only
-            // `value`, so checking each run's rows once checks every sample.
-            out.rows
-                .iter()
-                .try_for_each(ConfigSample::check)
-                // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
-                .expect("crawler emitted an off-contract value");
-            cells_crawled.add(shard.len() as u64);
-            rounds_observed.add(out.rounds.len() as u64);
-            configs_drawn.add(out.runs.len() as u64);
-            samples_emitted.add(out.samples() as u64);
-            out
-        });
-        (Crawl { shards }, stats)
-    }
-
-    /// Samples the crawl expands to.
-    pub fn samples(&self) -> usize {
-        self.shards.iter().map(Observed::samples).sum()
-    }
-
-    /// Expand the runs into dataset D2: one exactly sized sample list in
-    /// shard → cell → round order, each row written once. Each shard is
-    /// freed once it has been expanded.
-    pub fn into_d2(self) -> D2 {
-        let mut samples = Vec::with_capacity(self.samples());
-        for shard in self.shards {
-            shard.expand_into(&mut samples);
-        }
-        D2::from_samples(samples)
-    }
-}
-
-/// The store reads a crawl as the D2 it expands to: the runs' rows once,
-/// which meet every string in the expanded order, for the dictionary, and
-/// then each run's rows once per round through one reused group buffer.
-impl RowSource<ConfigSample> for Crawl {
-    fn rows(&self) -> usize {
-        self.samples()
-    }
-
-    fn for_each_distinct(&self, mut f: impl FnMut(&ConfigSample)) {
-        for shard in &self.shards {
-            shard.rows.iter().for_each(&mut f);
-        }
-    }
-
-    fn try_for_each_group(
-        &self,
-        block_rows: usize,
-        mut f: impl FnMut(&[ConfigSample]) -> Result<(), MmError>,
-    ) -> Result<(), MmError> {
-        let mut group = Vec::with_capacity(block_rows);
-        for (rows, rounds) in self.shards.iter().flat_map(Observed::runs) {
-            for &round in rounds {
-                let mut rest = rows;
-                while !rest.is_empty() {
-                    let (now, later) = rest.split_at((block_rows - group.len()).min(rest.len()));
-                    group.extend(now.iter().map(|s| ConfigSample { round, ..s.clone() }));
-                    rest = later;
-                    if group.len() == block_rows {
-                        f(&group)?;
-                        group.clear();
-                    }
-                }
-            }
-        }
-        if group.is_empty() {
-            Ok(())
-        } else {
-            f(&group)
-        }
-    }
-}
-
-/// Run the full Type-I crawl over a world on an explicit executor:
-/// [`Crawl::run`], then [`Crawl::into_d2`].
+/// Run the full Type-I crawl over a world on an explicit executor.
 pub fn crawl_with(world: &World, crawl_seed: u64, exec: &Executor) -> D2 {
     crawl_with_stats(world, crawl_seed, exec).0
 }
 
 /// Like [`crawl_with`], also returning the statistics of the shards'
-/// scatter (per-task time, worker utilization). The expansion into D2
-/// follows the scatter on the calling thread.
+/// scatter (per-task time, worker utilization), which is the whole crawl:
+/// each shard checks its own rows, and D2 keeps the shards' runs. The
+/// `crawl` span of mm-telemetry's `crawl` section times it too.
+///
+/// The cell list is split into contiguous shards whose outputs are kept
+/// in submission order, so the crawl matches the sequential per-cell scan
+/// under any thread count.
 pub fn crawl_with_stats(world: &World, crawl_seed: u64, exec: &Executor) -> (D2, RunStats) {
-    let (crawl, stats) = Crawl::run(world, crawl_seed, exec);
-    (crawl.into_d2(), stats)
+    let reg = mm_telemetry::global();
+    let _stage = reg.span("crawl", "crawl");
+    let cells_crawled = reg.counter("crawl", "cells_crawled");
+    let rounds_observed = reg.counter("crawl", "rounds_observed");
+    let configs_drawn = reg.counter("crawl", "configs_drawn");
+    let samples_emitted = reg.counter("crawl", "samples_emitted");
+    let shards: Vec<&[GeneratedCell]> = world.cells().chunks(CRAWL_SHARD).collect();
+    let (segments, stats) = exec.scatter_gather_stats(shards, |_, shard| {
+        let mut out = Segment::default();
+        for cell in shard {
+            crawl_cell(world, cell, crawl_seed, &mut out);
+        }
+        // Expansion changes only `round`, and the contract reads only
+        // `value`, so checking each run's rows once checks every sample.
+        out.rows
+            .iter()
+            .try_for_each(ConfigSample::check)
+            // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
+            .expect("crawler emitted an off-contract value");
+        cells_crawled.add(shard.len() as u64);
+        rounds_observed.add(out.rounds.len() as u64);
+        configs_drawn.add(out.runs.len() as u64);
+        samples_emitted.add(out.samples() as u64);
+        out
+    });
+    (D2::from_segments(segments), stats)
 }
 
 /// Run the full Type-I crawl over a world, producing dataset D2, on the
@@ -514,19 +389,19 @@ mod tests {
     }
 
     #[test]
-    fn streamed_store_write_matches_writing_the_expanded_crawl() {
+    fn crawled_runs_write_the_bytes_of_their_flat_copy() {
         // Groups of 7 and 64 rows cut runs and rounds; groups of 4096 span
         // runs and, where a shard's sample count is not a multiple, shards.
         for (world_seed, scale, crawl_seed) in [(5, 0.01, 77), (13, 0.02, 5)] {
             let world = World::generate(world_seed, scale);
-            let d2 = crawl_with(&world, crawl_seed, &Executor::sequential());
+            let sequential = crawl_with(&world, crawl_seed, &Executor::sequential());
+            let flat = D2::from_samples(sequential.iter().collect());
             for threads in [1, 2, 8] {
-                let (crawl, _) = Crawl::run(&world, crawl_seed, &Executor::new(threads));
-                assert_eq!(crawl.samples(), d2.len());
+                let d2 = crawl_with(&world, crawl_seed, &Executor::new(threads));
                 for block_rows in [7, 64, 4096] {
                     let (mut want, mut got) = (Vec::new(), Vec::new());
-                    d2.write_store_with(&mut want, block_rows).unwrap();
-                    crawl.write_store_with(&mut got, block_rows).unwrap();
+                    flat.write_store_with(&mut want, block_rows).unwrap();
+                    d2.write_store_with(&mut got, block_rows).unwrap();
                     assert!(
                         got == want,
                         "world {world_seed}, {threads} thread(s), groups of {block_rows}"

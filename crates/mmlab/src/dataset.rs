@@ -6,6 +6,12 @@
 //!   paper's 7,996,149 samples from 32,033 cells, each sample being one
 //!   `(cell, round, parameter, value)` observation with its location and
 //!   frequency context.
+//!
+//! Configurations change rarely, so most of D2's samples repeat the same
+//! cell's previous round. D2 holds them as the crawl yields them: runs of
+//! rows, each stored once with the ascending rounds that saw it. Only
+//! [`D2::iter`] and the store writer expand the runs, one sample or one
+//! row group at a time.
 
 use crate::predicate::Predicate;
 use mmcarriers::city::City;
@@ -44,13 +50,49 @@ pub struct ConfigSample {
 /// Dataset D2: configuration samples.
 ///
 /// The sample store is private: all access goes through the typed query
-/// accessors ([`iter`](D2::iter), [`filter`](D2::filter), …) so the
-/// internal representation can later be sharded without touching the
-/// figure code.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// accessors ([`iter`](D2::iter), [`len`](D2::len), …), so the figure code
+/// sees samples in crawl order and never the runs behind them. Two
+/// datasets are equal when they expand to the same samples, however their
+/// rows are grouped into runs.
+#[derive(Debug, Clone, Default)]
 pub struct D2 {
-    /// All samples in crawl order.
-    samples: Vec<ConfigSample>,
+    /// Segments in crawl order: one per crawl shard, or one holding
+    /// every sample of a dataset built from a sample list.
+    segments: Vec<Segment>,
+}
+
+/// One segment of D2: runs of rows in crawl order. A run stands for the
+/// same rows observed at each of its rounds; the crawler makes one per
+/// run of a cell's rounds that see the same broadcast.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Segment {
+    /// The runs' rows, run after run, as observed at each run's first
+    /// round.
+    pub(crate) rows: Vec<ConfigSample>,
+    /// The runs' rounds, run after run, each run's ascending.
+    pub(crate) rounds: Vec<u32>,
+    /// Per run, in crawl order: how many of `rows` and of `rounds` it owns.
+    pub(crate) runs: Vec<(usize, usize)>,
+}
+
+impl Segment {
+    /// Samples the segment expands to: each run's rows at each of its
+    /// rounds.
+    pub(crate) fn samples(&self) -> usize {
+        self.runs.iter().map(|&(rows, rounds)| rows * rounds).sum()
+    }
+
+    /// Each run's rows and rounds, in crawl order.
+    fn runs(&self) -> impl Iterator<Item = (&[ConfigSample], &[u32])> {
+        let (mut rows, mut rounds) = (&self.rows[..], &self.rounds[..]);
+        self.runs.iter().map(move |&(n_rows, n_rounds)| {
+            let (run_rows, rest) = rows.split_at(n_rows);
+            rows = rest;
+            let (run_rounds, rest) = rounds.split_at(n_rounds);
+            rounds = rest;
+            (run_rows, run_rounds)
+        })
+    }
 }
 
 /// Largest |value| the D2 ingest contract admits: `2^51`, the magnitude up
@@ -106,9 +148,16 @@ impl ConfigSample {
 }
 
 impl D2 {
-    /// Build a dataset from samples in crawl order.
+    /// Build a dataset from samples in crawl order. Each run of
+    /// consecutive samples of one round is stored as a one-round run.
     pub fn from_samples(samples: Vec<ConfigSample>) -> D2 {
-        D2 { samples }
+        let mut segment = Segment::default();
+        for run in samples.chunk_by(|a, b| a.round == b.round) {
+            segment.rounds.push(run[0].round);
+            segment.runs.push((run.len(), 1));
+        }
+        segment.rows = samples;
+        D2::from_segments(vec![segment])
     }
 
     /// Build a dataset from samples in crawl order, validating every row
@@ -117,46 +166,52 @@ impl D2 {
         for s in &samples {
             s.check()?;
         }
-        Ok(D2 { samples })
+        Ok(D2::from_samples(samples))
     }
 
-    /// Append one sample.
-    pub fn push(&mut self, sample: ConfigSample) {
-        self.samples.push(sample);
+    /// The dataset of `segments`, in order.
+    pub(crate) fn from_segments(segments: Vec<Segment>) -> D2 {
+        D2 { segments }
     }
 
-    /// All samples, in crawl order.
-    pub fn iter(&self) -> std::slice::Iter<'_, ConfigSample> {
-        self.samples.iter()
+    /// All samples, in crawl order: each run's rows at each of its rounds,
+    /// with `round` restamped.
+    pub fn iter(&self) -> impl Iterator<Item = ConfigSample> + '_ {
+        self.runs().flat_map(|(rows, rounds)| {
+            rounds.iter().flat_map(move |&round| {
+                rows.iter()
+                    .map(move |s| ConfigSample { round, ..s.clone() })
+            })
+        })
+    }
+
+    /// Each run's rows and rounds, in crawl order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (&[ConfigSample], &[u32])> {
+        self.segments.iter().flat_map(Segment::runs)
+    }
+
+    /// Every run's rows once, in crawl order. They meet every cell,
+    /// carrier, parameter and string in the order the samples first do.
+    pub(crate) fn distinct_rows(&self) -> impl Iterator<Item = &ConfigSample> {
+        self.segments.iter().flat_map(|s| s.rows.iter())
     }
 
     /// Number of samples (the paper's 7,996,149-scale count).
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.segments.iter().map(Segment::samples).sum()
     }
 
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// Number of unique cells observed.
     pub fn unique_cells(&self) -> usize {
-        self.samples
-            .iter()
+        self.distinct_rows()
             .map(|s| s.cell)
             .collect::<BTreeSet<_>>()
             .len()
-    }
-
-    /// The filtered view: samples matching a [`Predicate`], in crawl
-    /// order. This is the one filter surface mmq, figures and diversity
-    /// slices share.
-    pub fn filter<'a>(
-        &'a self,
-        pred: &'a Predicate,
-    ) -> impl Iterator<Item = &'a ConfigSample> + 'a {
-        self.samples.iter().filter(move |s| pred.matches(*s))
     }
 
     /// Unique `(cell, value)` observations of one parameter for one carrier
@@ -165,7 +220,7 @@ impl D2 {
     pub fn unique_values(&self, carrier: &str, rat: Rat, param: &str) -> Vec<f64> {
         let mut seen: BTreeSet<(CellId, i64)> = BTreeSet::new();
         let mut out = Vec::new();
-        for s in &self.samples {
+        for s in self.distinct_rows() {
             if s.carrier != carrier || s.rat != rat || s.param != param {
                 continue;
             }
@@ -179,8 +234,7 @@ impl D2 {
     /// Distinct parameter names present for `(carrier, rat)`.
     pub fn param_names(&self, carrier: &str, rat: Rat) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = self
-            .samples
-            .iter()
+            .distinct_rows()
             .filter(|s| s.carrier == carrier && s.rat == rat)
             .map(|s| s.param)
             .collect();
@@ -192,7 +246,7 @@ impl D2 {
     /// Samples per cell for one parameter (Fig 13a's histogram input).
     pub fn samples_per_cell(&self, param: &str) -> Vec<usize> {
         let mut counts: std::collections::BTreeMap<CellId, usize> = Default::default();
-        for s in &self.samples {
+        for s in self.iter() {
             if s.param == param {
                 *counts.entry(s.cell).or_default() += 1;
             }
@@ -202,10 +256,16 @@ impl D2 {
 
     /// Carrier codes present.
     pub fn carriers(&self) -> Vec<&'static str> {
-        let mut v: Vec<&'static str> = self.samples.iter().map(|s| s.carrier).collect();
+        let mut v: Vec<&'static str> = self.distinct_rows().map(|s| s.carrier).collect();
         v.sort_unstable();
         v.dedup();
         v
+    }
+}
+
+impl PartialEq for D2 {
+    fn eq(&self, other: &D2) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -233,11 +293,6 @@ impl D1 {
     /// Build a dataset from instances in campaign order.
     pub fn from_instances(instances: Vec<HandoffInstance>) -> D1 {
         D1 { instances }
-    }
-
-    /// Append one instance.
-    pub fn push(&mut self, instance: HandoffInstance) {
-        self.instances.push(instance);
     }
 
     /// Append a batch of instances (one drive's output).
@@ -281,15 +336,6 @@ impl<'a> IntoIterator for &'a D1 {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter_handoffs()
-    }
-}
-
-impl<'a> IntoIterator for &'a D2 {
-    type Item = &'a ConfigSample;
-    type IntoIter = std::slice::Iter<'a, ConfigSample>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -368,32 +414,49 @@ mod tests {
     }
 
     #[test]
-    fn d2_typed_accessors_filter_and_count() {
-        let mut b = sample(3, "q-Hyst", 2.0, 0);
-        b.carrier = "B";
-        b.city = City::C3;
-        let d2 = D2::from_samples(vec![
-            sample(1, "q-Hyst", 4.0, 0),
-            sample(2, "q-Hyst", 4.0, 0),
-            b,
+    fn d2_expands_its_runs_in_crawl_order_however_they_are_grouped() {
+        // Cell 1's two rows seen at rounds 0 and 3, then a new value at
+        // round 5; cell 2 once, in a second segment.
+        let runs = D2::from_segments(vec![
+            Segment {
+                rows: vec![
+                    sample(1, "q-Hyst", 4.0, 0),
+                    sample(1, "p", 1.0, 0),
+                    sample(1, "q-Hyst", 6.0, 5),
+                ],
+                rounds: vec![0, 3, 5],
+                runs: vec![(2, 2), (1, 1)],
+            },
+            Segment {
+                rows: vec![sample(2, "p", 1.0, 0)],
+                rounds: vec![0],
+                runs: vec![(1, 1)],
+            },
         ]);
-        assert_eq!(d2.filter(&Predicate::any().carrier("A")).count(), 2);
-        assert_eq!(d2.filter(&Predicate::any().carrier("B")).count(), 1);
-        assert_eq!(d2.filter(&Predicate::any().city(City::C3)).count(), 1);
-        assert_eq!(
-            d2.filter(&Predicate::any().carrier("B").city(City::C3))
-                .count(),
-            1
-        );
-        assert_eq!(d2.iter().count(), d2.len());
-        assert_eq!((&d2).into_iter().count(), 3);
+        let flat = vec![
+            sample(1, "q-Hyst", 4.0, 0),
+            sample(1, "p", 1.0, 0),
+            sample(1, "q-Hyst", 4.0, 3),
+            sample(1, "p", 1.0, 3),
+            sample(1, "q-Hyst", 6.0, 5),
+            sample(2, "p", 1.0, 0),
+        ];
+        assert_eq!(runs.iter().collect::<Vec<_>>(), flat);
+        assert_eq!(runs.len(), 6);
+        assert_eq!(runs.samples_per_cell("q-Hyst"), vec![3]);
+        // A sample list keeps each stretch of one round as a one-round run.
+        let copy = D2::from_samples(flat.clone());
+        assert_eq!(copy.segments[0].runs, vec![(2, 1), (2, 1), (1, 1), (1, 1)]);
+        assert_eq!(copy, runs);
+        let mut moved = flat;
+        moved[3].round = 4;
+        assert_ne!(D2::from_samples(moved), runs);
     }
 
     #[test]
     fn d1_typed_accessors_filter_and_append() {
         let mut d1 = D1::from_instances(vec![instance("A", City::C1), instance("T", City::C3)]);
-        d1.push(instance("A", City::C3));
-        d1.append(vec![instance("V", City::C5)]);
+        d1.append(vec![instance("A", City::C3), instance("V", City::C5)]);
         assert_eq!(d1.len(), 4);
         assert_eq!(d1.filter(&Predicate::any().carrier("A")).count(), 2);
         assert_eq!(d1.filter(&Predicate::any().city(City::C3)).count(), 2);
@@ -403,9 +466,7 @@ mod tests {
             1
         );
         assert_eq!(d1.iter_handoffs().count(), 4);
-        let mut other = D1::default();
-        other.push(instance("T", City::C1));
-        d1.extend(other);
+        d1.extend(D1::from_instances(vec![instance("T", City::C1)]));
         assert_eq!((&d1).into_iter().count(), 5);
     }
 

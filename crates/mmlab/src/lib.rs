@@ -24,7 +24,7 @@ pub use campaign::{
     city_network, run_campaign, run_campaigns, run_campaigns_parallel, run_campaigns_stats,
     CampaignConfig, DRIVE_CITIES,
 };
-pub use crawler::{crawl, crawl_with, crawl_with_stats, Crawl};
+pub use crawler::{crawl, crawl_with, crawl_with_stats};
 pub use dataset::{ConfigSample, HandoffInstance, D1, D2};
 pub use diversity::{diversity, simpson_index, Diversity, Measure};
 pub use predicate::Predicate;

@@ -13,8 +13,8 @@
 //! pushdown filter, row match), and the single [`RowGroupReader`] — seen
 //! as [`D2StoreReader`]/[`D1StoreReader`] — streams rows block by block,
 //! never holding more than one group in memory. The one writer takes its
-//! rows from a slice or from a crawl's runs, which it expands one row
-//! group at a time ([`Crawl::write_store`]).
+//! rows from a slice (D1) or from D2's runs, which it expands one row
+//! group at a time ([`D2::write_store`]).
 //!
 //! Format v2 row groups carry a small prefix before the columns: the
 //! declared row and column counts (checked against the payload size and
@@ -28,7 +28,6 @@
 
 mod rowgroup;
 
-use crate::crawler::Crawl;
 use crate::dataset::{ConfigSample, HandoffInstance, D1, D2};
 use crate::predicate::Predicate;
 use mm_store::{DictBuilder, F64Decoder, F64Encoder, UIntDecoder, UIntEncoder};
@@ -41,11 +40,12 @@ use mmnetsim::run::{HandoffKind, HandoffRecord};
 use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
+pub(crate) use rowgroup::RowSchema;
 use rowgroup::{
     encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict,
+    RowSource,
 };
 pub use rowgroup::{intern_param, RowGroupReader, ScanStats};
-pub(crate) use rowgroup::{RowSchema, RowSource};
 use std::io::{Read, Write};
 
 /// Dataset kind stamped in D2 store headers.
@@ -356,9 +356,10 @@ impl D2 {
 
     /// Write with an explicit row-group size (tests use small groups to
     /// exercise multi-block streaming). Every row must pass
-    /// [`ConfigSample::check`].
+    /// [`ConfigSample::check`]. Only one row group of expanded samples
+    /// exists at a time.
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        write_rows(self.iter().as_slice(), w, block_rows)
+        write_rows(self, w, block_rows)
     }
 
     /// Read a dataset written by [`write_store`](D2::write_store),
@@ -368,18 +369,43 @@ impl D2 {
     }
 }
 
-impl Crawl {
-    /// Write the D2 this crawl expands to, byte for byte what
-    /// [`D2::write_store`] writes for it, with the default row-group size.
-    /// Only one row group of expanded samples exists at a time.
-    pub fn write_store<W: Write>(&self, w: W) -> Result<(), MmError> {
-        self.write_store_with(w, BLOCK_ROWS)
+/// The store reads D2 as its samples: the runs' rows once, which meet
+/// every string in the samples' order, for the dictionary, then each
+/// run's rows once per round through one reused group buffer.
+impl RowSource<ConfigSample> for D2 {
+    fn rows(&self) -> usize {
+        self.len()
     }
 
-    /// Write with an explicit row-group size, byte for byte what
-    /// [`D2::write_store_with`] writes for the expanded crawl.
-    pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        write_rows(self, w, block_rows)
+    fn for_each_distinct(&self, f: impl FnMut(&ConfigSample)) {
+        self.distinct_rows().for_each(f);
+    }
+
+    fn try_for_each_group(
+        &self,
+        block_rows: usize,
+        mut f: impl FnMut(&[ConfigSample]) -> Result<(), MmError>,
+    ) -> Result<(), MmError> {
+        let mut group = Vec::with_capacity(block_rows);
+        for (rows, rounds) in self.runs() {
+            for &round in rounds {
+                let mut rest = rows;
+                while !rest.is_empty() {
+                    let (now, later) = rest.split_at((block_rows - group.len()).min(rest.len()));
+                    group.extend(now.iter().map(|s| ConfigSample { round, ..s.clone() }));
+                    rest = later;
+                    if group.len() == block_rows {
+                        f(&group)?;
+                        group.clear();
+                    }
+                }
+            }
+        }
+        if group.is_empty() {
+            Ok(())
+        } else {
+            f(&group)
+        }
     }
 }
 
@@ -793,8 +819,7 @@ mod tests {
         let copied = d2
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                let mut s = s.clone();
+            .map(|(i, mut s)| {
                 if i % 2 == 1 {
                     s.carrier = leaked(s.carrier);
                     s.param = leaked(s.param);
@@ -904,7 +929,7 @@ mod tests {
         // Small groups so carrier clustering gives skippable blocks.
         d2.write_store_with(&mut buf, 32).unwrap();
         let pred = Predicate::any().carrier("A");
-        let expect: Vec<ConfigSample> = d2.filter(&pred).cloned().collect();
+        let expect: Vec<ConfigSample> = d2.iter().filter(|s| pred.matches(s)).collect();
         assert!(!expect.is_empty());
         assert!(expect.len() < d2.len());
 
@@ -946,7 +971,7 @@ mod tests {
             .with_round_offset(20)
             .map(|r| r.unwrap())
             .collect();
-        let plain: Vec<ConfigSample> = d2.iter().cloned().collect();
+        let plain: Vec<ConfigSample> = d2.iter().collect();
         assert_eq!(rows.len(), plain.len());
         for (got, want) in rows.iter().zip(&plain) {
             assert_eq!(got.round, want.round + 20);
@@ -958,7 +983,7 @@ mod tests {
 
     #[test]
     fn round_offset_overflow_is_a_schema_error() {
-        let mut sample = small_d2().iter().next().cloned().unwrap();
+        let mut sample = small_d2().iter().next().unwrap();
         sample.round = u32::MAX - 5;
         let mut buf = Vec::new();
         D2::from_samples(vec![sample])
@@ -1027,7 +1052,7 @@ mod tests {
     fn unknown_vocabulary_is_a_schema_error() {
         // Hand-build a file whose dictionary holds a carrier code the
         // workspace does not know.
-        let mut sample = small_d2().iter().next().cloned().unwrap();
+        let mut sample = small_d2().iter().next().unwrap();
         sample.round = 0;
         let d2 = D2::from_samples(vec![sample]);
         let mut buf = Vec::new();

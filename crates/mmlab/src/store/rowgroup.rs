@@ -68,53 +68,29 @@ pub trait RowSchema: Sized {
 // Vocabulary interning
 // ---------------------------------------------------------------------------
 
-/// Parameter names the LTE crawler emits as string literals rather than
-/// through the core params tables (derived/pseudo-parameters of
-/// `crawler::extract_samples`). Reader-side interning falls back to this
-/// vocabulary after the per-RAT tables.
+/// Parameter names the LTE crawler emits (`crawler::extract_samples`)
+/// that no RAT's parameter table holds: a pseudo-parameter and the
+/// neighbour-layer names the tables lack. Reader-side interning falls back
+/// to this vocabulary after the tables, so a name a table holds never
+/// reaches it.
 const CRAWLER_PARAMS: &[&str] = &[
-    "cellReselectionPriority",
-    "q-Hyst",
-    "q-RxLevMin",
-    "s-IntraSearchP",
-    "s-NonIntraSearchP",
-    "threshServingLowP",
-    "t-ReselectionEUTRA",
-    "interFreqCellReselectionPriority",
-    "threshX-High",
-    "threshX-Low",
-    "a3-Offset",
-    "hysteresis",
-    "a5-Threshold1",
-    "a5-Threshold2",
     "a5-TriggerQuantity",
-    "a2-Threshold",
-    "timeToTrigger",
-    "reportInterval",
     "reportAmount",
-    "q-QualMin",
-    "q-OffsetCell",
     "interFreq-q-RxLevMin",
     "interFreq-q-OffsetFreq",
     "t-ReselectionInterFreq",
-    "allowedMeasBandwidth",
-    "utra-CellReselectionPriority",
     "utra-threshX-High",
     "utra-threshX-Low",
     "utra-q-RxLevMin",
-    "t-ReselectionUTRA",
-    "geran-CellReselectionPriority",
     "geran-threshX-High",
     "geran-threshX-Low",
     "geran-q-RxLevMin",
-    "t-ReselectionGERAN",
     "hrpd-CellReselectionPriority",
     "threshX-HighHRPD",
     "threshX-LowHRPD",
     "1xrtt-CellReselectionPriority",
     "threshX-High1XRTT",
     "threshX-Low1XRTT",
-    "t-ReselectionCDMA2000",
 ];
 
 /// Re-intern a parameter name (any RAT's table — SIB5/6/7/8 rows can
@@ -644,7 +620,7 @@ impl<T: RowSchema, R: Read> Iterator for RowGroupReader<T, R> {
 }
 
 /// The rows of one store file as [`write_rows`] reads them, in file order:
-/// a slice holds every row, a crawl holds each run's rows once for all the
+/// a slice holds every row, D2 holds each run's rows once for all the
 /// rounds that saw them.
 pub trait RowSource<T> {
     /// Rows in the file.
@@ -751,11 +727,27 @@ mod tests {
     }
 
     #[test]
+    fn crawler_params_hold_only_names_the_tables_lack() {
+        for name in CRAWLER_PARAMS {
+            assert!(
+                Rat::ALL
+                    .into_iter()
+                    .all(|r| mmcore::params::lookup(r, name).is_none()),
+                "{name} resolves through a parameter table"
+            );
+        }
+        let d2 = crawl(&World::generate(2018, 0.05), 1);
+        let emitted: BTreeSet<&str> = d2.distinct_rows().map(|s| s.param).collect();
+        for name in emitted {
+            assert_eq!(intern_param(name), Some(name));
+        }
+    }
+
+    #[test]
     fn written_group_stats_are_each_groups_own_ids() {
-        let d2 = crawl(&World::generate(3, 0.01), 1);
-        let rows = d2.iter().as_slice();
+        let rows: Vec<ConfigSample> = crawl(&World::generate(3, 0.01), 1).iter().collect();
         let mut buf = Vec::new();
-        write_rows(rows, &mut buf, 7).unwrap();
+        write_rows(rows.as_slice(), &mut buf, 7).unwrap();
         let mut reader = StoreReader::new(buf.as_slice(), KIND_D2).unwrap();
         let dict = Dict::decode(&reader.next_block().unwrap().unwrap().payload).unwrap();
         let ids: BTreeMap<&str, u64> = (0..dict.len() as u64)

@@ -134,6 +134,25 @@ if [ "$seq_sum" != "64495986 17300" ]; then
     exit 1
 fi
 echo "verify.sh: paper-scale D2 render at MM_THREADS=1 matches the pinned cksum (${seq_s} s vs ${render_s} s at the default thread count)"
+# The same figures cold, with no store: the in-memory fold reads D2's
+# runs and must stay under the render's ceiling too (~240 MB measured;
+# expanding the crawl into a flat sample list peaked at ~690 MB).
+"$bin"/mmx f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 \
+    --scale paper > "$tmpdir/paper-figs-cold.txt" 2>/dev/null &
+if ! peak_rss $!; then
+    echo "verify.sh: FAIL — paper-scale cold figure render exited nonzero" >&2
+    exit 1
+fi
+if [ "$peak_kb" -gt "$rss_ceiling_kb" ]; then
+    echo "verify.sh: FAIL — paper-scale cold render peaked at ${peak_kb} kB RSS (ceiling ${rss_ceiling_kb} kB)" >&2
+    exit 1
+fi
+cold_sum="$(cksum < "$tmpdir/paper-figs-cold.txt")"
+if [ "$cold_sum" != "64495986 17300" ]; then
+    echo "verify.sh: FAIL — paper-scale cold figures cksum is '$cold_sum' (want '64495986 17300')" >&2
+    exit 1
+fi
+echo "verify.sh: paper-scale cold in-memory render matches the pinned cksum at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB)"
 # Count the paper-scale fold: the render's --metrics are the same at any
 # MM_THREADS, it folds every crawled row once, and some rows take the
 # repeat path (DESIGN.md §10).

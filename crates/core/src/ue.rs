@@ -121,32 +121,41 @@ impl ConnectedUe {
         // measurements are not performed at all.
         let measure_neighbors = s_measure_gate(self.cfg.s_measure_dbm, serving_rsrp);
 
-        let mut reports = Vec::new();
+        // The neighbour list once per epoch: which cells, their offsets
+        // and RAT. Only the filtered value depends on the monitor's
+        // quantity, so each monitor refills just that.
         let cfg = &self.cfg;
+        let (mut neighbors, values): (Vec<NeighborMeas>, Vec<(f64, f64)>) = if measure_neighbors {
+            measurements
+                .iter()
+                .zip(&filtered)
+                .filter(|(m, _)| m.cell != cfg.cell && !cfg.is_forbidden(m.cell))
+                .map(|(m, &values)| {
+                    let neighbor = NeighborMeas {
+                        cell: m.cell,
+                        value: 0.0,
+                        offset_db: Self::neighbor_offset_db(cfg, m.cell, m.channel),
+                        inter_rat: m.channel.rat != cfg.channel.rat,
+                    };
+                    (neighbor, values)
+                })
+                .unzip()
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        let mut reports = Vec::new();
         for monitor in &mut self.monitors {
             let quantity = monitor.config.quantity;
             let serving_value = match quantity {
                 Quantity::Rsrp => serving_rsrp,
                 Quantity::Rsrq => serving_rsrq,
             };
-            let neighbors: Vec<NeighborMeas> = if measure_neighbors {
-                measurements
-                    .iter()
-                    .zip(&filtered)
-                    .filter(|(m, _)| m.cell != cfg.cell && !cfg.is_forbidden(m.cell))
-                    .map(|(m, &(p, q))| NeighborMeas {
-                        cell: m.cell,
-                        value: match quantity {
-                            Quantity::Rsrp => p,
-                            Quantity::Rsrq => q,
-                        },
-                        offset_db: Self::neighbor_offset_db(cfg, m.cell, m.channel),
-                        inter_rat: m.channel.rat != cfg.channel.rat,
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            for (neighbor, &(p, q)) in neighbors.iter_mut().zip(&values) {
+                neighbor.value = match quantity {
+                    Quantity::Rsrp => p,
+                    Quantity::Rsrq => q,
+                };
+            }
             if let Some(report) = monitor.step(now_ms, serving_value, &neighbors) {
                 reports.push(report);
             }

@@ -46,6 +46,22 @@
 //! the fold without one. The cold store scan uses it to decode the next
 //! row groups while the caller folds the current one.
 //!
+//! ## Lanes
+//!
+//! [`Executor::lanes`] splits one ordered sequence of items between
+//! `min(threads, max_lanes)` lanes: lane `l` of `n` makes items `l`,
+//! `l + n`, `l + 2n`, … in that order, walking the whole input and
+//! skipping the others' items. Lane 0 is the caller, which also consumes
+//! every lane's items in index order; the helpers hand theirs over through
+//! bounded FIFOs of [`LANE_DEPTH`] items and get each spent item back to
+//! make a later one in, so a helper stops allocating once a few items
+//! circulate. The consumer sees exactly the sequence one lane would make,
+//! and with one thread the caller runs the same loop inline. The first
+//! error in index order is returned, and every lane stops making items. A
+//! lane run records nothing in telemetry: a lane is not a task, and
+//! `exec.tasks_executed` is a Sim-scope count that must not depend on the
+//! thread count.
+//!
 //! ## Sizing
 //!
 //! [`Executor::from_env`] sizes the pool from the `MM_THREADS` environment
@@ -54,7 +70,7 @@
 //! task inline on the caller — that *is* the sequential path, not an
 //! emulation of it.
 
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -66,6 +82,11 @@ pub const THREADS_ENV: &str = "MM_THREADS";
 /// consumer holds, at most `PIPELINE_DEPTH + 2` items are produced but not
 /// yet consumed.
 pub const PIPELINE_DEPTH: usize = 2;
+
+/// Items a helper of [`lanes`](Executor::lanes) may have handed over that
+/// the caller has not consumed yet. With the one it is making or handing
+/// over, a helper runs at most `LANE_DEPTH + 1` items ahead of the caller.
+pub const LANE_DEPTH: usize = 2;
 
 /// How long a pipeline stage waits on a full or empty FIFO, yielding its
 /// core, before it parks. The other stage normally frees the slot well
@@ -155,6 +176,148 @@ impl RunStats {
         self.threads = self.threads.max(other.threads);
         self.task_ns.extend_from_slice(&other.task_ns);
         self.wall_ns += other.wall_ns;
+    }
+}
+
+/// A lane of [`Executor::lanes`] stopped making items: an item failed, or
+/// the caller stopped consuming. The error itself reaches the caller of
+/// `lanes`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stopped;
+
+/// One lane of an [`Executor::lanes`] run: lane [`index`](Lane::index) of
+/// [`count`](Lane::count) makes items `index`, `index + count`,
+/// `index + 2·count`, … through [`emit`](Lane::emit), in that order.
+pub struct Lane<'a, T, E> {
+    index: usize,
+    count: usize,
+    role: Role<'a, T, E>,
+}
+
+enum Role<'a, T, E> {
+    /// Lane 0, on the caller.
+    Lead(Lead<'a, T, E>),
+    /// A helper: hands each item to the lead and takes spent ones back.
+    Helper {
+        to_lead: SyncSender<Result<T, E>>,
+        spent: Receiver<T>,
+    },
+}
+
+/// Lane 0's state: it consumes every lane's items in index order.
+struct Lead<'a, T, E> {
+    consume: &'a mut dyn FnMut(&T) -> Result<(), E>,
+    /// Per helper lane `1..count`, the lead's ends of its FIFOs.
+    helpers: Vec<HelperEnds<T, E>>,
+    /// The item lane 0 makes its own items in.
+    own: T,
+    /// Index of the next item to consume.
+    next: usize,
+    /// The first error in index order; consuming stops at it.
+    error: Option<E>,
+    /// A helper ended before its next item; consuming stops there.
+    ended: bool,
+}
+
+/// The lead's ends of one helper's FIFOs: the helper's items, and the
+/// way back for them once consumed.
+struct HelperEnds<T, E> {
+    items: Receiver<Result<T, E>>,
+    spent: Sender<T>,
+}
+
+impl<T, E> Lead<'_, T, E> {
+    fn stopped(&self) -> bool {
+        self.error.is_some() || self.ended
+    }
+
+    /// Consume helper items in index order up to `until`, or with `None`
+    /// until lane 0's turn comes round (it has no items left) or a helper
+    /// has none.
+    fn drain(&mut self, until: Option<usize>) {
+        let count = self.helpers.len() + 1;
+        while !self.stopped() && until.is_none_or(|k| self.next < k) {
+            let lane = self.next % count;
+            let Some(ends) = lane.checked_sub(1).and_then(|h| self.helpers.get(h)) else {
+                return;
+            };
+            match recv_spinning(&ends.items) {
+                Some(Ok(item)) => {
+                    let consumed = (self.consume)(&item);
+                    // A helper that has finished no longer takes items back.
+                    ends.spent.send(item).ok();
+                    match consumed {
+                        Ok(()) => self.next += 1,
+                        Err(e) => self.error = Some(e),
+                    }
+                }
+                Some(Err(e)) => self.error = Some(e),
+                None => self.ended = true,
+            }
+        }
+    }
+}
+
+impl<T: Default, E> Lane<'_, T, E> {
+    /// This lane's index, `0..count`.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// How many lanes the run has.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Make this lane's next item: `fill` writes it into an item this lane
+    /// made earlier and the caller has consumed (a fresh `T::default()`
+    /// until one comes back), so `fill` must overwrite whatever it finds.
+    /// `Err(Stopped)` means the run stopped — `fill` or the consumer
+    /// failed here or at an earlier item, or a helper ended — and the lane
+    /// should make no more items.
+    pub fn emit(&mut self, fill: impl FnOnce(&mut T) -> Result<(), E>) -> Result<(), Stopped> {
+        match &mut self.role {
+            Role::Lead(lead) => {
+                // Lane 0's items are the multiples of the lane count.
+                let k = lead.next.next_multiple_of(self.count);
+                lead.drain(Some(k));
+                if lead.stopped() {
+                    return Err(Stopped);
+                }
+                let made = fill(&mut lead.own).and_then(|()| (lead.consume)(&lead.own));
+                if let Err(e) = made {
+                    lead.error = Some(e);
+                    return Err(Stopped);
+                }
+                lead.next = k + 1;
+                Ok(())
+            }
+            Role::Helper { to_lead, spent } => {
+                let mut item = spent.try_recv().unwrap_or_default();
+                let made = fill(&mut item).map(|()| item);
+                let failed = made.is_err();
+                // A failed send means the lead stopped consuming.
+                if send_spinning(to_lead, made) && !failed {
+                    Ok(())
+                } else {
+                    Err(Stopped)
+                }
+            }
+        }
+    }
+
+    /// After this lane's walk: on lane 0, consume the helpers' remaining
+    /// items; the count of items consumed, or the first error in index
+    /// order. A helper consumes nothing.
+    fn finish(self) -> Result<usize, E> {
+        let Role::Lead(mut lead) = self.role else {
+            return Ok(0);
+        };
+        lead.drain(None);
+        match lead.error {
+            Some(e) => Err(e),
+            None => Ok(lead.next),
+        }
     }
 }
 
@@ -326,6 +489,78 @@ impl Executor {
                 std::panic::resume_unwind(payload);
             }
             result
+        })
+    }
+
+    /// Split one ordered sequence of items between `min(threads,
+    /// max_lanes)` lanes and consume them on the caller in index order;
+    /// returns how many items were consumed.
+    ///
+    /// `work` runs once per lane, under [`mm_telemetry::detached`]: lane 0
+    /// on the caller, the others on scoped helpers. It walks the whole
+    /// input and calls [`Lane::emit`] for each of its own items
+    /// (`index`, `index + count`, …), skipping the rest, and returns when
+    /// the input ends or `emit` returns `Err(Stopped)`. `consume` sees
+    /// every item in index order, on the calling thread, inside lane 0's
+    /// `emit` calls and after lane 0's walk. Consumption stops after the
+    /// last item or at the first error in index order (from a `fill` or
+    /// from `consume`), which is returned; every lane then stops at its
+    /// next `emit`, and a helper blocked handing an item over is released.
+    /// A helper that ends early stops consumption there, and its panic
+    /// propagates to the caller. Nothing is recorded in telemetry.
+    pub fn lanes<T, E, W, C>(&self, max_lanes: usize, work: W, mut consume: C) -> Result<usize, E>
+    where
+        T: Default + Send,
+        E: Send,
+        W: Fn(&mut Lane<'_, T, E>) -> Result<(), Stopped> + Sync,
+        C: FnMut(&T) -> Result<(), E>,
+    {
+        let count = self.threads.min(max_lanes).max(1);
+        let work = &work;
+        std::thread::scope(|scope| {
+            let mut helpers = Vec::with_capacity(count - 1);
+            let mut threads = Vec::with_capacity(count - 1);
+            for index in 1..count {
+                let (to_lead, items) = mpsc::sync_channel(LANE_DEPTH);
+                let (give_back, spent) = mpsc::channel();
+                helpers.push(HelperEnds {
+                    items,
+                    spent: give_back,
+                });
+                threads.push(scope.spawn(move || {
+                    let mut lane = Lane {
+                        index,
+                        count,
+                        role: Role::Helper { to_lead, spent },
+                    };
+                    // The lead holds the error, if any; a helper has
+                    // nothing to report.
+                    mm_telemetry::detached(|| work(&mut lane)).ok();
+                }));
+            }
+            let mut lane = Lane {
+                index: 0,
+                count,
+                role: Role::Lead(Lead {
+                    consume: &mut consume,
+                    helpers,
+                    own: T::default(),
+                    next: 0,
+                    error: None,
+                    ended: false,
+                }),
+            };
+            // Whatever the walk returns, the lead's state says how it ended.
+            mm_telemetry::detached(|| work(&mut lane)).ok();
+            // Dropping the lead's ends of the FIFOs releases any helper
+            // still handing an item over.
+            let consumed = lane.finish();
+            for thread in threads {
+                if let Err(payload) = thread.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            consumed
         })
     }
 }
@@ -583,6 +818,169 @@ mod tests {
             vec![("caller".to_string(), 1), ("produce".to_string(), 4)]
         );
         assert_eq!(paths(2), inline);
+    }
+
+    /// A lane walk over items `0..n`: each lane emits its own, `fill`ed
+    /// with `(index, fresh)`, where `fresh` says the item was new rather
+    /// than handed back.
+    fn walk_items(
+        n: usize,
+        fail_at: &'static [usize],
+    ) -> impl Fn(&mut Lane<'_, (usize, bool), String>) -> Result<(), Stopped> + Sync {
+        move |lane| {
+            for k in (lane.index()..n).step_by(lane.count()) {
+                lane.emit(|item| {
+                    if fail_at.contains(&k) {
+                        return Err(format!("item {k} failed"));
+                    }
+                    *item = (k, *item == (0, false));
+                    Ok(())
+                })?;
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn lanes_consume_every_item_in_index_order() {
+        for threads in [1, 2, 3, 8] {
+            for n in [0, 1, 2, 5, 64, 301] {
+                let mut seen = Vec::new();
+                let got = Executor::new(threads).lanes(n, walk_items(n, &[]), |&(k, _)| {
+                    seen.push(k);
+                    Ok(())
+                });
+                assert_eq!(got, Ok(n), "{threads} threads, {n} items");
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_hand_spent_items_back_to_their_helpers() {
+        for threads in [2, 3, 8] {
+            let mut fresh = vec![0usize; threads];
+            let got = Executor::new(threads).lanes(2000, walk_items(2000, &[]), |&(k, new)| {
+                fresh[k % threads] += usize::from(new);
+                Ok(())
+            });
+            assert_eq!(got, Ok(2000));
+            assert_eq!(fresh[0], 1, "lane 0 makes every item in one");
+            for (lane, &n) in fresh.iter().enumerate().skip(1) {
+                assert!(
+                    n <= LANE_DEPTH + 2,
+                    "{threads} threads: lane {lane} made {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_return_the_first_error_in_index_order() {
+        for threads in [1, 2, 3, 8] {
+            let mut seen = Vec::new();
+            let got = Executor::new(threads).lanes(100, walk_items(100, &[9, 7, 40]), |&(k, _)| {
+                seen.push(k);
+                Ok(())
+            });
+            assert_eq!(got, Err("item 7 failed".to_string()), "{threads} threads");
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "{threads} threads");
+            // A failing consumer stops the run at its item.
+            let mut seen = Vec::new();
+            let got = Executor::new(threads).lanes(100, walk_items(100, &[]), |&(k, _)| {
+                if k == 33 {
+                    return Err(format!("consume {k} failed"));
+                }
+                seen.push(k);
+                Ok(())
+            });
+            assert_eq!(got, Err("consume 33 failed".to_string()));
+            assert_eq!(seen, (0..33).collect::<Vec<_>>(), "{threads} threads");
+        }
+    }
+
+    /// Run `f` on a watchdog thread: a hang fails the test instead of
+    /// stalling the suite.
+    fn within_a_minute<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).ok());
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the lane run hung")
+    }
+
+    #[test]
+    fn a_lead_error_releases_a_helper_blocked_on_a_full_hand_off() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let got = within_a_minute(|| {
+            let made = AtomicUsize::new(0);
+            Executor::new(2).lanes(
+                1000,
+                |lane: &mut Lane<'_, usize, String>| {
+                    for k in (lane.index()..1000).step_by(lane.count()) {
+                        lane.emit(|item| {
+                            *item = k;
+                            made.fetch_add(usize::from(k % 2 == 1), Ordering::SeqCst);
+                            Ok(())
+                        })?;
+                    }
+                    Ok(())
+                },
+                |&k| {
+                    // Item 0 is lane 0's. Fail it once the helper has
+                    // filled its FIFO and made one more item, which it is
+                    // blocked handing over.
+                    let start = Instant::now();
+                    while made.load(Ordering::SeqCst) < LANE_DEPTH + 1 {
+                        assert!(start.elapsed() < Duration::from_secs(30), "helper stalled");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                    assert_eq!(made.load(Ordering::SeqCst), LANE_DEPTH + 1, "bounded");
+                    Err(format!("write of item {k} failed"))
+                },
+            )
+        });
+        assert_eq!(got, Err("write of item 0 failed".to_string()));
+    }
+
+    #[test]
+    fn lane_panics_propagate_without_hanging() {
+        for threads in [2, 3] {
+            let helper = within_a_minute(move || {
+                std::panic::catch_unwind(|| {
+                    Executor::new(threads).lanes(
+                        500,
+                        |lane: &mut Lane<'_, usize, String>| {
+                            for k in (lane.index()..500).step_by(lane.count()) {
+                                if k == 201 {
+                                    panic!("lane {} failed", lane.index());
+                                }
+                                lane.emit(|item| {
+                                    *item = k;
+                                    Ok(())
+                                })?;
+                            }
+                            Ok(())
+                        },
+                        |_| Ok(()),
+                    )
+                })
+            });
+            assert!(helper.is_err(), "{threads} threads");
+            // A panicking consumer while helpers may be blocked handing
+            // items over.
+            let lead = within_a_minute(move || {
+                std::panic::catch_unwind(|| {
+                    Executor::new(threads).lanes(500, walk_items(500, &[]), |&(k, _)| {
+                        if k == 100 {
+                            panic!("consumer failed");
+                        }
+                        Ok(())
+                    })
+                })
+            });
+            assert!(lead.is_err(), "{threads} threads");
+        }
     }
 
     #[test]

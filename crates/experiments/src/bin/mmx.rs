@@ -359,7 +359,8 @@ fn real_main() -> Result<(), MmError> {
             let (d2, line) = timed_crawl(ctx.world(), round_seed(ctx.seed, 0), &exec);
             eprintln!("# mmx crawl: {line}");
             ctx.preload_d2(d2);
-            return s.save_d2(&ctx);
+            s.save_d2(&ctx)?;
+            return emit_metrics(&raw.metrics);
         }
         // Append one campaign round: crawl under the next round seed,
         // write a brand-new entry, rewrite only the manifest.
@@ -374,7 +375,7 @@ fn real_main() -> Result<(), MmError> {
                 manifest.rounds.len(),
                 manifest.total_samples(),
             );
-            return Ok(());
+            return emit_metrics(&raw.metrics);
         }
         RunMode::Render { wanted, cache } => (wanted, cache),
         RunMode::Version | RunMode::List => unreachable!("handled above"),
@@ -432,8 +433,12 @@ fn real_main() -> Result<(), MmError> {
         let s = store.as_ref().expect("--save resolved against --store");
         s.save_datasets(ctx)?;
     }
-    raw.metrics
-        .emit(|| mm_telemetry::global().snapshot().deterministic().to_json())
+    emit_metrics(&raw.metrics)
+}
+
+/// Write the deterministic telemetry snapshot to `--metrics`' sink.
+fn emit_metrics(sink: &MetricsSink) -> Result<(), MmError> {
+    sink.emit(|| mm_telemetry::global().snapshot().deterministic().to_json())
 }
 
 fn main() {

@@ -28,7 +28,7 @@ use mm_store::{ArtifactCache, CacheKey, Cursor, StoreReader, StoreWriter};
 use mmcore::{MmError, StoreError};
 use mmlab::dataset::{D1, D2};
 use mmlab::store::{D2StoreReader, KIND_D2};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::path::Path;
 
 /// Store kind of the campaign manifest file.
@@ -79,9 +79,8 @@ impl Manifest {
         self.rounds.iter().map(|r| r.samples).sum()
     }
 
-    fn encode(&self) -> Result<Vec<u8>, MmError> {
-        let mut file = Vec::new();
-        let mut w = StoreWriter::new(&mut file, KIND_MANIFEST)?;
+    fn write(&self, sink: impl Write) -> Result<(), MmError> {
+        let mut w = StoreWriter::new(sink, KIND_MANIFEST)?;
         for r in &self.rounds {
             let mut payload = Vec::new();
             mm_store::write_varint(&mut payload, u64::from(r.round));
@@ -90,8 +89,7 @@ impl Manifest {
             payload.extend_from_slice(r.entry.as_bytes());
             w.write_block(TAG_ROUND, &payload)?;
         }
-        w.finish(self.rounds.len() as u64)?;
-        Ok(file)
+        w.finish(self.rounds.len() as u64)
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<Manifest, MmError> {
@@ -173,17 +171,15 @@ impl RunStore {
     /// `mmx crawl` left.
     pub fn save_datasets(&self, ctx: &Ctx) -> Result<(), MmError> {
         self.save_d2(ctx)?;
-        let mut buf = Vec::new();
         let key = Self::key(ctx, "d1-active".to_string());
         if !self.cache.entry_path(&key).exists() {
-            ctx.d1_active().write_store(&mut buf)?;
-            self.cache.write(&key, &buf)?;
-            buf.clear();
+            self.cache
+                .write_with(&key, |w| ctx.d1_active().write_store(w))?;
         }
         let key = Self::key(ctx, "d1-idle".to_string());
         if !self.cache.entry_path(&key).exists() {
-            ctx.d1_idle().write_store(&mut buf)?;
-            self.cache.write(&key, &buf)?;
+            self.cache
+                .write_with(&key, |w| ctx.d1_idle().write_store(w))?;
         }
         Ok(())
     }
@@ -191,17 +187,16 @@ impl RunStore {
     /// Persist just the D2 entry (the `mmx crawl` write path), unless it
     /// already exists at its address, and make sure the campaign manifest
     /// records it as round 0. The entry is written from the context's D2,
-    /// crawled into it first if nothing built or preloaded one; the writer
-    /// expands its runs one row group at a time.
+    /// crawled into it first if nothing built or preloaded one: each
+    /// executor lane expands and encodes its own row groups, and the
+    /// frames stream into the entry's temp file in file order.
     pub fn save_d2(&self, ctx: &Ctx) -> Result<(), MmError> {
         let key = Self::key(ctx, "d2".to_string());
         let written = if self.cache.entry_path(&key).exists() {
             None
         } else {
             let d2 = ctx.d2();
-            let mut buf = Vec::new();
-            d2.write_store(&mut buf)?;
-            self.cache.write(&key, &buf)?;
+            self.cache.write_with(&key, |w| d2.write_store(w))?;
             Some(d2.len() as u64)
         };
         self.ensure_manifest(ctx, written)
@@ -247,7 +242,7 @@ impl RunStore {
             }],
         };
         self.cache
-            .write(&Self::manifest_key(ctx), &manifest.encode()?)
+            .write_with(&Self::manifest_key(ctx), |w| manifest.write(w))
     }
 
     /// The trailer-declared record count of a D2 dataset entry, without
@@ -278,7 +273,7 @@ impl RunStore {
     }
 
     /// Append `crawl`, crawled for campaign round `round`, as a brand-new
-    /// store entry written from its runs plus a manifest update, and
+    /// store entry streamed from its runs plus a manifest update, and
     /// return the updated manifest. Prior-round files are never reopened
     /// for writing. A round that is no longer the campaign's next (another
     /// append landed since [`RunStore::next_round`]) is a typed error and
@@ -292,16 +287,15 @@ impl RunStore {
             )));
         }
         let entry = format!("d2-round-{round}");
-        let mut buf = Vec::new();
-        crawl.write_store(&mut buf)?;
-        self.cache.write(&Self::key(ctx, entry.clone()), &buf)?;
+        self.cache
+            .write_with(&Self::key(ctx, entry.clone()), |w| crawl.write_store(w))?;
         manifest.rounds.push(RoundEntry {
             round,
             samples: crawl.len() as u64,
             entry,
         });
         self.cache
-            .write(&Self::manifest_key(ctx), &manifest.encode()?)?;
+            .write_with(&Self::manifest_key(ctx), |w| manifest.write(w))?;
         Ok(manifest)
     }
 
@@ -469,6 +463,125 @@ mod tests {
         assert!(*ctx.d2() == reference, "the context's crawl differs");
         let manifest = store.load_manifest(&ctx).unwrap().unwrap();
         assert_eq!(manifest.total_samples(), reference.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sink that passes `budget` bytes through, then stalls for `stall`
+    /// and fails every write: a disk that fills or a device that errors
+    /// partway through an entry.
+    struct Faulty<W> {
+        inner: W,
+        budget: usize,
+        stall: std::time::Duration,
+    }
+
+    impl<W: Write> Write for Faulty<W> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.budget {
+                std::thread::sleep(self.stall);
+                return Err(std::io::Error::other("injected write fault"));
+            }
+            self.budget -= buf.len();
+            self.inner.write_all(buf)?;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Stream `d2` into the store's d2 entry on `lanes` lanes through a
+    /// sink that fails after `budget` bytes, on a watchdog thread: a lane
+    /// run that hangs fails the test instead of stalling the suite.
+    fn torn_d2_write(
+        store: &RunStore,
+        ctx: &Ctx,
+        d2: &D2,
+        lanes: usize,
+        budget: usize,
+        stall_ms: u64,
+    ) -> Result<(), MmError> {
+        let (cache, key, d2) = (
+            store.cache.clone(),
+            RunStore::key(ctx, "d2".into()),
+            d2.clone(),
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let got = cache.write_with(&key, |w| {
+                let sink = Faulty {
+                    inner: w,
+                    budget,
+                    stall: std::time::Duration::from_millis(stall_ms),
+                };
+                let exec = mm_exec::Executor::new(lanes);
+                d2.write_store_on(sink, mmlab::store::BLOCK_ROWS, &exec)
+            });
+            tx.send(got).ok();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the torn write hung")
+    }
+
+    #[test]
+    fn torn_entries_leave_nothing_and_a_retry_writes_the_golden_bytes() {
+        let dir = tmp_dir("torn");
+        let store = RunStore::open(&dir).unwrap();
+        let ctx = Ctx::quick(2018);
+        let d2 = ctx.d2();
+        let is_fault = |got: &Result<(), MmError>| matches!(got, Err(MmError::Io(e)) if e.to_string() == "injected write fault");
+
+        // The sink fails after the header, the dictionary and a few row
+        // groups.
+        for lanes in [1, 2, 3] {
+            let got = torn_d2_write(&store, &ctx, d2, lanes, 300_000, 0);
+            assert!(is_fault(&got), "{lanes} lane(s): {got:?}");
+            assert_eq!(listing(&dir), Vec::<String>::new(), "{lanes} lane(s)");
+        }
+
+        // Lane 0 writes the frames; its sink stalls before failing, long
+        // enough for every other lane to fill its hand-off and block on
+        // one more frame. The run must neither hang nor leave a file.
+        for lanes in [2, 3] {
+            let got = torn_d2_write(&store, &ctx, d2, lanes, 300_000, 200);
+            assert!(is_fault(&got), "{lanes} lane(s): {got:?}");
+            assert_eq!(listing(&dir), Vec::<String>::new(), "{lanes} lane(s)");
+        }
+
+        // A row that breaks the ingest contract in a late group owned by
+        // lane 1 of 2 and lane 2 of 3, and a later one on lane 0 of both:
+        // the first in file order is the error.
+        let mut rows: Vec<mmlab::dataset::ConfigSample> = d2.iter().collect();
+        let groups = rows.len().div_ceil(mmlab::store::BLOCK_ROWS);
+        let late = (0..groups - 1).rev().find(|g| g % 6 == 5).unwrap();
+        assert!(late > groups / 2, "{late} of {groups} groups");
+        rows[late * mmlab::store::BLOCK_ROWS + 7].value = f64::NAN;
+        rows[(late + 1) * mmlab::store::BLOCK_ROWS].value = 0.25;
+        let bad = D2::from_samples(rows);
+        for lanes in [2, 3] {
+            let got = torn_d2_write(&store, &ctx, &bad, lanes, usize::MAX, 0);
+            assert!(
+                matches!(&got, Err(MmError::Dataset(msg)) if msg.contains("non-finite")),
+                "{lanes} lanes: {got:?}"
+            );
+            assert_eq!(listing(&dir), Vec::<String>::new(), "{lanes} lanes");
+        }
+
+        // Nothing stands at the address, so a retry writes the entry whole.
+        store.save_d2(&ctx).unwrap();
+        let bytes = std::fs::read(store.entry_path(&ctx, "d2")).unwrap();
+        assert_eq!((bytes.len(), mm_store::fnv1a64(&bytes)), GOLDEN_D2_2018);
+        assert!(listing(&dir).iter().all(|n| !n.starts_with(".tmp-")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -392,20 +392,29 @@ mod tests {
     fn crawled_runs_write_the_bytes_of_their_flat_copy() {
         // Groups of 7 and 64 rows cut runs and rounds; groups of 4096 span
         // runs and, where a shard's sample count is not a multiple, shards.
+        // The reference is the flat copy written on one lane; the crawled
+        // runs are written on 1, 2, 3 and 8 lanes, each expanding only its
+        // own groups.
         for (world_seed, scale, crawl_seed) in [(5, 0.01, 77), (13, 0.02, 5)] {
             let world = World::generate(world_seed, scale);
             let sequential = crawl_with(&world, crawl_seed, &Executor::sequential());
             let flat = D2::from_samples(sequential.iter().collect());
-            for threads in [1, 2, 8] {
-                let d2 = crawl_with(&world, crawl_seed, &Executor::new(threads));
-                for block_rows in [7, 64, 4096] {
-                    let (mut want, mut got) = (Vec::new(), Vec::new());
-                    flat.write_store_with(&mut want, block_rows).unwrap();
-                    d2.write_store_with(&mut got, block_rows).unwrap();
-                    assert!(
-                        got == want,
-                        "world {world_seed}, {threads} thread(s), groups of {block_rows}"
-                    );
+            for block_rows in [7, 64, 4096] {
+                let mut want = Vec::new();
+                flat.write_store_on(&mut want, block_rows, &Executor::sequential())
+                    .unwrap();
+                for threads in [1, 2, 8] {
+                    let d2 = crawl_with(&world, crawl_seed, &Executor::new(threads));
+                    for lanes in [1, 2, 3, 8] {
+                        let mut got = Vec::new();
+                        d2.write_store_on(&mut got, block_rows, &Executor::new(lanes))
+                            .unwrap();
+                        assert!(
+                            got == want,
+                            "world {world_seed}, {threads} thread(s), groups of {block_rows}, \
+                             {lanes} lane(s)"
+                        );
+                    }
                 }
             }
         }

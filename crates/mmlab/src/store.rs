@@ -13,8 +13,11 @@
 //! pushdown filter, row match), and the single [`RowGroupReader`] — seen
 //! as [`D2StoreReader`]/[`D1StoreReader`] — streams rows block by block,
 //! never holding more than one group in memory. The one writer takes its
-//! rows from a slice (D1) or from D2's runs, which it expands one row
-//! group at a time ([`D2::write_store`]).
+//! rows from a slice (D1) or from D2's runs. It interns every string
+//! first and freezes the dictionary, then encodes and CRC-frames row
+//! group `k` on lane `k mod n` of the executor, each lane expanding only
+//! its own groups, while the caller writes the frames in file order
+//! ([`D2::write_store_on`]). The bytes are the same at any lane count.
 //!
 //! Format v2 row groups carry a small prefix before the columns: the
 //! declared row and column counts (checked against the payload size and
@@ -30,6 +33,7 @@ mod rowgroup;
 
 use crate::dataset::{ConfigSample, HandoffInstance, D1, D2};
 use crate::predicate::Predicate;
+use mm_exec::Executor;
 use mm_store::{DictBuilder, F64Decoder, F64Encoder, UIntDecoder, UIntEncoder};
 use mmcarriers::city::City;
 use mmcore::config::Quantity;
@@ -41,11 +45,10 @@ use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
 pub(crate) use rowgroup::RowSchema;
-use rowgroup::{
-    encode_group, read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict,
-    RowSource,
-};
 pub use rowgroup::{intern_param, RowGroupReader, ScanStats};
+use rowgroup::{
+    read_rows, sel_str, write_rows, GroupFilter, IdSel, IdSet, ResolvedDict, RowSource,
+};
 use std::io::{Read, Write};
 
 /// Dataset kind stamped in D2 store headers.
@@ -206,6 +209,7 @@ impl RowSchema for ConfigSample {
     /// Carriers, cities, parameters, RAT tags.
     const STATS: usize = 4;
     type Stats = [IdSet; Self::STATS];
+    type Cols = [Vec<u8>; Self::COLS];
 
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
         // Rounds are not in the stats — they are pruned at the
@@ -225,31 +229,34 @@ impl RowSchema for ConfigSample {
     }
 
     fn encode(
-        dict: &mut DictBuilder,
+        dict: &DictBuilder,
         stats: &mut Self::Stats,
+        cols: &mut Self::Cols,
         rows: &[ConfigSample],
-    ) -> Result<Vec<u8>, MmError> {
-        let mut cell = UIntEncoder::new();
-        let mut carrier = UIntEncoder::new();
-        let mut city = UIntEncoder::new();
-        let mut rat = UIntEncoder::new();
-        let mut chan_rat = UIntEncoder::new();
-        let mut chan_num = UIntEncoder::new();
-        let mut pos_x = F64Encoder::new();
-        let mut pos_y = F64Encoder::new();
-        let mut round = UIntEncoder::new();
-        let mut param = UIntEncoder::new();
-        let mut value = F64Encoder::new();
+    ) -> Result<(), MmError> {
+        let [cell, carrier, city, rat, chan_rat, chan_num, pos_x, pos_y, round, param, value] =
+            cols;
+        let mut cell = UIntEncoder::new(cell);
+        let mut carrier = UIntEncoder::new(carrier);
+        let mut city = UIntEncoder::new(city);
+        let mut rat = UIntEncoder::new(rat);
+        let mut chan_rat = UIntEncoder::new(chan_rat);
+        let mut chan_num = UIntEncoder::new(chan_num);
+        let mut pos_x = F64Encoder::new(pos_x);
+        let mut pos_y = F64Encoder::new(pos_y);
+        let mut round = UIntEncoder::new(round);
+        let mut param = UIntEncoder::new(param);
+        let mut value = F64Encoder::new(value);
         let [st_carrier, st_city, st_param, st_rat] = &mut *stats;
         for s in rows {
             // Enforce the ingest contract at the write boundary too, so a
             // file can never be produced that the reader would reject.
             s.check()?;
             cell.push(u64::from(s.cell.0));
-            let carrier_id = dict.intern_static(s.carrier);
+            let carrier_id = dict.lookup_static(s.carrier)?;
             carrier.push(carrier_id);
             st_carrier.insert(carrier_id);
-            let city_id = dict.intern_static(s.city.as_str());
+            let city_id = dict.lookup_static(s.city.as_str())?;
             city.push(city_id);
             st_city.insert(city_id);
             let rat_v = rat_tag(s.rat);
@@ -260,28 +267,12 @@ impl RowSchema for ConfigSample {
             pos_x.push(s.pos.x);
             pos_y.push(s.pos.y);
             round.push(u64::from(s.round));
-            let param_id = dict.intern_static(s.param);
+            let param_id = dict.lookup_static(s.param)?;
             param.push(param_id);
             st_param.insert(param_id);
             value.push(s.value);
         }
-        Ok(encode_group(
-            rows.len(),
-            stats,
-            &[
-                cell.finish(),
-                carrier.finish(),
-                city.finish(),
-                rat.finish(),
-                chan_rat.finish(),
-                chan_num.finish(),
-                pos_x.finish(),
-                pos_y.finish(),
-                round.finish(),
-                param.finish(),
-                value.finish(),
-            ],
-        ))
+        Ok(())
     }
 
     fn decode(
@@ -355,11 +346,23 @@ impl D2 {
     }
 
     /// Write with an explicit row-group size (tests use small groups to
-    /// exercise multi-block streaming). Every row must pass
-    /// [`ConfigSample::check`]. Only one row group of expanded samples
-    /// exists at a time.
+    /// exercise multi-block streaming), encoding on the lanes of
+    /// [`Executor::from_env`]. Every row must pass
+    /// [`ConfigSample::check`].
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        write_rows(self, w, block_rows)
+        self.write_store_on(w, block_rows, &Executor::from_env())
+    }
+
+    /// Write with an explicit row-group size, encoding row group `k` on
+    /// lane `k mod n` of `exec`'s lanes; the bytes are the same for any
+    /// lane count. Each lane expands only its own groups, one at a time.
+    pub fn write_store_on<W: Write>(
+        &self,
+        w: W,
+        block_rows: usize,
+        exec: &Executor,
+    ) -> Result<(), MmError> {
+        write_rows(self, w, block_rows, exec)
     }
 
     /// Read a dataset written by [`write_store`](D2::write_store),
@@ -371,7 +374,8 @@ impl D2 {
 
 /// The store reads D2 as its samples: the runs' rows once, which meet
 /// every string in the samples' order, for the dictionary, then each
-/// run's rows once per round through one reused group buffer.
+/// run's rows once per round. A lane expands only its own groups, into
+/// one reused group buffer, and steps over the others' rows.
 impl RowSource<ConfigSample> for D2 {
     fn rows(&self) -> usize {
         self.len()
@@ -381,18 +385,35 @@ impl RowSource<ConfigSample> for D2 {
         self.distinct_rows().for_each(f);
     }
 
-    fn try_for_each_group(
+    fn try_for_each_group<E>(
         &self,
         block_rows: usize,
-        mut f: impl FnMut(&[ConfigSample]) -> Result<(), MmError>,
-    ) -> Result<(), MmError> {
+        lane: usize,
+        lanes: usize,
+        mut f: impl FnMut(&[ConfigSample]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let lanes = lanes.max(1);
         let mut group = Vec::with_capacity(block_rows);
+        // Sample index of the next row.
+        let mut at = 0;
         for (rows, rounds) in self.runs() {
             for &round in rounds {
                 let mut rest = rows;
                 while !rest.is_empty() {
-                    let (now, later) = rest.split_at((block_rows - group.len()).min(rest.len()));
-                    group.extend(now.iter().map(|s| ConfigSample { round, ..s.clone() }));
+                    let g = at / block_rows;
+                    let own = g % lanes == lane;
+                    // Up to the end of this lane's group, or to the start
+                    // of its next one.
+                    let until = if own {
+                        g + 1
+                    } else {
+                        g + (lane + lanes - g % lanes) % lanes
+                    };
+                    let (now, later) = rest.split_at((until * block_rows - at).min(rest.len()));
+                    if own {
+                        group.extend(now.iter().map(|s| ConfigSample { round, ..s.clone() }));
+                    }
+                    at += now.len();
                     rest = later;
                     if group.len() == block_rows {
                         f(&group)?;
@@ -421,6 +442,7 @@ impl RowSchema for HandoffInstance {
     /// field).
     const STATS: usize = 2;
     type Stats = [IdSet; Self::STATS];
+    type Cols = [Vec<u8>; Self::COLS];
 
     fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
         GroupFilter::new(vec![
@@ -435,43 +457,48 @@ impl RowSchema for HandoffInstance {
     }
 
     fn encode(
-        dict: &mut DictBuilder,
+        dict: &DictBuilder,
         stats: &mut Self::Stats,
+        cols: &mut Self::Cols,
         rows: &[HandoffInstance],
-    ) -> Result<Vec<u8>, MmError> {
-        let mut carrier = UIntEncoder::new();
-        let mut city = UIntEncoder::new();
-        let mut t_ms = UIntEncoder::new();
-        let mut from = UIntEncoder::new();
-        let mut to = UIntEncoder::new();
-        let mut kind = UIntEncoder::new();
-        let mut idle_rel = UIntEncoder::new();
-        let mut evt_tag = UIntEncoder::new();
-        let mut evt_params = F64Encoder::new();
-        let mut quantity = UIntEncoder::new();
-        let mut has_rc = UIntEncoder::new();
-        let mut rc_evt_tag = UIntEncoder::new();
-        let mut rc_evt_params = F64Encoder::new();
-        let mut rc_quantity = UIntEncoder::new();
-        let mut rc_hyst = F64Encoder::new();
-        let mut rc_ttt = UIntEncoder::new();
-        let mut rc_interval = UIntEncoder::new();
-        let mut rc_amount = UIntEncoder::new();
-        let mut report_t = UIntEncoder::new();
-        let mut cmd_delay = UIntEncoder::new();
-        let mut rsrp_old = F64Encoder::new();
-        let mut rsrp_new = F64Encoder::new();
-        let mut rsrq_old = F64Encoder::new();
-        let mut rsrq_new = F64Encoder::new();
-        let mut has_thpt = UIntEncoder::new();
-        let mut thpt = F64Encoder::new();
+    ) -> Result<(), MmError> {
+        let [carrier, city, t_ms, from, to, kind, idle_rel, evt_tag, evt_params, rest @ ..] = cols;
+        let [quantity, has_rc, rc_evt_tag, rc_evt_params, rc_quantity, rc_hyst, rest @ ..] = rest;
+        let [rc_ttt, rc_interval, rc_amount, report_t, cmd_delay, rest @ ..] = rest;
+        let [rsrp_old, rsrp_new, rsrq_old, rsrq_new, has_thpt, thpt] = rest;
+        let mut carrier = UIntEncoder::new(carrier);
+        let mut city = UIntEncoder::new(city);
+        let mut t_ms = UIntEncoder::new(t_ms);
+        let mut from = UIntEncoder::new(from);
+        let mut to = UIntEncoder::new(to);
+        let mut kind = UIntEncoder::new(kind);
+        let mut idle_rel = UIntEncoder::new(idle_rel);
+        let mut evt_tag = UIntEncoder::new(evt_tag);
+        let mut evt_params = F64Encoder::new(evt_params);
+        let mut quantity = UIntEncoder::new(quantity);
+        let mut has_rc = UIntEncoder::new(has_rc);
+        let mut rc_evt_tag = UIntEncoder::new(rc_evt_tag);
+        let mut rc_evt_params = F64Encoder::new(rc_evt_params);
+        let mut rc_quantity = UIntEncoder::new(rc_quantity);
+        let mut rc_hyst = F64Encoder::new(rc_hyst);
+        let mut rc_ttt = UIntEncoder::new(rc_ttt);
+        let mut rc_interval = UIntEncoder::new(rc_interval);
+        let mut rc_amount = UIntEncoder::new(rc_amount);
+        let mut report_t = UIntEncoder::new(report_t);
+        let mut cmd_delay = UIntEncoder::new(cmd_delay);
+        let mut rsrp_old = F64Encoder::new(rsrp_old);
+        let mut rsrp_new = F64Encoder::new(rsrp_new);
+        let mut rsrq_old = F64Encoder::new(rsrq_old);
+        let mut rsrq_new = F64Encoder::new(rsrq_new);
+        let mut has_thpt = UIntEncoder::new(has_thpt);
+        let mut thpt = F64Encoder::new(thpt);
         let [st_carrier, st_city] = &mut *stats;
         for i in rows {
             let r = &i.record;
-            let carrier_id = dict.intern_static(i.carrier);
+            let carrier_id = dict.lookup_static(i.carrier)?;
             carrier.push(carrier_id);
             st_carrier.insert(carrier_id);
-            let city_id = dict.intern_static(i.city.as_str());
+            let city_id = dict.lookup_static(i.city.as_str())?;
             city.push(city_id);
             st_city.insert(city_id);
             t_ms.push(r.t_ms);
@@ -520,38 +547,7 @@ impl RowSchema for HandoffInstance {
                 }
             }
         }
-        Ok(encode_group(
-            rows.len(),
-            stats,
-            &[
-                carrier.finish(),
-                city.finish(),
-                t_ms.finish(),
-                from.finish(),
-                to.finish(),
-                kind.finish(),
-                idle_rel.finish(),
-                evt_tag.finish(),
-                evt_params.finish(),
-                quantity.finish(),
-                has_rc.finish(),
-                rc_evt_tag.finish(),
-                rc_evt_params.finish(),
-                rc_quantity.finish(),
-                rc_hyst.finish(),
-                rc_ttt.finish(),
-                rc_interval.finish(),
-                rc_amount.finish(),
-                report_t.finish(),
-                cmd_delay.finish(),
-                rsrp_old.finish(),
-                rsrp_new.finish(),
-                rsrq_old.finish(),
-                rsrq_new.finish(),
-                has_thpt.finish(),
-                thpt.finish(),
-            ],
-        ))
+        Ok(())
     }
 
     fn decode(
@@ -667,9 +663,11 @@ impl D1 {
         self.write_store_with(w, BLOCK_ROWS)
     }
 
-    /// Write with an explicit row-group size.
+    /// Write with an explicit row-group size, encoding on the lanes of
+    /// [`Executor::from_env`].
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        write_rows(self.iter_handoffs().as_slice(), w, block_rows)
+        let rows = self.iter_handoffs().as_slice();
+        write_rows(rows, w, block_rows, &Executor::from_env())
     }
 
     /// Read a dataset written by [`write_store`](D1::write_store).
@@ -680,6 +678,7 @@ impl D1 {
 
 #[cfg(test)]
 mod tests {
+    use super::rowgroup::encode_group;
     use super::*;
     use crate::campaign::{run_campaigns_parallel, CampaignConfig};
     use crate::crawler::crawl;
@@ -727,11 +726,11 @@ mod tests {
             assert_eq!(tag, kind.decisive().code(), "{kind:?}");
             // And the tag decodes back to the same variant with the same
             // payload through the real column codecs.
-            let mut enc = F64Encoder::new();
+            let mut bytes = Vec::new();
+            let mut enc = F64Encoder::new(&mut bytes);
             for p in params.into_iter().flatten() {
                 enc.push(p);
             }
-            let bytes = enc.finish();
             let mut dec = F64Decoder::new(&bytes);
             assert_eq!(&event_from(tag, &mut dec).unwrap(), kind);
         }
@@ -877,10 +876,12 @@ mod tests {
     /// A file whose one row group has a valid CRC but declares `1 << 60`
     /// rows: the count must be refused before it sizes any allocation.
     fn lying_row_count<T: RowSchema>() -> Vec<u8> {
-        let group = encode_group(
+        let mut group = Vec::new();
+        encode_group(
             1 << 60,
             &mut vec![IdSet::default(); T::STATS],
             &vec![Vec::new(); T::COLS],
+            &mut group,
         );
         let mut out = Vec::new();
         let mut w = StoreWriter::new(&mut out, T::KIND).unwrap();
@@ -1033,7 +1034,8 @@ mod tests {
         dict.intern("A");
         let mut zero = IdSet::default();
         zero.insert(0);
-        let group = encode_group(1, &mut vec![zero; 4], &[vec![1, 2, 3]]);
+        let mut group = Vec::new();
+        encode_group(1, &mut vec![zero; 4], &[vec![1, 2, 3]], &mut group);
         let mut out = Vec::new();
         let mut w = StoreWriter::new(&mut out, KIND_D2).unwrap();
         w.write_block(TAG_DICT, &dict.encode()).unwrap();

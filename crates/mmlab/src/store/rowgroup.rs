@@ -3,6 +3,13 @@
 //! reader and the writer. What differs between D2 and D1 rows is the
 //! [`RowSchema`] trait, implemented in the parent module.
 //!
+//! The writer ([`write_rows`]) runs on [`Executor::lanes`]: once every
+//! string is interned, the dictionary is frozen and shared, and row group
+//! `k` is encoded and CRC-framed on lane `k mod n`. Each lane walks the
+//! [`RowSource`] and expands only its own groups, into buffers it reuses
+//! from group to group; the caller, lane 0, writes every frame in file
+//! order as it comes. One thread runs the same loop inline.
+//!
 //! This module is private. Its items are `pub` only so the trait can bound
 //! the public [`RowGroupReader`] (the sealed-trait pattern): outside the
 //! crate the reader, through its `D2StoreReader`/`D1StoreReader` aliases,
@@ -11,7 +18,11 @@
 use super::{TAG_DICT, TAG_ROWS};
 use crate::dataset::ConfigSample;
 use crate::predicate::Predicate;
-use mm_store::{write_varint, Cursor, Dict, DictBuilder, StoreReader, StoreWriter};
+use mm_exec::Executor;
+use mm_store::{
+    seal_frame, start_frame, varint_len, write_varint, Cursor, Dict, DictBuilder, StoreReader,
+    StoreWriter,
+};
 use mmcarriers::city::City;
 use mmcore::{MmError, StoreError};
 use mmradio::band::Rat;
@@ -30,9 +41,13 @@ pub trait RowSchema: Sized {
     /// Vocabulary stat lists in one row-group prefix.
     const STATS: usize;
     /// The [`STATS`](Self::STATS) sets [`encode`](Self::encode) fills,
-    /// in prefix order. One value serves every group of a file:
+    /// in prefix order. One value serves every group a lane encodes:
     /// [`encode_group`] leaves the sets empty.
-    type Stats: Default;
+    type Stats: Default + AsMut<[IdSet]>;
+    /// The [`COLS`](Self::COLS) column buffers [`encode`](Self::encode)
+    /// fills, in column order. One value serves every group a lane
+    /// encodes: each group's columns overwrite the last group's.
+    type Cols: Default + AsRef<[Vec<u8>]>;
 
     /// Resolve `pred` into selectors aligned with the stat lists
     /// [`encode`](Self::encode) writes; `None` when `pred` constrains no
@@ -43,13 +58,15 @@ pub trait RowSchema: Sized {
     /// [`encode`](Self::encode) meets them.
     fn intern(dict: &mut DictBuilder, row: &Self);
 
-    /// Encode one row group, looking its strings up in `dict` and
-    /// collecting its stats in `stats`, which arrive empty.
+    /// Encode one row group's columns into `cols`, looking its strings up
+    /// in the frozen `dict` and collecting its stats in `stats`, which
+    /// arrive empty. A string `dict` lacks is a `Schema` error.
     fn encode(
-        dict: &mut DictBuilder,
+        dict: &DictBuilder,
         stats: &mut Self::Stats,
+        cols: &mut Self::Cols,
         rows: &[Self],
-    ) -> Result<Vec<u8>, MmError>;
+    ) -> Result<(), MmError>;
 
     /// Decode `n_rows` rows from a group's [`COLS`](Self::COLS) column
     /// byte strings.
@@ -198,8 +215,8 @@ fn index(id: u64) -> usize {
 
 /// The distinct ids of one stat dimension in one row group: a bitmap over
 /// dictionary ids or enum tags, both dense and small, so the set stays a
-/// few words. [`take`](Self::take) hands the ids back ascending and
-/// empties the set for the next group.
+/// few words. [`drain_into`](Self::drain_into) writes the ids out
+/// ascending and empties the set for the next group.
 #[derive(Debug, Clone, Default)]
 pub struct IdSet {
     words: Vec<u64>,
@@ -218,42 +235,54 @@ impl IdSet {
         }
     }
 
-    /// The ids in ascending order; the set is left empty.
-    pub fn take(&mut self) -> Vec<u64> {
-        let mut ids = Vec::new();
-        for (i, w) in (0u64..).zip(self.words.iter_mut()) {
-            let mut bits = std::mem::take(w);
+    /// Bytes [`drain_into`](Self::drain_into) writes.
+    fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        let mut count = 0;
+        self.for_each(|id| {
+            len += varint_len(id);
+            count += 1;
+        });
+        len + varint_len(count)
+    }
+
+    /// Append the id count, then the ids in ascending order, as varints;
+    /// the set is left empty.
+    pub fn drain_into(&mut self, out: &mut Vec<u8>) {
+        let count = self.words.iter().map(|w| u64::from(w.count_ones())).sum();
+        write_varint(out, count);
+        self.for_each(|id| write_varint(out, id));
+        self.words.iter_mut().for_each(|w| *w = 0);
+    }
+
+    /// Call `f` on the ids in ascending order.
+    fn for_each(&self, mut f: impl FnMut(u64)) {
+        for (i, &w) in (0u64..).zip(&self.words) {
+            let mut bits = w;
             while bits != 0 {
-                ids.push(i * 64 + u64::from(bits.trailing_zeros()));
+                f(i * 64 + u64::from(bits.trailing_zeros()));
                 bits &= bits - 1;
             }
         }
-        ids
     }
 }
 
-/// Serialize a v2 row group: row count, column count, the per-group
-/// vocabulary stat lists (each a sorted run of varint ids), then the
-/// `len`-prefixed column byte strings. Every set in `stats` is left empty.
-pub fn encode_group(n_rows: usize, stats: &mut [IdSet], cols: &[Vec<u8>]) -> Vec<u8> {
-    let mut stats_buf = Vec::new();
+/// Append a v2 row group's payload to `out`: row count, column count, the
+/// per-group vocabulary stat lists (each a sorted run of varint ids), then
+/// the `len`-prefixed column byte strings. Every set in `stats` is left
+/// empty.
+pub fn encode_group(n_rows: usize, stats: &mut [IdSet], cols: &[Vec<u8>], out: &mut Vec<u8>) {
+    write_varint(out, n_rows as u64);
+    write_varint(out, cols.len() as u64);
+    let stats_len: usize = stats.iter().map(IdSet::encoded_len).sum();
+    write_varint(out, stats_len as u64);
     for set in stats {
-        let ids = set.take();
-        write_varint(&mut stats_buf, ids.len() as u64);
-        for id in ids {
-            write_varint(&mut stats_buf, id);
-        }
+        set.drain_into(out);
     }
-    let mut payload = Vec::new();
-    write_varint(&mut payload, n_rows as u64);
-    write_varint(&mut payload, cols.len() as u64);
-    write_varint(&mut payload, stats_buf.len() as u64);
-    payload.extend_from_slice(&stats_buf);
     for col in cols {
-        write_varint(&mut payload, col.len() as u64);
-        payload.extend_from_slice(col);
+        write_varint(out, col.len() as u64);
+        out.extend_from_slice(col);
     }
-    payload
 }
 
 /// The decoded v2 group prefix: what a reader learns about a row group
@@ -631,13 +660,17 @@ pub trait RowSource<T> {
     /// order.
     fn for_each_distinct(&self, f: impl FnMut(&T));
 
-    /// Call `f` on the file's rows in order, in groups of `block_rows`
-    /// (the last may hold fewer), until it returns an error.
-    fn try_for_each_group(
+    /// Call `f` on the file's row groups of `block_rows` rows (the last
+    /// may hold fewer) whose index is `lane` modulo `lanes`, in order,
+    /// until it returns an error. The other groups are skipped without
+    /// building them.
+    fn try_for_each_group<E>(
         &self,
         block_rows: usize,
-        f: impl FnMut(&[T]) -> Result<(), MmError>,
-    ) -> Result<(), MmError>;
+        lane: usize,
+        lanes: usize,
+        f: impl FnMut(&[T]) -> Result<(), E>,
+    ) -> Result<(), E>;
 }
 
 impl<T> RowSource<T> for [T] {
@@ -649,42 +682,94 @@ impl<T> RowSource<T> for [T] {
         self.iter().for_each(f);
     }
 
-    fn try_for_each_group(
+    fn try_for_each_group<E>(
         &self,
         block_rows: usize,
-        f: impl FnMut(&[T]) -> Result<(), MmError>,
+        lane: usize,
+        lanes: usize,
+        f: impl FnMut(&[T]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.chunks(block_rows)
+            .skip(lane)
+            .step_by(lanes.max(1))
+            .try_for_each(f)
+    }
+}
+
+/// What one lane of [`write_rows`] reuses from group to group, so that
+/// once its first groups are framed it encodes without allocating.
+struct GroupBuffers<T: RowSchema> {
+    stats: T::Stats,
+    cols: T::Cols,
+}
+
+impl<T: RowSchema> GroupBuffers<T> {
+    fn new() -> Self {
+        GroupBuffers {
+            stats: T::Stats::default(),
+            cols: T::Cols::default(),
+        }
+    }
+
+    /// Encode `rows` as one row group and frame it into `frame`.
+    fn frame(
+        &mut self,
+        dict: &DictBuilder,
+        rows: &[T],
+        frame: &mut Vec<u8>,
     ) -> Result<(), MmError> {
-        self.chunks(block_rows).try_for_each(f)
+        T::encode(dict, &mut self.stats, &mut self.cols, rows)?;
+        start_frame(frame);
+        encode_group(rows.len(), self.stats.as_mut(), self.cols.as_ref(), frame);
+        seal_frame(TAG_ROWS, frame)
     }
 }
 
 /// Write the rows of `source` as one store file of `T`'s kind: the
 /// dictionary block, row groups of `block_rows` rows each, then the
-/// trailer. The dictionary block precedes the groups it describes, so
-/// every string is interned first; then each group is encoded and written
-/// before the next is read, so a source that expands its rows holds one
-/// group of them at a time. On an error `w` may hold a partial file with
-/// no trailer, which every reader rejects.
-pub fn write_rows<T: RowSchema, S: RowSource<T> + ?Sized, W: Write>(
+/// trailer.
+///
+/// The dictionary block precedes the groups it describes, so every string
+/// is interned first; the dictionary is then frozen. Row group `k` is
+/// encoded and CRC-framed on lane `k mod n` of `exec`'s
+/// [`lanes`](Executor::lanes), each lane reading its own groups from
+/// `source` (a source that expands its rows holds one group of them per
+/// lane at a time), and the caller, lane 0, writes the frames to `w` in
+/// file order. The bytes do not depend on the lane count. On an error —
+/// the first in file order — `w` may hold a partial file with no trailer,
+/// which every reader rejects.
+pub fn write_rows<T, S, W>(
     source: &S,
     w: W,
     block_rows: usize,
-) -> Result<(), MmError> {
+    exec: &Executor,
+) -> Result<(), MmError>
+where
+    T: RowSchema + Sync,
+    S: RowSource<T> + Sync + ?Sized,
+    W: Write,
+{
+    let block_rows = block_rows.max(1);
     let mut dict = DictBuilder::new();
     source.for_each_distinct(|row| T::intern(&mut dict, row));
-    let entries = dict.len();
+    // Frozen from here on: the lanes share it and only look strings up.
+    let dict = dict;
     let mut writer = StoreWriter::new(w, T::KIND)?;
     writer.write_block(TAG_DICT, &dict.encode())?;
-    let mut stats = T::Stats::default();
-    source.try_for_each_group(block_rows.max(1), |group| {
-        writer.write_block(TAG_ROWS, &T::encode(&mut dict, &mut stats, group)?)
-    })?;
-    if dict.len() != entries {
-        return Err(StoreError::Schema(format!(
-            "row groups met {} string(s) the dictionary block lacks",
-            dict.len() - entries
-        ))
-        .into());
+    let groups = source.rows().div_ceil(block_rows);
+    let written = exec.lanes(
+        groups,
+        |lane| {
+            let mut buffers = GroupBuffers::<T>::new();
+            let (index, count) = (lane.index(), lane.count());
+            source.try_for_each_group(block_rows, index, count, |rows| {
+                lane.emit(|frame| buffers.frame(&dict, rows, frame))
+            })
+        },
+        |frame: &Vec<u8>| writer.write_frame(frame),
+    )?;
+    if written != groups {
+        return Err(StoreError::Schema(format!("wrote {written} of {groups} row groups")).into());
     }
     writer.finish(source.rows() as u64)
 }
@@ -721,9 +806,25 @@ mod tests {
             for &id in &ids {
                 set.insert(id);
             }
-            assert_eq!(set.take(), want, "group {g}");
+            assert_eq!(drained(&mut set), want, "group {g}");
         }
-        assert!(set.take().is_empty(), "take leaves the set empty");
+        assert!(
+            drained(&mut set).is_empty(),
+            "draining leaves the set empty"
+        );
+    }
+
+    /// The ids `drain_into` writes, checked against `encoded_len`.
+    fn drained(set: &mut IdSet) -> Vec<u64> {
+        let len = set.encoded_len();
+        let mut out = Vec::new();
+        set.drain_into(&mut out);
+        assert_eq!(out.len(), len, "encoded_len");
+        let mut c = Cursor::new(&out);
+        let n = c.read_varint().unwrap();
+        let ids = (0..n).map(|_| c.read_varint().unwrap()).collect();
+        assert!(c.is_empty());
+        ids
     }
 
     #[test]
@@ -743,11 +844,48 @@ mod tests {
         }
     }
 
+    /// Rows whose dictionary pass shows only the first row's strings.
+    struct FirstRowOnly<'a>(&'a [ConfigSample]);
+
+    impl RowSource<ConfigSample> for FirstRowOnly<'_> {
+        fn rows(&self) -> usize {
+            self.0.len()
+        }
+
+        fn for_each_distinct(&self, mut f: impl FnMut(&ConfigSample)) {
+            f(&self.0[0]);
+        }
+
+        fn try_for_each_group<E>(
+            &self,
+            block_rows: usize,
+            lane: usize,
+            lanes: usize,
+            f: impl FnMut(&[ConfigSample]) -> Result<(), E>,
+        ) -> Result<(), E> {
+            self.0.try_for_each_group(block_rows, lane, lanes, f)
+        }
+    }
+
+    #[test]
+    fn a_string_the_dictionary_block_lacks_fails_the_write() {
+        let rows: Vec<ConfigSample> = crawl(&World::generate(3, 0.01), 1).iter().collect();
+        for lanes in [1, 2, 3] {
+            let mut buf = Vec::new();
+            let got = write_rows(&FirstRowOnly(&rows), &mut buf, 64, &Executor::new(lanes));
+            assert!(
+                matches!(&got, Err(MmError::Store(StoreError::Schema(msg)))
+                    if msg.contains("not in the dictionary block")),
+                "{lanes} lane(s): {got:?}"
+            );
+        }
+    }
+
     #[test]
     fn written_group_stats_are_each_groups_own_ids() {
         let rows: Vec<ConfigSample> = crawl(&World::generate(3, 0.01), 1).iter().collect();
         let mut buf = Vec::new();
-        write_rows(rows.as_slice(), &mut buf, 7).unwrap();
+        write_rows(rows.as_slice(), &mut buf, 7, &Executor::new(3)).unwrap();
         let mut reader = StoreReader::new(buf.as_slice(), KIND_D2).unwrap();
         let dict = Dict::decode(&reader.next_block().unwrap().unwrap().payload).unwrap();
         let ids: BTreeMap<&str, u64> = (0..dict.len() as u64)

@@ -9,9 +9,11 @@
 //!
 //! The CRC-32 (IEEE 802.3 polynomial, the zlib convention) covers the tag,
 //! the length field and the payload, so a bit flip anywhere in a frame is
-//! caught. Tags are owned by the layer above; [`TAG_END`] is reserved for
-//! the mandatory trailer, which carries the total row count so truncation
-//! at a block boundary is still detected.
+//! caught. [`seal_frame`] frames a payload in place; a writer that encodes
+//! blocks on several threads seals them there and writes them with
+//! [`StoreWriter::write_frame`]. Tags are owned by the layer above;
+//! [`TAG_END`] is reserved for the mandatory trailer, which carries the
+//! total row count so truncation at a block boundary is still detected.
 
 use crate::varint::Cursor;
 use mmcore::StoreError;
@@ -34,16 +36,16 @@ pub const TAG_END: u8 = 0xff;
 /// The reflected IEEE 802.3 polynomial.
 const CRC_POLY: u32 = 0xedb8_8320;
 
-/// Slice-by-8 tables: `CRC_TABLES[0][b]` is the CRC state update for byte
-/// `b`, and `CRC_TABLES[k][b]` the update for `b` followed by `k` zero
-/// bytes, so eight input bytes fold in with eight independent lookups.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
+/// Slice-by-16 tables: `CRC_TABLES[0][b]` is the CRC state update for
+/// byte `b`, and `CRC_TABLES[k][b]` the update for `b` followed by `k` zero
+/// bytes, so sixteen input bytes fold in with sixteen independent lookups.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
         let mut k = 0;
-        while k < 8 {
+        while k < 16 {
             // Each table is the previous one advanced by one zero byte:
             // eight more bitwise steps.
             let mut bit = 0;
@@ -59,7 +61,7 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE) over `bytes`, table-driven (slice-by-8) and seeded per
+/// CRC-32 (IEEE) over `bytes`, table-driven (slice-by-16) and seeded per
 /// frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_feed(!0u32, bytes)
@@ -69,23 +71,67 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `!0u32`, finish with a final complement — `crc32` composed over slices.
 fn crc32_feed(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
+    let (words, tail) = bytes.as_chunks::<16>();
+    for w in words {
         let [a, b, c, d] = (crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]])).to_le_bytes();
-        crc = t[7][usize::from(a)]
-            ^ t[6][usize::from(b)]
-            ^ t[5][usize::from(c)]
-            ^ t[4][usize::from(d)]
-            ^ t[3][usize::from(w[4])]
-            ^ t[2][usize::from(w[5])]
-            ^ t[1][usize::from(w[6])]
-            ^ t[0][usize::from(w[7])];
+        crc = t[15][usize::from(a)]
+            ^ t[14][usize::from(b)]
+            ^ t[13][usize::from(c)]
+            ^ t[12][usize::from(d)]
+            ^ t[11][usize::from(w[4])]
+            ^ t[10][usize::from(w[5])]
+            ^ t[9][usize::from(w[6])]
+            ^ t[8][usize::from(w[7])]
+            ^ t[7][usize::from(w[8])]
+            ^ t[6][usize::from(w[9])]
+            ^ t[5][usize::from(w[10])]
+            ^ t[4][usize::from(w[11])]
+            ^ t[3][usize::from(w[12])]
+            ^ t[2][usize::from(w[13])]
+            ^ t[1][usize::from(w[14])]
+            ^ t[0][usize::from(w[15])];
     }
-    for &byte in words.remainder() {
+    for &byte in tail {
         let [low, ..] = crc.to_le_bytes();
         crc = (crc >> 8) ^ t[0][usize::from(low ^ byte)];
     }
     crc
+}
+
+/// Bytes of a frame before its payload: the tag and the length field.
+pub const FRAME_HEAD: usize = 5;
+
+/// Bytes of a frame after its payload: the CRC-32.
+const FRAME_TAIL: usize = 4;
+
+/// Start a frame in `frame`: clear it and reserve the [`FRAME_HEAD`]
+/// bytes that [`seal_frame`] fills. Append the payload after them.
+pub fn start_frame(frame: &mut Vec<u8>) {
+    frame.clear();
+    frame.resize(FRAME_HEAD, 0);
+}
+
+/// Close a frame begun by [`start_frame`] as a block of `tag`, in place:
+/// write the tag and the payload's length before the payload and the CRC-32
+/// of both after it. The one framing function: [`StoreWriter::write_block`]
+/// frames through it, and a writer that encodes blocks off the writing
+/// thread seals them there and hands them to
+/// [`StoreWriter::write_frame`].
+pub fn seal_frame(tag: u8, frame: &mut Vec<u8>) -> Result<(), mmcore::MmError> {
+    let payload = frame.len().saturating_sub(FRAME_HEAD);
+    let len = u32::try_from(payload).map_err(|_| {
+        mmcore::MmError::Store(StoreError::Schema(format!(
+            "block payload too large ({payload} bytes)"
+        )))
+    })?;
+    let Some(head) = frame.get_mut(..FRAME_HEAD) else {
+        return Err(StoreError::Schema("frame without a head".to_string()).into());
+    };
+    head[0] = tag;
+    head[1..].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(frame);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 fn io_err(e: std::io::Error) -> mmcore::MmError {
@@ -97,7 +143,6 @@ pub struct StoreWriter<W: Write> {
     sink: W,
     blocks_written: u64,
     bytes_written: u64,
-    finished: bool,
 }
 
 impl<W: Write> StoreWriter<W> {
@@ -121,25 +166,33 @@ impl<W: Write> StoreWriter<W> {
             sink,
             blocks_written: 0,
             bytes_written: header.len() as u64,
-            finished: false,
         })
     }
 
     /// Append one CRC-framed block.
     pub fn write_block(&mut self, tag: u8, payload: &[u8]) -> Result<(), mmcore::MmError> {
-        let len = u32::try_from(payload.len()).map_err(|_| {
-            mmcore::MmError::Store(StoreError::Schema(format!(
-                "block payload too large ({} bytes)",
-                payload.len()
-            )))
-        })?;
-        let mut frame = Vec::with_capacity(payload.len() + 9);
-        frame.push(tag);
-        frame.extend_from_slice(&len.to_le_bytes());
+        let mut frame = Vec::with_capacity(FRAME_HEAD + payload.len() + FRAME_TAIL);
+        start_frame(&mut frame);
         frame.extend_from_slice(payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        self.sink.write_all(&frame).map_err(io_err)?;
+        seal_frame(tag, &mut frame)?;
+        self.write_frame(&frame)
+    }
+
+    /// Append one frame sealed by [`seal_frame`]. A frame whose length
+    /// field disagrees with its size is a `Schema` error and writes
+    /// nothing; the CRC is trusted as sealed.
+    pub fn write_frame(&mut self, frame: &[u8]) -> Result<(), mmcore::MmError> {
+        let declared = frame
+            .get(1..FRAME_HEAD)
+            .and_then(|len| <[u8; 4]>::try_from(len).ok())
+            .map(|len| u32::from_le_bytes(len) as usize);
+        let payload = frame.len().checked_sub(FRAME_HEAD + FRAME_TAIL);
+        if declared.is_none() || declared != payload {
+            return Err(
+                StoreError::Schema(format!("a {}-byte frame is not sealed", frame.len())).into(),
+            );
+        }
+        self.sink.write_all(frame).map_err(io_err)?;
         self.blocks_written += 1;
         self.bytes_written += frame.len() as u64;
         Ok(())
@@ -154,7 +207,6 @@ impl<W: Write> StoreWriter<W> {
         crate::varint::write_varint(&mut payload, records);
         self.write_block(TAG_END, &payload)?;
         self.sink.flush().map_err(io_err)?;
-        self.finished = true;
         let t = mm_telemetry::global();
         t.counter_scoped("store", "blocks_written", mm_telemetry::Scope::Sim)
             .add(self.blocks_written);
@@ -489,6 +541,84 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Seeded bytes (xorshift64) without a dev-dependency.
+    fn seeded_bytes(len: usize) -> Vec<u8> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.to_le_bytes()[5]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_16_matches_the_bitwise_reference_at_short_lengths_and_odd_tails() {
+        let buf = seeded_bytes(4096 + 64);
+        // Every length up to four sixteen-byte words, from every alignment.
+        for len in 0..=64 {
+            for start in 0..16 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    !crc32_feed_bitwise(!0u32, bytes),
+                    "len {len} from {start}"
+                );
+            }
+        }
+        // Long runs of whole words ending in every odd tail.
+        for tail in (1..16).step_by(2) {
+            for start in [0, 1, 7, 15] {
+                let bytes = &buf[start..start + 4080 + tail];
+                assert_eq!(
+                    crc32(bytes),
+                    !crc32_feed_bitwise(!0u32, bytes),
+                    "tail {tail} from {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sealed_frames_write_the_bytes_of_write_block() {
+        let payload = seeded_bytes(300);
+        let mut want = Vec::new();
+        let mut w = StoreWriter::new(&mut want, "test-kind").unwrap();
+        w.write_block(7, &payload).unwrap();
+        w.finish(1).unwrap();
+
+        let mut frame = vec![0xaa; 3];
+        start_frame(&mut frame);
+        frame.extend_from_slice(&payload);
+        seal_frame(7, &mut frame).unwrap();
+        let mut got = Vec::new();
+        let mut w = StoreWriter::new(&mut got, "test-kind").unwrap();
+        w.write_frame(&frame).unwrap();
+        assert_eq!(w.bytes_written(), 9 + "test-kind".len() as u64 + 309);
+        w.finish(1).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn unsealed_frames_are_refused_unwritten() {
+        let mut out = Vec::new();
+        let mut w = StoreWriter::new(&mut out, "test-kind").unwrap();
+        let header = w.bytes_written();
+        let mut frame = Vec::new();
+        start_frame(&mut frame);
+        frame.extend_from_slice(b"payload");
+        for bad in [&frame[..], &frame[..3], &[][..]] {
+            let got = w.write_frame(bad);
+            assert!(
+                matches!(got, Err(MmError::Store(StoreError::Schema(_)))),
+                "{got:?}"
+            );
+        }
+        assert_eq!(w.bytes_written(), header, "nothing was written");
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! a stale entry can never be served. The cache stores opaque byte
 //! payloads (complete store files, typically); integrity of the payload is
 //! the store framing's job, the cache only addresses and transports it.
+//!
+//! Every write is atomic and streamed: [`ArtifactCache::write_with`] hands
+//! its caller a buffered temp file to write the entry into and renames it
+//! into place only once the caller returned and the file flushed, so an
+//! entry of any size never sits in memory whole, and a write that fails
+//! partway leaves neither the entry nor its temp file.
 
 use crate::block::FORMAT_VERSION;
 use mmcore::MmError;
@@ -137,31 +143,51 @@ impl ArtifactCache {
 
     /// Write an entry atomically (temp file + rename), so a crashed or
     /// interrupted save never leaves a half-written entry at the address.
-    ///
-    /// The temp name carries a process-wide sequence number so concurrent
-    /// writers of the *same* key (e.g. two mmqd workers caching the same
-    /// freshly rendered answer) never truncate each other's in-progress
-    /// file — each renames its own complete copy into place. A write that
-    /// fails removes its temp file and returns the original error.
     pub fn write(&self, key: &CacheKey, bytes: &[u8]) -> Result<(), MmError> {
+        self.write_with(key, |w| w.write_all(bytes).map_err(MmError::from))
+    }
+
+    /// Stream an entry atomically: `fill` writes it into a buffered temp
+    /// file, which is renamed to the entry's address once `fill` returned
+    /// and the file flushed. An entry of any size passes through one
+    /// `BufWriter`, so no caller holds a whole entry in memory.
+    ///
+    /// The temp name carries the process id and a process-wide sequence
+    /// number, so concurrent writers of the *same* key (two mmqd workers
+    /// caching the same freshly rendered answer, or two processes saving
+    /// one dataset) never truncate each other's in-progress file: each
+    /// renames its own complete copy into place. On any error — from
+    /// `fill`, the flush or the rename — the temp file is removed and the
+    /// original error returned, and nothing is left at the address.
+    pub fn write_with<T>(
+        &self,
+        key: &CacheKey,
+        fill: impl FnOnce(&mut dyn Write) -> Result<T, MmError>,
+    ) -> Result<T, MmError> {
         static WRITE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         // relaxed-ok: the counter only disambiguates temp file names; any
         // total order of increments yields unique names per process
         let seq = WRITE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let final_path = self.entry_path(key);
-        let tmp_path = self.dir.join(format!(".tmp-{:016x}-{seq}", key.hash()));
+        let tmp_path = self.dir.join(format!(
+            ".tmp-{:016x}-{}-{seq}",
+            key.hash(),
+            std::process::id()
+        ));
         let written = std::fs::File::create(&tmp_path)
-            .and_then(|mut f| {
-                f.write_all(bytes)?;
-                f.flush()
-            })
-            .and_then(|()| std::fs::rename(&tmp_path, &final_path));
-        written.map_err(|e| {
+            .map_err(MmError::from)
+            .and_then(|file| {
+                let mut w = std::io::BufWriter::new(file);
+                let out = fill(&mut w)?;
+                w.flush()?;
+                std::fs::rename(&tmp_path, self.entry_path(key))?;
+                Ok(out)
+            });
+        if written.is_err() {
             // The temp file may not exist (create failed); either way the
             // error to report is the write's own.
             std::fs::remove_file(&tmp_path).ok();
-            e.into()
-        })
+        }
+        written
     }
 }
 
@@ -238,6 +264,47 @@ mod tests {
             None,
             "different artifact, different address"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// File names in `dir`.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_failed_streamed_write_leaves_nothing_behind() {
+        let dir =
+            std::env::temp_dir().join(format!("mm-store-cache-stream-{}", std::process::id()));
+        let cache = ArtifactCache::open(&dir).unwrap();
+        let k = key("d2");
+        // More than the buffer holds reaches the temp file before the
+        // failure.
+        let got = cache.write_with(&k, |w| {
+            w.write_all(&[7u8; 100_000])?;
+            Err::<(), _>(MmError::Config("fill failed".to_string()))
+        });
+        assert!(
+            matches!(&got, Err(MmError::Config(msg)) if msg == "fill failed"),
+            "{got:?}"
+        );
+        assert!(listing(&dir).is_empty(), "{:?}", listing(&dir));
+        // A streamed write that succeeds lands whole at the address.
+        let n = cache
+            .write_with(&k, |w| {
+                w.write_all(b"stream")?;
+                w.write_all(b"ed")?;
+                Ok(8)
+            })
+            .unwrap();
+        assert_eq!(n, 8);
+        assert_eq!(cache.read(&k).unwrap().as_deref(), Some(&b"streamed"[..]));
+        assert_eq!(listing(&dir), [k.file_name()]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,25 +15,32 @@ use std::collections::BTreeMap;
 ///
 /// Each value is stored as the zigzag varint of its wrapping difference from
 /// the previous value, so sorted or slowly-varying columns (timestamps,
-/// cell ids, rounds) collapse to one or two bytes per row.
-#[derive(Default)]
-pub struct UIntEncoder {
+/// cell ids, rounds) collapse to one or two bytes per row. The bytes go
+/// into a buffer the caller owns, so a writer reuses one per column from
+/// group to group.
+pub struct UIntEncoder<'a> {
     prev: u64,
-    buf: Vec<u8>,
+    buf: &'a mut Vec<u8>,
     len: u64,
 }
 
-impl UIntEncoder {
-    /// A fresh encoder (predictor starts at 0).
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> UIntEncoder<'a> {
+    /// An encoder writing into `buf`, which it clears (predictor starts
+    /// at 0).
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        UIntEncoder {
+            prev: 0,
+            buf,
+            len: 0,
+        }
     }
 
     /// Append one value.
     #[inline]
     pub fn push(&mut self, v: u64) {
         let delta = v.wrapping_sub(self.prev) as i64;
-        write_varint(&mut self.buf, zigzag(delta));
+        write_varint(self.buf, zigzag(delta));
         self.prev = v;
         self.len += 1;
     }
@@ -46,11 +53,6 @@ impl UIntEncoder {
     /// Whether no value has been pushed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The encoded bytes, consuming the encoder.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -105,25 +107,30 @@ impl<'a> UIntDecoder<'a> {
 /// nearly-identical values (quantized dB grids, flat coordinates) share
 /// their high bits and encode short. The transmute is exact: every bit
 /// pattern round-trips, including negative zero, subnormals, infinities and
-/// NaN payloads.
-#[derive(Default)]
-pub struct F64Encoder {
+/// NaN payloads. Like [`UIntEncoder`], it writes into the caller's buffer.
+pub struct F64Encoder<'a> {
     prev_bits: u64,
-    buf: Vec<u8>,
+    buf: &'a mut Vec<u8>,
     len: u64,
 }
 
-impl F64Encoder {
-    /// A fresh encoder (predictor starts at +0.0).
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> F64Encoder<'a> {
+    /// An encoder writing into `buf`, which it clears (predictor starts
+    /// at +0.0).
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        buf.clear();
+        F64Encoder {
+            prev_bits: 0,
+            buf,
+            len: 0,
+        }
     }
 
     /// Append one value.
     #[inline]
     pub fn push(&mut self, v: f64) {
         let bits = v.to_bits();
-        write_varint(&mut self.buf, bits ^ self.prev_bits);
+        write_varint(self.buf, bits ^ self.prev_bits);
         self.prev_bits = bits;
         self.len += 1;
     }
@@ -136,11 +143,6 @@ impl F64Encoder {
     /// Whether no value has been pushed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The encoded bytes, consuming the encoder.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -239,6 +241,24 @@ impl DictBuilder {
         id
     }
 
+    /// The id [`intern_static`](Self::intern_static) gave `s`, without
+    /// interning: the lookup of a dictionary that is frozen once its block
+    /// is written, shared by every thread that encodes against it. A
+    /// string the dictionary lacks is a `Schema` error, so no row group
+    /// can reference an id its file's dictionary block does not hold.
+    #[inline]
+    pub fn lookup_static(&self, s: &'static str) -> Result<u64, StoreError> {
+        let addr = s.as_ptr().addr();
+        if let Some(&(a, len, id)) = self.memo.get(addr % MEMO_SLOTS) {
+            if a == addr && len == s.len() {
+                return Ok(id);
+            }
+        }
+        self.ids.get(s).copied().ok_or_else(|| {
+            StoreError::Schema(format!("string {s:?} is not in the dictionary block"))
+        })
+    }
+
     /// Serialize the table.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -327,12 +347,12 @@ mod tests {
     #[test]
     fn uint_column_round_trips_mixed_values() {
         let values = [5u64, 5, 6, 1_000_000, 0, u64::MAX, 42];
-        let mut enc = UIntEncoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = UIntEncoder::new(&mut bytes);
         for &v in &values {
             enc.push(v);
         }
         assert_eq!(enc.len(), values.len() as u64);
-        let bytes = enc.finish();
         let mut dec = UIntDecoder::new(&bytes);
         for &v in &values {
             assert_eq!(dec.read().unwrap(), v);
@@ -342,11 +362,11 @@ mod tests {
 
     #[test]
     fn sorted_uint_columns_encode_one_byte_per_row() {
-        let mut enc = UIntEncoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = UIntEncoder::new(&mut bytes);
         for t in (0..1000u64).map(|i| 10_000 + i * 13) {
             enc.push(t);
         }
-        let bytes = enc.finish();
         // First delta is large; the rest are the constant 13 → 1 byte each.
         assert!(bytes.len() <= 1002, "{} bytes for 1000 rows", bytes.len());
     }
@@ -368,11 +388,11 @@ mod tests {
             -106.5,
             -106.5,
         ];
-        let mut enc = F64Encoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = F64Encoder::new(&mut bytes);
         for &v in &values {
             enc.push(v);
         }
-        let bytes = enc.finish();
         let mut dec = F64Decoder::new(&bytes);
         for &v in &values {
             let got = dec.read().unwrap();
@@ -383,11 +403,11 @@ mod tests {
 
     #[test]
     fn repeated_f64_values_encode_one_byte() {
-        let mut enc = F64Encoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = F64Encoder::new(&mut bytes);
         for _ in 0..100 {
             enc.push(-106.5);
         }
-        let bytes = enc.finish();
         // XOR-delta of a repeat is 0 → one varint byte per row (plus the
         // first full-width value).
         assert!(bytes.len() <= 109, "{} bytes", bytes.len());
@@ -395,14 +415,14 @@ mod tests {
 
     #[test]
     fn narrow_reads_reject_wide_values() {
-        let mut enc = UIntEncoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = UIntEncoder::new(&mut bytes);
         enc.push(300);
-        let bytes = enc.finish();
         let mut dec = UIntDecoder::new(&bytes);
         assert!(matches!(dec.read_u8(), Err(StoreError::Schema(_))));
-        let mut enc = UIntEncoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = UIntEncoder::new(&mut bytes);
         enc.push(u64::from(u32::MAX) + 1);
-        let bytes = enc.finish();
         let mut dec = UIntDecoder::new(&bytes);
         assert!(matches!(dec.read_u32(), Err(StoreError::Schema(_))));
     }
@@ -496,5 +516,28 @@ mod tests {
         }
         assert_eq!(by_address.len(), 44);
         assert_eq!(by_address.encode(), by_content.encode());
+        // Frozen, the dictionary answers every address the same way, and
+        // refuses a string it never interned.
+        for s in copies {
+            assert_eq!(by_address.lookup_static(s), Ok(reference[s]), "{s:?}");
+        }
+        let fresh: &'static str = Box::leak("param-7".to_string().into_boxed_str());
+        assert_eq!(by_address.lookup_static(fresh), Ok(reference["param-7"]));
+        assert!(matches!(
+            by_address.lookup_static("never-interned"),
+            Err(StoreError::Schema(_))
+        ));
+    }
+
+    #[test]
+    fn encoders_clear_and_reuse_the_callers_buffer() {
+        let mut buf = vec![0xee; 64];
+        let mut enc = UIntEncoder::new(&mut buf);
+        enc.push(7);
+        enc.push(9);
+        assert_eq!(buf, [14, 4], "zigzag deltas of 7 and 2, stale bytes gone");
+        let mut enc = F64Encoder::new(&mut buf);
+        enc.push(0.0);
+        assert_eq!(buf, [0]);
     }
 }

@@ -17,7 +17,8 @@
 //!   streaming [`StoreReader`] that holds one block at a time.
 //! * **Content-addressed cache** ([`cache`]) — entries keyed by the FNV-1a
 //!   hash of `(seed, scale, runs, duration, artifact id, format version)`,
-//!   written atomically; `mmx --store DIR --save/--load` is built on it.
+//!   streamed to a temp file and renamed into place; `mmx --store DIR
+//!   --save/--load` is built on it.
 //!
 //! Typed failures, never panics: truncation, wrong magic, version skew,
 //! checksum mismatch and schema violations all come back as
@@ -32,7 +33,9 @@ pub mod cache;
 pub mod column;
 pub mod varint;
 
-pub use block::{crc32, Block, StoreReader, StoreWriter, FORMAT_VERSION, MAGIC, TAG_END};
+pub use block::{
+    crc32, seal_frame, start_frame, Block, StoreReader, StoreWriter, FORMAT_VERSION, MAGIC, TAG_END,
+};
 pub use cache::{fnv1a64, ArtifactCache, CacheKey};
 pub use column::{Dict, DictBuilder, F64Decoder, F64Encoder, UIntDecoder, UIntEncoder};
-pub use varint::{unzigzag, write_varint, zigzag, Cursor};
+pub use varint::{unzigzag, varint_len, write_varint, zigzag, Cursor};

@@ -18,6 +18,12 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
     buf.push(v as u8);
 }
 
+/// Bytes [`write_varint`] writes for `v`.
+#[inline]
+pub fn varint_len(v: u64) -> usize {
+    1 + (63 - (v | 1).leading_zeros() as usize) / 7
+}
+
 /// Map a signed value onto the unsigned varint domain.
 #[inline]
 pub fn zigzag(v: i64) -> u64 {
@@ -136,7 +142,9 @@ mod tests {
             u64::MAX,
         ];
         for &v in &values {
+            let before = buf.len();
             write_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len() - before, "{v}");
         }
         let mut c = Cursor::new(&buf);
         for &v in &values {

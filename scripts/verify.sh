@@ -57,7 +57,7 @@ cargo test -q --release --locked --manifest-path benches/pipeline/Cargo.toml
 # crawl is written from its runs and the figures from the block-streamed
 # path (DESIGN.md §9, §10).
 paper_store="$tmpdir/paper-store"
-crawl_rss_ceiling_kb=524288   # 512 MB; the crawl written from its runs measures ~330 MB
+crawl_rss_ceiling_kb=262144   # 256 MB; the crawl streamed to disk from its runs measures ~190 MB
 "$bin"/mmx crawl --scale paper --store "$paper_store" 2> "$tmpdir/paper-crawl.err" &
 if ! peak_rss $!; then
     echo "verify.sh: FAIL — paper-scale crawl exited nonzero" >&2
@@ -103,15 +103,18 @@ if [ "$store_sum" != "2553311804 143336572" ]; then
     exit 1
 fi
 # The crawl's runs and their streamed write must not depend on the thread
-# count at paper scale either (31,623 cells in 248 shards): one thread
-# writes the same entry.
-MM_THREADS=1 "$bin"/mmx crawl --scale paper --store "$tmpdir/paper-store-1" 2>/dev/null
-seq_store_sum="$(cksum < "$tmpdir"/paper-store-1/d2-*.mmst)"
-rm -rf "$tmpdir/paper-store-1"
-if [ "$seq_store_sum" != "2553311804 143336572" ]; then
-    echo "verify.sh: FAIL — paper-scale d2 entry cksum at MM_THREADS=1 is '$seq_store_sum' (want '2553311804 143336572')" >&2
-    exit 1
-fi
+# count at paper scale either (31,623 cells in 248 shards, 1,965 row
+# groups split between the executor's lanes): one thread, which encodes
+# every group inline, and eight lanes write the same entry.
+for threads in 1 8; do
+    MM_THREADS=$threads "$bin"/mmx crawl --scale paper --store "$tmpdir/paper-store-$threads" 2>/dev/null
+    lane_store_sum="$(cksum < "$tmpdir/paper-store-$threads"/d2-*.mmst)"
+    rm -rf "$tmpdir/paper-store-$threads"
+    if [ "$lane_store_sum" != "2553311804 143336572" ]; then
+        echo "verify.sh: FAIL — paper-scale d2 entry cksum at MM_THREADS=$threads is '$lane_store_sum' (want '2553311804 143336572')" >&2
+        exit 1
+    fi
+done
 # Pin the paper-scale figures themselves; they are the same at any
 # MM_THREADS.
 paper_sum="$(cksum < "$tmpdir/paper-figs.txt")"
@@ -119,7 +122,7 @@ if [ "$paper_sum" != "64495986 17300" ]; then
     echo "verify.sh: FAIL — paper-scale figures cksum is '$paper_sum' (want '64495986 17300')" >&2
     exit 1
 fi
-echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), store cksum pinned at the default and at MM_THREADS=1, figures cksum pinned"
+echo "verify.sh: paper-scale D2 (${n_samples} samples) rendered off-store in ${render_s} s at ${peak_kb} kB peak RSS (ceiling ${rss_ceiling_kb} kB), store cksum pinned at the default and at MM_THREADS=1 and 8, figures cksum pinned"
 # The same render with one thread: the scan's decode stage then runs
 # inline instead of on a second core (DESIGN.md §6), and the figures must
 # not change.

@@ -3,8 +3,8 @@
 //! A fleet run drops many UEs (≥100k at the verify gate) onto one
 //! carrier's city network and drives them concurrently: the UE population
 //! is cut into contiguous shards, each shard multiplexes its UEs on one
-//! [`mmnetsim::sched::Engine`] event queue in O(1)-per-UE
-//! [`CollectMode::Tally`] memory, and the shards scatter across
+//! [`mmnetsim::sched::Engine`] event queue and keeps an O(1) [`UeTally`]
+//! record of each (`run::<UeTally>`), and the shards scatter across
 //! [`mm_exec::Executor`] workers. Because every accumulator a shard
 //! returns is an integer (u64 sums are associative) and shards are merged
 //! in submission order, the fleet report is **byte-identical for every
@@ -19,7 +19,7 @@ use mmcore::events::DecisiveEvent;
 use mmcore::MmError;
 use mmlab::campaign::city_network;
 use mmnetsim::mobility::CITY_SPEED_MPS;
-use mmnetsim::sched::{record_engine_stats, CollectMode, Engine, EngineStats, UeOutcome, UeTally};
+use mmnetsim::sched::{record_engine_stats, Engine, EngineStats, UeTally};
 use mmnetsim::{DriveConfig, Mobility, Traffic};
 use std::fmt::Write as _;
 
@@ -172,6 +172,16 @@ fn ue_drive_config(cfg: &FleetConfig, ue: usize) -> DriveConfig {
     }
 }
 
+/// The UE index ranges of `shards` shards over `ues` UEs: shard `s` of
+/// `S` covers `[s·n/S, (s+1)·n/S)`. `S` is clamped to `[1, n]`, which drops
+/// only empty ranges, and the bounds are taken in `u128`, so no product
+/// overflows.
+fn shard_ranges(ues: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
+    let shards = shards.clamp(1, ues.max(1));
+    let bound = |s: usize| (s as u128 * ues as u128 / shards as u128) as usize;
+    (0..shards).map(|s| bound(s)..bound(s + 1)).collect()
+}
+
 /// Run a fleet on an explicit executor.
 ///
 /// Shard `s` of `S` covers UE indices `[s·n/S, (s+1)·n/S)`; each shard
@@ -221,23 +231,15 @@ pub fn run_fleet_on(cfg: &FleetConfig, exec: &Executor) -> Result<FleetReport, M
             cfg.carrier, cfg.city, cfg.scale
         ))
     })?;
-    let shards = cfg.shards.max(1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..shards)
-        .map(|s| (s * cfg.ues / shards)..((s + 1) * cfg.ues / shards))
-        .filter(|r| !r.is_empty())
-        .collect();
+    let ranges = shard_ranges(cfg.ues, cfg.shards);
     let shard_results = exec.scatter_gather(ranges, |_, range| {
         let cfgs: Vec<DriveConfig> = range.map(|ue| ue_drive_config(cfg, ue)).collect();
-        let outcome = Engine::new(&network).collect(CollectMode::Tally).run(&cfgs);
+        let outcome = Engine::new(&network).run::<UeTally>(&cfgs);
         record_engine_stats(&outcome.stats);
         let mut tally = FleetTally::default();
-        // The engine above collects CollectMode::Tally only, so Full
-        // outcomes cannot exist; the if-let makes that structural.
-        for ue in outcome.ues.iter().flatten() {
-            if let UeOutcome::Tally(t) = ue {
-                tally.ues_attached += 1;
-                tally.counters.merge(t);
-            }
+        for t in outcome.ues.iter().flatten() {
+            tally.ues_attached += 1;
+            tally.counters.merge(t);
         }
         (tally, outcome.stats)
     });
@@ -285,6 +287,60 @@ mod tests {
         let text = report.render();
         assert!(text.contains("fleet: ues 50"), "{text}");
         assert!(text.contains("events_processed"), "{text}");
+    }
+
+    #[test]
+    fn shard_ranges_keep_the_non_empty_ranges_of_the_unclamped_cut() {
+        for ues in 1..=20usize {
+            for shards in 0..=45usize {
+                let unclamped: Vec<_> = (0..shards.max(1))
+                    .map(|s| (s * ues / shards.max(1))..((s + 1) * ues / shards.max(1)))
+                    .filter(|r| !r.is_empty())
+                    .collect();
+                assert_eq!(
+                    shard_ranges(ues, shards),
+                    unclamped,
+                    "{ues} UEs, {shards} shards"
+                );
+            }
+        }
+        let unit: Vec<_> = (0..7).map(|u| u..u + 1).collect();
+        assert_eq!(shard_ranges(7, usize::MAX), unit);
+        assert_eq!(
+            shard_ranges(usize::MAX, 2).last(),
+            Some(&(usize::MAX / 2..usize::MAX))
+        );
+    }
+
+    #[test]
+    fn a_shard_count_past_the_ue_count_reports_at_once() {
+        // 10^12 shards over one UE visited every empty shard index (and
+        // `s * ues` overflowed for the largest counts), so the run spun at
+        // 100% CPU instead of reporting; on a watchdog thread, a hang fails
+        // the test instead.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let render = |ues, shards| {
+                let cfg = FleetConfig {
+                    ues,
+                    shards,
+                    duration_ms: 2_000,
+                    ..FleetConfig::default()
+                };
+                run_fleet_on(&cfg, &Executor::new(2)).map(|r| r.render())
+            };
+            tx.send([
+                (render(1, 1), render(1, 1_000_000_000_000)),
+                (render(7, 3), render(7, usize::MAX)),
+            ])
+            .ok();
+        });
+        let pairs = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the fleet run hung");
+        for (few, many) in pairs {
+            assert_eq!(many.unwrap(), few.unwrap());
+        }
     }
 
     #[test]

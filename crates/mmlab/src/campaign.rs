@@ -18,7 +18,7 @@ use mmcarriers::world::{World, CITY_SIZE_M};
 use mmcore::config::CellConfig;
 use mmnetsim::mobility::{Mobility, CITY_SPEED_MPS};
 use mmnetsim::network::Network;
-use mmnetsim::run::{drive, DriveConfig};
+use mmnetsim::run::{drive, DriveConfig, DriveResult};
 use mmnetsim::sched::{record_engine_stats, Engine};
 use mmradio::band::Rat;
 use mmradio::cell::{CellId, Deployment, PhyCell};
@@ -159,7 +159,7 @@ fn run_drive_config(cfg: &CampaignConfig, run: usize) -> DriveConfig {
 
 /// Tag one drive's result and bump the campaign counters.
 fn tag_instances(
-    result: Option<mmnetsim::DriveResult>,
+    result: Option<DriveResult>,
     carrier: &'static str,
     city: City,
 ) -> Vec<HandoffInstance> {
@@ -205,20 +205,15 @@ fn campaign_shard(
     cfg: &CampaignConfig,
 ) -> Vec<Vec<HandoffInstance>> {
     let cfgs: Vec<DriveConfig> = runs.map(|run| run_drive_config(cfg, run)).collect();
-    let outcome = Engine::new(network).run(&cfgs);
+    let outcome = Engine::new(network).run::<DriveResult>(&cfgs);
     record_engine_stats(&outcome.stats);
     outcome
         .ues
         .into_iter()
-        .map(|ue| {
-            let result = ue.map(|out| {
-                let run = out
-                    .into_full()
-                    // mm-allow(E001): Engine::new collects CollectMode::Full
-                    .expect("full collection mode");
-                run.record_telemetry();
-                run.result
-            });
+        .map(|result| {
+            if let Some(result) = &result {
+                result.record_telemetry();
+            }
             tag_instances(result, carrier, city)
         })
         .collect()
@@ -280,22 +275,19 @@ fn run_campaigns_sharded(
             city_network(world, carrier, city, cfg.seed)
         })
     };
-    let shards: Vec<(usize, std::ops::Range<usize>)> = (0..pairs.len())
-        .filter(|&p| networks[p].is_some())
-        .flat_map(|p| {
+    let shards: Vec<(&Network, &'static str, City, std::ops::Range<usize>)> = pairs
+        .iter()
+        .zip(&networks)
+        .filter_map(|(&(carrier, city), network)| Some((network.as_ref()?, carrier, city)))
+        .flat_map(|(network, carrier, city)| {
             (0..cfg.runs)
                 .step_by(width)
-                .map(move |lo| (p, lo..(lo + width).min(cfg.runs)))
+                .map(move |lo| (network, carrier, city, lo..(lo + width).min(cfg.runs)))
         })
         .collect();
     let (results, shard_stats) = {
         let _stage = reg.span("campaign", "drives");
-        exec.scatter_gather_stats(shards, |_, (p, runs)| {
-            let network = networks[p]
-                .as_ref()
-                // mm-allow(E001): the shard list is filtered to indices where networks[p].is_some()
-                .expect("shards scattered for built networks only");
-            let (carrier, city) = pairs[p];
+        exec.scatter_gather_stats(shards, |_, (network, carrier, city, runs)| {
             campaign_shard(network, carrier, city, runs, cfg)
         })
     };

@@ -5,10 +5,12 @@
 //! The physical-world substitute for the paper's Type-II measurements:
 //! mobility patterns ([`mobility`]), downlink traffic models ([`traffic`]),
 //! a SINR→throughput link model ([`link`]), the carrier [`network::Network`]
-//! wrapper, and the fixed-step drive runner ([`run`]) that executes the full
-//! configure→measure→report→decide→execute handoff loop and emits dataset-D1
-//! rows ([`run::HandoffRecord`]) plus throughput timelines and signaling
-//! captures.
+//! wrapper, and the discrete-event engine ([`sched::Engine`]) that runs the
+//! full configure→measure→report→decide→execute handoff loop for one UE or
+//! many. What survives of each UE is its record type: a
+//! [`run::DriveResult`] keeps dataset-D1 rows ([`run::HandoffRecord`]),
+//! throughput timelines and signaling captures ([`run::drive`] and the
+//! campaigns), a [`sched::UeTally`] keeps integer counters (`mmx fleet`).
 //!
 //! Everything is deterministic in the run seed; no wall-clock, no threads.
 
@@ -23,8 +25,5 @@ pub use link::LinkModel;
 pub use mobility::Mobility;
 pub use network::Network;
 pub use run::{drive, DriveConfig, DriveResult, HandoffKind, HandoffRecord};
-pub use sched::{
-    record_engine_stats, CollectMode, DriveRun, Engine, EngineOutcome, EngineStats, UeOutcome,
-    UeTally,
-};
+pub use sched::{record_engine_stats, Engine, EngineOutcome, EngineStats, UeRecord, UeTally};
 pub use traffic::Traffic;

@@ -144,8 +144,9 @@ pub struct RlfEvent {
     pub reestablished_on: CellId,
 }
 
-/// Everything a drive run produced.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything a drive run produced: the engine's full record of a UE
+/// (see [`crate::sched::UeRecord`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriveResult {
     /// All handoffs in execution order.
     pub handoffs: Vec<HandoffRecord>,
@@ -160,7 +161,15 @@ pub struct DriveResult {
     pub log: SignalingLog,
     /// Serving cell at the end of the run.
     pub final_serving: CellId,
+    /// Measurement reports sent.
+    pub reports_sent: u64,
+    /// Simulated milliseconds stepped.
+    pub sim_ms: u64,
 }
+
+/// Histogram bounds for report→command latency (the paper observes
+/// 80–230 ms).
+const COMMAND_DELAY_BOUNDS_MS: [u64; 5] = [80, 120, 160, 200, 240];
 
 impl DriveResult {
     /// Mean goodput over the run, bit/s.
@@ -169,6 +178,35 @@ impl DriveResult {
             return 0.0;
         }
         sum_f64(self.throughput.iter().map(|&(_, b)| b)) / self.throughput.len() as f64
+    }
+
+    /// Flush this drive's counts into the `netsim` telemetry section.
+    /// Everything recorded here is `Scope::Sim`: derived from the
+    /// simulation alone, never from the host scheduler.
+    pub fn record_telemetry(&self) {
+        let reg = mm_telemetry::global();
+        let mut by_label: std::collections::BTreeMap<&'static str, u64> = Default::default();
+        let delay_hist = reg.histogram("netsim", "command_delay_ms", &COMMAND_DELAY_BOUNDS_MS);
+        for rec in &self.handoffs {
+            *by_label.entry(rec.event_label()).or_default() += 1;
+            if let HandoffKind::Active {
+                command_delay_ms, ..
+            } = rec.kind
+            {
+                delay_hist.record(command_delay_ms);
+            }
+        }
+        for (label, n) in by_label {
+            reg.counter(
+                "netsim",
+                &format!("handoffs_{}", label.to_ascii_lowercase()),
+            )
+            .add(n);
+        }
+        reg.counter("netsim", "rlf_events")
+            .add(self.rlf_events.len() as u64);
+        reg.counter("netsim", "reports_sent").add(self.reports_sent);
+        reg.counter("netsim", "sim_ms_stepped").add(self.sim_ms);
     }
 }
 
@@ -222,48 +260,6 @@ pub(crate) fn measure(
         .collect()
 }
 
-pub(crate) fn find(batch: &[CellMeasurement], cell: CellId) -> Option<&CellMeasurement> {
-    batch.iter().find(|m| m.cell == cell)
-}
-
-/// Histogram bounds for report→command latency (the paper observes
-/// 80–230 ms).
-const COMMAND_DELAY_BOUNDS_MS: [u64; 5] = [80, 120, 160, 200, 240];
-
-/// Flush one finished drive's counts into the `netsim` telemetry section.
-/// Everything recorded here is `Scope::Sim`: derived from the simulation
-/// alone, never from the host scheduler.
-pub(crate) fn record_drive_telemetry(
-    handoffs: &[HandoffRecord],
-    rlf_events: &[RlfEvent],
-    reports_sent: u64,
-    sim_ms: u64,
-) {
-    let reg = mm_telemetry::global();
-    let mut by_label: std::collections::BTreeMap<&'static str, u64> = Default::default();
-    let delay_hist = reg.histogram("netsim", "command_delay_ms", &COMMAND_DELAY_BOUNDS_MS);
-    for rec in handoffs {
-        *by_label.entry(rec.event_label()).or_default() += 1;
-        if let HandoffKind::Active {
-            command_delay_ms, ..
-        } = rec.kind
-        {
-            delay_hist.record(command_delay_ms);
-        }
-    }
-    for (label, n) in by_label {
-        reg.counter(
-            "netsim",
-            &format!("handoffs_{}", label.to_ascii_lowercase()),
-        )
-        .add(n);
-    }
-    reg.counter("netsim", "rlf_events")
-        .add(rlf_events.len() as u64);
-    reg.counter("netsim", "reports_sent").add(reports_sent);
-    reg.counter("netsim", "sim_ms_stepped").add(sim_ms);
-}
-
 /// Log the SIB broadcast of a (new) serving cell, as the crawler would see.
 pub(crate) fn log_broadcast(log: &mut SignalingLog, t_ms: u64, network: &Network, cell: CellId) {
     for msg in mmsignaling::messages::broadcast(network.config(cell)) {
@@ -283,23 +279,16 @@ pub(crate) fn log_broadcast(log: &mut SignalingLog, t_ms: u64, network: &Network
 /// start.
 ///
 /// This is the single-UE call: it runs the discrete-event
-/// [`crate::sched::Engine`] with one full-collection UE, and its output is
-/// byte-identical to the historical per-tick loop. Multi-UE and tally-mode
-/// runs drive the engine directly.
+/// [`crate::sched::Engine`] with one UE recorded in full, and its output is
+/// byte-identical to the historical per-tick loop. Multi-UE and tally runs
+/// drive the engine directly.
 pub fn drive(network: &Network, cfg: &DriveConfig) -> Option<DriveResult> {
     let _span = mm_telemetry::global().span("netsim", "drive");
-    let outcome = crate::sched::Engine::new(network).run(std::slice::from_ref(cfg));
+    let outcome = crate::sched::Engine::new(network).run::<DriveResult>(std::slice::from_ref(cfg));
     crate::sched::record_engine_stats(&outcome.stats);
-    let run = outcome
-        .ues
-        .into_iter()
-        .next()
-        .flatten()?
-        .into_full()
-        // mm-allow(E001): Engine::new collects CollectMode::Full
-        .expect("full collection mode");
-    run.record_telemetry();
-    Some(run.result)
+    let result = outcome.ues.into_iter().next().flatten()?;
+    result.record_telemetry();
+    Some(result)
 }
 
 #[cfg(test)]

@@ -24,9 +24,10 @@
 //! [`crate::run::drive`] path is the `cfgs.len() == 1` special case of this
 //! engine and stays byte-identical to the historical per-tick loop.
 //!
-//! Collection modes: [`CollectMode::Full`] keeps every series and the
-//! signaling log (a [`DriveResult`] per UE); [`CollectMode::Tally`] folds
-//! each UE into an integer [`UeTally`] as it goes — *integer* accumulators,
+//! Records: [`Engine::run`] hands every event of a UE to that UE's
+//! [`UeRecord`], and the record type decides what survives.
+//! [`DriveResult`] keeps every series and the signaling log;
+//! [`UeTally`] folds the UE into *integer* counters as it goes — integer,
 //! because u64 sums are associative, which is what lets fleet shards merge
 //! in any grouping and still produce byte-identical output for every shard
 //! count and `MM_THREADS`.
@@ -34,18 +35,18 @@
 use crate::link::LinkModel;
 use crate::network::Network;
 use crate::run::{
-    find, log_broadcast, measure, min_binned, record_drive_telemetry, DriveConfig, DriveResult,
-    HandoffKind, HandoffRecord, RlfEvent,
+    log_broadcast, measure, min_binned, DriveConfig, DriveResult, HandoffKind, HandoffRecord,
+    RlfEvent,
 };
 use mm_rng::{stream_rng, SmallRng};
 use mmcore::config::Quantity;
-use mmcore::events::EventKind;
+use mmcore::events::{EventKind, MeasurementReportContent};
 use mmcore::handoff::decide;
 use mmcore::ue::{CellMeasurement, ConnectedUe, IdleUe};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
 use mmradio::signal::Sinr;
-use mmsignaling::log::{Direction, LogEntry, SignalingLog};
+use mmsignaling::log::{Direction, LogEntry};
 use mmsignaling::messages::RrcMessage;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -109,13 +110,92 @@ impl EventQueue {
     }
 }
 
-/// What the engine keeps per UE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectMode {
-    /// Full [`DriveResult`] per UE: every series plus the signaling log.
-    Full,
-    /// Integer [`UeTally`] per UE: O(1) memory, associatively mergeable.
-    Tally,
+/// What the engine keeps of one UE. [`Engine::run`] hands the record each
+/// event of the UE's run in the order it happens; the record keeps what it
+/// needs and drops the rest.
+pub trait UeRecord {
+    /// A record for a UE that attached to `initial` at time 0.
+    fn attach(initial: CellId) -> Self;
+    /// `cell` started serving at `t_ms` (attach, handoff, reselection or
+    /// re-establishment), and the UE read its SIB broadcast.
+    fn broadcast(&mut self, t_ms: u64, network: &Network, cell: CellId);
+    /// The UE sent `report` to its serving cell.
+    fn report(&mut self, t_ms: u64, serving: CellId, report: &MeasurementReportContent);
+    /// A handoff or reselection executed. The engine leaves
+    /// `min_thpt_before_bps` at `None`: it derives from the throughput
+    /// series, which only a record that keeps it can fill in.
+    fn handoff(&mut self, rec: HandoffRecord);
+    /// The serving link failed and was re-established.
+    fn rlf(&mut self, rlf: RlfEvent);
+    /// One data-plane goodput sample, bit/s.
+    fn throughput(&mut self, t_ms: u64, bps: f64);
+    /// One answered ping, ms.
+    fn rtt(&mut self, t_ms: u64, rtt_ms: f64);
+    /// The run is over after `sim_ms` simulated milliseconds, with
+    /// `final_serving` serving.
+    fn finish(&mut self, sim_ms: u64, final_serving: CellId);
+}
+
+/// The full record: every series plus the signaling log, which is what
+/// [`crate::run::drive`] and the campaigns need.
+impl UeRecord for DriveResult {
+    fn attach(initial: CellId) -> DriveResult {
+        DriveResult {
+            final_serving: initial,
+            ..DriveResult::default()
+        }
+    }
+
+    fn broadcast(&mut self, t_ms: u64, network: &Network, cell: CellId) {
+        log_broadcast(&mut self.log, t_ms, network, cell);
+    }
+
+    fn report(&mut self, t_ms: u64, serving: CellId, report: &MeasurementReportContent) {
+        self.reports_sent += 1;
+        self.log.push(LogEntry {
+            t_ms,
+            direction: Direction::Uplink,
+            serving,
+            message: RrcMessage::MeasurementReport {
+                content: report.clone(),
+            },
+        });
+    }
+
+    fn handoff(&mut self, mut rec: HandoffRecord) {
+        if let HandoffKind::Active { report_t_ms, .. } = rec.kind {
+            rec.min_thpt_before_bps = min_binned(
+                &self.throughput,
+                report_t_ms.saturating_sub(10_000),
+                report_t_ms,
+                1_000,
+            );
+            self.log.push(LogEntry {
+                t_ms: rec.t_ms,
+                direction: Direction::Downlink,
+                serving: rec.from,
+                message: RrcMessage::MobilityCommand { target: rec.to },
+            });
+        }
+        self.handoffs.push(rec);
+    }
+
+    fn rlf(&mut self, rlf: RlfEvent) {
+        self.rlf_events.push(rlf);
+    }
+
+    fn throughput(&mut self, t_ms: u64, bps: f64) {
+        self.throughput.push((t_ms, bps));
+    }
+
+    fn rtt(&mut self, t_ms: u64, rtt_ms: f64) {
+        self.ping_rtts.push((t_ms, rtt_ms));
+    }
+
+    fn finish(&mut self, sim_ms: u64, final_serving: CellId) {
+        self.sim_ms = sim_ms;
+        self.final_serving = final_serving;
+    }
 }
 
 /// Integer per-UE summary of a drive — every accumulator is a `u64`
@@ -144,13 +224,6 @@ pub struct UeTally {
 }
 
 impl UeTally {
-    fn new(initial: CellId) -> UeTally {
-        UeTally {
-            final_serving: initial,
-            ..UeTally::default()
-        }
-    }
-
     /// Add `other`'s counters into this tally, field by field — the one
     /// merge every shard fold uses. `final_serving` is per-UE state, not a
     /// counter, and keeps this tally's value.
@@ -177,47 +250,45 @@ impl UeTally {
     }
 }
 
-/// One finished Full-mode drive: the result plus the counters the per-drive
-/// telemetry flush needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriveRun {
-    /// Everything the drive produced.
-    pub result: DriveResult,
-    /// Measurement reports sent.
-    pub reports_sent: u64,
-    /// Simulated milliseconds stepped.
-    pub sim_ms: u64,
-}
-
-impl DriveRun {
-    /// Flush this drive's counts into the `netsim` telemetry section
-    /// (exactly what the historical `drive` recorded per run).
-    pub fn record_telemetry(&self) {
-        record_drive_telemetry(
-            &self.result.handoffs,
-            &self.result.rlf_events,
-            self.reports_sent,
-            self.sim_ms,
-        );
-    }
-}
-
-/// Per-UE engine output, by collection mode.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UeOutcome {
-    /// [`CollectMode::Full`].
-    Full(Box<DriveRun>),
-    /// [`CollectMode::Tally`].
-    Tally(UeTally),
-}
-
-impl UeOutcome {
-    /// The full drive, if collected in [`CollectMode::Full`].
-    pub fn into_full(self) -> Option<DriveRun> {
-        match self {
-            UeOutcome::Full(run) => Some(*run),
-            UeOutcome::Tally(_) => None,
+/// The tally record: O(1) memory per UE, associatively mergeable.
+impl UeRecord for UeTally {
+    fn attach(initial: CellId) -> UeTally {
+        UeTally {
+            final_serving: initial,
+            ..UeTally::default()
         }
+    }
+
+    fn broadcast(&mut self, _: u64, _: &Network, _: CellId) {}
+
+    fn report(&mut self, _: u64, _: CellId, _: &MeasurementReportContent) {
+        self.reports_sent += 1;
+    }
+
+    fn handoff(&mut self, rec: HandoffRecord) {
+        let k = rec.decisive_event().code() as usize;
+        if let Some(n) = self.handoffs_by_event.get_mut(k) {
+            *n += 1;
+        }
+    }
+
+    fn rlf(&mut self, _: RlfEvent) {
+        self.rlf_events += 1;
+    }
+
+    fn throughput(&mut self, _: u64, bps: f64) {
+        self.throughput_samples += 1;
+        self.throughput_bps_sum += bps as u64;
+    }
+
+    fn rtt(&mut self, _: u64, rtt_ms: f64) {
+        self.rtt_samples += 1;
+        self.rtt_us_sum += (rtt_ms * 1000.0) as u64;
+    }
+
+    fn finish(&mut self, sim_ms: u64, final_serving: CellId) {
+        self.sim_ms = sim_ms;
+        self.final_serving = final_serving;
     }
 }
 
@@ -240,13 +311,13 @@ impl EngineStats {
     }
 }
 
-/// Everything one engine run produced: per-UE outcomes in config order
+/// Everything one engine run produced: per-UE records in config order
 /// (`None` where no cell was detectable at the route start) plus the queue
 /// accounting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EngineOutcome {
-    /// Per-UE outcomes, index-aligned with the input configs.
-    pub ues: Vec<Option<UeOutcome>>,
+pub struct EngineOutcome<R> {
+    /// Per-UE records, index-aligned with the input configs.
+    pub ues: Vec<Option<R>>,
     /// Event-queue accounting.
     pub stats: EngineStats,
 }
@@ -272,11 +343,27 @@ pub fn record_engine_stats(stats: &EngineStats) {
     .record(stats.max_queue_depth);
 }
 
+/// A UE's RRC state machine, fixed at attach by [`DriveConfig::active`].
+enum Radio {
+    /// RRC-connected: network-commanded handoffs, with traffic.
+    Connected(ConnectedUe),
+    /// RRC-idle: UE-autonomous reselection, no traffic.
+    Idle(IdleUe),
+}
+
+impl Radio {
+    fn serving(&self) -> CellId {
+        match self {
+            Radio::Connected(ue) => ue.serving(),
+            Radio::Idle(ue) => ue.serving(),
+        }
+    }
+}
+
 /// Live state of one UE between events.
-struct UeState {
+struct UeState<R> {
     rng: SmallRng,
-    connected: Option<ConnectedUe>,
-    idle: Option<IdleUe>,
+    radio: Radio,
     pos: Point,
     batch: Vec<CellMeasurement>,
     /// A connected UE's serving cell and its SINR at `pos`, from the
@@ -291,35 +378,27 @@ struct UeState {
     last_handoff_t: Option<u64>,
     /// RLF tracking: when the serving SINR first went below Qout.
     out_of_sync_since: Option<u64>,
-    reports_sent: u64,
     sim_ms: u64,
-    // Full-mode series (left empty in Tally mode).
-    handoffs: Vec<HandoffRecord>,
-    rlf_events: Vec<RlfEvent>,
-    throughput: Vec<(u64, f64)>,
-    ping_rtts: Vec<(u64, f64)>,
-    log: SignalingLog,
-    tally: UeTally,
+    record: R,
 }
 
-impl UeState {
+impl<R: UeRecord> UeState<R> {
     /// Attach at the route start; `None` if no cell is detectable there.
-    fn attach(network: &Network, cfg: &DriveConfig, mode: CollectMode) -> Option<UeState> {
+    fn attach(network: &Network, cfg: &DriveConfig) -> Option<UeState<R>> {
         let rng = stream_rng(cfg.seed, 0x647276); // "drv"
         let start = cfg.mobility.position(0.0);
         let (initial, _) = network.deployment.strongest(start, None)?;
-        let mut log = SignalingLog::new();
-        if mode == CollectMode::Full {
-            log_broadcast(&mut log, 0, network, initial);
-        }
-        let connected = cfg
-            .active
-            .then(|| ConnectedUe::new(network.config(initial).clone()));
-        let idle = (!cfg.active).then(|| IdleUe::new(network.config(initial).clone()));
+        let mut record = R::attach(initial);
+        record.broadcast(0, network, initial);
+        let config = network.config(initial).clone();
+        let radio = if cfg.active {
+            Radio::Connected(ConnectedUe::new(config))
+        } else {
+            Radio::Idle(IdleUe::new(config))
+        };
         Some(UeState {
             rng,
-            connected,
-            idle,
+            radio,
             pos: start,
             batch: Vec::new(),
             sinr: None,
@@ -327,49 +406,14 @@ impl UeState {
             interruption_until: 0,
             last_handoff_t: None,
             out_of_sync_since: None,
-            reports_sent: 0,
             sim_ms: 0,
-            handoffs: Vec::new(),
-            rlf_events: Vec::new(),
-            throughput: Vec::new(),
-            ping_rtts: Vec::new(),
-            log,
-            tally: UeTally::new(initial),
+            record,
         })
     }
 
-    fn serving(&self) -> CellId {
-        self.connected
-            .as_ref()
-            .map(|u| u.serving())
-            .or_else(|| self.idle.as_ref().map(|u| u.serving()))
-            // mm-allow(E001): attach populates exactly one of connected/idle
-            .expect("one mode is active")
-    }
-
-    fn finish(self, mode: CollectMode) -> UeOutcome {
-        let final_serving = self.serving();
-        match mode {
-            CollectMode::Full => UeOutcome::Full(Box::new(DriveRun {
-                result: DriveResult {
-                    handoffs: self.handoffs,
-                    rlf_events: self.rlf_events,
-                    throughput: self.throughput,
-                    ping_rtts: self.ping_rtts,
-                    log: self.log,
-                    final_serving,
-                },
-                reports_sent: self.reports_sent,
-                sim_ms: self.sim_ms,
-            })),
-            CollectMode::Tally => {
-                let mut tally = self.tally;
-                tally.reports_sent = self.reports_sent;
-                tally.sim_ms = self.sim_ms;
-                tally.final_serving = final_serving;
-                UeOutcome::Tally(tally)
-            }
-        }
+    fn finish(mut self) -> R {
+        self.record.finish(self.sim_ms, self.radio.serving());
+        self.record
     }
 }
 
@@ -377,36 +421,27 @@ impl UeState {
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'n> {
     network: &'n Network,
-    mode: CollectMode,
 }
 
 impl<'n> Engine<'n> {
-    /// An engine over `network`, collecting [`CollectMode::Full`] results.
+    /// An engine over `network`.
     pub fn new(network: &'n Network) -> Engine<'n> {
-        Engine {
-            network,
-            mode: CollectMode::Full,
-        }
+        Engine { network }
     }
 
-    /// Set the collection mode.
-    pub fn collect(mut self, mode: CollectMode) -> Engine<'n> {
-        self.mode = mode;
-        self
-    }
-
-    /// Run every config's UE to completion over one shared event queue.
+    /// Run every config's UE to completion over one shared event queue,
+    /// keeping an `R` of each.
     ///
     /// Panics if any config has a zero `epoch_ms` (the historical loop
     /// would spin forever on it) or if more than `u32::MAX` UEs are asked
     /// for in one shard.
-    pub fn run(&self, cfgs: &[DriveConfig]) -> EngineOutcome {
+    pub fn run<R: UeRecord>(&self, cfgs: &[DriveConfig]) -> EngineOutcome<R> {
         assert!(u32::try_from(cfgs.len()).is_ok(), "too many UEs per shard");
         let mut queue = EventQueue::new();
-        let mut ues: Vec<Option<UeState>> = Vec::with_capacity(cfgs.len());
+        let mut ues: Vec<Option<UeState<R>>> = Vec::with_capacity(cfgs.len());
         for (i, cfg) in cfgs.iter().enumerate() {
             assert!(cfg.epoch_ms > 0, "epoch_ms must be positive");
-            let st = UeState::attach(self.network, cfg, self.mode);
+            let st = UeState::attach(self.network, cfg);
             if st.is_some() && cfg.duration_ms > 0 {
                 queue.push(0, i as u32, Phase::Measure);
             }
@@ -427,95 +462,80 @@ impl<'n> Engine<'n> {
                     st.pos = cfg.mobility.position(ev.t_ms as f64 / 1000.0);
                     let survey = self.network.deployment.survey(st.pos);
                     st.batch = measure(&survey, &mut st.rng, 16);
-                    st.sinr = st.connected.as_ref().and_then(|ue| {
-                        let serving = ue.serving();
-                        survey.sinr(serving).map(|sinr| (serving, sinr))
-                    });
+                    st.sinr = match &st.radio {
+                        Radio::Connected(ue) => {
+                            let serving = ue.serving();
+                            survey.sinr(serving).map(|sinr| (serving, sinr))
+                        }
+                        Radio::Idle(_) => None,
+                    };
                     queue.push(ev.t_ms, ev.ue, Phase::Control);
                 }
                 Phase::Control => {
                     self.control(st, ev.t_ms);
-                    if cfg.active {
-                        queue.push(ev.t_ms, ev.ue, Phase::Traffic);
-                    } else {
-                        schedule_next(&mut queue, cfg, st, ev);
+                    match st.radio {
+                        Radio::Connected(_) => queue.push(ev.t_ms, ev.ue, Phase::Traffic),
+                        Radio::Idle(_) => schedule_next(&mut queue, cfg, &mut st.sim_ms, ev),
                     }
                 }
                 Phase::Traffic => {
                     self.traffic(cfg, st, ev.t_ms);
-                    schedule_next(&mut queue, cfg, st, ev);
+                    schedule_next(&mut queue, cfg, &mut st.sim_ms, ev);
                 }
             }
         }
-        let stats = EngineStats {
-            events_processed: queue.processed,
-            max_queue_depth: queue.max_depth as u64,
-        };
-        let mode = self.mode;
         EngineOutcome {
-            ues: ues
-                .into_iter()
-                .map(|st| st.map(|st| st.finish(mode)))
-                .collect(),
-            stats,
+            ues: ues.into_iter().map(|st| st.map(UeState::finish)).collect(),
+            stats: EngineStats {
+                events_processed: queue.processed,
+                max_queue_depth: queue.max_depth as u64,
+            },
         }
     }
 
     /// Control-plane work of one epoch — a statement-for-statement
     /// transplant of the historical per-tick loop body, so the per-UE
     /// output is byte-identical.
-    fn control(&self, st: &mut UeState, t: u64) {
+    fn control<R: UeRecord>(&self, st: &mut UeState<R>, t: u64) {
         let network = self.network;
-        let mode = self.mode;
-        let serving = st.serving();
-
-        if let Some(ue) = st.connected.as_mut() {
-            // Radio link monitoring (TS 36.133): T310 expiry declares RLF,
-            // drops any pending command, and re-establishes on the
-            // strongest cell after an outage.
-            if t >= st.interruption_until {
-                let sinr = serving_sinr(&mut st.sinr, network, ue.serving(), st.pos);
-                if sinr.0 < network.policy.rlf_qout_sinr_db {
-                    let since = *st.out_of_sync_since.get_or_insert(t);
-                    if t.saturating_sub(since) >= network.policy.rlf_t310_ms {
-                        let target = network
-                            .deployment
-                            .strongest(st.pos, None)
-                            .map(|(c, _)| c)
-                            .filter(|c| network.configs.contains_key(c))
-                            .unwrap_or_else(|| ue.serving());
-                        match mode {
-                            CollectMode::Full => st.rlf_events.push(RlfEvent {
+        let serving = st.radio.serving();
+        match &mut st.radio {
+            Radio::Connected(ue) => {
+                // Radio link monitoring (TS 36.133): T310 expiry declares
+                // RLF, drops any pending command, and re-establishes on the
+                // strongest cell after an outage.
+                if t >= st.interruption_until {
+                    let sinr = serving_sinr(&mut st.sinr, network, ue.serving(), st.pos);
+                    if sinr.0 < network.policy.rlf_qout_sinr_db {
+                        let since = *st.out_of_sync_since.get_or_insert(t);
+                        if t.saturating_sub(since) >= network.policy.rlf_t310_ms {
+                            let target = network
+                                .deployment
+                                .strongest(st.pos, None)
+                                .map(|(c, _)| c)
+                                .filter(|c| network.configs.contains_key(c))
+                                .unwrap_or_else(|| ue.serving());
+                            st.record.rlf(RlfEvent {
                                 t_ms: t,
                                 cell: ue.serving(),
                                 reestablished_on: target,
-                            }),
-                            CollectMode::Tally => st.tally.rlf_events += 1,
+                            });
+                            ue.apply_handoff(network.config(target).clone());
+                            st.record.broadcast(t, network, target);
+                            st.interruption_until = t + network.policy.rlf_reestablish_ms;
+                            st.last_handoff_t = Some(t);
+                            st.pending = None;
+                            st.out_of_sync_since = None;
                         }
-                        ue.apply_handoff(network.config(target).clone());
-                        if mode == CollectMode::Full {
-                            log_broadcast(&mut st.log, t, network, target);
-                        }
-                        st.interruption_until = t + network.policy.rlf_reestablish_ms;
-                        st.last_handoff_t = Some(t);
-                        st.pending = None;
+                    } else {
                         st.out_of_sync_since = None;
                     }
-                } else {
-                    st.out_of_sync_since = None;
                 }
-            }
 
-            // Execute a due handoff command first.
-            if let Some((exec_t, target, decisive, quantity, report_t, delay)) = st.pending {
-                if t >= exec_t {
-                    let old = find(&st.batch, serving);
-                    let new = find(&st.batch, target);
-                    let rec = HandoffRecord {
-                        t_ms: t,
-                        from: serving,
-                        to: target,
-                        kind: HandoffKind::Active {
+                // Execute a due handoff command first.
+                if let Some((exec_t, target, decisive, quantity, report_t, delay)) = st.pending {
+                    if t >= exec_t {
+                        let kind = HandoffKind::Active {
                             decisive,
                             quantity,
                             report_config: network
@@ -526,129 +546,64 @@ impl<'n> Engine<'n> {
                                 .copied(),
                             report_t_ms: report_t,
                             command_delay_ms: delay,
-                        },
-                        rsrp_old_dbm: old.map_or(-140.0, |m| m.rsrp_dbm),
-                        rsrp_new_dbm: new.map_or(-140.0, |m| m.rsrp_dbm),
-                        rsrq_old_db: old.map_or(-19.5, |m| m.rsrq_db),
-                        rsrq_new_db: new.map_or(-19.5, |m| m.rsrq_db),
-                        min_thpt_before_bps: min_binned(
-                            &st.throughput,
-                            report_t.saturating_sub(10_000),
-                            report_t,
-                            1_000,
-                        ),
-                    };
-                    match mode {
-                        CollectMode::Full => {
-                            st.handoffs.push(rec);
-                            st.log.push(LogEntry {
-                                t_ms: t,
-                                direction: Direction::Downlink,
-                                serving,
-                                message: RrcMessage::MobilityCommand { target },
-                            });
-                        }
-                        CollectMode::Tally => {
-                            let k = rec.decisive_event().code() as usize;
-                            if let Some(n) = st.tally.handoffs_by_event.get_mut(k) {
-                                *n += 1;
-                            }
-                        }
+                        };
+                        st.record
+                            .handoff(handoff_record(&st.batch, t, serving, target, kind));
+                        ue.apply_handoff(network.config(target).clone());
+                        st.record.broadcast(t, network, target);
+                        st.interruption_until = t + network.policy.interruption_ms;
+                        st.last_handoff_t = Some(t);
+                        st.pending = None;
                     }
-                    ue.apply_handoff(network.config(target).clone());
-                    if mode == CollectMode::Full {
-                        log_broadcast(&mut st.log, t, network, target);
-                    }
-                    st.interruption_until = t + network.policy.interruption_ms;
-                    st.last_handoff_t = Some(t);
-                    st.pending = None;
                 }
-            }
 
-            let dwell_ok = st
-                .last_handoff_t
-                .is_none_or(|lh| t.saturating_sub(lh) >= network.policy.min_dwell_ms);
-            if st.pending.is_none() {
-                let reports = ue.step(t, &st.batch);
-                for report in reports {
-                    st.reports_sent += 1;
-                    if mode == CollectMode::Full {
-                        st.log.push(LogEntry {
-                            t_ms: t,
-                            direction: Direction::Uplink,
-                            serving: ue.serving(),
-                            message: RrcMessage::MeasurementReport {
-                                content: report.clone(),
-                            },
-                        });
-                    }
-                    if st.pending.is_none() && dwell_ok {
-                        if let Some(d) = decide(
-                            network.config(ue.serving()),
-                            &network.policy,
-                            &report,
-                            &mut st.rng,
-                        ) {
-                            // Only admissible if the target is deployed here.
-                            if network.configs.contains_key(&d.target) {
-                                st.pending = Some((
-                                    t + d.command_delay_ms,
-                                    d.target,
-                                    d.decisive_event,
-                                    report.quantity,
-                                    t,
-                                    d.command_delay_ms,
-                                ));
+                let dwell_ok = st
+                    .last_handoff_t
+                    .is_none_or(|lh| t.saturating_sub(lh) >= network.policy.min_dwell_ms);
+                if st.pending.is_none() {
+                    for report in ue.step(t, &st.batch) {
+                        st.record.report(t, ue.serving(), &report);
+                        if st.pending.is_none() && dwell_ok {
+                            if let Some(d) = decide(
+                                network.config(ue.serving()),
+                                &network.policy,
+                                &report,
+                                &mut st.rng,
+                            ) {
+                                // Only admissible if the target is deployed here.
+                                if network.configs.contains_key(&d.target) {
+                                    st.pending = Some((
+                                        t + d.command_delay_ms,
+                                        d.target,
+                                        d.decisive_event,
+                                        report.quantity,
+                                        t,
+                                        d.command_delay_ms,
+                                    ));
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-
-        if let Some(ue) = st.idle.as_mut() {
-            if let Some(sel) = ue.step(t, &st.batch) {
-                let old = find(&st.batch, serving);
-                let new = find(&st.batch, sel.target);
-                let rec = HandoffRecord {
-                    t_ms: t,
-                    from: serving,
-                    to: sel.target,
-                    kind: HandoffKind::Idle {
+            Radio::Idle(ue) => {
+                if let Some(sel) = ue.step(t, &st.batch) {
+                    let kind = HandoffKind::Idle {
                         relation: sel.relation,
-                    },
-                    rsrp_old_dbm: old.map_or(-140.0, |m| m.rsrp_dbm),
-                    rsrp_new_dbm: new.map_or(-140.0, |m| m.rsrp_dbm),
-                    rsrq_old_db: old.map_or(-19.5, |m| m.rsrq_db),
-                    rsrq_new_db: new.map_or(-19.5, |m| m.rsrq_db),
-                    min_thpt_before_bps: None,
-                };
-                ue.apply_reselection(network.config(sel.target).clone());
-                match mode {
-                    CollectMode::Full => {
-                        st.handoffs.push(rec);
-                        log_broadcast(&mut st.log, t, network, sel.target);
-                    }
-                    CollectMode::Tally => {
-                        let k = rec.decisive_event().code() as usize;
-                        if let Some(n) = st.tally.handoffs_by_event.get_mut(k) {
-                            *n += 1;
-                        }
-                    }
+                    };
+                    st.record
+                        .handoff(handoff_record(&st.batch, t, serving, sel.target, kind));
+                    ue.apply_reselection(network.config(sel.target).clone());
+                    st.record.broadcast(t, network, sel.target);
                 }
             }
         }
     }
 
     /// Data-plane tick of one epoch (active UEs; uses post-handoff serving).
-    fn traffic(&self, cfg: &DriveConfig, st: &mut UeState, t: u64) {
+    fn traffic<R: UeRecord>(&self, cfg: &DriveConfig, st: &mut UeState<R>, t: u64) {
         let network = self.network;
-        let serving = st
-            .connected
-            .as_ref()
-            // mm-allow(E001): Traffic events are only scheduled for active UEs
-            .expect("active mode")
-            .serving();
+        let serving = st.radio.serving();
         let in_interruption = t < st.interruption_until;
         let bps = if in_interruption {
             0.0
@@ -660,27 +615,39 @@ impl<'n> Engine<'n> {
             cfg.traffic
                 .goodput_bps(link.throughput_bps(sinr, cell.load))
         };
-        match self.mode {
-            CollectMode::Full => st.throughput.push((t, bps)),
-            CollectMode::Tally => {
-                st.tally.throughput_samples += 1;
-                st.tally.throughput_bps_sum += bps as u64;
-            }
-        }
+        st.record.throughput(t, bps);
         if cfg.traffic.ping_due(t, cfg.epoch_ms) && !in_interruption {
             // mm-allow(E001): the serving cell was handed off from this same deployment
             let cell = network.deployment.cell(serving).expect("serving deployed");
             let sinr = serving_sinr(&mut st.sinr, network, serving, st.pos);
             if let Some(rtt) = LinkModel::for_rat(cell.rat()).rtt_ms(sinr) {
-                match self.mode {
-                    CollectMode::Full => st.ping_rtts.push((t, rtt)),
-                    CollectMode::Tally => {
-                        st.tally.rtt_samples += 1;
-                        st.tally.rtt_us_sum += (rtt * 1000.0) as u64;
-                    }
-                }
+                st.record.rtt(t, rtt);
             }
         }
+    }
+}
+
+/// A handoff from `from` to `to` at `t_ms`, with both cells' measurements
+/// from the epoch's `batch` (-140 dBm and -19.5 dB for a cell it lacks).
+fn handoff_record(
+    batch: &[CellMeasurement],
+    t_ms: u64,
+    from: CellId,
+    to: CellId,
+    kind: HandoffKind,
+) -> HandoffRecord {
+    let find = |cell: CellId| batch.iter().find(|m| m.cell == cell);
+    let (old, new) = (find(from), find(to));
+    HandoffRecord {
+        t_ms,
+        from,
+        to,
+        kind,
+        rsrp_old_dbm: old.map_or(-140.0, |m| m.rsrp_dbm),
+        rsrp_new_dbm: new.map_or(-140.0, |m| m.rsrp_dbm),
+        rsrq_old_db: old.map_or(-19.5, |m| m.rsrq_db),
+        rsrq_new_db: new.map_or(-19.5, |m| m.rsrq_db),
+        min_thpt_before_bps: None,
     }
 }
 
@@ -712,9 +679,9 @@ fn serving_sinr(
 /// or past `duration_ms` (zero when the duration is zero). An end time
 /// past `u64::MAX` retires the UE with `sim_ms` at `u64::MAX`; wrapping
 /// would re-run it from an earlier time.
-fn schedule_next(queue: &mut EventQueue, cfg: &DriveConfig, st: &mut UeState, ev: Event) {
+fn schedule_next(queue: &mut EventQueue, cfg: &DriveConfig, sim_ms: &mut u64, ev: Event) {
     let next = ev.t_ms.checked_add(cfg.epoch_ms);
-    st.sim_ms = next.unwrap_or(u64::MAX);
+    *sim_ms = next.unwrap_or(u64::MAX);
     if let Some(next) = next.filter(|&next| next < cfg.duration_ms) {
         queue.push(next, ev.ue, Phase::Measure);
     }
@@ -724,9 +691,10 @@ fn schedule_next(queue: &mut EventQueue, cfg: &DriveConfig, st: &mut UeState, ev
 mod tests {
     use super::*;
     use crate::mobility::{Mobility, CITY_SPEED_MPS};
+    use crate::traffic::Traffic;
     use mm_rng::Rng;
     use mmcore::config::CellConfig;
-    use mmcore::events::ReportConfig;
+    use mmcore::events::{DecisiveEvent, ReportConfig};
     use mmradio::band::ChannelNumber;
     use mmradio::cell::{cell, Deployment};
     use mmradio::propagation::{Environment, PropagationModel};
@@ -762,51 +730,70 @@ mod tests {
     fn multi_ue_run_equals_independent_single_ue_runs() {
         let network = corridor(3.0);
         let cfgs: Vec<DriveConfig> = (0..4).map(corridor_drive).collect();
-        let shared = Engine::new(&network).run(&cfgs);
+        let shared = Engine::new(&network).run::<DriveResult>(&cfgs);
         assert_eq!(shared.ues.len(), 4);
         for (cfg, outcome) in cfgs.iter().zip(shared.ues) {
             let single = crate::run::drive(&network, cfg).expect("attaches");
-            let run = outcome.expect("attaches").into_full().expect("full mode");
-            assert_eq!(run.result, single, "shared-queue UE must match solo run");
+            let run = outcome.expect("attaches");
+            assert_eq!(run, single, "shared-queue UE must match solo run");
         }
     }
 
     #[test]
     fn tally_matches_full_counts() {
         let network = corridor(3.0);
-        let cfgs = vec![corridor_drive(1), corridor_drive(2)];
-        let full = Engine::new(&network).run(&cfgs);
-        let tally = Engine::new(&network).collect(CollectMode::Tally).run(&cfgs);
-        // Both modes process the same event chain.
+        let pinging = DriveConfig {
+            traffic: Traffic::ping_5s(),
+            ..corridor_drive(3)
+        };
+        let idle = DriveConfig::idle(
+            Mobility::straight_line(50.0, 3000.0, CITY_SPEED_MPS),
+            300_000,
+            5,
+        );
+        let cfgs = vec![corridor_drive(1), corridor_drive(2), pinging, idle];
+        let full = Engine::new(&network).run::<DriveResult>(&cfgs);
+        let tally = Engine::new(&network).run::<UeTally>(&cfgs);
+        // Both records see the same event chain.
         assert_eq!(full.stats, tally.stats);
+        let mut total = UeTally::default();
         for (f, t) in full.ues.into_iter().zip(tally.ues) {
-            let f = f.unwrap().into_full().unwrap();
-            let UeOutcome::Tally(t) = t.unwrap() else {
-                panic!("tally mode collects tallies")
-            };
-            assert_eq!(t.handoffs(), f.result.handoffs.len() as u64);
-            for h in &f.result.handoffs {
-                assert!(t.handoffs_by_event[h.decisive_event().code() as usize] > 0);
+            let (f, t) = (f.unwrap(), t.unwrap());
+            let mut by_event = [0u64; 10];
+            for h in &f.handoffs {
+                by_event[h.decisive_event().code() as usize] += 1;
             }
-            assert_eq!(t.rlf_events, f.result.rlf_events.len() as u64);
+            assert_eq!(t.handoffs_by_event, by_event);
+            assert_eq!(t.rlf_events, f.rlf_events.len() as u64);
             assert_eq!(t.reports_sent, f.reports_sent);
             assert_eq!(t.sim_ms, f.sim_ms);
-            assert_eq!(t.throughput_samples, f.result.throughput.len() as u64);
-            assert_eq!(t.rtt_samples, f.result.ping_rtts.len() as u64);
-            assert_eq!(t.final_serving, f.result.final_serving);
-            let full_sum: u64 = f.result.throughput.iter().map(|&(_, b)| b as u64).sum();
-            assert_eq!(t.throughput_bps_sum, full_sum);
+            assert_eq!(t.throughput_samples, f.throughput.len() as u64);
+            assert_eq!(t.rtt_samples, f.ping_rtts.len() as u64);
+            assert_eq!(t.final_serving, f.final_serving);
+            let bps_sum: u64 = f.throughput.iter().map(|&(_, b)| b as u64).sum();
+            assert_eq!(t.throughput_bps_sum, bps_sum);
+            let rtt_sum: u64 = f.ping_rtts.iter().map(|&(_, r)| (r * 1000.0) as u64).sum();
+            assert_eq!(t.rtt_us_sum, rtt_sum);
+            total.merge(&t);
         }
+        // None of the comparisons above is vacuous: the active drives hand
+        // off by A3, the idle drive reselects, and the pinging drive has
+        // RTTs to sum.
+        let count = |ev: DecisiveEvent| total.handoffs_by_event[ev.code() as usize];
+        assert!(count(DecisiveEvent::A3) > 0, "{total:?}");
+        assert!(count(DecisiveEvent::Idle) > 0, "{total:?}");
+        assert!(total.reports_sent > 0 && total.throughput_samples > 0);
+        assert!(total.rtt_samples > 0 && total.rtt_us_sum > 0, "{total:?}");
     }
 
     #[test]
     fn events_processed_is_a_pure_function_of_the_configs() {
         let network = corridor(3.0);
         let cfgs = vec![corridor_drive(1), corridor_drive(2)];
-        let whole = Engine::new(&network).run(&cfgs);
+        let whole = Engine::new(&network).run::<UeTally>(&cfgs);
         let mut split = EngineStats::default();
         for cfg in &cfgs {
-            let one = Engine::new(&network).run(std::slice::from_ref(cfg));
+            let one = Engine::new(&network).run::<UeTally>(std::slice::from_ref(cfg));
             split.merge(&one.stats);
         }
         // 3 events per active epoch per UE, regardless of sharding.
@@ -821,13 +808,12 @@ mod tests {
         let network = corridor(3.0);
         let mut cfg = corridor_drive(1);
         cfg.duration_ms = 0;
-        let out = Engine::new(&network).run(std::slice::from_ref(&cfg));
+        let out = Engine::new(&network).run::<DriveResult>(std::slice::from_ref(&cfg));
         assert_eq!(out.stats.events_processed, 0);
         let run = out.ues.into_iter().next().unwrap().unwrap();
-        let run = run.into_full().unwrap();
         assert_eq!(run.sim_ms, 0);
-        assert!(run.result.handoffs.is_empty());
-        assert_eq!(run.result.final_serving, CellId(1));
+        assert!(run.handoffs.is_empty());
+        assert_eq!(run.final_serving, CellId(1));
     }
 
     #[test]
@@ -836,11 +822,11 @@ mod tests {
         let mut cfg = corridor_drive(1);
         cfg.duration_ms = u64::MAX;
         cfg.epoch_ms = 1 << 63;
-        let out = Engine::new(&network).run(std::slice::from_ref(&cfg));
+        let out = Engine::new(&network).run::<DriveResult>(std::slice::from_ref(&cfg));
         // Epochs at 0 and 2^63 ms; the next would end at 2^64 ms.
         assert_eq!(out.stats.events_processed, 2 * 3);
         let run = out.ues.into_iter().next().unwrap().unwrap();
-        assert_eq!(run.into_full().unwrap().sim_ms, u64::MAX);
+        assert_eq!(run.sim_ms, u64::MAX);
     }
 
     #[test]
@@ -849,16 +835,16 @@ mod tests {
         let network = corridor(3.0);
         let mut cfg = corridor_drive(1);
         cfg.epoch_ms = 0;
-        let _ = Engine::new(&network).run(std::slice::from_ref(&cfg));
+        let _ = Engine::new(&network).run::<UeTally>(std::slice::from_ref(&cfg));
     }
 
     #[test]
     fn zero_ue_run_is_empty_not_an_error() {
         let network = corridor(3.0);
-        let out = Engine::new(&network).run(&[]);
+        let out = Engine::new(&network).run::<DriveResult>(&[]);
         assert!(out.ues.is_empty());
         assert_eq!(out.stats, EngineStats::default());
-        let tallied = Engine::new(&network).collect(CollectMode::Tally).run(&[]);
+        let tallied = Engine::new(&network).run::<UeTally>(&[]);
         assert!(tallied.ues.is_empty());
         assert_eq!(tallied.stats.events_processed, 0);
     }
@@ -894,14 +880,10 @@ mod tests {
             .collect();
         // Run one shard (a UE index range) and fold its tallies.
         let shard_total = |range: std::ops::Range<usize>| -> UeTally {
-            let out = Engine::new(&network)
-                .collect(CollectMode::Tally)
-                .run(&cfgs[range]);
+            let out = Engine::new(&network).run::<UeTally>(&cfgs[range]);
             let mut acc = UeTally::default();
-            for ue in out.ues.iter().flatten() {
-                if let UeOutcome::Tally(t) = ue {
-                    acc.merge(t);
-                }
+            for t in out.ues.iter().flatten() {
+                acc.merge(t);
             }
             acc
         };

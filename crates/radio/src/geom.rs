@@ -39,6 +39,8 @@ pub struct Route {
     waypoints: Vec<Point>,
     /// Cumulative arc length at each waypoint, meters.
     cumlen: Vec<f64>,
+    /// Total length, meters (the last `cumlen`).
+    length: f64,
 }
 
 impl Route {
@@ -55,7 +57,11 @@ impl Route {
             acc += w[0].distance(w[1]);
             cumlen.push(acc);
         }
-        Route { waypoints, cumlen }
+        Route {
+            waypoints,
+            cumlen,
+            length: acc,
+        }
     }
 
     /// A straight segment from `a` to `b`.
@@ -65,8 +71,7 @@ impl Route {
 
     /// Total length in meters.
     pub fn length(&self) -> f64 {
-        // mm-allow(E001): Route::new rejects fewer than two waypoints
-        *self.cumlen.last().expect("non-empty")
+        self.length
     }
 
     /// The waypoints this route interpolates.
